@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple
 
+from .gf import is_prime
+
 __all__ = [
     "TuranEnvelope",
     "AdmissiblePair",
@@ -181,39 +183,6 @@ def tree_bound(r: int, t: int) -> Fraction:
     return Fraction(r - 1, t - 1)
 
 
-# -- primality ---------------------------------------------------------------
-
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
-# deterministic witness set, valid for every n below 3.3 * 10^24
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime_u64(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in _SMALL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 _PATTERN_NAMES = ("plus_minus", "minus_plus", "both")
 
 
@@ -274,7 +243,7 @@ class AdmissiblePair:
         if not (len(self.primes) == len(self.patterns) == len(self.r_values)):
             raise ValueError("primes, patterns and r_values must have equal length")
         for p, pat, rv in zip(self.primes, self.patterns, self.r_values):
-            if not _is_prime_u64(p):
+            if not is_prime(p):
                 raise ValueError(f"sample entry {p} is not prime")
             actual = _congruence_pattern(p, self.d1, self.d2)
             if actual is None:
@@ -338,7 +307,7 @@ def admissible_pair_for(d: int, *, max_primes: int = 4) -> AdmissiblePair:
     candidate = x0 if x0 > 1 else x0 + modulus
     steps = 0
     while len(primes) < max_primes:
-        if _is_prime_u64(candidate):
+        if is_prime(candidate):
             primes.append(candidate)
             patterns.append(_congruence_pattern(candidate, D, D + 1))
             r_values.append(candidate * candidate * (candidate - 1) // (D + 1))

@@ -80,20 +80,12 @@ def _emit(payload: dict, manifest: dict, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _read_doc(path: str) -> tuple[dict, str]:
+def _load(path: str, inputs: dict, cls):
+    """Read a JSON document as `cls` and record its digest in `inputs`."""
     raw = Path(path).read_bytes()
-    return json.loads(raw.decode("utf-8")), "sha256:" + hashlib.sha256(raw).hexdigest()
-
-
-def _load_graph(path: str, inputs: dict) -> LabeledHypergraph:
-    doc, digest = _read_doc(path)
-    inputs[path] = digest
-    return LabeledHypergraph.from_json_dict(doc)
-
-def _load_partition(path: str, inputs: dict) -> SplitPartition:
-    doc, digest = _read_doc(path)
-    inputs[path] = digest
-    return SplitPartition.from_json_dict(doc)
+    doc = json.loads(raw.decode("utf-8"))
+    inputs[path] = "sha256:" + hashlib.sha256(raw).hexdigest()
+    return cls.from_json_dict(doc)
 
 
 class _Run:
@@ -199,8 +191,8 @@ def _cmd_construct(args, argv, threads) -> int:
 
 def _cmd_verify(args, argv, threads) -> int:
     run = _Run("verify", argv, threads)
-    G = _load_graph(args.graph, run.inputs)
-    P = _load_partition(args.partition, run.inputs)
+    G = _load(args.graph, run.inputs, LabeledHypergraph)
+    P = _load(args.partition, run.inputs, SplitPartition)
     run.params = {"forbid": list(args.forbid or [])}
     report = verify_rk(G, P)
     rep = report.to_json_dict()
@@ -225,7 +217,7 @@ def _cmd_verify(args, argv, threads) -> int:
 
 def _cmd_spectrum(args, argv, threads) -> int:
     run = _Run("spectrum", argv, threads)
-    G = _load_graph(args.graph, run.inputs)
+    G = _load(args.graph, run.inputs, LabeledHypergraph)
     s = spectrum(G)
     payload = {
         "n": s.n,
@@ -244,7 +236,7 @@ def _cmd_spectrum(args, argv, threads) -> int:
 
 def _cmd_mixing(args, argv, threads) -> int:
     run = _Run("mixing", argv, threads)
-    G = _load_graph(args.graph, run.inputs)
+    G = _load(args.graph, run.inputs, LabeledHypergraph)
     U = _ints(args.U)
     W = _ints(args.W)
     run.params = {"U": U, "W": W, "mode": args.mode}
@@ -366,7 +358,7 @@ def _cmd_oracle(args, argv, threads) -> int:
 
 def _cmd_partition_greedy(args, argv, threads) -> int:
     run = _Run("partition-greedy", argv, threads, seed=args.seed)
-    G = _load_graph(args.graph, run.inputs)
+    G = _load(args.graph, run.inputs, LabeledHypergraph)
     H = parse_pattern(args.forbid)
     sizes = {}
     if args.seed_size is not None:
@@ -379,7 +371,7 @@ def _cmd_partition_greedy(args, argv, threads) -> int:
     try:
         G2, P, trace = greedy_split(G, args.m, H, sizes=sizes or None, seed=args.seed)
     except BudgetExceededError:
-        raise
+        raise  # a RuntimeError subclass: main must map it to exit 5, not 3
     except RuntimeError as exc:
         print(f"partitioning failed: {exc}", file=sys.stderr)
         return 3

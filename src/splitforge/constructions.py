@@ -35,54 +35,7 @@ from . import forbidden
 from . import gf
 from .structures import LabeledHypergraph, SplitPartition
 
-FAMILIES = (
-    "norm_quotient",
-    "wenger",
-    "theta",
-    "berge3",
-    "design_split",
-    "property_B",
-)
-
 _PATCH_STRATEGIES = ("matching", "greedy_reuse")
-
-
-@dataclass
-class ConstructionParams:
-    """Parameter bundle recorded alongside construction output.
-
-    ``family`` names one of the builders in :data:`FAMILIES`, ``params``
-    holds its keyword arguments, and ``patch_strategy``/``seed`` are the
-    optional knobs shared by the partitioned families.
-    """
-
-    family: str
-    params: dict
-    patch_strategy: str | None = None
-    seed: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.patch_strategy is not None and self.patch_strategy not in _PATCH_STRATEGIES:
-            raise ValueError(f"unknown patch strategy {self.patch_strategy!r}")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "params": dict(self.params),
-            "patch_strategy": self.patch_strategy,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ConstructionParams":
-        return cls(
-            family=d["family"],
-            params=dict(d.get("params", {})),
-            patch_strategy=d.get("patch_strategy"),
-            seed=d.get("seed"),
-        )
 
 
 @dataclass
@@ -121,14 +74,26 @@ class PatchStats:
         }
 
 
-def _odd_prime_power(q: int):
+def _prime_power(q: int):
     pp = gf.prime_power(q)
     if pp is None:
         raise ValueError(f"q={q} is not a prime power")
-    p, s = pp
+    return pp
+
+
+def _odd_prime_power(q: int):
+    p, s = _prime_power(q)
     if p == 2:
         raise ValueError(f"q={q} has even characteristic")
     return p, s
+
+
+def _rank(tp, q: int) -> int:
+    """Index of the coordinate tuple tp in product(range(q), repeat=len(tp))."""
+    idx = 0
+    for c in tp:
+        idx = idx * q + c
+    return idx
 
 
 # ------------------------------------------------------------------------
@@ -434,29 +399,19 @@ def build_wenger(M: int, q: int) -> LabeledHypergraph:
     """
     if M < 1:
         raise ValueError("M must be at least 1")
-    pp = gf.prime_power(q)
-    if pp is None:
-        raise ValueError(f"q={q} is not a prime power")
-    F = gf.make_field(*pp)
+    F = gf.make_field(*_prime_power(q))
     pts = list(product(range(q), repeat=M + 1))
     nside = len(pts)
-
-    def rank(tp) -> int:
-        idx = 0
-        for c in tp:
-            idx = idx * q + c
-        return idx
 
     labels = ["P:" + ",".join(map(str, tp)) for tp in pts]
     labels += ["L:" + ",".join(map(str, tp)) for tp in pts]
     edges = []
-    for tp in pts:
-        base = rank(tp)
+    for base, tp in enumerate(pts):
         for l1 in range(q):
             line = [l1]
             for j in range(1, M + 1):
                 line.append(F.sub(F.mul(line[-1], tp[0]), tp[j]))
-            edges.append((base, nside + rank(line)))
+            edges.append((base, nside + _rank(line, q)))
     return LabeledHypergraph(2, labels, edges)
 
 
@@ -476,26 +431,17 @@ def partition_wenger(M: int, q: int, seed: int | None = None):
     """
     if M not in _WENGER_FIXED:
         raise ValueError("partitioned variant needs M in {2, 4}")
-    pp = gf.prime_power(q)
-    if pp is None:
-        raise ValueError(f"q={q} is not a prime power")
-    F = gf.make_field(*pp)
+    F = gf.make_field(*_prime_power(q))
     G = build_wenger(M, q)
     pts = list(product(range(q), repeat=M + 1))
     nside = len(pts)
 
-    def rank(tp) -> int:
-        idx = 0
-        for c in tp:
-            idx = idx * q + c
-        return idx
-
     fixed_p, fixed_l = _WENGER_FIXED[M]
     groups_p: dict = {}
     groups_l: dict = {}
-    for tp in pts:
-        groups_p.setdefault(tuple(tp[i] for i in fixed_p), []).append(rank(tp))
-        groups_l.setdefault(tuple(tp[i] for i in fixed_l), []).append(nside + rank(tp))
+    for idx, tp in enumerate(pts):
+        groups_p.setdefault(tuple(tp[i] for i in fixed_p), []).append(idx)
+        groups_l.setdefault(tuple(tp[i] for i in fixed_l), []).append(nside + idx)
     keys_p = sorted(groups_p)
     keys_l = sorted(groups_l)
     if seed is not None:
@@ -521,7 +467,7 @@ def partition_wenger(M: int, q: int, seed: int | None = None):
             l5 = F.sub(F.mul(l4, p1), p5)
             point = (p1, p2, p3, p4, p5)
             line = (l1, l2, l3, l4, l5)
-        internal.add((rank(point), nside + rank(line)))
+        internal.add((_rank(point, q), nside + _rank(line, q)))
 
     edges = [e for e in G.edges if e not in internal]
     half = q ** (M // 2)
@@ -550,12 +496,7 @@ def build_theta(q: int, reduce_parts: bool = True):
     ``reduce_parts=False`` the graph is exactly q-regular but parts keep
     one internal edge each.
     """
-    pp = gf.prime_power(q)
-    if pp is None:
-        raise ValueError(f"q={q} is not a prime power")
-    p, s = pp
-    if p == 2:
-        raise ValueError(f"q={q} has even characteristic")
+    p, s = _odd_prime_power(q)
     if s % 2 == 1:
         raise ValueError(f"q={q} must be an even power")
     F = gf.make_field(p, s)
@@ -611,9 +552,7 @@ def build_theta(q: int, reduce_parts: bool = True):
         d4 = F.sub(rb, b3)
         v3 = qs.join(a3, b3)
         w4 = qs.join(c4, d4)
-        pu = ((v1 * q + v2) * q + v3) * q + v4
-        lv = n4 + ((w1 * q + w2) * q + w3) * q + w4
-        internal.add((pu, lv))
+        internal.add((_rank((v1, v2, v3, v4), q), n4 + _rank((w1, w2, w3, w4), q)))
 
     if reduce_parts:
         edges = [e for e in edges if e not in internal]
@@ -711,10 +650,9 @@ _ALL_RE = re.compile(r"^all-(\d+)-subsets\((\d+),(\d+)\)$")
 
 
 def _catalog_field(q: int) -> "gf.FieldSpec":
-    pp = gf.prime_power(q)
-    if pp is None or q > 32:
+    if q > 32:
         raise ValueError(f"q={q} must be a prime power at most 32")
-    return gf.make_field(*pp)
+    return gf.make_field(*_prime_power(q))
 
 
 def design_catalog(design_id: str) -> DesignInstance:

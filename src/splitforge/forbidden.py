@@ -25,7 +25,7 @@ from itertools import combinations
 import numpy as np
 from scipy import sparse
 
-from .structures import LabeledHypergraph
+from .structures import LabeledHypergraph, bipartition
 
 _KINDS = ("complete_bipartite", "cycle", "theta", "berge_cycle", "explicit")
 
@@ -139,53 +139,38 @@ def _emit(G: LabeledHypergraph, pattern: str, vertices, edges) -> dict:
     }
 
 
-def _bipartition(G: LabeledHypergraph):
-    """2-colour G by BFS; return the colour array or None if an odd cycle
-    obstructs."""
-    color = [-1] * G.n
-    adj = G.adj
-    for s in range(G.n):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                cu = color[u]
-                for w in adj[u]:
-                    if color[w] == -1:
-                        color[w] = 1 - cu
-                        nxt.append(w)
-                    elif color[w] == cu:
-                        return None
-            frontier = nxt
-    return color
+def _paths_by_end(sadj, root: int, length: int, floor: int) -> dict:
+    """Simple paths of exactly `length` edges from `root` whose other
+    vertices all exceed `floor`, bucketed by end vertex; each bucket lists
+    its paths (vertex tuples) in lexicographic order.
 
-
-def _paths_exact(G: LabeledHypergraph, u: int, v: int, length: int):
-    """All simple u-v paths with exactly `length` edges, in lexicographic
-    order of the vertex sequence."""
-    sadj = [sorted(a) for a in G.adj]
-    out = []
-    path = [u]
-
-    def dfs(x, depth):
-        if depth == length:
-            if x == v:
-                out.append(tuple(path))
-            return
-        if x == v:
-            return
-        for y in sadj[x]:
-            if y in path:
-                continue
-            path.append(y)
-            dfs(y, depth + 1)
+    `sadj` holds each vertex's neighbours in ascending order.  The search
+    keeps a stack of neighbour iterators instead of recursing and closes
+    paths in a plain loop over the last vertex's neighbours: on the large
+    hosts most of the work is at that level.
+    """
+    buckets: dict[int, list[tuple]] = {}
+    path = [root]
+    stack = [iter(sadj[root])]
+    while path:
+        if len(path) == length:
+            for z in sadj[path[-1]]:
+                if z > floor and z not in path:
+                    path.append(z)
+                    buckets.setdefault(z, []).append(tuple(path))
+                    path.pop()
             path.pop()
-
-    dfs(u, 0)
-    return out
+            continue
+        for y in stack[-1]:
+            if y > floor and y not in path:
+                path.append(y)
+                if len(path) < length:
+                    stack.append(iter(sadj[y]))
+                break
+        else:
+            stack.pop()
+            path.pop()
+    return buckets
 
 
 def _pack_disjoint(paths, K: int):
@@ -317,21 +302,7 @@ def contains_cycle(G: LabeledHypergraph, length: int):
     pat = "C_{%d}" % length
 
     for root in range(G.n):
-        buckets: dict[int, list[tuple]] = {}
-        path = [root]
-
-        def dfs(x, depth):
-            if depth == half:
-                buckets.setdefault(x, []).append(tuple(path))
-                return
-            for y in sadj[x]:
-                if y <= root or y in path:
-                    continue
-                path.append(y)
-                dfs(y, depth + 1)
-                path.pop()
-
-        dfs(root, 0)
+        buckets = _paths_by_end(sadj, root, half, root)
         if length % 2 == 0:
             for w in sorted(buckets):
                 lst = buckets[w]
@@ -416,10 +387,14 @@ def contains_theta(G: LabeledHypergraph, K: int, length: int,
 
         paths4 = C@C - (deg_u + deg_v) * C - M diag(deg - 2) M^T,  C = M M^T,
 
-    computed in float32 (exact here: all counts stay far below 2**24);
-    only pairs with at least K paths are handed to the path enumerator
-    and an exact disjoint-packing search. All other cases enumerate
-    paths root by root, which is exact but slower on large hosts.
+    computed in float32. That is exact only when every intermediate is an
+    integer of magnitude at most 2**24: with maximum degree D, each entry
+    of C@C is a sum of non-negative terms and at most D**3, and each
+    correction term at most D**2, so the filter runs only when
+    D**3 + 3*D**2 <= 2**24 (D <= 255). Only pairs with at least K paths
+    are handed to the path enumerator and an exact disjoint-packing
+    search. All other cases enumerate paths root by root, which is exact
+    but slower on large hosts.
     """
     _require_graph(G)
     if K < 2 or length < 2:
@@ -433,12 +408,13 @@ def contains_theta(G: LabeledHypergraph, K: int, length: int,
     if not G.edge_set:
         return None
     if length == 4:
-        color = _bipartition(G)
+        color = bipartition(G)
         if color is not None:
             sides = ([v for v in range(G.n) if color[v] == 0],
                      [v for v in range(G.n) if color[v] == 1])
             fits = all(12 * len(side) ** 2 <= memory_budget for side in sides)
-            if fits:
+            D = max(len(a) for a in G.adj)
+            if fits and D ** 3 + 3 * D ** 2 <= 2 ** 24:
                 return _theta4_bipartite(G, K, sides, pat)
     return _theta_generic(G, K, length, pat)
 
@@ -479,10 +455,10 @@ def _theta4_side(G, K, side_verts, Ms, pat):
     W[corr.row, corr.col] -= corr.data.astype(np.float32)
     np.fill_diagonal(W, 0.0)
     cand = np.argwhere(np.triu(W >= K, k=1))
+    sadj = [sorted(a) for a in G.adj]
     for i, j in cand:
         u, v = side_verts[int(i)], side_verts[int(j)]
-        paths = _paths_exact(G, u, v, 4)
-        chosen = _pack_disjoint(paths, K)
+        chosen = _pack_disjoint(_paths_by_end(sadj, u, 4, -1).get(v, []), K)
         if chosen is not None:
             return _theta_witness(G, pat, u, v, chosen)
     return None
@@ -491,23 +467,10 @@ def _theta4_side(G, K, side_verts, Ms, pat):
 def _theta_generic(G, K, length, pat):
     sadj = [sorted(a) for a in G.adj]
     for u in range(G.n):
-        buckets: dict[int, list[tuple]] = {}
-        path = [u]
-
-        def dfs(x, depth):
-            if depth == length:
-                if x > u:
-                    buckets.setdefault(x, []).append(tuple(path))
-                return
-            for y in sadj[x]:
-                if y in path:
-                    continue
-                path.append(y)
-                dfs(y, depth + 1)
-                path.pop()
-
-        dfs(u, 0)
+        buckets = _paths_by_end(sadj, u, length, -1)
         for v in sorted(buckets):
+            if v <= u:
+                continue
             chosen = _pack_disjoint(buckets[v], K)
             if chosen is not None:
                 return _theta_witness(G, pat, u, v, chosen)

@@ -24,7 +24,6 @@ __all__ = [
     "SubgroupHandle",
     "QuadraticSplit",
     "make_field",
-    "find_primitive",
     "subgroup",
     "coset_of",
     "coset_reps",
@@ -43,8 +42,8 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (the fixed witness set is exact far
-    beyond the field-size cap)."""
+    """Deterministic Miller-Rabin; the fixed witness set is exact for
+    every n below 3.3 * 10**24, far beyond the field-size cap."""
     if n < 2:
         return False
     for w in _MR_WITNESSES:
@@ -352,11 +351,6 @@ class FieldSpec:
 def make_field(p: int, n: int) -> FieldSpec:
     """GF(p^n) with the least defining polynomial, cached per (p, n)."""
     return FieldSpec(p, n)
-
-
-def find_primitive(spec: FieldSpec) -> int:
-    """The least generator of GF(q)^*, fixed at table construction."""
-    return spec.theta
 
 
 # ------------------------------------------------------------------

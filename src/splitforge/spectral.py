@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -22,30 +22,10 @@ import scipy.sparse as sparse
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from . import forbidden
-from .structures import LabeledHypergraph, SplitPartition, verify_rk
+from .structures import LabeledHypergraph, SplitPartition, bipartition, verify_rk
 
 _DENSE_LIMIT = 5000
 _SEED_NODE_BUDGET = 100_000
-
-
-def _bipartition(G: LabeledHypergraph):
-    """BFS 2-coloring; returns (side0, side1) as sets or None."""
-    color = {}
-    for src in range(G.n):
-        if src in color:
-            continue
-        color[src] = 0
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            for w in G.adj[u]:
-                if w not in color:
-                    color[w] = color[u] ^ 1
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    return None
-    side0 = {v for v, c in color.items() if c == 0}
-    return side0, set(range(G.n)) - side0
 
 
 @dataclass(frozen=True)
@@ -99,7 +79,7 @@ def spectrum(G: LabeledHypergraph) -> SpectrumSummary:
     """
     d = _require_regular(G)
     n = G.n
-    bip = _bipartition(G) is not None
+    bip = bipartition(G) is not None
     if n <= _DENSE_LIMIT:
         A = np.zeros((n, n))
         for u, v in G.edges:
@@ -148,10 +128,11 @@ def mixing_check(G: LabeledHypergraph, U, W, mode: str = "general") -> dict:
         if not (0 <= v < n):
             raise ValueError(f"vertex {v} out of range")
     if mode == "bipartite":
-        sides = _bipartition(G)
-        if sides is None:
+        color = bipartition(G)
+        if color is None:
             raise ValueError("bipartite mode needs a bipartite graph")
-        s0, s1 = sides
+        s0 = {v for v in range(n) if color[v] == 0}
+        s1 = set(range(n)) - s0
         if not ((setU <= s0 and setW <= s1) or (setU <= s1 and setW <= s0)):
             raise ValueError("U and W must lie in opposite bipartition classes")
         expected = 2 * summary.d / n * len(setU) * len(setW)
@@ -257,11 +238,10 @@ def greedy_split(G: LabeledHypergraph, m: int, H, sizes=None, seed=None):
         )
     rng = random.Random(seed) if seed is not None else None
 
-    sides = _bipartition(G)
-    if sides is not None:
-        side0, side1 = sides
-        seed_pool = sorted(side0 if 0 in side0 else side1)
-        grow_pool = sorted(side1 if 0 in side0 else side0)
+    color = bipartition(G)
+    if color is not None:
+        seed_pool = [v for v in range(n) if color[v] == color[0]]
+        grow_pool = [v for v in range(n) if color[v] != color[0]]
     else:
         seed_pool = list(range(n))
         grow_pool = list(range(n))

@@ -24,6 +24,7 @@ __all__ = [
     "VerificationReport",
     "verify_rk",
     "property_B_check",
+    "bipartition",
     "components",
     "max_component_size",
 ]
@@ -292,6 +293,31 @@ def property_B_check(H: LabeledHypergraph, c, budget: int = 1_000_000) -> bool:
         return False
 
     return dfs(0)
+
+
+def bipartition(G: LabeledHypergraph):
+    """2-colour G by breadth-first search, starting each component at its
+    least vertex with colour 0; return the colour list, or None when an
+    odd cycle obstructs."""
+    color = [-1] * G.n
+    adj = G.adj
+    for s in range(G.n):
+        if color[s] != -1:
+            continue
+        color[s] = 0
+        frontier = [s]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                cu = color[u]
+                for w in adj[u]:
+                    if color[w] == -1:
+                        color[w] = 1 - cu
+                        nxt.append(w)
+                    elif color[w] == cu:
+                        return None
+            frontier = nxt
+    return color
 
 
 def components(G: LabeledHypergraph) -> list:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from splitforge import cli
-from splitforge.structures import LabeledHypergraph, SplitPartition
+from splitforge.structures import BudgetExceededError, LabeledHypergraph, SplitPartition
 
 
 def write_json(path: Path, doc: dict) -> Path:
@@ -347,6 +347,22 @@ def test_partition_greedy_infeasible_exit_3(tmp_path):
          "--out-partition", str(tmp_path / "p.json")]
     )
     assert code == 3
+
+
+def test_partition_greedy_budget_exit_5(tmp_path, monkeypatch):
+    # BudgetExceededError subclasses RuntimeError, which partition-greedy
+    # otherwise reports as exit 3
+    def over_budget(*args, **kwargs):
+        raise BudgetExceededError("seed search undecided at budget")
+
+    monkeypatch.setattr(cli, "greedy_split", over_budget)
+    g = tmp_path / "w13.json"
+    assert cli.main(["construct", "wenger", "--M", "1", "--q", "3", "--out", str(g)]) == 0
+    code = cli.main(
+        ["partition-greedy", "--graph", str(g), "--m", "3", "--forbid", "K_{2,2}",
+         "--out-graph", str(tmp_path / "o.json"), "--out-partition", str(tmp_path / "p.json")]
+    )
+    assert code == 5
 
 
 # ---------------------------------------------------------------------------

@@ -426,20 +426,3 @@ def test_property_b_validation():
         cons.build_property_B(3, (2, 0, 1), 4)
     with pytest.raises(ValueError):
         cons.build_property_B(3, (2, 2), 4)
-
-
-# --------------------------------------------------------- params plumbing
-
-
-def test_construction_params():
-    cp = cons.ConstructionParams(
-        "norm_quotient", {"q": 9, "t": 2, "d": 1, "h": 4, "a": 2},
-        patch_strategy="matching", seed=3,
-    )
-    d = cp.to_json_dict()
-    assert d["family"] == "norm_quotient" and d["seed"] == 3
-    assert json.dumps(d)  # serializable
-    with pytest.raises(ValueError):
-        cons.ConstructionParams("mystery", {})
-    with pytest.raises(ValueError):
-        cons.ConstructionParams("wenger", {}, patch_strategy="bogus")

@@ -373,6 +373,23 @@ def test_theta_bipartite_fast_path_matches_naive():
             check_theta_witness(G, w, 3, 4)
 
 
+def test_theta4_high_degree_host_skips_float32_filter(monkeypatch):
+    # a star K_{1,300} has maximum degree 300 > 255, past the bound under
+    # which the float32 4-path counts are exact, so the exact generic
+    # search must decide the host instead of the dense filter
+    def no_filter(*args):
+        raise AssertionError("float32 filter used beyond its exactness bound")
+
+    monkeypatch.setattr(forbidden, "_theta4_bipartite", no_filter)
+    star = [(0, leaf) for leaf in range(1, 301)]
+    theta = theta_graph(3, 4)
+    G = graph(301 + theta.n, star + [(301 + a, 301 + b) for a, b in theta.edges])
+    w = forbidden.contains_theta(G, 3, 4)
+    assert w is not None
+    check_theta_witness(G, w, 3, 4)
+    assert w["vertices"][:2] == [301, 302]
+
+
 def test_theta_validation():
     G = cycle_graph(4)
     with pytest.raises(ValueError):

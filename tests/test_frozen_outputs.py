@@ -1,0 +1,111 @@
+"""Frozen outputs: payload digests and decider witnesses must not move.
+
+A refactor keeps every payload byte and every witness.  A change to the
+builders, the JSON layout or a decider's search order changes a digest
+here; such a change must say why and re-record the value in the same
+commit.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+
+from splitforge import cli, forbidden
+from splitforge.structures import LabeledHypergraph
+
+# the construction recipes of acceptance test c11, with their payload
+# sha256 for the graph and the partition document
+RECIPES = {
+    "w2_3": (["wenger", "--M", "2", "--q", "3"],
+            "e17cb8b592d24909c6cf79bb1d80dab8512929693ab38a8f3bfe4094f6b12914",
+            "e1212a7e89a4b589d54d207d9c4416c152e0ab034fe9ca93b747609b22428f86"),
+    "w2_9": (["wenger", "--M", "2", "--q", "9"],
+            "4ecb8e561081cd6a86d385e11a02c17036b2879f5b7d1840a6b982b6b1d2db7a",
+            "9610ee9f58a5cf7a152f4dc8652df47e71adf6bb8cb4a121526694e9f09b4912"),
+    "w4_3": (["wenger", "--M", "4", "--q", "3"],
+            "807df39da605bf85d48150ef3ba7a49358b3ea45024e1b8525df4820949e2e3c",
+            "324358b2908dff0461006e27f8aaa8b407ba3ce27d90824878482a48a90e3c2e"),
+    "nq_9": (["norm-quotient", "--q", "9", "--t", "2", "--d", "1",
+              "--h", "4", "--a", "2", "--seed", "7"],
+            "2b38bd482d03c5a698585871d64a519064ded526d02d07eb1317dd33bcf18ad7",
+            "bd1e7536554c4060b70d0f666e30bc76db586375a66e37d48d7ddc18e0a358d6"),
+    "nq_25": (["norm-quotient", "--q", "25", "--t", "2", "--d", "1",
+               "--h", "6", "--a", "4", "--seed", "7"],
+            "bbd7c690a7c1e980082f606e437db1a062754f6f74ce63ac332f43677a3ab6f0",
+            "a966e662798f3f0c0080c19f060d4e454b6405f5cd24be821f4e376d222f4cf2"),
+    "theta9": (["theta", "--q", "9"],
+            "8ca7ae5fd945de94bf730c33a655788e126a1d78e7ed9aeba88cd9a9b0aa4e3d",
+            "fb583951ddbd4e8d821b39a352749da771ea45c874e7bf3b3d4cc7c0204afafc"),
+    "b3_9": (["berge3", "--q", "9"],
+            "0483ba925e5d9f6e519cdcba4e9e1a826773761135e6ab489ea27a52bcd59d1f",
+            "3595948c90e6e4319ac9f7d6dd493db016d6123f82d79c61b22c63117e21fc1e"),
+    "b3_25": (["berge3", "--q", "25"],
+            "b04c52e2bffd81e5a6b6c6cdd168cb7833ae6c42da55901de40cc4b31118ae5a",
+            "678b478dd961ea31147d7383fbabf6f1c972e1b0cc8617074ac9f25465ea8940"),
+    "fano": (["design", "--id", "fano"],
+            "a2a502b79f9c9db5298c8b6c4a869646a396860049f5f7d412f482118b9f5643",
+            "9040bae989a181276a135bc808ad490e2b57a8544d21a070fe2a5eca6d741e0d"),
+    "ag23": (["design", "--id", "AG(2,3)"],
+            "e7e9b3b7c7412b0a0ca1b0a6376071609c0a350711cb99ca702e74c5336da7a2",
+            "b2ea30c7c47638ee79578c0885e4466470df040af4d9352c3e1f49b4e930a564"),
+    "pb": (["property-B", "--m", "3", "--c", "2,1", "--r", "6"],
+            "266216aeef67d3ddb71419671dfed66afa41ca3bf9ad763c8e4899d727ac66cf",
+            "c82c848e84e711bb51a75e64db8794225d3f3e64bdf623ab4706ac0267b56629"),
+}
+
+WITNESS_DIGEST = "5321f9bc661eb76aa5b717716224319bd5f985a62de51b62b6cd96a66a721576"
+
+
+def _payload_sha(path) -> str:
+    return json.loads(path.read_text(encoding="utf-8"))["provenance"]["payload_sha256"]
+
+
+def test_construct_payload_digests_frozen(tmp_path):
+    got = {}
+    for tag, (args, _, _) in RECIPES.items():
+        g, p = tmp_path / f"{tag}_g.json", tmp_path / f"{tag}_p.json"
+        assert cli.main(["construct", *args, "--out", str(g), "--partition", str(p)]) == 0
+        got[tag] = (_payload_sha(g), _payload_sha(p))
+    assert got == {tag: (gd, pd) for tag, (_, gd, pd) in RECIPES.items()}
+
+
+def _random_graph(rng, n, density):
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+    return LabeledHypergraph(2, [f"v{i}" for i in range(n)], edges)
+
+
+def _random_bipartite(rng, nx, ny, density):
+    edges = [(u, nx + v) for u in range(nx) for v in range(ny) if rng.random() < density]
+    return LabeledHypergraph(2, [f"v{i}" for i in range(nx + ny)], edges)
+
+
+def _witness_record() -> list:
+    rng = random.Random(20230831)
+    out = []
+    for _ in range(60):
+        G = _random_graph(rng, rng.randrange(5, 15), rng.choice((0.15, 0.25, 0.35, 0.5)))
+        for L in range(3, 8):
+            out.append(["C", L, forbidden.contains_cycle(G, L)])
+        for K, ell in ((3, 2), (3, 3), (4, 2)):
+            out.append(["theta", K, ell, forbidden.contains_theta(G, K, ell)])
+        for t in (2, 3, 4):
+            out.append(["K2t", t, forbidden.contains_kst(G, 2, t)])
+        g = forbidden.girth(G)
+        out.append(["girth", None if g == float("inf") else g])
+    for _ in range(60):
+        G = _random_bipartite(rng, rng.randrange(3, 9), rng.randrange(3, 9),
+                              rng.choice((0.35, 0.5, 0.65)))
+        out.append(["theta", 3, 4, forbidden.contains_theta(G, 3, 4)])
+    return out
+
+
+def test_decider_witnesses_frozen():
+    record = _witness_record()
+    # the sample must exercise both verdicts of every decider
+    for key in ("C", "theta", "K2t"):
+        verdicts = {r[-1] is None for r in record if r[0] == key}
+        assert verdicts == {True, False}, key
+    blob = json.dumps(record, sort_keys=True).encode("utf-8")
+    assert hashlib.sha256(blob).hexdigest() == WITNESS_DIGEST

@@ -252,16 +252,16 @@ def test_exp_log_are_inverse_maps():
 
 
 def test_find_primitive_frozen():
-    assert gf.find_primitive(gf.make_field(2, 1)) == 1
-    assert gf.find_primitive(gf.make_field(3, 1)) == 2
-    assert gf.find_primitive(gf.make_field(7, 1)) == 3
-    assert gf.find_primitive(gf.make_field(3, 2)) == 4
+    assert gf.make_field(2, 1).theta == 1
+    assert gf.make_field(3, 1).theta == 2
+    assert gf.make_field(7, 1).theta == 3
+    assert gf.make_field(3, 2).theta == 4
 
 
 @pytest.mark.parametrize("p,n", SMALL_FIELDS + [(3, 4)])
 def test_primitive_has_full_order(p, n):
     spec = gf.make_field(p, n)
-    theta = gf.find_primitive(spec)
+    theta = spec.theta
     if spec.q == 2:
         assert theta == 1
         return
