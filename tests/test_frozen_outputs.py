@@ -11,8 +11,9 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from itertools import combinations
 
-from splitforge import cli, forbidden
+from splitforge import cli, constructions, forbidden
 from splitforge.structures import LabeledHypergraph
 
 # the construction recipes of acceptance test c11, with their payload
@@ -31,6 +32,11 @@ RECIPES = {
               "--h", "4", "--a", "2", "--seed", "7"],
             "2b38bd482d03c5a698585871d64a519064ded526d02d07eb1317dd33bcf18ad7",
             "bd1e7536554c4060b70d0f666e30bc76db586375a66e37d48d7ddc18e0a358d6"),
+    "nq_9_greedy": (["norm-quotient", "--q", "9", "--t", "2", "--d", "1",
+                     "--h", "4", "--a", "2", "--seed", "7",
+                     "--patch-strategy", "greedy_reuse"],
+            "33de22e6e62bb15da9d90f6c808fbeffede9e35fe99f586de982cf595a19f92b",
+            "071f958750b668fb63d27498a0b1a85601953b231b3f7b7bbaad14356d060653"),
     "nq_25": (["norm-quotient", "--q", "25", "--t", "2", "--d", "1",
                "--h", "6", "--a", "4", "--seed", "7"],
             "bbd7c690a7c1e980082f606e437db1a062754f6f74ce63ac332f43677a3ab6f0",
@@ -56,6 +62,8 @@ RECIPES = {
 }
 
 WITNESS_DIGEST = "5321f9bc661eb76aa5b717716224319bd5f985a62de51b62b6cd96a66a721576"
+
+BERGE_WITNESS_DIGEST = "166a6428b25f490eeb92075a260856dfa0538eee4d8a943fbba56e0fcf3e028b"
 
 
 def _payload_sha(path) -> str:
@@ -109,3 +117,28 @@ def test_decider_witnesses_frozen():
         assert verdicts == {True, False}, key
     blob = json.dumps(record, sort_keys=True).encode("utf-8")
     assert hashlib.sha256(blob).hexdigest() == WITNESS_DIGEST
+
+
+def _random_hypergraph(rng, m, n):
+    pool = list(combinations(range(n), m))
+    edges = rng.sample(pool, rng.randrange(2, min(len(pool), 2 * n)))
+    return LabeledHypergraph(m, [f"v{i}" for i in range(n)], edges)
+
+
+def _berge_record() -> list:
+    rng = random.Random(20230831)
+    hosts = []
+    for _ in range(80):
+        m = rng.choice((3, 4))
+        hosts.append(_random_hypergraph(rng, m, rng.randrange(m + 2, 13)))
+    hosts.append(constructions.build_berge3(9)[0])
+    return [[L, forbidden.contains_berge_cycle(H, L)] for H in hosts for L in (2, 3, 4)]
+
+
+def test_berge_witnesses_frozen():
+    record = _berge_record()
+    for L in (2, 3, 4):
+        verdicts = {r[-1] is None for r in record if r[0] == L}
+        assert verdicts == {True, False}, L
+    blob = json.dumps(record, sort_keys=True).encode("utf-8")
+    assert hashlib.sha256(blob).hexdigest() == BERGE_WITNESS_DIGEST
