@@ -29,7 +29,7 @@ import math
 import random
 import re
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 from . import forbidden
 from . import gf
@@ -143,10 +143,6 @@ def build_norm_quotient(q: int, t: int, d: int = 1) -> LabeledHypergraph:
             for i in range(Q):
                 edges.append((base_p + i, base_l + (c - i) % Q))
     return LabeledHypergraph(2, labels, edges)
-
-
-class _GreedyPatchFailed(Exception):
-    pass
 
 
 def _patch_graph_free(n_patch: int, patch_edges, cand, t: int, count: int) -> bool:
@@ -307,15 +303,16 @@ def partition_norm_quotient(
             stats.fresh_vertices += 1
             return u
 
-        def try_commit(u, v, make_u, make_v, pa, pb) -> bool:
-            nu = len(local_of) if make_u else local_of[u]
-            nv = len(local_of) + (1 if make_u else 0) if make_v else local_of[v]
+        def try_commit(u, v, pa, pb) -> bool:
+            # u or v None asks for a fresh vertex on that side
+            nu = len(local_of) if u is None else local_of[u]
+            nv = len(local_of) + (1 if u is None else 0) if v is None else local_of[v]
             if not _patch_graph_free(
                 len(local_of), patch_edges_local, (nu, nv), t, t_count
             ):
                 return False
-            gu = fresh_vertex(pa) if make_u else u
-            gv = fresh_vertex(pb) if make_v else v
+            gu = fresh_vertex(pa) if u is None else u
+            gv = fresh_vertex(pb) if v is None else v
             edges.append((gu, gv))
             patch_edges_local.append((local_of[gu], local_of[gv]))
             stats.patched_pairs += 1
@@ -327,54 +324,22 @@ def partition_norm_quotient(
             if key in covered:
                 stats.reused_pairs += 1
                 continue
-            done = False
-            for u in pool[pa]:
-                for v in pool[pb]:
-                    if try_commit(u, v, False, False, pa, pb):
-                        done = True
-                        break
-                if done:
-                    break
-            if not done:
-                for u in pool[pa]:
-                    if try_commit(u, None, False, True, pa, pb):
-                        done = True
-                        break
-            if not done:
-                for v in pool[pb]:
-                    if try_commit(None, v, True, False, pa, pb):
-                        done = True
-                        break
-            if not done:
-                done = try_commit(None, None, True, True, pa, pb)
-            if not done:
-                raise _GreedyPatchFailed(f"pair {key}")
+            # existing patch vertices first, then one fresh end, then a
+            # fresh edge; a fresh-fresh edge is an isolated edge and never
+            # closes a K_{t,t_count} (t >= 2, t_count >= 2: every vertex of
+            # one has degree >= 2), so the last candidate always commits
+            cands = chain(product(pool[pa], pool[pb]), product(pool[pa], [None]),
+                          product([None], pool[pb]), [(None, None)])
+            if not any(try_commit(u, v, pa, pb) for u, v in cands):
+                raise RuntimeError(
+                    f"internal error: greedy patching could not certify pair {key}"
+                )
             covered.add(key)
 
     if patch_strategy == "matching":
         patch_matching()
     else:
-        n_labels = len(labels)
-        n_edges = len(edges)
-        n_parts = [len(part) for part in part_vertices]
-        try:
-            patch_greedy()
-        except _GreedyPatchFailed as exc:
-            # should be unreachable (a fresh-fresh edge is always safe);
-            # kept so a certification bug degrades instead of miscounting
-            del labels[n_labels:]
-            del edges[n_edges:]
-            for part, keep in zip(part_vertices, n_parts):
-                del part[keep:]
-            stats.warnings.append(
-                f"greedy patching could not certify {exc}; fell back to matching"
-            )
-            stats.strategy = "matching"
-            stats.patched_pairs = stats.reused_pairs = 0
-            stats.fresh_vertices = stats.patch_edges = 0
-            for i in range(r):
-                patch_count[i] = 0
-            patch_matching()
+        patch_greedy()
 
     stats.max_patch_per_part = max(patch_count) if patch_count else 0
     G = LabeledHypergraph(2, labels, edges)

@@ -36,6 +36,9 @@ _BERGE_RE = re.compile(r"^bergeC_(\d+)$")
 
 _EXPLICIT_MAX_VERTICES = 10
 
+# bytes the length-4 theta filter may spend on its dense same-side matrices
+_THETA4_MEMORY_BUDGET = 1_500_000_000
+
 
 @dataclass(frozen=True)
 class ForbiddenPattern:
@@ -176,9 +179,9 @@ def _paths_by_end(sadj, root: int, length: int, floor: int) -> dict:
 def _pack_disjoint(paths, K: int):
     """Pick K of the given u-v paths with pairwise disjoint interiors.
 
-    Exact: greedy first, then a complete include/exclude search. Paths
-    with identical interiors are collapsed (they can never coexist).
-    Returns the chosen paths or None.
+    Exact: a complete include/exclude search in path order, whose first
+    descent is the greedy choice. Paths with identical interiors are
+    collapsed (they can never coexist). Returns the chosen paths or None.
     """
     items = []
     seen = set()
@@ -187,16 +190,6 @@ def _pack_disjoint(paths, K: int):
         if key not in seen:
             seen.add(key)
             items.append((key, p))
-    chosen, used = [], set()
-    for key, p in items:
-        if used & key:
-            continue
-        chosen.append(p)
-        used |= key
-        if len(chosen) == K:
-            return chosen
-    if len(items) < K:
-        return None
 
     def dfs(i, acc, used):
         if len(acc) == K:
@@ -221,7 +214,7 @@ def contains_kst(G: LabeledHypergraph, s: int, t: int):
 
     Search order: for s = 2 the codegree counter scans vertices in
     ascending order and reports the first hub pair whose common
-    neighbourhood reaches size t; for larger s, hub sets are explored
+    neighbourhood reaches size t; for other s, hub sets are explored
     in ascending lexicographic order with intersection pruning.
 
     Returns a witness whose vertex list is the s hubs followed by the
@@ -232,13 +225,6 @@ def contains_kst(G: LabeledHypergraph, s: int, t: int):
         raise ValueError(f"need 1 <= s <= t, got ({s}, {t})")
     adj = G.adj
     pat = "K_{%d,%d}" % (s, t)
-
-    if s == 1:
-        for v in range(G.n):
-            if G.degree(v) >= t:
-                leaves = sorted(adj[v])[:t]
-                return _emit(G, pat, [v] + leaves, [(v, x) for x in leaves])
-        return None
 
     if s == 2:
         counts: dict[tuple[int, int], list[int]] = {}
@@ -283,14 +269,46 @@ def contains_kst(G: LabeledHypergraph, s: int, t: int):
 # ----------------------------------------------------------------- cycles
 
 
+def _cycles(sadj, length: int):
+    """Yield every cycle with `length` vertices exactly once, as a vertex
+    list starting at its minimum vertex.
+
+    `sadj` holds each vertex's neighbours in ascending order. Roots go in
+    ascending order; the cycles whose minimum vertex is the root are
+    assembled from two half-paths out of it that meet in the middle (for
+    odd lengths the halves are joined across an edge), ordered by the
+    far end (the smaller one for odd lengths), then by the half-paths.
+    """
+    half = length // 2
+    for root in range(len(sadj)):
+        buckets = _paths_by_end(sadj, root, half, root)
+        if length % 2 == 0:
+            for w in sorted(buckets):
+                lst = buckets[w]
+                for i in range(len(lst) - 1):
+                    left = set(lst[i][1:-1])
+                    for j in range(i + 1, len(lst)):
+                        if left.isdisjoint(lst[j][1:-1]):
+                            yield list(lst[i]) + list(reversed(lst[j][1:-1]))
+        else:
+            for x in sorted(buckets):
+                for y in sadj[x]:
+                    if y <= x or y not in buckets:
+                        continue
+                    for p1 in buckets[x]:
+                        tail1 = set(p1[1:])
+                        for p2 in buckets[y]:
+                            if tail1.isdisjoint(p2[1:]):
+                                yield list(p1) + list(reversed(p2[1:]))
+
+
 def contains_cycle(G: LabeledHypergraph, length: int):
     """Find a cycle with exactly `length` vertices.
 
-    Works root by root in ascending order; for root r only cycles whose
-    minimum vertex is r are considered, assembled from two half-paths
-    that meet in the middle (for odd lengths the halves are joined
-    across an edge). The returned vertex list is the cycle in traversal
-    order, oriented so that its second entry is smaller than its last.
+    Returns the first cycle `_cycles` yields: roots in ascending order,
+    and for root r only cycles whose minimum vertex is r. The returned
+    vertex list is the cycle in traversal order, oriented so that its
+    second entry is smaller than its last.
     """
     _require_graph(G)
     if length < 3:
@@ -298,34 +316,8 @@ def contains_cycle(G: LabeledHypergraph, length: int):
     if length > G.n:
         return None
     sadj = [sorted(a) for a in G.adj]
-    half = length // 2
-    pat = "C_{%d}" % length
-
-    for root in range(G.n):
-        buckets = _paths_by_end(sadj, root, half, root)
-        if length % 2 == 0:
-            for w in sorted(buckets):
-                lst = buckets[w]
-                for i in range(len(lst)):
-                    left = set(lst[i][1:-1])
-                    for j in range(i + 1, len(lst)):
-                        if left & set(lst[j][1:-1]):
-                            continue
-                        cyc = list(lst[i]) + list(reversed(lst[j][1:-1]))
-                        return _finish_cycle(G, pat, cyc)
-        else:
-            es = G.edge_set
-            for x in sorted(buckets):
-                for y in sorted(buckets):
-                    if y <= x or (x, y) not in es:
-                        continue
-                    for p1 in buckets[x]:
-                        tail1 = set(p1[1:])
-                        for p2 in buckets[y]:
-                            if tail1 & set(p2[1:]):
-                                continue
-                            cyc = list(p1) + list(reversed(p2[1:]))
-                            return _finish_cycle(G, pat, cyc)
+    for cyc in _cycles(sadj, length):
+        return _finish_cycle(G, "C_{%d}" % length, cyc)
     return None
 
 
@@ -375,15 +367,14 @@ def girth(G: LabeledHypergraph):
 # ------------------------------------------------------------------ theta
 
 
-def contains_theta(G: LabeledHypergraph, K: int, length: int,
-                   memory_budget: int = 1_500_000_000):
+def contains_theta(G: LabeledHypergraph, K: int, length: int):
     """Find a theta graph: K internally disjoint paths of exactly
     `length` edges between two common endpoints.
 
     K = 2 delegates to `contains_cycle` (the pattern is a 2*length
     cycle). For length 4 on a bipartite host whose dense same-side
-    matrices fit in `memory_budget` bytes, candidate endpoint pairs are
-    prefiltered by the exact 4-path count
+    matrices fit in `_THETA4_MEMORY_BUDGET` bytes (1.5 GB), candidate
+    endpoint pairs are prefiltered by the exact 4-path count
 
         paths4 = C@C - (deg_u + deg_v) * C - M diag(deg - 2) M^T,  C = M M^T,
 
@@ -412,7 +403,7 @@ def contains_theta(G: LabeledHypergraph, K: int, length: int,
         if color is not None:
             sides = ([v for v in range(G.n) if color[v] == 0],
                      [v for v in range(G.n) if color[v] == 1])
-            fits = all(12 * len(side) ** 2 <= memory_budget for side in sides)
+            fits = all(12 * len(side) ** 2 <= _THETA4_MEMORY_BUDGET for side in sides)
             D = max(len(a) for a in G.adj)
             if fits and D ** 3 + 3 * D ** 2 <= 2 ** 24:
                 return _theta4_bipartite(G, K, sides, pat)
@@ -495,9 +486,9 @@ def contains_berge_cycle(Hy: LabeledHypergraph, length: int):
     consecutive pairs {v_i, v_{i+1}}.
 
     Length 2 scans vertex pairs for two covering hyperedges. Lengths 3
-    and 4 enumerate core cycles in the shadow graph (pairs covered by
-    some hyperedge) in ascending order and decide the edge assignment by
-    a system-of-distinct-representatives search.
+    and 4 take the core cycles of the shadow graph (pairs covered by
+    some hyperedge) in the order `_cycles` yields them and decide the
+    edge assignment by a system-of-distinct-representatives search.
     """
     if length not in (2, 3, 4):
         raise ValueError(f"Berge cycle length must be 2, 3 or 4, got {length}")
@@ -517,51 +508,18 @@ def contains_berge_cycle(Hy: LabeledHypergraph, length: int):
                 return _emit(Hy, pat, list(pair), es)
         return None
 
-    sadj: dict[int, set[int]] = {}
-    for a, b in pair2edges:
-        sadj.setdefault(a, set()).add(b)
-        sadj.setdefault(b, set()).add(a)
-
-    if length == 3:
-        for a, b in sorted(pair2edges):
-            common = sadj[a] & sadj[b]
-            for c in sorted(common):
-                if c <= b:
-                    continue
-                sdr = _distinct_representatives(
-                    [pair2edges[(a, b)], pair2edges[(b, c)], pair2edges[(a, c)]]
-                )
-                if sdr is not None:
-                    es = [Hy.edges[i] for i in sdr]
-                    return _emit(Hy, pat, [a, b, c], es)
-        return None
-
-    # length 4: enumerate by the diagonal (a, c) with a the minimum of the
-    # core; mids b < d come from the shadow common neighbourhood
-    for a in sorted(sadj):
-        mids_by_c: dict[int, list[int]] = {}
-        for b in sorted(sadj[a]):
-            if b <= a:
-                continue
-            for c in sadj[b]:
-                if c > a:
-                    mids_by_c.setdefault(c, []).append(b)
-        for c in sorted(mids_by_c):
-            ms = mids_by_c[c]
-            for i in range(len(ms)):
-                for j in range(i + 1, len(ms)):
-                    b, d = ms[i], ms[j]
-                    sdr = _distinct_representatives(
-                        [
-                            pair2edges[tuple(sorted((a, b)))],
-                            pair2edges[tuple(sorted((b, c)))],
-                            pair2edges[tuple(sorted((c, d)))],
-                            pair2edges[tuple(sorted((d, a)))],
-                        ]
-                    )
-                    if sdr is not None:
-                        es = [Hy.edges[i_] for i_ in sdr]
-                        return _emit(Hy, pat, [a, b, c, d], es)
+    # shadow graph; sorted pairs leave each neighbour list ascending
+    sadj = [[] for _ in range(Hy.n)]
+    for a, b in sorted(pair2edges):
+        sadj[a].append(b)
+        sadj[b].append(a)
+    for cyc in _cycles(sadj, length):
+        sdr = _distinct_representatives(
+            [pair2edges[(u, v) if u < v else (v, u)]
+             for u, v in zip(cyc, cyc[1:] + cyc[:1])]
+        )
+        if sdr is not None:
+            return _emit(Hy, pat, cyc, [Hy.edges[i] for i in sdr])
     return None
 
 

@@ -8,6 +8,7 @@ module under test.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -293,6 +294,19 @@ def test_cycle_matches_naive(L):
         assert (w is not None) == naive_cycle(G, L)
         if w is not None:
             check_cycle_witness(G, w, L)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_cycles_enumerates_each_cycle_once(n):
+    # K_n has C(n, L) (L-1)! / 2 cycles with L vertices
+    G = graph(n, itertools.combinations(range(n), 2))
+    sadj = [sorted(a) for a in G.adj]
+    for L in range(3, n + 1):
+        cycles = list(forbidden._cycles(sadj, L))
+        assert all(c[0] == min(c) for c in cycles)
+        edge_sets = {frozenset(frozenset(e) for e in zip(c, c[1:] + c[:1])) for c in cycles}
+        assert len(edge_sets) == len(cycles)
+        assert len(cycles) == math.comb(n, L) * math.factorial(L - 1) // 2
 
 
 def test_cycle_agrees_with_kst_on_c4():
