@@ -13,11 +13,14 @@ import json
 import random
 from itertools import combinations
 
+import pytest
+
 from splitforge import cli, constructions, forbidden
 from splitforge.structures import LabeledHypergraph
 
-# the construction recipes of acceptance test c11, with their payload
-# sha256 for the graph and the partition document
+# the construction recipes of acceptance test c11, plus a seeded and two
+# even-characteristic Wenger splits and theta with its internal edges
+# kept, with their payload sha256 for the graph and the partition document
 RECIPES = {
     "w2_3": (["wenger", "--M", "2", "--q", "3"],
             "e17cb8b592d24909c6cf79bb1d80dab8512929693ab38a8f3bfe4094f6b12914",
@@ -41,8 +44,20 @@ RECIPES = {
                "--h", "6", "--a", "4", "--seed", "7"],
             "bbd7c690a7c1e980082f606e437db1a062754f6f74ce63ac332f43677a3ab6f0",
             "a966e662798f3f0c0080c19f060d4e454b6405f5cd24be821f4e376d222f4cf2"),
+    "w2_5_seed3": (["wenger", "--M", "2", "--q", "5", "--seed", "3"],
+            "c31ac78c5b06be06647012af09c4c49d7c1bfef8d0a3bc3934b37430f6be22e4",
+            "7c28281b5ebc03c0a02663b11961b05a91cf77c0cf5788a8e972507597d4156b"),
+    "w2_4": (["wenger", "--M", "2", "--q", "4"],
+            "fe22e6213fae95794029e15820400cc0836ae9aa23d216e392e7f4c96ecf27d0",
+            "e78c3acb28b296ef758e479359f958cca97f61b7bd896d9d60e638e2c6e5c574"),
+    "w4_2": (["wenger", "--M", "4", "--q", "2"],
+            "a29ab562d29ab23e45e658b28b7ebbaaac64810e0952a22ed40741dae2d37f73",
+            "6dcf4c6094a117cc63a10298ba9658efffcbccc4b42bd1c06bbdaa8f34cc0d59"),
     "theta9": (["theta", "--q", "9"],
             "8ca7ae5fd945de94bf730c33a655788e126a1d78e7ed9aeba88cd9a9b0aa4e3d",
+            "fb583951ddbd4e8d821b39a352749da771ea45c874e7bf3b3d4cc7c0204afafc"),
+    "theta9_keep": (["theta", "--q", "9", "--keep-internal-edges"],
+            "f820f7bcced7c1455e2c557846606b0b52b62899e54dbe11d8f1c870172017b8",
             "fb583951ddbd4e8d821b39a352749da771ea45c874e7bf3b3d4cc7c0204afafc"),
     "b3_9": (["berge3", "--q", "9"],
             "0483ba925e5d9f6e519cdcba4e9e1a826773761135e6ab489ea27a52bcd59d1f",
@@ -77,6 +92,13 @@ def test_construct_payload_digests_frozen(tmp_path):
         assert cli.main(["construct", *args, "--out", str(g), "--partition", str(p)]) == 0
         got[tag] = (_payload_sha(g), _payload_sha(p))
     assert got == {tag: (gd, pd) for tag, (_, gd, pd) in RECIPES.items()}
+
+
+@pytest.mark.parametrize("M, q, seed", [(2, 5, 3), (2, 4, None), (4, 2, None),
+                                         (2, 9, 0), (4, 3, 1)])
+def test_wenger_split_drops_one_edge_per_part(M, q, seed):
+    G, P = constructions.partition_wenger(M, q, seed)
+    assert len(constructions.build_wenger(M, q).edges) - len(G.edges) == P.r
 
 
 def _random_graph(rng, n, density):
