@@ -83,9 +83,11 @@ def _emit(payload: dict, manifest: dict, out: str | None) -> None:
 def _load(path: str, inputs: dict, cls):
     """Read a JSON document as `cls` and record its digest in `inputs`."""
     raw = Path(path).read_bytes()
-    doc = json.loads(raw.decode("utf-8"))
     inputs[path] = "sha256:" + hashlib.sha256(raw).hexdigest()
-    return cls.from_json_dict(doc)
+    try:
+        return cls.from_json_dict(json.loads(raw.decode("utf-8")))
+    except ValueError as exc:  # also bad UTF-8 and bad JSON
+        raise ValueError(f"{path}: {exc}") from None
 
 
 class _Run:
@@ -538,7 +540,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 5
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"invalid parameters or input: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -30,6 +30,7 @@ import random
 import re
 from dataclasses import dataclass, field as dc_field
 from itertools import chain, combinations, product
+from operator import itemgetter
 
 from . import forbidden
 from . import gf
@@ -94,6 +95,32 @@ def _rank(tp, q: int) -> int:
     for c in tp:
         idx = idx * q + c
     return idx
+
+
+def _merge_groups(coords, off: int, key_p, key_l, seed: int | None = None) -> list:
+    """Parts of a point/line graph: point i and line off + i carry the
+    coordinates coords[i]; points are grouped by key_p, lines by key_l,
+    and the i-th point group merges with the i-th line group, both in
+    sorted key order, into part i.  ``seed`` shuffles the line keys."""
+    groups_p: dict = {}
+    groups_l: dict = {}
+    for idx, tp in enumerate(coords):
+        groups_p.setdefault(key_p(tp), []).append(idx)
+        groups_l.setdefault(key_l(tp), []).append(off + idx)
+    keys_l = sorted(groups_l)
+    if seed is not None:
+        random.Random(seed).shuffle(keys_l)
+    return [groups_p[kp] + groups_l[kl] for kp, kl in zip(sorted(groups_p), keys_l)]
+
+
+def _drop_internal(edges, parts, n: int) -> list:
+    """The graph edges, in order, whose two ends lie in different parts;
+    a vertex outside every part is a part of its own."""
+    part_of = [-1 - v for v in range(n)]
+    for i, part in enumerate(parts):
+        for v in part:
+            part_of[v] = i
+    return [(u, v) for u, v in edges if part_of[u] != part_of[v]]
 
 
 # ------------------------------------------------------------------------
@@ -218,13 +245,10 @@ def partition_norm_quotient(
         chosen = list(H_reps[:a])
     else:
         chosen = random.Random(seed).sample(H_reps, a)
-    psi = dict(zip(A_reps, chosen))  # alpha -> eta of the merged P-group
-    eta_alpha = {eta: al for al, eta in psi.items()}
-    used = set(chosen)
-
-    # part ids in (element, alpha) lexicographic order
+    # eta of a merged P-group -> alpha; A = [0, a), so the part over
+    # (element, alpha) is element * a + alpha
+    eta_alpha = dict(zip(chosen, A_reps))
     r = nside * a
-    part_id = {(y, al): y * a + al for y in range(nside) for al in A_reps}
 
     new_index: dict = {}
     labels: list = []
@@ -232,28 +256,21 @@ def partition_norm_quotient(
     for x in range(nside):
         for i in range(Q):
             eta = i - i % a
-            if eta not in used:
+            if eta not in eta_alpha:
                 continue
             new_index[x * Q + i] = len(labels)
             labels.append(G0.vertices[x * Q + i])
-            part_vertices[part_id[(x, eta_alpha[eta])]].append(new_index[x * Q + i])
+            part_vertices[x * a + eta_alpha[eta]].append(new_index[x * Q + i])
     for y in range(nside):
         for j in range(Q):
             new_index[off + y * Q + j] = len(labels)
             labels.append(G0.vertices[off + y * Q + j])
-            part_vertices[part_id[(y, j % a)]].append(new_index[off + y * Q + j])
+            part_vertices[y * a + j % a].append(new_index[off + y * Q + j])
 
     stats = PatchStats(strategy=patch_strategy, warnings=warnings)
-    edges = []
-    for (u, v) in G0.edges:
-        if u not in new_index:
-            continue
-        x, i = divmod(u, Q)
-        y, j = divmod(v - off, Q)
-        if x == y and psi[j % a] == i - i % a:
-            stats.internal_edges_deleted += 1
-            continue
-        edges.append((new_index[u], new_index[v]))
+    kept = [(new_index[u], new_index[v]) for u, v in G0.edges if u in new_index]
+    edges = _drop_internal(kept, part_vertices, len(labels))
+    stats.internal_edges_deleted = len(kept) - len(edges)
 
     # deficient part pairs: kept P-group over x against L-group over -x
     pair_list = []
@@ -262,8 +279,8 @@ def partition_norm_quotient(
         for al in A_reps:
             for al2 in A_reps:
                 stats.deficient_pairs += 1
-                pa = part_id[(x, al)]
-                pb = part_id[(negx, al2)]
+                pa = x * a + al
+                pb = negx * a + al2
                 if pa == pb:
                     stats.skipped_merged_pairs += 1
                     continue
@@ -390,54 +407,18 @@ def partition_wenger(M: int, q: int, seed: int | None = None):
     coordinates (p1, p3, ...), line groups fix (l1, l2, l4, ...); the
     adjacency chain then forces exactly one edge between any point group
     and line group.  Groups are paired by sorted key rank (``seed``
-    shuffles the line ordering) and the single internal edge of each
-    merged part is deleted, which leaves exactly two edges between every
-    pair of parts.
+    shuffles the line ordering) and the internal edges, those inside a
+    merged part (one per part), are deleted, which leaves exactly two
+    edges between every pair of parts.
     """
     if M not in _WENGER_FIXED:
         raise ValueError("partitioned variant needs M in {2, 4}")
-    F = gf.make_field(*_prime_power(q))
     G = build_wenger(M, q)
-    pts = list(product(range(q), repeat=M + 1))
-    nside = len(pts)
-
     fixed_p, fixed_l = _WENGER_FIXED[M]
-    groups_p: dict = {}
-    groups_l: dict = {}
-    for idx, tp in enumerate(pts):
-        groups_p.setdefault(tuple(tp[i] for i in fixed_p), []).append(idx)
-        groups_l.setdefault(tuple(tp[i] for i in fixed_l), []).append(nside + idx)
-    keys_p = sorted(groups_p)
-    keys_l = sorted(groups_l)
-    if seed is not None:
-        random.Random(seed).shuffle(keys_l)
-
-    parts = []
-    internal = set()
-    for kp, kl in zip(keys_p, keys_l):
-        parts.append(groups_p[kp] + groups_l[kl])
-        if M == 2:
-            p1, p3 = kp
-            l1, l2 = kl
-            p2 = F.sub(F.mul(l1, p1), l2)
-            l3 = F.sub(F.mul(l2, p1), p3)
-            point = (p1, p2, p3)
-            line = (l1, l2, l3)
-        else:
-            p1, p3, p5 = kp
-            l1, l2, l4 = kl
-            p2 = F.sub(F.mul(l1, p1), l2)
-            l3 = F.sub(F.mul(l2, p1), p3)
-            p4 = F.sub(F.mul(l3, p1), l4)
-            l5 = F.sub(F.mul(l4, p1), p5)
-            point = (p1, p2, p3, p4, p5)
-            line = (l1, l2, l3, l4, l5)
-        internal.add((_rank(point, q), nside + _rank(line, q)))
-
-    edges = [e for e in G.edges if e not in internal]
-    half = q ** (M // 2)
-    G2 = LabeledHypergraph(2, G.vertices, edges)
-    P = SplitPartition(parts, 2 * half)
+    parts = _merge_groups(product(range(q), repeat=M + 1), G.n // 2,
+                          itemgetter(*fixed_p), itemgetter(*fixed_l), seed)
+    G2 = LabeledHypergraph(2, G.vertices, _drop_internal(G.edges, parts, G.n))
+    P = SplitPartition(parts, 2 * q ** (M // 2))
     return G2, P
 
 
@@ -457,9 +438,9 @@ def build_theta(q: int, reduce_parts: bool = True):
     (v1, B(v3), v4) and line groups fix (w1, w2, A(w4)); each group pair
     carries exactly one edge, groups are merged in key order into
     q^(5/2) parts of size 2 q^(3/2), and with ``reduce_parts`` (default)
-    the internal edge of each part is deleted.  With
-    ``reduce_parts=False`` the graph is exactly q-regular but parts keep
-    one internal edge each.
+    the internal edges, those inside a merged part (one per part), are
+    deleted.  With ``reduce_parts=False`` the graph is exactly q-regular
+    but parts keep one internal edge each.
     """
     p, s = _odd_prime_power(q)
     if s % 2 == 1:
@@ -496,31 +477,10 @@ def build_theta(q: int, reduce_parts: bool = True):
 
     split1 = [qs.split(x)[0] for x in range(q)]
     split2 = [qs.split(x)[1] for x in range(q)]
-    groups_p: dict = {}
-    groups_l: dict = {}
-    for idx, (c1, c2, c3, c4) in enumerate(coords):
-        groups_p.setdefault((c1, split2[c3], c4), []).append(idx)
-        groups_l.setdefault((c1, c2, split1[c4]), []).append(n4 + idx)
-    keys_p = sorted(groups_p)
-    keys_l = sorted(groups_l)
-
-    parts = []
-    internal = set()
-    for kp, kl in zip(keys_p, keys_l):
-        parts.append(groups_p[kp] + groups_l[kl])
-        v1, b3, v4 = kp
-        w1, w2, c4 = kl
-        v2 = F.sub(F.mul(v1, w1), w2)
-        w3 = F.sub(F.mul(F.mul(v1, v1), w1), v4)
-        ra, rb = qs.split(F.mul(v1, F.mul(w1, w1)))
-        a3 = F.sub(ra, c4)
-        d4 = F.sub(rb, b3)
-        v3 = qs.join(a3, b3)
-        w4 = qs.join(c4, d4)
-        internal.add((_rank((v1, v2, v3, v4), q), n4 + _rank((w1, w2, w3, w4), q)))
-
+    parts = _merge_groups(coords, n4, lambda c: (c[0], split2[c[2]], c[3]),
+                          lambda c: (c[0], c[1], split1[c[3]]))
     if reduce_parts:
-        edges = [e for e in edges if e not in internal]
+        edges = _drop_internal(edges, parts, 2 * n4)
     G = LabeledHypergraph(2, labels, edges)
     P = SplitPartition(parts, 2 * q * root)
     return G, P

@@ -426,16 +426,17 @@ def _theta4_bipartite(G, K, sides, pat):
         (np.ones(len(rows), dtype=np.float32), (rows, cols)),
         shape=(len(X), len(Y)),
     )
+    sadj = [sorted(a) for a in G.adj]
     for side_verts, Ms in ((X, M), (Y, M.T.tocsr())):
         if len(side_verts) < 2:
             continue
-        hit = _theta4_side(G, K, side_verts, Ms, pat)
+        hit = _theta4_side(G, sadj, K, side_verts, Ms, pat)
         if hit is not None:
             return hit
     return None
 
 
-def _theta4_side(G, K, side_verts, Ms, pat):
+def _theta4_side(G, sadj, K, side_verts, Ms, pat):
     degS = np.asarray(Ms.sum(axis=1)).ravel()
     degO = np.asarray(Ms.sum(axis=0)).ravel()
     C = np.asarray((Ms @ Ms.T).todense(), dtype=np.float32)
@@ -446,7 +447,6 @@ def _theta4_side(G, K, side_verts, Ms, pat):
     W[corr.row, corr.col] -= corr.data.astype(np.float32)
     np.fill_diagonal(W, 0.0)
     cand = np.argwhere(np.triu(W >= K, k=1))
-    sadj = [sorted(a) for a in G.adj]
     for i, j in cand:
         u, v = side_verts[int(i)], side_verts[int(j)]
         chosen = _pack_disjoint(_paths_by_end(sadj, u, 4, -1).get(v, []), K)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .forbidden import ForbiddenPattern, check_pattern
 from .structures import (
@@ -106,21 +106,16 @@ def _search_k(query: OracleQuery, k: int, counter: List[int]):
     flat = [f"p{i}v{j}" for i in range(r) for j in range(k)]
     part_tuples = list(itertools.combinations(range(r), m))
     edges: List[Tuple[int, ...]] = []
-    used: List[Set[int]] = [set() for _ in range(r)]
-
-    def choices_for(part: int) -> List[int]:
-        # vertices never used before are interchangeable under relabeling
-        # within their part, so only the least unused one is offered
-        cs = sorted(used[part])
-        if len(cs) < k:
-            cs.append(min(set(range(k)) - used[part]))
-        return cs
+    # part p uses vertices 0..used[p]-1: vertices never used before are
+    # interchangeable under relabeling within their part, so only the
+    # least unused one is offered, and backtracking frees them in LIFO order
+    used = [0] * r
 
     def assign(idx: int):
         if idx == len(part_tuples):
             return LabeledHypergraph(m, flat, edges)
         parts = part_tuples[idx]
-        for combo in itertools.product(*(choices_for(p) for p in parts)):
+        for combo in itertools.product(*(range(min(used[p] + 1, k)) for p in parts)):
             counter[0] += 1
             if counter[0] > query.budget:
                 raise BudgetExceededError(
@@ -128,9 +123,9 @@ def _search_k(query: OracleQuery, k: int, counter: List[int]):
                     f"exhausted at r={r}, m={m}, k={k}"
                 )
             edges.append(tuple(p * k + v for p, v in zip(parts, combo)))
-            marks = [(p, v) for p, v in zip(parts, combo) if v not in used[p]]
-            for p, v in marks:
-                used[p].add(v)
+            marks = [p for p, v in zip(parts, combo) if v == used[p]]
+            for p in marks:
+                used[p] += 1
             # patterns are monotone under edge addition, so a hit here
             # rules out the entire subtree
             if _patterns_absent(LabeledHypergraph(m, flat, edges), query.pattern):
@@ -138,8 +133,8 @@ def _search_k(query: OracleQuery, k: int, counter: List[int]):
                 if witness is not None:
                     return witness
             edges.pop()
-            for p, v in marks:
-                used[p].discard(v)
+            for p in marks:
+                used[p] -= 1
         return None
 
     G = assign(0)

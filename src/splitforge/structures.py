@@ -14,7 +14,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 __all__ = [
@@ -32,6 +32,35 @@ __all__ = [
 
 class BudgetExceededError(RuntimeError):
     """An exhaustive search hit its node budget before deciding."""
+
+
+# Checks for documents read from JSON.  They run in from_json_dict only,
+# so the builders and the oracle, which make their objects directly, pay
+# nothing.  `type(x) is int` rather than isinstance: JSON true is a bool,
+# and bool subclasses int.
+
+
+def _json_fields(d, kind: str, keys) -> list:
+    if type(d) is not dict:
+        raise ValueError(f"{kind} document must be a JSON object, got {type(d).__name__}")
+    for key in keys:
+        if key not in d:
+            raise ValueError(f"{kind} document has no {key!r} field")
+    return [d[key] for key in keys]
+
+
+def _json_int(x, kind: str, key: str) -> None:
+    if type(x) is not int:
+        raise ValueError(f"{kind} field {key!r} must be an integer, got {x!r}")
+
+
+def _json_index_rows(rows, kind: str, key: str) -> None:
+    """Raise unless rows is an array of arrays of integers."""
+    if type(rows) is not list or set(map(type, rows)) - {list}:
+        raise ValueError(f"{kind} field {key!r} must be an array of arrays")
+    if set(map(type, chain.from_iterable(rows))) - {int}:
+        bad = next(x for x in chain.from_iterable(rows) if type(x) is not int)
+        raise ValueError(f"{kind} field {key!r} holds {bad!r}, not a vertex index")
 
 
 class LabeledHypergraph:
@@ -111,7 +140,12 @@ class LabeledHypergraph:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "LabeledHypergraph":
-        return cls(d["m"], d["vertices"], d["edges"])
+        m, vertices, edges = _json_fields(d, "graph", ("m", "vertices", "edges"))
+        _json_int(m, "graph", "m")
+        if type(vertices) is not list or set(map(type, vertices)) - {str}:
+            raise ValueError("graph field 'vertices' must be an array of strings")
+        _json_index_rows(edges, "graph", "edges")
+        return cls(m, vertices, edges)
 
     def __repr__(self) -> str:
         return f"LabeledHypergraph(m={self.m}, n={self.n}, edges={len(self.edges)})"
@@ -150,7 +184,10 @@ class SplitPartition:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SplitPartition":
-        return cls(d["parts"], d["k"])
+        k, parts = _json_fields(d, "partition", ("k", "parts"))
+        _json_int(k, "partition", "k")
+        _json_index_rows(parts, "partition", "parts")
+        return cls(parts, k)
 
     def __repr__(self) -> str:
         return f"SplitPartition(r={self.r}, k={self.declared_k})"

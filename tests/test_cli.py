@@ -423,3 +423,62 @@ def test_threads_env_fallback(tmp_path, monkeypatch, capsys):
 def test_missing_input_file_is_validation_error(tmp_path):
     assert cli.main(["verify", "--graph", str(tmp_path / "no.json"),
                      "--partition", str(tmp_path / "nope.json")]) == 2
+
+
+# ---------------------------------------------------------------------------
+# hostile input documents
+
+
+def _k22_docs():
+    graph = {"m": 2, "vertices": ["a0", "a1", "b0", "b1"],
+             "edges": [[0, 2], [0, 3], [1, 2], [1, 3]]}
+    return graph, {"k": 2, "parts": [[0, 1], [2, 3]]}
+
+
+def _set(doc, key, value):
+    doc[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("mutate, named", [
+    (lambda g, p: (_set(g, "edges", [[0, 2], [0, 3.0], [1, 2], [1, 3]]), p), "'edges'"),
+    (lambda g, p: (g, _set(p, "parts", [[0, 1.0], [2, 3]])), "'parts'"),
+    (lambda g, p: (_set(g, "edges", [[0, 2], [0, "3"], [1, 2], [1, 3]]), p), "'edges'"),
+    (lambda g, p: (_set(g, "edges", [[0, 2], [0, 3], [True, 2], [1, 3]]), p), "'edges'"),
+    (lambda g, p: (g, _set(p, "parts", [[0, True], [2, 3]])), "'parts'"),
+    (lambda g, p: (_set(g, "edges", [0, 2]), p), "'edges'"),
+    (lambda g, p: (_set(g, "m", "2"), p), "'m'"),
+    (lambda g, p: (_set(g, "m", True), p), "'m'"),
+    (lambda g, p: (g, _set(p, "k", 2.0)), "'k'"),
+    (lambda g, p: (_set(g, "vertices", "abcd"), p), "'vertices'"),
+    (lambda g, p: ([g], p), "JSON object"),
+    (lambda g, p: (g, [p]), "JSON object"),
+], ids=["float-edge-vertex", "float-part-vertex", "string-edge-vertex", "bool-edge-vertex",
+        "bool-part-vertex", "flat-edges", "string-m", "bool-m", "float-k", "string-vertices",
+        "array-graph", "array-partition"])
+def test_hostile_documents_exit_2(tmp_path, capsys, mutate, named):
+    graph, parts = mutate(*_k22_docs())
+    g = write_json(tmp_path / "g.json", graph)
+    p = write_json(tmp_path / "p.json", parts)
+    assert cli.main(["verify", "--graph", str(g), "--partition", str(p),
+                     "--forbid", "C_4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid parameters or input: ") and named in err
+
+
+def test_missing_key_exits_2_but_internal_key_error_does_not(tmp_path, monkeypatch):
+    graph, parts = _k22_docs()
+    del graph["edges"]
+    g = write_json(tmp_path / "g.json", graph)
+    p = write_json(tmp_path / "p.json", parts)
+    args = ["verify", "--graph", str(g), "--partition", str(p)]
+    assert cli.main(args) == 2
+
+    def broken(*a, **kw):
+        raise KeyError("internal")
+
+    # a KeyError inside a command is a bug, not invalid input
+    monkeypatch.setattr(cli, "verify_rk", broken)
+    g, p = k22_files(tmp_path)
+    with pytest.raises(KeyError):
+        cli.main(["verify", "--graph", str(g), "--partition", str(p)])
