@@ -15,7 +15,7 @@ from itertools import combinations
 
 import pytest
 
-from splitforge import cli, constructions, forbidden
+from splitforge import cli, constructions, forbidden, spectral
 from splitforge.structures import LabeledHypergraph
 
 # the construction recipes of acceptance test c11, plus a seeded and two
@@ -79,6 +79,8 @@ RECIPES = {
 WITNESS_DIGEST = "5321f9bc661eb76aa5b717716224319bd5f985a62de51b62b6cd96a66a721576"
 
 BERGE_WITNESS_DIGEST = "166a6428b25f490eeb92075a260856dfa0538eee4d8a943fbba56e0fcf3e028b"
+
+GREEDY_DIGEST = "794366ca2562116751f6e44cc1b63be665e4a09753261735d691d38249f57cd0"
 
 
 def _payload_sha(path) -> str:
@@ -164,3 +166,34 @@ def test_berge_witnesses_frozen():
         assert verdicts == {True, False}, L
     blob = json.dumps(record, sort_keys=True).encode("utf-8")
     assert hashlib.sha256(blob).hexdigest() == BERGE_WITNESS_DIGEST
+
+
+def _greedy_record():
+    ok, failed = [], 0
+    for M, q in ((1, 3), (1, 5), (1, 7), (2, 3)):
+        G = constructions.build_wenger(M, q)
+        for m in (2, 3, 4, 8):
+            for seed in (None, 0, 42):
+                for sizes in (None, {"seed_size": 1}, {"seed_size": 2, "target_s": 1}):
+                    try:
+                        G2, P, trace = spectral.greedy_split(G, m, "K_{2,2}", sizes, seed)
+                    except (ValueError, RuntimeError):
+                        failed += 1
+                        continue
+                    ok.append([G2.to_json_dict(), P.to_json_dict(), trace.to_json_dict()])
+    return ok, failed
+
+
+def test_greedy_splits_frozen():
+    ok, failed = _greedy_record()
+    assert (len(ok), failed) == (126, 18)
+    blob = json.dumps(ok, sort_keys=True).encode("utf-8")
+    assert hashlib.sha256(blob).hexdigest() == GREEDY_DIGEST
+
+
+def test_greedy_seed_budget_frozen():
+    # the seed search spends its whole node budget here; the count of
+    # seeds placed when it stops pins the order in which it tries vertices
+    G = constructions.build_wenger(1, 5)
+    with pytest.raises(RuntimeError, match=r"placed 16 of 18 seeds \(m=6, seed_size=3\)"):
+        spectral.greedy_split(G, 6, "K_{2,2}", seed=0)
