@@ -370,15 +370,8 @@ def partition_norm_quotient(
 # ------------------------------------------------------------------------
 
 
-def build_wenger(M: int, q: int) -> LabeledHypergraph:
-    """Bipartite graph on two copies of F_q^(M+1).
-
-    A point p and line l are adjacent when l_{j+1} + p_{j+1} = l_j * p_1
-    for j = 1..M (1-based coordinates).  Lines are generated from the
-    free choice of l_1, so the graph is q-regular with q^(M+2) edges.
-    Labels are ``P:<c1>,...,<c(M+1)>`` and ``L:...`` with coordinates in
-    the integer encoding of F_q.
-    """
+def _wenger(M: int, q: int):
+    """Labels and edges of the Wenger graph W_M(q), unvalidated."""
     if M < 1:
         raise ValueError("M must be at least 1")
     F = gf.make_field(*_prime_power(q))
@@ -394,7 +387,19 @@ def build_wenger(M: int, q: int) -> LabeledHypergraph:
             for j in range(1, M + 1):
                 line.append(F.sub(F.mul(line[-1], tp[0]), tp[j]))
             edges.append((base, nside + _rank(line, q)))
-    return LabeledHypergraph(2, labels, edges)
+    return labels, edges
+
+
+def build_wenger(M: int, q: int) -> LabeledHypergraph:
+    """Bipartite graph on two copies of F_q^(M+1).
+
+    A point p and line l are adjacent when l_{j+1} + p_{j+1} = l_j * p_1
+    for j = 1..M (1-based coordinates).  Lines are generated from the
+    free choice of l_1, so the graph is q-regular with q^(M+2) edges.
+    Labels are ``P:<c1>,...,<c(M+1)>`` and ``L:...`` with coordinates in
+    the integer encoding of F_q.
+    """
+    return LabeledHypergraph(2, *_wenger(M, q))
 
 
 _WENGER_FIXED = {2: ((0, 2), (0, 1)), 4: ((0, 2, 4), (0, 1, 3))}
@@ -413,11 +418,12 @@ def partition_wenger(M: int, q: int, seed: int | None = None):
     """
     if M not in _WENGER_FIXED:
         raise ValueError("partitioned variant needs M in {2, 4}")
-    G = build_wenger(M, q)
+    labels, edges = _wenger(M, q)
+    n = len(labels)
     fixed_p, fixed_l = _WENGER_FIXED[M]
-    parts = _merge_groups(product(range(q), repeat=M + 1), G.n // 2,
+    parts = _merge_groups(product(range(q), repeat=M + 1), n // 2,
                           itemgetter(*fixed_p), itemgetter(*fixed_l), seed)
-    G2 = LabeledHypergraph(2, G.vertices, _drop_internal(G.edges, parts, G.n))
+    G2 = LabeledHypergraph(2, labels, _drop_internal(edges, parts, n))
     P = SplitPartition(parts, 2 * q ** (M // 2))
     return G2, P
 

@@ -1,7 +1,8 @@
 """Adjacency spectra, mixing certification, and greedy partitioning.
 
 ``spectrum`` computes adjacency eigenvalues of a regular graph (dense
-symmetric solve up to 5000 vertices, Lanczos extremes above),
+symmetric solve up to 5000 vertices, Lanczos extremes above) once per
+graph object and keeps them while the graph lives,
 ``mixing_check`` certifies the edge-distribution inequality
 |e(U,W) - expected| <= rho * sqrt(|U||W|), and ``greedy_split`` runs
 the seeded partition-growing algorithm whose output always passes
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import math
 import random
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 
@@ -22,10 +24,22 @@ import scipy.sparse as sparse
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from . import forbidden
-from .structures import LabeledHypergraph, SplitPartition, bipartition, verify_rk
+from .structures import (
+    BudgetExceededError,
+    LabeledHypergraph,
+    SplitPartition,
+    bipartition,
+    verify_rk,
+)
 
 _DENSE_LIMIT = 5000
 _SEED_NODE_BUDGET = 100_000
+
+# A graph never changes after construction, so its spectrum is computed
+# once; the entry goes when the graph is collected.
+_SPECTRA: "weakref.WeakKeyDictionary[LabeledHypergraph, SpectrumSummary]" = (
+    weakref.WeakKeyDictionary()
+)
 
 
 @dataclass(frozen=True)
@@ -74,9 +88,13 @@ def spectrum(G: LabeledHypergraph) -> SpectrumSummary:
 
     Dense symmetric solve for n <= 5000; Lanczos iteration for the
     extreme triple (rho1, rho2, rho_n) above that, relative tolerance
-    1e-8.  Raises ValueError on non-regular input and RuntimeError if
-    the iteration does not converge.
+    1e-8.  The summary is computed once per graph object and returned
+    again on later calls.  Raises ValueError on non-regular input and
+    RuntimeError if the iteration does not converge; neither is cached.
     """
+    cached = _SPECTRA.get(G)
+    if cached is not None:
+        return cached
     d = _require_regular(G)
     n = G.n
     bip = bipartition(G) is not None
@@ -103,10 +121,11 @@ def spectrum(G: LabeledHypergraph) -> SpectrumSummary:
         eigenvalues = None
         extremes = (rho1, rho2, rho_n)
     rho = rho2 if bip else max(rho2, -rho_n)
-    return SpectrumSummary(
+    summary = _SPECTRA[G] = SpectrumSummary(
         n=n, d=d, bipartite=bip, rho=float(rho),
         eigenvalues=eigenvalues, extremes=extremes,
     )
+    return summary
 
 
 def mixing_check(G: LabeledHypergraph, U, W, mode: str = "general") -> dict:
@@ -216,7 +235,9 @@ def greedy_split(G: LabeledHypergraph, m: int, H, sizes=None, seed=None):
     max_iters = 4*seed_size.  ``seed`` randomizes tie-breaking only.
 
     Returns (augmented graph, partition, GreedySplitTrace).  Raises
-    RuntimeError with diagnostics when seeding is infeasible.
+    RuntimeError with diagnostics when seeding is infeasible, and
+    BudgetExceededError when the seed search stops undecided after
+    100000 nodes.
     """
     pattern = _pattern_for_split(H)
     d = _require_regular(G)
@@ -268,7 +289,6 @@ def greedy_split(G: LabeledHypergraph, m: int, H, sizes=None, seed=None):
 
     placed = [None] * n
     parts: list = [[] for _ in range(m)]
-    ball2: list = [set() for _ in range(m)]  # distance-<3 exclusion zone per part
 
     def ball_of(v):
         zone = {v} | adj[v]
@@ -276,51 +296,59 @@ def greedy_split(G: LabeledHypergraph, m: int, H, sizes=None, seed=None):
             zone |= adj[u]
         return zone
 
-    # ---- step 2: backtracking seed placement
+    # ---- step 2: backtracking seed placement on bitmasks.  Slot s holds
+    # seed s % seed_size of part s // seed_size; a slot's candidates are
+    # the pool vertices from its cursor up, outside every placed seed and
+    # outside its part's zone (the union of its seeds' distance-2 balls).
+    # The pool is ascending, so this is a lowest-first backtracking search.
     total = m * seed_size
-    iters: list = [None] * total
-    undo: list = [None] * total
-    iters[0] = iter(seed_pool)
+    free = sum(1 << v for v in seed_pool)  # pool vertices not yet placed
+    zone = [0] * m
+    balls: dict = {}
+    above = [-1] * (total + 1)  # per slot, the bits at or above its cursor
+    chosen = [0] * total
+    zone_before = [0] * total
     slot = 0
     budget = _SEED_NODE_BUDGET
     while 0 <= slot < total:
         i = slot // seed_size
-        advanced = False
-        for v in iters[slot]:
-            if placed[v] is not None or v in ball2[i]:
-                continue
+        cand = free & ~zone[i] & above[slot]
+        if cand:
             budget -= 1
             if budget < 0:
-                raise RuntimeError(
-                    f"seeding infeasible within {_SEED_NODE_BUDGET} search nodes: "
+                raise BudgetExceededError(
+                    f"seed search undecided within {_SEED_NODE_BUDGET} search nodes: "
                     f"placed {slot} of {total} seeds (m={m}, seed_size={seed_size})"
                 )
-            placed[v] = i
-            parts[i].append(v)
-            added_zone = ball_of(v) - ball2[i]
-            ball2[i] |= added_zone
-            undo[slot] = (v, i, added_zone)
+            bit = cand & -cand
+            v = bit.bit_length() - 1
+            if v not in balls:
+                balls[v] = sum(1 << u for u in ball_of(v))
+            chosen[slot] = v
+            zone_before[slot] = zone[i]
+            zone[i] |= balls[v]
+            free ^= bit
+            above[slot] = -(bit << 1)
             slot += 1
-            if slot < total:
-                iters[slot] = iter(seed_pool)
-            advanced = True
-            break
-        if not advanced:
+            above[slot] = -1
+        else:
             slot -= 1
             if slot >= 0:
-                v, i, added_zone = undo[slot]
-                placed[v] = None
-                parts[i].pop()
-                ball2[i] -= added_zone
+                free |= 1 << chosen[slot]
+                zone[slot // seed_size] = zone_before[slot]
     if slot < 0:
         raise RuntimeError(
             f"seeding infeasible: no placement of {seed_size} vertices per part "
             f"at pairwise distance >= 3 exists for m={m} "
             f"(pool size {len(seed_pool)})"
         )
-    for i in range(m):
-        for v in parts[i]:
-            trace.seeds.append({"part": i, "vertex": v})
+    ball2: list = [set() for _ in range(m)]  # distance-<3 exclusion zone per part
+    for slot, v in enumerate(chosen):
+        i = slot // seed_size
+        placed[v] = i
+        parts[i].append(v)
+        ball2[i] |= ball_of(v)
+        trace.seeds.append({"part": i, "vertex": v})
 
     # pair coverage flags from the seeds
     covered = [[False] * m for _ in range(m)]

@@ -78,7 +78,7 @@ class LabeledHypergraph:
         builders in this package never produce them intentionally.
     """
 
-    __slots__ = ("m", "vertices", "edges", "__dict__")
+    __slots__ = ("m", "vertices", "edges", "__dict__", "__weakref__")
 
     def __init__(self, m: int, vertices, edges) -> None:
         if m < 2:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from splitforge import cli
-from splitforge.structures import BudgetExceededError, LabeledHypergraph, SplitPartition
+from splitforge.structures import LabeledHypergraph, SplitPartition
 
 
 def write_json(path: Path, doc: dict) -> Path:
@@ -349,20 +349,21 @@ def test_partition_greedy_infeasible_exit_3(tmp_path):
     assert code == 3
 
 
-def test_partition_greedy_budget_exit_5(tmp_path, monkeypatch):
-    # BudgetExceededError subclasses RuntimeError, which partition-greedy
-    # otherwise reports as exit 3
-    def over_budget(*args, **kwargs):
-        raise BudgetExceededError("seed search undecided at budget")
-
-    monkeypatch.setattr(cli, "greedy_split", over_budget)
-    g = tmp_path / "w13.json"
-    assert cli.main(["construct", "wenger", "--M", "1", "--q", "3", "--out", str(g)]) == 0
+def test_partition_greedy_budget_exit_5(tmp_path, capsys):
+    # six parts of three seeds on W_1(5): the seed search spends its node
+    # budget undecided, which is exit 5, not the exit 3 of a proof that no
+    # seeding exists (BudgetExceededError subclasses RuntimeError)
+    g = tmp_path / "w15.json"
+    assert cli.main(["construct", "wenger", "--M", "1", "--q", "5", "--out", str(g)]) == 0
+    capsys.readouterr()
     code = cli.main(
-        ["partition-greedy", "--graph", str(g), "--m", "3", "--forbid", "K_{2,2}",
+        ["partition-greedy", "--graph", str(g), "--m", "6", "--forbid", "K_{2,2}",
          "--out-graph", str(tmp_path / "o.json"), "--out-partition", str(tmp_path / "p.json")]
     )
     assert code == 5
+    err = capsys.readouterr().err
+    assert "undecided" in err and "placed 16 of 18 seeds" in err
+    assert not (tmp_path / "o.json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,13 @@ formula 2*cos(2*pi*k/N).
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+import weakref
 from collections import deque
 
+import numpy as np
 import pytest
 
 from splitforge import forbidden, spectral
@@ -120,6 +123,60 @@ def test_spectrum_validation():
         spectral.spectrum(graph(3, [(0, 1)]))  # path, not regular
     with pytest.raises(ValueError):
         spectral.spectrum(LabeledHypergraph(3, ["a", "b", "c"], [(0, 1, 2)]))
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Counts dense eigensolves."""
+    count = [0]
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(A):
+        count[0] += 1
+        return eigvalsh(A)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return count
+
+
+def test_spectrum_solved_once_per_graph(solves):
+    G = build_wenger(1, 7)
+    s = spectral.spectrum(G)
+    for U, W in (([0], [49]), (range(10), range(49, 60)), (range(49), range(49, 98))):
+        assert spectral.mixing_check(G, U, W)["ok"]
+    _, _, trace = spectral.greedy_split(G, 3, "K_{2,2}", sizes={"seed_size": 1})
+    assert solves[0] == 1
+    assert spectral.spectrum(G) is s
+    assert trace.advisories["rho"] == s.rho
+
+
+def test_spectrum_cache_keyed_by_graph_object(solves):
+    G, H = build_wenger(1, 7), build_wenger(1, 7)
+    assert G.edges == H.edges
+    assert spectral.spectrum(G) == spectral.spectrum(H)
+    assert solves[0] == 2
+
+
+def test_spectrum_cache_entry_dies_with_graph():
+    gc.collect()
+    before = len(spectral._SPECTRA)
+    G = build_wenger(1, 3)
+    spectral.spectrum(G)
+    assert len(spectral._SPECTRA) == before + 1
+    ref = weakref.ref(G)
+    del G
+    gc.collect()
+    assert ref() is None
+    assert len(spectral._SPECTRA) == before
+
+
+def test_spectrum_not_cached_for_irregular_graph(solves):
+    G = graph(3, [(0, 1)])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not regular"):
+            spectral.spectrum(G)
+    assert G not in spectral._SPECTRA
+    assert solves[0] == 0
 
 
 # ------------------------------------------------------------ mixing_check
