@@ -298,9 +298,10 @@ def greedy_split(G: LabeledHypergraph, m: int, H, sizes=None, seed=None):
 
     # ---- step 2: backtracking seed placement on bitmasks.  Slot s holds
     # seed s % seed_size of part s // seed_size; a slot's candidates are
-    # the pool vertices from its cursor up, outside every placed seed and
-    # outside its part's zone (the union of its seeds' distance-2 balls).
-    # The pool is ascending, so this is a lowest-first backtracking search.
+    # the pool vertices above the last one it tried, outside every placed
+    # seed and outside its part's zone (the union of its seeds' distance-2
+    # balls).  Lowest first, so the search visits the same nodes as a walk
+    # over the ascending seed pool.
     total = m * seed_size
     free = sum(1 << v for v in seed_pool)  # pool vertices not yet placed
     zone = [0] * m
