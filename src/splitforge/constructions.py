@@ -128,21 +128,8 @@ def _drop_internal(edges, parts, n: int) -> list:
 # ------------------------------------------------------------------------
 
 
-def build_norm_quotient(q: int, t: int, d: int = 1) -> LabeledHypergraph:
-    """Bipartite graph on ``(element, coset index)`` pairs.
-
-    Vertices are ``P:<x>,c<i>`` and ``L:<y>,c<j>`` where x, y run over
-    the degree-(t-1) extension of F_q and i, j over the Q = (q-1)/d
-    cosets of the order-d subgroup K of F_q*.  The pair is adjacent when
-    x + y is nonzero and the norm of x + y down to F_q lands in coset
-    i + j mod Q.  Each vertex has degree q^(t-1) - 1.
-
-    Parameters
-    ----------
-    q : odd prime power.
-    t : arity parameter, at least 2; the source field is F_q^(t-1).
-    d : divisor of q - 1 selecting the subgroup K.
-    """
+def _norm_quotient(q: int, t: int, d: int):
+    """Labels and edges of the norm-quotient graph, unvalidated."""
     p, s = _odd_prime_power(q)
     if t < 2:
         raise ValueError("t must be at least 2")
@@ -169,7 +156,25 @@ def build_norm_quotient(q: int, t: int, d: int = 1) -> LabeledHypergraph:
             base_l = off + y * Q
             for i in range(Q):
                 edges.append((base_p + i, base_l + (c - i) % Q))
-    return LabeledHypergraph(2, labels, edges)
+    return labels, edges
+
+
+def build_norm_quotient(q: int, t: int, d: int = 1) -> LabeledHypergraph:
+    """Bipartite graph on ``(element, coset index)`` pairs.
+
+    Vertices are ``P:<x>,c<i>`` and ``L:<y>,c<j>`` where x, y run over
+    the degree-(t-1) extension of F_q and i, j over the Q = (q-1)/d
+    cosets of the order-d subgroup K of F_q*.  The pair is adjacent when
+    x + y is nonzero and the norm of x + y down to F_q lands in coset
+    i + j mod Q.  Each vertex has degree q^(t-1) - 1.
+
+    Parameters
+    ----------
+    q : odd prime power.
+    t : arity parameter, at least 2; the source field is F_q^(t-1).
+    d : divisor of q - 1 selecting the subgroup K.
+    """
+    return LabeledHypergraph(2, *_norm_quotient(q, t, d))
 
 
 def _patch_graph_free(n_patch: int, patch_edges, cand, t: int, count: int) -> bool:
@@ -215,13 +220,9 @@ def partition_norm_quotient(
     """
     if patch_strategy not in _PATCH_STRATEGIES:
         raise ValueError(f"unknown patch strategy {patch_strategy!r}")
-    p, s = _odd_prime_power(q)
-    if t < 2:
-        raise ValueError("t must be at least 2")
-    if d < 1 or (q - 1) % d != 0:
-        raise ValueError(f"d={d} must divide q-1={q - 1}")
-    target = gf.make_field(p, s)
-    K = gf.subgroup(target, d)
+    labels0, edges0 = _norm_quotient(q, t, d)
+    p, s = gf.prime_power(q)
+    K = gf.subgroup(gf.make_field(p, s), d)
     Q = K.quotient_order
     if h < 1 or a < 1 or h * a != Q:
         raise ValueError(f"need h*a == (q-1)/d = {Q}, got {h}*{a}")
@@ -235,7 +236,6 @@ def partition_norm_quotient(
             "this family is only established for even powers"
         )
 
-    G0 = build_norm_quotient(q, t, d)
     source = gf.make_field(p, s * (t - 1))
     nside = source.q
     off = nside * Q
@@ -259,16 +259,16 @@ def partition_norm_quotient(
             if eta not in eta_alpha:
                 continue
             new_index[x * Q + i] = len(labels)
-            labels.append(G0.vertices[x * Q + i])
+            labels.append(labels0[x * Q + i])
             part_vertices[x * a + eta_alpha[eta]].append(new_index[x * Q + i])
     for y in range(nside):
         for j in range(Q):
             new_index[off + y * Q + j] = len(labels)
-            labels.append(G0.vertices[off + y * Q + j])
+            labels.append(labels0[off + y * Q + j])
             part_vertices[y * a + j % a].append(new_index[off + y * Q + j])
 
     stats = PatchStats(strategy=patch_strategy, warnings=warnings)
-    kept = [(new_index[u], new_index[v]) for u, v in G0.edges if u in new_index]
+    kept = [(new_index[u], new_index[v]) for u, v in edges0 if u in new_index]
     edges = _drop_internal(kept, part_vertices, len(labels))
     stats.internal_edges_deleted = len(kept) - len(edges)
 

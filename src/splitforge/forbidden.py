@@ -36,8 +36,8 @@ _BERGE_RE = re.compile(r"^bergeC_(\d+)$")
 
 _EXPLICIT_MAX_VERTICES = 10
 
-# bytes the length-4 theta filter may spend on its dense same-side matrices
-_THETA4_MEMORY_BUDGET = 1_500_000_000
+# rows of same-side 4-path counts the length-4 theta filter holds at once
+_THETA4_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -372,20 +372,15 @@ def contains_theta(G: LabeledHypergraph, K: int, length: int):
     `length` edges between two common endpoints.
 
     K = 2 delegates to `contains_cycle` (the pattern is a 2*length
-    cycle). For length 4 on a bipartite host whose dense same-side
-    matrices fit in `_THETA4_MEMORY_BUDGET` bytes (1.5 GB), candidate
-    endpoint pairs are prefiltered by the exact 4-path count
+    cycle). For length 4 on a bipartite host, candidate endpoint pairs
+    on each side are prefiltered by the exact 4-path count
 
         paths4 = C@C - (deg_u + deg_v) * C - M diag(deg - 2) M^T,  C = M M^T,
 
-    computed in float32. That is exact only when every intermediate is an
-    integer of magnitude at most 2**24: with maximum degree D, each entry
-    of C@C is a sum of non-negative terms and at most D**3, and each
-    correction term at most D**2, so the filter runs only when
-    D**3 + 3*D**2 <= 2**24 (D <= 255). Only pairs with at least K paths
-    are handed to the path enumerator and an exact disjoint-packing
-    search. All other cases enumerate paths root by root, which is exact
-    but slower on large hosts.
+    computed in int64 one block of rows at a time (entries are at most
+    D**3 for maximum degree D); only pairs with at least K paths are
+    handed to the path enumerator and an exact disjoint-packing search.
+    All other hosts enumerate paths root by root.
     """
     _require_graph(G)
     if K < 2 or length < 2:
@@ -401,57 +396,43 @@ def contains_theta(G: LabeledHypergraph, K: int, length: int):
     if length == 4:
         color = bipartition(G)
         if color is not None:
-            sides = ([v for v in range(G.n) if color[v] == 0],
-                     [v for v in range(G.n) if color[v] == 1])
-            fits = all(12 * len(side) ** 2 <= _THETA4_MEMORY_BUDGET for side in sides)
-            D = max(len(a) for a in G.adj)
-            if fits and D ** 3 + 3 * D ** 2 <= 2 ** 24:
-                return _theta4_bipartite(G, K, sides, pat)
+            return _theta4_bipartite(G, K, color, pat)
     return _theta_generic(G, K, length, pat)
 
 
-def _theta4_bipartite(G, K, sides, pat):
-    X, Y = sides
-    posX = {v: i for i, v in enumerate(X)}
-    posY = {v: i for i, v in enumerate(Y)}
-    rows, cols = [], []
-    for (a, b) in G.edge_set:
-        if a in posX:
-            rows.append(posX[a])
-            cols.append(posY[b])
-        else:
-            rows.append(posX[b])
-            cols.append(posY[a])
-    M = sparse.csr_matrix(
-        (np.ones(len(rows), dtype=np.float32), (rows, cols)),
-        shape=(len(X), len(Y)),
+def _theta4_bipartite(G, K, color, pat):
+    color = np.asarray(color)
+    E = np.asarray(G.edges)
+    A = sparse.csr_matrix(
+        (np.ones(len(E), dtype=np.int64), (E[:, 0], E[:, 1])), shape=(G.n, G.n)
     )
+    A = (A + A.T).tocsr()
     sadj = [sorted(a) for a in G.adj]
-    for side_verts, Ms in ((X, M), (Y, M.T.tocsr())):
-        if len(side_verts) < 2:
-            continue
-        hit = _theta4_side(G, sadj, K, side_verts, Ms, pat)
+    X, Y = np.flatnonzero(color == 0), np.flatnonzero(color == 1)
+    for side, other in ((X, Y), (Y, X)):
+        hit = _theta4_side(G, sadj, K, side.tolist(), A[side][:, other], pat)
         if hit is not None:
             return hit
     return None
 
 
 def _theta4_side(G, sadj, K, side_verts, Ms, pat):
-    degS = np.asarray(Ms.sum(axis=1)).ravel()
+    deg = np.asarray(Ms.sum(axis=1)).ravel()
+    C = (Ms @ Ms.T).tocsr()
     degO = np.asarray(Ms.sum(axis=0)).ravel()
-    C = np.asarray((Ms @ Ms.T).todense(), dtype=np.float32)
-    W = C @ C
-    W -= degS[:, None] * C
-    W -= degS[None, :] * C
-    corr = (Ms @ sparse.diags(degO - 2.0) @ Ms.T).tocoo()
-    W[corr.row, corr.col] -= corr.data.astype(np.float32)
-    np.fill_diagonal(W, 0.0)
-    cand = np.argwhere(np.triu(W >= K, k=1))
-    for i, j in cand:
-        u, v = side_verts[int(i)], side_verts[int(j)]
-        chosen = _pack_disjoint(_paths_by_end(sadj, u, 4, -1).get(v, []), K)
-        if chosen is not None:
-            return _theta_witness(G, pat, u, v, chosen)
+    corr = (Ms @ sparse.diags(degO - 2, dtype=np.int64) @ Ms.T).tocsr()
+    for lo in range(0, len(side_verts), _THETA4_ROWS):
+        blk = slice(lo, lo + _THETA4_ROWS)
+        Cb = C[blk]
+        W = (Cb @ C).toarray()
+        W -= (deg[blk, None] + deg[None, :]) * Cb.toarray()
+        W -= corr[blk].toarray()
+        # pairs i < j with at least K 4-paths, in row-major order
+        for i, j in np.argwhere(np.triu(W >= K, k=lo + 1)):
+            u, v = side_verts[lo + int(i)], side_verts[int(j)]
+            chosen = _pack_disjoint(_paths_by_end(sadj, u, 4, -1).get(v, []), K)
+            if chosen is not None:
+                return _theta_witness(G, pat, u, v, chosen)
     return None
 
 

@@ -466,8 +466,8 @@ class QuadraticSplit:
     """Coordinates of GF(q) over its index-2 subfield.
 
     Every x factors uniquely as ``x = a + mu*b`` with a, b in the
-    subfield and mu the least element outside it; `split` and `join`
-    are inverse table lookups.
+    subfield and mu the least element outside it; `split` recovers
+    (a, b) from x by table lookup.
     """
 
     def __init__(self, spec: FieldSpec) -> None:
@@ -485,9 +485,6 @@ class QuadraticSplit:
                 self._split_table[spec.add(a, spec.mul(self.mu, b))] = (a, b)
         if len(self._split_table) != spec.q:
             raise RuntimeError("quadratic subfield basis failed to span")
-
-    def join(self, a: int, b: int) -> int:
-        return self.spec.add(a, self.spec.mul(self.mu, b))
 
     def split(self, x: int) -> tuple[int, int]:
         self.spec._check(x)

@@ -150,9 +150,9 @@ def mixing_check(G: LabeledHypergraph, U, W, mode: str = "general") -> dict:
         color = bipartition(G)
         if color is None:
             raise ValueError("bipartite mode needs a bipartite graph")
-        s0 = {v for v in range(n) if color[v] == 0}
-        s1 = set(range(n)) - s0
-        if not ((setU <= s0 and setW <= s1) or (setU <= s1 and setW <= s0)):
+        cU = {color[v] for v in setU}
+        cW = {color[v] for v in setW}
+        if not (cU <= {0} and cW <= {1} or cU <= {1} and cW <= {0}):
             raise ValueError("U and W must lie in opposite bipartition classes")
         expected = 2 * summary.d / n * len(setU) * len(setW)
         rho = summary.rho2

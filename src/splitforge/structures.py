@@ -26,7 +26,6 @@ __all__ = [
     "property_B_check",
     "bipartition",
     "components",
-    "max_component_size",
 ]
 
 
@@ -118,6 +117,31 @@ class LabeledHypergraph:
                     if u != v:
                         out[u].add(v)
         return tuple(out)
+
+    @cached_property
+    def colouring(self):
+        """2-colouring by breadth-first search, starting each component at
+        its least vertex with colour 0: a tuple of 0/1 per vertex, or None
+        when an odd cycle obstructs.  Computed once per graph."""
+        color = [-1] * self.n
+        adj = self.adj
+        for s in range(self.n):
+            if color[s] != -1:
+                continue
+            color[s] = 0
+            frontier = [s]
+            while frontier:
+                nxt = []
+                for u in frontier:
+                    cu = color[u]
+                    for w in adj[u]:
+                        if color[w] == -1:
+                            color[w] = 1 - cu
+                            nxt.append(w)
+                        elif color[w] == cu:
+                            return None
+                frontier = nxt
+        return tuple(color)
 
     @cached_property
     def incident(self) -> tuple:
@@ -333,28 +357,9 @@ def property_B_check(H: LabeledHypergraph, c, budget: int = 1_000_000) -> bool:
 
 
 def bipartition(G: LabeledHypergraph):
-    """2-colour G by breadth-first search, starting each component at its
-    least vertex with colour 0; return the colour list, or None when an
-    odd cycle obstructs."""
-    color = [-1] * G.n
-    adj = G.adj
-    for s in range(G.n):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                cu = color[u]
-                for w in adj[u]:
-                    if color[w] == -1:
-                        color[w] = 1 - cu
-                        nxt.append(w)
-                    elif color[w] == cu:
-                        return None
-            frontier = nxt
-    return color
+    """The colour tuple of G, or None when an odd cycle obstructs; see
+    `LabeledHypergraph.colouring`."""
+    return G.colouring
 
 
 def components(G: LabeledHypergraph) -> list:
@@ -379,8 +384,3 @@ def components(G: LabeledHypergraph) -> list:
         groups.setdefault(find(v), []).append(v)
     return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
 
-
-def max_component_size(G: LabeledHypergraph) -> int:
-    if G.n == 0:
-        return 0
-    return max(len(comp) for comp in components(G))

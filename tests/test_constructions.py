@@ -367,9 +367,9 @@ def test_build_design_split_fano():
     assert all(len(part) == 3 for part in P.parts)
     rep = verify_rk(G, P)
     assert rep.completeness_ok and rep.independence_ok
-    from splitforge.structures import max_component_size
+    from splitforge.structures import components
 
-    assert max_component_size(G) == 3
+    assert max(map(len, components(G))) == 3
 
 
 def test_build_design_split_more():

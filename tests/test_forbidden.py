@@ -370,37 +370,50 @@ def test_theta_matches_naive(K, ell):
 
 
 def test_theta_bipartite_fast_path_matches_naive():
-    # random bipartite instances keep the dense 4-path filter honest
+    # random bipartite hosts of up to 20 vertices, their two sides
+    # interleaved in index order, keep the exact 4-path filter honest
     rng = random.Random(314)
-    for _ in range(25):
-        nx, ny = rng.randrange(3, 7), rng.randrange(3, 7)
+    hits = misses = 0
+    for _ in range(36):
+        nx, ny = rng.randrange(3, 11), rng.randrange(3, 11)
+        perm = rng.sample(range(nx + ny), nx + ny)
+        density = rng.choice((0.3, 0.4, 0.5))
         edges = [
-            (u, nx + v)
+            (perm[u], perm[nx + v])
             for u in range(nx)
             for v in range(ny)
-            if rng.random() < 0.55
+            if rng.random() < density
         ]
         G = graph(nx + ny, edges)
-        w = forbidden.contains_theta(G, 3, 4)
-        assert (w is not None) == naive_theta(G, 3, 4)
-        if w is not None:
-            check_theta_witness(G, w, 3, 4)
+        for K in (3, 4):
+            w = forbidden.contains_theta(G, K, 4)
+            assert (w is not None) == naive_theta(G, K, 4)
+            if w is None:
+                misses += 1
+            else:
+                hits += 1
+                check_theta_witness(G, w, K, 4)
+    assert hits >= 10 and misses >= 10
 
 
-def test_theta4_high_degree_host_skips_float32_filter(monkeypatch):
-    # a star K_{1,300} has maximum degree 300 > 255, past the bound under
-    # which the float32 4-path counts are exact, so the exact generic
-    # search must decide the host instead of the dense filter
-    def no_filter(*args):
-        raise AssertionError("float32 filter used beyond its exactness bound")
+def test_theta4_high_degree_host_takes_exact_filter(monkeypatch):
+    # a star K_{1,300} has maximum degree 300, so its 4-path counts reach
+    # past float32's exact integers; the bipartite host must still be
+    # decided by the exact filter, never by the generic search
+    reference = forbidden._theta_generic
 
-    monkeypatch.setattr(forbidden, "_theta4_bipartite", no_filter)
+    def no_generic(*args):
+        raise AssertionError("bipartite length-4 query reached _theta_generic")
+
+    monkeypatch.setattr(forbidden, "_theta_generic", no_generic)
     star = [(0, leaf) for leaf in range(1, 301)]
+    assert forbidden.contains_theta(graph(301, star), 3, 4) is None
     theta = theta_graph(3, 4)
     G = graph(301 + theta.n, star + [(301 + a, 301 + b) for a, b in theta.edges])
     w = forbidden.contains_theta(G, 3, 4)
     assert w is not None
     check_theta_witness(G, w, 3, 4)
+    assert w == reference(G, 3, 4, "theta_{3,4}")
     assert w["vertices"][:2] == [301, 302]
 
 
