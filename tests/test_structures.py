@@ -271,6 +271,12 @@ def test_property_b_11_matches_bipartiteness():
         }
         G = graph(n, sorted(edges))
         assert structures.property_B_check(G, (1, 1)) == bipartite_bfs(n, G.edges)
+        color = structures.bipartition(G)
+        assert (color is not None) == bipartite_bfs(n, G.edges)
+        if color is not None:
+            assert all(color[u] != color[v] for u, v in G.edges)
+        # the colouring is computed once per graph and shared
+        assert structures.bipartition(G) is color
 
 
 def test_property_b_fano_not_rainbow_3_colorable():
