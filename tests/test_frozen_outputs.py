@@ -82,6 +82,12 @@ BERGE_WITNESS_DIGEST = "166a6428b25f490eeb92075a260856dfa0538eee4d8a943fbba56e0f
 
 GREEDY_DIGEST = "794366ca2562116751f6e44cc1b63be665e4a09753261735d691d38249f57cd0"
 
+# sha256 of the iterative path's extremes triple, JSON-encoded, per Wenger host
+EXTREMES_DIGEST = {
+    (4, 5): "b6fd50b894cc9888bbf82f5893cf1a163f4df509a66b198ad61a262b5a6f1605",
+    (2, 17): "ff905b5b30b157d426edf702236cb0ac364f1d76e84343d6f7628bf7cac05794",
+}
+
 
 def _payload_sha(path) -> str:
     return json.loads(path.read_text(encoding="utf-8"))["provenance"]["payload_sha256"]
@@ -197,3 +203,11 @@ def test_greedy_seed_budget_frozen():
     G = constructions.build_wenger(1, 5)
     with pytest.raises(RuntimeError, match=r"placed 16 of 18 seeds \(m=6, seed_size=3\)"):
         spectral.greedy_split(G, 6, "K_{2,2}", seed=0)
+
+
+@pytest.mark.parametrize("M, q", sorted(EXTREMES_DIGEST))
+def test_iterative_extremes_frozen(M, q):
+    s = spectral.spectrum(constructions.build_wenger(M, q))
+    assert s.eigenvalues is None
+    blob = json.dumps(list(s.extremes)).encode("utf-8")
+    assert hashlib.sha256(blob).hexdigest() == EXTREMES_DIGEST[M, q]

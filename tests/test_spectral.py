@@ -118,6 +118,16 @@ def test_spectrum_iterative_path():
     assert abs(s.rho - s.rho2) < 1e-12
 
 
+def test_spectrum_iterative_path_is_reproducible():
+    # two graph objects with the same edges are solved separately and
+    # must agree to the bit
+    first, second = build_wenger(4, 5), build_wenger(4, 5)
+    assert first is not second and first.edges == second.edges
+    a, b = spectral.spectrum(first), spectral.spectrum(second)
+    assert a is not b and a.eigenvalues is None
+    assert a.extremes == b.extremes
+
+
 def test_spectrum_validation():
     with pytest.raises(ValueError):
         spectral.spectrum(graph(3, [(0, 1)]))  # path, not regular
