@@ -25,7 +25,7 @@ from itertools import combinations
 import numpy as np
 from scipy import sparse
 
-from .structures import LabeledHypergraph, bipartition
+from .structures import LabeledHypergraph
 
 _KINDS = ("complete_bipartite", "cycle", "theta", "berge_cycle", "explicit")
 
@@ -190,20 +190,22 @@ def _pack_disjoint(paths, K: int):
         if key not in seen:
             seen.add(key)
             items.append((key, p))
+    return _pack_from(items, K, 0, [], frozenset())
 
-    def dfs(i, acc, used):
-        if len(acc) == K:
-            return acc
-        while i < len(items) and len(acc) + (len(items) - i) >= K:
-            key, p = items[i]
-            i += 1
-            if not (used & key):
-                r = dfs(i, acc + [p], used | key)
-                if r is not None:
-                    return r
-        return None
 
-    return dfs(0, [], frozenset())
+def _pack_from(items, K, i, acc, used):
+    # a module-level recursion: a nested function that calls itself
+    # through its closure leaves a reference cycle behind every call
+    if len(acc) == K:
+        return acc
+    while i < len(items) and len(acc) + (len(items) - i) >= K:
+        key, p = items[i]
+        i += 1
+        if not (used & key):
+            r = _pack_from(items, K, i, acc + [p], used | key)
+            if r is not None:
+                return r
+    return None
 
 
 # ---------------------------------------------------------------- K_{s,t}
@@ -223,13 +225,11 @@ def contains_kst(G: LabeledHypergraph, s: int, t: int):
     _require_graph(G)
     if not (1 <= s <= t):
         raise ValueError(f"need 1 <= s <= t, got ({s}, {t})")
-    adj = G.adj
     pat = "K_{%d,%d}" % (s, t)
 
     if s == 2:
         counts: dict[tuple[int, int], list[int]] = {}
-        for w in range(G.n):
-            nb = sorted(adj[w])
+        for w, nb in enumerate(G.sadj):
             for i in range(len(nb)):
                 for j in range(i + 1, len(nb)):
                     key = (nb[i], nb[j])
@@ -241,29 +241,31 @@ def contains_kst(G: LabeledHypergraph, s: int, t: int):
                         return _emit(G, pat, hubs + lst, edges)
         return None
 
+    adj = G.adj
     cand = [v for v in range(G.n) if len(adj[v]) >= t]
-
-    def dfs(start, hubs, common):
-        if len(hubs) == s:
-            leaves = sorted(common)[:t]
-            return hubs, leaves
-        for ii in range(start, len(cand)):
-            v = cand[ii]
-            if len(cand) - ii < s - len(hubs):
-                break
-            newc = adj[v] if not hubs else common & adj[v]
-            if len(newc) >= t:
-                r = dfs(ii + 1, hubs + [v], newc)
-                if r is not None:
-                    return r
-        return None
-
-    found = dfs(0, [], set())
+    found = _kst_hubs(adj, cand, s, t, 0, [], set())
     if found is None:
         return None
     hubs, leaves = found
     edges = [(h, x) for h in hubs for x in leaves]
     return _emit(G, pat, list(hubs) + leaves, edges)
+
+
+def _kst_hubs(adj, cand, s, t, start, hubs, common):
+    """Extend `hubs` by candidates from `start` on until s hubs share t
+    neighbours; returns (hubs, the t least common neighbours) or None."""
+    if len(hubs) == s:
+        return hubs, sorted(common)[:t]
+    for ii in range(start, len(cand)):
+        v = cand[ii]
+        if len(cand) - ii < s - len(hubs):
+            break
+        newc = adj[v] if not hubs else common & adj[v]
+        if len(newc) >= t:
+            r = _kst_hubs(adj, cand, s, t, ii + 1, hubs + [v], newc)
+            if r is not None:
+                return r
+    return None
 
 
 # ----------------------------------------------------------------- cycles
@@ -315,8 +317,7 @@ def contains_cycle(G: LabeledHypergraph, length: int):
         raise ValueError(f"cycle length must be >= 3, got {length}")
     if length > G.n:
         return None
-    sadj = [sorted(a) for a in G.adj]
-    for cyc in _cycles(sadj, length):
+    for cyc in _cycles(G.sadj, length):
         return _finish_cycle(G, "C_{%d}" % length, cyc)
     return None
 
@@ -394,7 +395,7 @@ def contains_theta(G: LabeledHypergraph, K: int, length: int):
     if not G.edge_set:
         return None
     if length == 4:
-        color = bipartition(G)
+        color = G.colouring
         if color is not None:
             return _theta4_bipartite(G, K, color, pat)
     return _theta_generic(G, K, length, pat)
@@ -402,21 +403,15 @@ def contains_theta(G: LabeledHypergraph, K: int, length: int):
 
 def _theta4_bipartite(G, K, color, pat):
     color = np.asarray(color)
-    E = np.asarray(G.edges)
-    A = sparse.csr_matrix(
-        (np.ones(len(E), dtype=np.int64), (E[:, 0], E[:, 1])), shape=(G.n, G.n)
-    )
-    A = (A + A.T).tocsr()
-    sadj = [sorted(a) for a in G.adj]
     X, Y = np.flatnonzero(color == 0), np.flatnonzero(color == 1)
     for side, other in ((X, Y), (Y, X)):
-        hit = _theta4_side(G, sadj, K, side.tolist(), A[side][:, other], pat)
+        hit = _theta4_side(G, K, side.tolist(), G.csr[side][:, other], pat)
         if hit is not None:
             return hit
     return None
 
 
-def _theta4_side(G, sadj, K, side_verts, Ms, pat):
+def _theta4_side(G, K, side_verts, Ms, pat):
     deg = np.asarray(Ms.sum(axis=1)).ravel()
     C = (Ms @ Ms.T).tocsr()
     degO = np.asarray(Ms.sum(axis=0)).ravel()
@@ -430,16 +425,15 @@ def _theta4_side(G, sadj, K, side_verts, Ms, pat):
         # pairs i < j with at least K 4-paths, in row-major order
         for i, j in np.argwhere(np.triu(W >= K, k=lo + 1)):
             u, v = side_verts[lo + int(i)], side_verts[int(j)]
-            chosen = _pack_disjoint(_paths_by_end(sadj, u, 4, -1).get(v, []), K)
+            chosen = _pack_disjoint(_paths_by_end(G.sadj, u, 4, -1).get(v, []), K)
             if chosen is not None:
                 return _theta_witness(G, pat, u, v, chosen)
     return None
 
 
 def _theta_generic(G, K, length, pat):
-    sadj = [sorted(a) for a in G.adj]
     for u in range(G.n):
-        buckets = _paths_by_end(sadj, u, length, -1)
+        buckets = _paths_by_end(G.sadj, u, length, -1)
         for v in sorted(buckets):
             if v <= u:
                 continue
@@ -489,12 +483,7 @@ def contains_berge_cycle(Hy: LabeledHypergraph, length: int):
                 return _emit(Hy, pat, list(pair), es)
         return None
 
-    # shadow graph; sorted pairs leave each neighbour list ascending
-    sadj = [[] for _ in range(Hy.n)]
-    for a, b in sorted(pair2edges):
-        sadj[a].append(b)
-        sadj[b].append(a)
-    for cyc in _cycles(sadj, length):
+    for cyc in _cycles(Hy.sadj, length):
         sdr = _distinct_representatives(
             [pair2edges[(u, v) if u < v else (v, u)]
              for u, v in zip(cyc, cyc[1:] + cyc[:1])]
@@ -510,22 +499,22 @@ def _distinct_representatives(cand_lists):
     order or None."""
     order = sorted(range(len(cand_lists)), key=lambda i: (len(cand_lists[i]), i))
     chosen: dict[int, int] = {}
-
-    def dfs(k):
-        if k == len(order):
-            return True
-        slot = order[k]
-        for e in cand_lists[slot]:
-            if e not in chosen.values():
-                chosen[slot] = e
-                if dfs(k + 1):
-                    return True
-                del chosen[slot]
-        return False
-
-    if dfs(0):
+    if _sdr_from(cand_lists, order, chosen, 0):
         return [chosen[i] for i in range(len(cand_lists))]
     return None
+
+
+def _sdr_from(cand_lists, order, chosen, k):
+    if k == len(order):
+        return True
+    slot = order[k]
+    for e in cand_lists[slot]:
+        if e not in chosen.values():
+            chosen[slot] = e
+            if _sdr_from(cand_lists, order, chosen, k + 1):
+                return True
+            del chosen[slot]
+    return False
 
 
 # -------------------------------------------------------- explicit pattern
@@ -592,31 +581,32 @@ def contains_explicit(G: LabeledHypergraph, pattern_edges):
     for e in edges:
         checks[max(rank[v] for v in e)].append(e)
 
-    es = G.edge_set
     phi: dict[int, int] = {}
-    used: set[int] = set()
-
-    def dfs(i):
-        if i == len(order):
-            return True
-        pv = order[i]
-        for g in range(G.n):
-            if g in used or G.degree(g) < pdeg[pv]:
-                continue
-            phi[pv] = g
-            used.add(g)
-            if all(
-                tuple(sorted(phi[x] for x in e)) in es for e in checks[i]
-            ) and dfs(i + 1):
-                return True
-            del phi[pv]
-            used.remove(g)
-        return False
-
-    if not dfs(0):
+    if not _embed(G, order, pdeg, checks, phi, set(), 0):
         return None
     mapped = [tuple(sorted(phi[x] for x in e)) for e in edges]
     return _emit(G, "explicit", [phi[v] for v in pverts], mapped)
+
+
+def _embed(G, order, pdeg, checks, phi, used, i):
+    """Map pattern vertices order[i:] to unused host vertices, extending
+    phi (whose images are `used`); True once every vertex is placed."""
+    if i == len(order):
+        return True
+    es = G.edge_set
+    pv = order[i]
+    for g in range(G.n):
+        if g in used or G.degree(g) < pdeg[pv]:
+            continue
+        phi[pv] = g
+        used.add(g)
+        if all(
+            tuple(sorted(phi[x] for x in e)) in es for e in checks[i]
+        ) and _embed(G, order, pdeg, checks, phi, used, i + 1):
+            return True
+        del phi[pv]
+        used.remove(g)
+    return False
 
 
 # -------------------------------------------------------------- dispatcher

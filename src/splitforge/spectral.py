@@ -20,7 +20,6 @@ from collections import Counter
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-import scipy.sparse as sparse
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from . import forbidden
@@ -28,7 +27,6 @@ from .structures import (
     BudgetExceededError,
     LabeledHypergraph,
     SplitPartition,
-    bipartition,
     verify_rk,
 )
 
@@ -98,20 +96,14 @@ def spectrum(G: LabeledHypergraph) -> SpectrumSummary:
         return cached
     d = _require_regular(G)
     n = G.n
-    bip = bipartition(G) is not None
+    bip = G.colouring is not None
+    A = G.csr.astype(np.float64)
     if n <= _DENSE_LIMIT:
-        A = np.zeros((n, n))
-        for u, v in G.edges:
-            A[u, v] = A[v, u] = 1.0
-        eig = np.linalg.eigvalsh(A)[::-1]
+        eig = np.linalg.eigvalsh(A.toarray())[::-1]
         eigenvalues = tuple(float(x) for x in eig)
         rho2, rho_n = eigenvalues[1], eigenvalues[-1]
         extremes = None
     else:
-        us = [u for u, _ in G.edges]
-        vs = [v for _, v in G.edges]
-        data = np.ones(2 * len(us))
-        A = sparse.csr_matrix((data, (us + vs, vs + us)), shape=(n, n))
         v0 = np.random.default_rng(0).standard_normal(n)
         try:
             top = eigsh(A, k=2, which="LA", tol=1e-8, v0=v0, return_eigenvectors=False)
@@ -149,7 +141,7 @@ def mixing_check(G: LabeledHypergraph, U, W, mode: str = "general") -> dict:
         if not (0 <= v < n):
             raise ValueError(f"vertex {v} out of range")
     if mode == "bipartite":
-        color = bipartition(G)
+        color = G.colouring
         if color is None:
             raise ValueError("bipartite mode needs a bipartite graph")
         cU = {color[v] for v in setU}
@@ -261,7 +253,7 @@ def greedy_split(G: LabeledHypergraph, m: int, H, sizes=None, seed=None):
         )
     rng = random.Random(seed) if seed is not None else None
 
-    color = bipartition(G)
+    color = G.colouring
     if color is not None:
         seed_pool = [v for v in range(n) if color[v] == color[0]]
         grow_pool = [v for v in range(n) if color[v] != color[0]]

@@ -14,8 +14,11 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain, combinations, count
 from math import comb
+
+import numpy as np
+from scipy import sparse
 
 __all__ = [
     "BudgetExceededError",
@@ -24,7 +27,6 @@ __all__ = [
     "VerificationReport",
     "verify_rk",
     "property_B_check",
-    "bipartition",
     "components",
 ]
 
@@ -117,6 +119,24 @@ class LabeledHypergraph:
                     if u != v:
                         out[u].add(v)
         return tuple(out)
+
+    @cached_property
+    def sadj(self) -> tuple:
+        """Neighbours of each vertex as an ascending tuple; for m >= 3 the
+        lists of the shadow graph."""
+        return tuple(tuple(sorted(a)) for a in self.adj)
+
+    @cached_property
+    def csr(self):
+        """Symmetric 0/1 int64 adjacency matrix in canonical CSR format.
+        Graphs (m = 2) only; callers must not modify it."""
+        if self.m != 2:
+            raise ValueError(f"an adjacency matrix needs a 2-uniform graph, got m={self.m}")
+        E = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        ends = (np.concatenate((E[:, 0], E[:, 1])), np.concatenate((E[:, 1], E[:, 0])))
+        return sparse.csr_matrix(
+            (np.ones(2 * len(E), dtype=np.int64), ends), shape=(self.n, self.n)
+        )
 
     @cached_property
     def colouring(self):
@@ -326,40 +346,33 @@ def property_B_check(H: LabeledHypergraph, c, budget: int = 1_000_000) -> bool:
                     seen[w] = True
                     queue.append(w)
     counts = [[0] * k for _ in H.edges]
-    nodes = 0
+    return _colour_from(order, incident, counts, c, budget, count(1), 0)
 
-    def dfs(pos: int) -> bool:
-        nonlocal nodes
-        if pos == len(order):
+
+def _colour_from(order, incident, counts, c, budget, nodes, pos) -> bool:
+    """Colour order[pos:] on top of the per-edge colour counts; `nodes`
+    numbers the search nodes across the whole search."""
+    if pos == len(order):
+        return True
+    v = order[pos]
+    for col in range(len(c)):
+        if next(nodes) > budget:
+            raise BudgetExceededError(
+                f"property B check undecided at budget ({budget} nodes)"
+            )
+        ok = True
+        touched = []
+        for ei in incident[v]:
+            counts[ei][col] += 1
+            touched.append(ei)
+            if counts[ei][col] > c[col]:
+                ok = False
+                break
+        if ok and _colour_from(order, incident, counts, c, budget, nodes, pos + 1):
             return True
-        v = order[pos]
-        for col in range(k):
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceededError(
-                    f"property B check undecided at budget ({budget} nodes)"
-                )
-            ok = True
-            touched = []
-            for ei in incident[v]:
-                counts[ei][col] += 1
-                touched.append(ei)
-                if counts[ei][col] > c[col]:
-                    ok = False
-                    break
-            if ok and dfs(pos + 1):
-                return True
-            for ei in touched:
-                counts[ei][col] -= 1
-        return False
-
-    return dfs(0)
-
-
-def bipartition(G: LabeledHypergraph):
-    """The colour tuple of G, or None when an odd cycle obstructs; see
-    `LabeledHypergraph.colouring`."""
-    return G.colouring
+        for ei in touched:
+            counts[ei][col] -= 1
+    return False
 
 
 def components(G: LabeledHypergraph) -> list:

@@ -7,13 +7,14 @@ module under test.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import random
 
 import pytest
 
-from splitforge import forbidden
+from splitforge import forbidden, structures
 from splitforge.forbidden import ForbiddenPattern, parse_pattern
 from splitforge.structures import LabeledHypergraph
 
@@ -417,6 +418,14 @@ def test_theta4_high_degree_host_takes_exact_filter(monkeypatch):
     assert w["vertices"][:2] == [301, 302]
 
 
+def test_theta4_without_candidates_builds_no_neighbour_lists():
+    # every same-side pair of C_10 has at most two 4-paths, so the exact
+    # filter hands no pair on and the path search never runs
+    G = cycle_graph(10)
+    assert forbidden.contains_theta(G, 3, 4) is None
+    assert "csr" in G.__dict__ and "sadj" not in G.__dict__
+
+
 def test_theta_validation():
     G = cycle_graph(4)
     with pytest.raises(ValueError):
@@ -508,3 +517,28 @@ def test_check_pattern_dispatch():
         forbidden.check_pattern(fano, "C_6")  # cycles need m=2
     pat = ForbiddenPattern(kind="explicit", params=(), edges=((0, 1), (1, 2)))
     assert forbidden.check_pattern(c6, pat) is not None
+
+
+def test_recursive_searches_leave_no_reference_cycles():
+    G = complete_bipartite(3, 4)
+    calls = {
+        "_pack_disjoint": lambda: forbidden._pack_disjoint(
+            [(0, 1, 2), (0, 3, 2), (0, 1, 4, 2), (0, 5, 2)], 3),
+        "_distinct_representatives": lambda: forbidden._distinct_representatives(
+            [[0, 1], [1, 2], [0, 2], [3]]),
+        "contains_kst": lambda: forbidden.contains_kst(G, 3, 4),
+        "contains_explicit": lambda: forbidden.contains_explicit(
+            G, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+        "property_B_check": lambda: structures.property_B_check(fano_plane(), (2, 1)),
+    }
+    for call in calls.values():
+        call()  # fills the graphs' cached layouts
+    gc.collect()
+    gc.disable()
+    try:
+        for name, call in calls.items():
+            for _ in range(100):
+                call()
+            assert gc.collect() == 0, name
+    finally:
+        gc.enable()

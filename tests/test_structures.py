@@ -10,7 +10,9 @@ import itertools
 import random
 from collections import deque
 
+import numpy as np
 import pytest
+from scipy import sparse
 
 from splitforge import structures
 from splitforge.structures import (
@@ -271,12 +273,12 @@ def test_property_b_11_matches_bipartiteness():
         }
         G = graph(n, sorted(edges))
         assert structures.property_B_check(G, (1, 1)) == bipartite_bfs(n, G.edges)
-        color = structures.bipartition(G)
+        color = G.colouring
         assert (color is not None) == bipartite_bfs(n, G.edges)
         if color is not None:
             assert all(color[u] != color[v] for u, v in G.edges)
         # the colouring is computed once per graph and shared
-        assert structures.bipartition(G) is color
+        assert G.colouring is color
 
 
 def test_property_b_fano_not_rainbow_3_colorable():
@@ -305,3 +307,50 @@ def test_property_b_budget_is_explicit():
     with pytest.raises(BudgetExceededError):
         structures.property_B_check(G, (1, 1), budget=3)
     assert structures.property_B_check(G, (1, 1)) is False
+
+
+# ------------------------------------------------------- adjacency layouts
+
+
+def random_hypergraph(rng, m, n):
+    pool = list(itertools.combinations(range(n), m))
+    return graph(n, rng.sample(pool, rng.randrange(0, min(len(pool), 2 * n) + 1)), m=m)
+
+
+def test_sadj_is_the_sorted_shadow():
+    rng = random.Random(20261018)
+    for _ in range(120):
+        m = rng.choice((2, 3))
+        n = rng.randrange(m, 14)
+        H = random_hypergraph(rng, m, n)
+        assert [list(a) for a in H.sadj] == [sorted(a) for a in H.adj]
+        # the lists the Berge decider once built from its sorted pair index
+        shadow = [[] for _ in range(n)]
+        for a, b in sorted({p for e in H.edges for p in itertools.combinations(e, 2)}):
+            shadow[a].append(b)
+            shadow[b].append(a)
+        assert H.sadj == tuple(map(tuple, shadow))
+        assert H.sadj is H.sadj
+
+
+def test_csr_is_the_symmetric_adjacency():
+    rng = random.Random(20261018)
+    for _ in range(60):
+        n = rng.randrange(1, 16)
+        G = random_hypergraph(rng, 2, n) if n > 1 else graph(1, [])
+        A = G.csr
+        assert A.format == "csr" and A.dtype == np.int64 and A.shape == (n, n)
+        assert A.has_canonical_format
+        E = np.array(G.edges, dtype=np.int64).reshape(-1, 2)
+        B = sparse.csr_matrix(
+            (np.ones(len(E), dtype=np.int64), (E[:, 0], E[:, 1])), shape=(n, n)
+        )
+        B = (B + B.T).tocsr()
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(A, attr), getattr(B, attr)), attr
+        assert G.csr is A
+
+
+def test_csr_needs_a_graph():
+    with pytest.raises(ValueError, match="2-uniform"):
+        graph(4, [(0, 1, 2), (1, 2, 3)], m=3).csr
