@@ -251,8 +251,19 @@ def _cmd_mixing(args, argv, threads) -> int:
 # -- bound -------------------------------------------------------------------
 
 
+# the flags each calculator reads; argparse cannot require them per mode
+_BOUND_FLAGS = {
+    "lower": ("r", "m"), "berge_path": ("r", "m", "t"), "tree": ("r", "t"),
+    "admissible": ("d",), "k2d": ("d",), "table": (),
+}
+
+
 def _cmd_bound(args, argv, threads) -> int:
     run = _Run("bound", argv, threads)
+    mode = next(k for k in _BOUND_FLAGS if getattr(args, k))
+    missing = [f"--{f}" for f in _BOUND_FLAGS[mode] if getattr(args, f) is None]
+    if missing:
+        raise ValueError(f"bound --{mode.replace('_', '-')} needs {', '.join(missing)}")
     if args.lower:
         env = TuranEnvelope(C=Fraction(args.C), e=Fraction(args.e), m=args.m)
         exact = min_k_lower(args.r, args.m, env)

@@ -241,6 +241,19 @@ def test_bound_berge_path_and_tree(capsys):
     assert abs(doc["value_float"] - 3.5) < 1e-12
 
 
+@pytest.mark.parametrize("argv, missing", [
+    (["--berge-path", "--r", "5"], "--m, --t"),
+    (["--tree", "--t", "3"], "--r"),
+    (["--lower", "--m", "2"], "--r"),
+    (["--admissible"], "--d"),
+    (["--k2d"], "--d"),
+])
+def test_bound_missing_flag_exits_2(argv, missing, capsys):
+    assert cli.main(["bound", *argv]) == 2
+    err = capsys.readouterr().err
+    assert f"needs {missing}" in err and "Traceback" not in err
+
+
 def test_bound_admissible(capsys):
     assert cli.main(["bound", "--admissible", "--d", "12"]) == 0
     doc = json.loads(capsys.readouterr().out)
