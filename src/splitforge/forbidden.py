@@ -194,8 +194,8 @@ def _pack_disjoint(paths, K: int):
 
 
 def _pack_from(items, K, i, acc, used):
-    # a module-level recursion: a nested function that calls itself
-    # through its closure leaves a reference cycle behind every call
+    # module level: a nested function calling itself through its closure
+    # would leave a reference cycle behind every call
     if len(acc) == K:
         return acc
     while i < len(items) and len(acc) + (len(items) - i) >= K:
@@ -246,16 +246,16 @@ def contains_kst(G: LabeledHypergraph, s: int, t: int):
     found = _kst_hubs(adj, cand, s, t, 0, [], set())
     if found is None:
         return None
-    hubs, leaves = found
-    edges = [(h, x) for h in hubs for x in leaves]
-    return _emit(G, pat, list(hubs) + leaves, edges)
+    edges = [(h, x) for h in found[:s] for x in found[s:]]
+    return _emit(G, pat, found, edges)
 
 
 def _kst_hubs(adj, cand, s, t, start, hubs, common):
     """Extend `hubs` by candidates from `start` on until s hubs share t
-    neighbours; returns (hubs, the t least common neighbours) or None."""
+    neighbours; returns the hubs followed by the t least common
+    neighbours, or None."""
     if len(hubs) == s:
-        return hubs, sorted(common)[:t]
+        return hubs + sorted(common)[:t]
     for ii in range(start, len(cand)):
         v = cand[ii]
         if len(cand) - ii < s - len(hubs):
@@ -394,40 +394,32 @@ def contains_theta(G: LabeledHypergraph, K: int, length: int):
         return {"pattern": pat, "vertices": w["vertices"], "edges": w["edges"]}
     if not G.edge_set:
         return None
-    if length == 4:
-        color = G.colouring
-        if color is not None:
-            return _theta4_bipartite(G, K, color, pat)
+    if length == 4 and G.colouring is not None:
+        return _theta4_bipartite(G, K, pat)
     return _theta_generic(G, K, length, pat)
 
 
-def _theta4_bipartite(G, K, color, pat):
-    color = np.asarray(color)
+def _theta4_bipartite(G, K, pat):
+    color = np.asarray(G.colouring)
     X, Y = np.flatnonzero(color == 0), np.flatnonzero(color == 1)
     for side, other in ((X, Y), (Y, X)):
-        hit = _theta4_side(G, K, side.tolist(), G.csr[side][:, other], pat)
-        if hit is not None:
-            return hit
-    return None
-
-
-def _theta4_side(G, K, side_verts, Ms, pat):
-    deg = np.asarray(Ms.sum(axis=1)).ravel()
-    C = (Ms @ Ms.T).tocsr()
-    degO = np.asarray(Ms.sum(axis=0)).ravel()
-    corr = (Ms @ sparse.diags(degO - 2, dtype=np.int64) @ Ms.T).tocsr()
-    for lo in range(0, len(side_verts), _THETA4_ROWS):
-        blk = slice(lo, lo + _THETA4_ROWS)
-        Cb = C[blk]
-        W = (Cb @ C).toarray()
-        W -= (deg[blk, None] + deg[None, :]) * Cb.toarray()
-        W -= corr[blk].toarray()
-        # pairs i < j with at least K 4-paths, in row-major order
-        for i, j in np.argwhere(np.triu(W >= K, k=lo + 1)):
-            u, v = side_verts[lo + int(i)], side_verts[int(j)]
-            chosen = _pack_disjoint(_paths_by_end(G.sadj, u, 4, -1).get(v, []), K)
-            if chosen is not None:
-                return _theta_witness(G, pat, u, v, chosen)
+        Ms = G.csr[side][:, other]
+        deg = np.asarray(Ms.sum(axis=1)).ravel()
+        C = (Ms @ Ms.T).tocsr()
+        degO = np.asarray(Ms.sum(axis=0)).ravel()
+        corr = (Ms @ sparse.diags(degO - 2, dtype=np.int64) @ Ms.T).tocsr()
+        for lo in range(0, len(side), _THETA4_ROWS):
+            blk = slice(lo, lo + _THETA4_ROWS)
+            Cb = C[blk]
+            W = (Cb @ C).toarray()
+            W -= (deg[blk, None] + deg[None, :]) * Cb.toarray()
+            W -= corr[blk].toarray()
+            # pairs i < j with at least K 4-paths, in row-major order
+            for i, j in np.argwhere(np.triu(W >= K, k=lo + 1)):
+                u, v = int(side[lo + i]), int(side[j])
+                chosen = _pack_disjoint(_paths_by_end(G.sadj, u, 4, -1).get(v, []), K)
+                if chosen is not None:
+                    return _theta_witness(G, pat, u, v, chosen)
     return None
 
 

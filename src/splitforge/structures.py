@@ -133,10 +133,8 @@ class LabeledHypergraph:
         if self.m != 2:
             raise ValueError(f"an adjacency matrix needs a 2-uniform graph, got m={self.m}")
         E = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
-        ends = (np.concatenate((E[:, 0], E[:, 1])), np.concatenate((E[:, 1], E[:, 0])))
-        return sparse.csr_matrix(
-            (np.ones(2 * len(E), dtype=np.int64), ends), shape=(self.n, self.n)
-        )
+        A = sparse.csr_matrix((np.ones(len(E), dtype=np.int64), E.T), shape=(self.n, self.n))
+        return (A + A.T).tocsr()
 
     @cached_property
     def colouring(self):
@@ -329,7 +327,6 @@ def property_B_check(H: LabeledHypergraph, c, budget: int = 1_000_000) -> bool:
         raise ValueError(f"profile {c} sums to {sum(c)}, uniformity is {H.m}")
     if H.n > 24:
         raise ValueError(f"{H.n} vertices exceeds the exhaustive limit of 24")
-    k = len(c)
     incident = H.incident
     order = []
     seen = [False] * H.n
@@ -345,7 +342,7 @@ def property_B_check(H: LabeledHypergraph, c, budget: int = 1_000_000) -> bool:
                 if not seen[w]:
                     seen[w] = True
                     queue.append(w)
-    counts = [[0] * k for _ in H.edges]
+    counts = [[0] * len(c) for _ in H.edges]
     return _colour_from(order, incident, counts, c, budget, count(1), 0)
 
 
