@@ -337,7 +337,7 @@ def test_csr_is_the_symmetric_adjacency():
     rng = random.Random(20261018)
     for _ in range(60):
         n = rng.randrange(1, 16)
-        G = random_hypergraph(rng, 2, n) if n > 1 else graph(1, [])
+        G = random_hypergraph(rng, 2, n)
         A = G.csr
         assert A.format == "csr" and A.dtype == np.int64 and A.shape == (n, n)
         assert A.has_canonical_format
