@@ -4,9 +4,12 @@ Field elements are plain integers in ``[0, p^n)``: the base-``p``
 digits of the integer, least significant first, are the coefficients
 of the residue polynomial in the adjoined root.  The zero polynomial
 is ``0``, the constants are ``0 .. p-1``, and the adjoined root itself
-is the integer ``p``.  Multiplication, inversion, and powering go
-through exp/log tables over a deterministically chosen primitive
-element, so every operation after construction is a table lookup.
+is the integer ``p``.  Every operation after construction is a lookup
+in three tables over a deterministically chosen primitive element
+theta: ``exp`` and ``log`` for multiplication, inversion and powering,
+and the Zech logarithms ``zech[i] = log(1 + theta**i)`` for addition,
+since ``theta**i + theta**j = theta**(i + zech[j - i])``
+(Lidl and Niederreiter, *Finite Fields*, 1997).
 
 The defining polynomial is the monic irreducible of degree ``n`` whose
 lower-coefficient encoding (same digit convention) is least, which
@@ -18,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 __all__ = [
     "FieldSpec",
@@ -180,6 +185,8 @@ class FieldSpec:
     exp, log : list
         ``exp[i] == theta**i`` for ``0 <= i < q-1`` and ``log`` is its
         inverse with ``log[0] is None``.
+    zech : list
+        ``zech[i] == log[1 + theta**i]``, None where ``theta**i == -1``.
     """
 
     def __init__(self, p: int, n: int, poly=None) -> None:
@@ -203,17 +210,17 @@ class FieldSpec:
                 raise ValueError(f"polynomial {poly} is reducible over GF({p})")
         self.poly = poly
         self.theta = self._find_generator()
-        exp = [0] * (q - 1) if q > 1 else []
-        log: list = [None] * q
-        acc = 1
-        for i in range(q - 1):
-            exp[i] = acc
-            log[acc] = i
-            acc = self._mul_raw(acc, self.theta)
-        if acc != 1:
+        powers = self._theta_powers()
+        if powers.pop() != 1:
             raise RuntimeError("primitive element failed the closure check")
-        self.exp = exp
+        log: list = [None] * q
+        for i, x in enumerate(powers):
+            log[x] = i
+        self.exp = powers
         self.log = log
+        # 1 + theta**i only changes the constant digit of theta**i
+        self.zech = [log[e - e % p + (e + 1) % p] for e in powers]
+        self._log_minus_one = log[p - 1]
 
     # ------------------------------------------------------ raw layer
     # used only while bootstrapping the tables
@@ -256,6 +263,23 @@ class FieldSpec:
             e >>= 1
         return acc
 
+    def _theta_powers(self):
+        """theta**i for 0 <= i <= q-1.  Multiplication by theta is a linear
+        map on coefficient vectors, so its matrix power M**k takes a block
+        of k consecutive powers, one column each, to the next block."""
+        p, n, q = self.p, self.n, self.q
+        # column i holds the coefficients of theta * x^i
+        step = np.array([self._digits(self._mul_raw(p**i, self.theta)) for i in range(n)]).T
+        cols = np.eye(n, 1, dtype=np.int64)
+        while cols.shape[1] < min(q, 4096):
+            cols = np.hstack([cols, step @ cols % p])
+            step = step @ step % p
+        out, weights = [], p ** np.arange(n)
+        while len(out) < q:
+            out.extend((weights @ cols).tolist())
+            cols = step @ cols % p
+        return out[:q]
+
     def _find_generator(self):
         if self.q == 2:
             return 1
@@ -275,28 +299,21 @@ class FieldSpec:
     def add(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
-        p = self.p
-        if self.n == 1:
-            return (a + b) % p
-        out, mult = 0, 1
-        while a or b:
-            out += (a % p + b % p) % p * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        la = self.log[a]
+        z = self.zech[(self.log[b] - la) % (self.q - 1)]
+        if z is None:
+            return 0
+        return self.exp[(la + z) % (self.q - 1)]
 
     def neg(self, a: int) -> int:
         self._check(a)
-        p = self.p
-        if self.n == 1:
-            return -a % p
-        out, mult = 0, 1
-        while a:
-            out += -(a % p) % p * mult
-            a //= p
-            mult *= p
-        return out
+        if a == 0:
+            return 0
+        return self.exp[(self.log[a] + self._log_minus_one) % (self.q - 1)]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -314,9 +331,6 @@ class FieldSpec:
             raise ValueError("zero has no multiplicative inverse")
         return self.exp[-self.log[a] % (self.q - 1)]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         """a**e with integer e; e may be negative for nonzero a, and
         pow(0, 0) == 1 by the empty-product convention."""
@@ -328,20 +342,6 @@ class FieldSpec:
                 raise ValueError("zero has no multiplicative inverse")
             return 0
         return self.exp[self.log[a] * e % (self.q - 1)]
-
-    def coeffs(self, x: int) -> tuple[int, ...]:
-        """Coefficient vector of x, little-endian, always length n."""
-        self._check(x)
-        return tuple(self._digits(x))
-
-    def from_coeffs(self, coeffs) -> int:
-        cs = list(coeffs)
-        if len(cs) > self.n:
-            raise ValueError(f"coefficient vector longer than degree {self.n}")
-        v = 0
-        for c in reversed(cs):
-            v = v * self.p + c % self.p
-        return v
 
     def __repr__(self) -> str:
         return f"FieldSpec(GF({self.p}^{self.n}), poly={self.poly})"
@@ -365,7 +365,6 @@ class SubgroupHandle:
     spec: FieldSpec
     d: int
     generator: int
-    theta: int
 
     @property
     def quotient_order(self) -> int:
@@ -384,7 +383,7 @@ def subgroup(spec: FieldSpec, d: int) -> SubgroupHandle:
     if d < 1 or (spec.q - 1) % d != 0:
         raise ValueError(f"subgroup order {d} does not divide {spec.q - 1}")
     gen = spec.pow(spec.theta, (spec.q - 1) // d) if spec.q > 2 else 1
-    return SubgroupHandle(spec=spec, d=d, generator=gen, theta=spec.theta)
+    return SubgroupHandle(spec=spec, d=d, generator=gen)
 
 
 def coset_of(x: int, K: SubgroupHandle) -> int:

@@ -56,6 +56,16 @@ def poly_is_irreducible_naive(poly, p):
     return True
 
 
+def poly_reduce_naive(c, poly, p):
+    # remainder of c modulo the monic poly, as exactly n coefficients
+    c, n = list(c), len(poly) - 1
+    for k in range(len(c) - 1, n - 1, -1):
+        t = c[k]
+        for i in range(n + 1):
+            c[k - n + i] = (c[k - n + i] - t * poly[i]) % p
+    return (c + [0] * n)[:n]
+
+
 def mult_order_naive(spec, x):
     assert x != 0
     k, acc = 1, x
@@ -63,6 +73,14 @@ def mult_order_naive(spec, x):
         acc = spec.mul(acc, x)
         k += 1
     return k
+
+
+def digits_of(x, p, n):
+    return [x // p**i % p for i in range(n)]
+
+
+def from_digits(ds, p):
+    return sum(d * p**i for i, d in enumerate(ds))
 
 
 def divisors(n):
@@ -191,15 +209,13 @@ def test_frozen_arithmetic_values():
     f9 = gf.make_field(3, 2)
     mu = 3  # the adjoined root: coefficient vector (0, 1)
     assert f9.mul(mu, mu) == 2
-    assert f9.div(1, f9.inv(2)) == 2
+    assert f9.mul(1, f9.inv(f9.inv(2))) == 2
 
 
 def test_operand_validation():
     f9 = gf.make_field(3, 2)
     with pytest.raises(ValueError):
         f9.inv(0)
-    with pytest.raises(ValueError):
-        f9.div(4, 0)
     with pytest.raises(ValueError):
         f9.mul(9, 1)
     with pytest.raises(ValueError):
@@ -225,17 +241,44 @@ def test_pow_conventions():
     assert f9.pow(5, -1) == f9.inv(5)
 
 
-def test_coeff_views():
+FIELDS_UP_TO_81 = sorted(
+    (p, n) for p in sieve_primes(81) for n in range(1, 7) if p**n <= 81
+)
+
+
+def check_against_digits(spec, pairs):
+    p, n = spec.p, spec.n
+    for a, b in pairs:
+        da, db = digits_of(a, p, n), digits_of(b, p, n)
+        assert spec.add(a, b) == from_digits([(x + y) % p for x, y in zip(da, db)], p)
+        assert spec.sub(a, b) == from_digits([(x - y) % p for x, y in zip(da, db)], p)
+        assert spec.neg(a) == from_digits([-x % p for x in da], p)
+
+
+def test_add_neg_sub_match_digit_arithmetic():
+    # the encoding: base-p digits of an element, least significant first,
+    # are its coefficients, so 5 in GF(9) is 2 + x with the root x = 3
     f9 = gf.make_field(3, 2)
-    assert f9.coeffs(5) == (2, 1)
-    assert f9.from_coeffs((2, 1)) == 5
-    assert f9.from_coeffs([2]) == 2
-    assert f9.coeffs(0) == (0, 0)
-    with pytest.raises(ValueError):
-        f9.from_coeffs((1, 1, 1))
+    assert f9.add(2, 3) == 5
+    assert f9.neg(5) == 7  # 1 + 2x
+    assert f9.add(1, 1) == 2  # constants are 0 .. p-1
+    assert f9.add(5, 7) == 0
     f8 = gf.make_field(2, 3)
-    for x in range(8):
-        assert f8.from_coeffs(f8.coeffs(x)) == x
+    for a in range(8):
+        for b in range(8):
+            assert f8.add(a, b) == a ^ b
+    for p, n in FIELDS_UP_TO_81:
+        spec = gf.make_field(p, n)
+        check_against_digits(spec, itertools.product(range(spec.q), repeat=2))
+
+
+@pytest.mark.parametrize("p,n", [(2, 16), (3, 12)])
+def test_add_neg_sub_match_digit_arithmetic_random(p, n):
+    spec = gf.make_field(p, n)
+    rng = random.Random(20261018)
+    check_against_digits(
+        spec, [(rng.randrange(spec.q), rng.randrange(spec.q)) for _ in range(20_000)]
+    )
 
 
 def test_exp_log_are_inverse_maps():
@@ -246,6 +289,19 @@ def test_exp_log_are_inverse_maps():
             assert spec.log[spec.exp[i]] == i
         for x in range(1, spec.q):
             assert spec.exp[spec.log[x]] == x
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (5, 1), (2, 4), (3, 2), (2, 13), (3, 8)])
+def test_exp_is_the_powers_of_theta(p, n):
+    # one polynomial product per step, against tables built in blocks
+    spec = gf.make_field(p, n)
+    theta = digits_of(spec.theta, p, n)
+    acc = 1
+    for i in range(spec.q - 1):
+        assert spec.exp[i] == acc
+        prod = poly_mul_naive(digits_of(acc, p, n), theta, p)
+        acc = from_digits(poly_reduce_naive(prod, spec.poly, p), p)
+    assert acc == 1
 
 
 # ------------------------------------------------------------- primitives
