@@ -36,7 +36,7 @@ __all__ = [
 def _as_fraction(value, name: str) -> Fraction:
     try:
         return Fraction(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"{name} is not a rational value: {value!r}") from exc
 
 
@@ -176,11 +176,7 @@ def berge_path_k_lb(r: int, m: int, t: int) -> Fraction:
 
 def tree_bound(r: int, t: int) -> Fraction:
     """Exact ratio (r-1)/(t-1), the graph specialisation of berge_path_k_lb."""
-    if t < 2:
-        raise ValueError(f"need t >= 2, got {t}")
-    if r <= t:
-        raise ValueError(f"need r > t, got r={r}, t={t}")
-    return Fraction(r - 1, t - 1)
+    return berge_path_k_lb(r, 2, t)
 
 
 _PATTERN_NAMES = ("plus_minus", "minus_plus", "both")

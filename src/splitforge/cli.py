@@ -265,7 +265,7 @@ def _cmd_bound(args, argv, threads) -> int:
     if missing:
         raise ValueError(f"bound --{mode.replace('_', '-')} needs {', '.join(missing)}")
     if args.lower:
-        env = TuranEnvelope(C=Fraction(args.C), e=Fraction(args.e), m=args.m)
+        env = TuranEnvelope(C=args.C, e=args.e, m=args.m)
         exact = min_k_lower(args.r, args.m, env)
         relaxed = min_k_lower_relaxed(args.r, args.m, env)
         run.params = {"r": args.r, "m": args.m, "C": _frac_str(env.C), "e": _frac_str(env.e)}

@@ -105,43 +105,43 @@ def _search_k(query: OracleQuery, k: int, counter: List[int]):
     r, m = query.r, query.m
     flat = [f"p{i}v{j}" for i in range(r) for j in range(k)]
     part_tuples = list(itertools.combinations(range(r), m))
-    edges: List[Tuple[int, ...]] = []
     # part p uses vertices 0..used[p]-1: vertices never used before are
     # interchangeable under relabeling within their part, so only the
     # least unused one is offered, and backtracking frees them in LIFO order
-    used = [0] * r
-
-    def assign(idx: int):
-        if idx == len(part_tuples):
-            return LabeledHypergraph(m, flat, edges)
-        parts = part_tuples[idx]
-        for combo in itertools.product(*(range(min(used[p] + 1, k)) for p in parts)):
-            counter[0] += 1
-            if counter[0] > query.budget:
-                raise BudgetExceededError(
-                    f"unknown within budget: {query.budget} edge placements "
-                    f"exhausted at r={r}, m={m}, k={k}"
-                )
-            edges.append(tuple(p * k + v for p, v in zip(parts, combo)))
-            marks = [p for p, v in zip(parts, combo) if v == used[p]]
-            for p in marks:
-                used[p] += 1
-            # patterns are monotone under edge addition, so a hit here
-            # rules out the entire subtree
-            if _patterns_absent(LabeledHypergraph(m, flat, edges), query.pattern):
-                witness = assign(idx + 1)
-                if witness is not None:
-                    return witness
-            edges.pop()
-            for p in marks:
-                used[p] -= 1
-        return None
-
-    G = assign(0)
+    G = _assign(query, k, flat, part_tuples, [], [0] * r, counter, 0)
     if G is None:
         return None
     P = SplitPartition([range(i * k, (i + 1) * k) for i in range(r)], declared_k=k)
     return G, P
+
+
+def _assign(query, k, flat, part_tuples, edges, used, counter, idx):
+    """Place one edge for each part tuple from idx on, extending `edges`;
+    the finished pattern-free host, or None when no placement works."""
+    if idx == len(part_tuples):
+        return LabeledHypergraph(query.m, flat, edges)
+    parts = part_tuples[idx]
+    for combo in itertools.product(*(range(min(used[p] + 1, k)) for p in parts)):
+        counter[0] += 1
+        if counter[0] > query.budget:
+            raise BudgetExceededError(
+                f"unknown within budget: {query.budget} edge placements "
+                f"exhausted at r={query.r}, m={query.m}, k={k}"
+            )
+        edges.append(tuple(p * k + v for p, v in zip(parts, combo)))
+        marks = [p for p, v in zip(parts, combo) if v == used[p]]
+        for p in marks:
+            used[p] += 1
+        # patterns are monotone under edge addition, so a hit here
+        # rules out the entire subtree
+        if _patterns_absent(LabeledHypergraph(query.m, flat, edges), query.pattern):
+            witness = _assign(query, k, flat, part_tuples, edges, used, counter, idx + 1)
+            if witness is not None:
+                return witness
+        edges.pop()
+        for p in marks:
+            used[p] -= 1
+    return None
 
 
 def exact_f(query: OracleQuery) -> OracleResult:

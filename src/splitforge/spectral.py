@@ -242,7 +242,8 @@ def greedy_split(G: LabeledHypergraph, m: int, H, sizes=None, seed=None):
     unknown = set(sizes) - {"seed_size", "target_s", "max_iters"}
     if unknown:
         raise ValueError(f"unknown sizes keys {sorted(unknown)}")
-    seed_size = int(sizes.get("seed_size") or math.ceil(math.sqrt(n / m)))
+    seed_size = sizes.get("seed_size")
+    seed_size = math.ceil(math.sqrt(n / m)) if seed_size is None else int(seed_size)
     if seed_size < 1:
         raise ValueError("seed_size must be positive")
     target_s = sizes.get("target_s", seed_size)

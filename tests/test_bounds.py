@@ -63,6 +63,13 @@ def test_envelope_validation():
     assert envelope(1, 2, m=2).e == 2
 
 
+def test_envelope_zero_denominator_names_the_field():
+    with pytest.raises(ValueError, match="C is not a rational value"):
+        TuranEnvelope(C="1/0", e=2, m=2)
+    with pytest.raises(ValueError, match="e is not a rational value"):
+        TuranEnvelope(C=1, e="1/0", m=2)
+
+
 # ---------------------------------------------------------------------------
 # min_k_lower
 

@@ -254,6 +254,13 @@ def test_bound_missing_flag_exits_2(argv, missing, capsys):
     assert f"needs {missing}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag", ["C", "e"])
+def test_bound_lower_zero_denominator_exits_2(flag, capsys):
+    assert cli.main(["bound", "--lower", "--r", "100", "--m", "2", f"--{flag}", "1/0"]) == 2
+    err = capsys.readouterr().err
+    assert f"{flag} is not a rational value: '1/0'" in err and "Traceback" not in err
+
+
 def test_bound_admissible(capsys):
     assert cli.main(["bound", "--admissible", "--d", "12"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -342,6 +349,20 @@ def test_partition_greedy_round_trip(tmp_path):
     assert "provenance" in lines[-1]
     for rec in lines[:-1]:
         assert {"iter", "max_s", "added"} <= set(rec)
+
+
+def test_partition_greedy_seed_size_zero_exits_2(tmp_path, capsys):
+    g = tmp_path / "w15.json"
+    assert cli.main(["construct", "wenger", "--M", "1", "--q", "5", "--out", str(g)]) == 0
+    capsys.readouterr()
+    code = cli.main(
+        ["partition-greedy", "--graph", str(g), "--m", "3", "--forbid", "K_{2,2}",
+         "--seed-size", "0", "--out-graph", str(tmp_path / "o.json"),
+         "--out-partition", str(tmp_path / "p.json")]
+    )
+    assert code == 2
+    assert "seed_size must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
 
 
 def test_partition_greedy_infeasible_exit_3(tmp_path):

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from splitforge import forbidden, structures
+from splitforge import forbidden, oracle, structures
 from splitforge.forbidden import ForbiddenPattern, parse_pattern
 from splitforge.structures import LabeledHypergraph
 
@@ -530,6 +530,7 @@ def test_recursive_searches_leave_no_reference_cycles():
         "contains_explicit": lambda: forbidden.contains_explicit(
             G, [(0, 1), (1, 2), (2, 3), (3, 0)]),
         "property_B_check": lambda: structures.property_B_check(fano_plane(), (2, 1)),
+        "exact_f": lambda: oracle.exact_f(oracle.OracleQuery(4, 2, 2, parse_pattern("C_4"))),
     }
     for call in calls.values():
         call()  # fills the graphs' cached layouts

@@ -320,6 +320,12 @@ def test_greedy_split_step4_only():
     assert rep.completeness_ok and rep.independence_ok
 
 
+def test_greedy_split_seed_size_zero_is_rejected():
+    # an explicit 0 is not the default size (5 on W_1(5) with m = 3)
+    with pytest.raises(ValueError, match="seed_size must be positive"):
+        spectral.greedy_split(build_wenger(1, 5), 3, "K_{2,2}", sizes={"seed_size": 0})
+
+
 def test_greedy_split_h_freeness_invariant():
     G = build_wenger(1, 3)
     G2, P, trace = spectral.greedy_split(G, 3, "K_{2,2}", sizes={"seed_size": 2})
