@@ -233,8 +233,6 @@ class FieldSpec:
         return out
 
     def _mul_raw(self, a, b):
-        if self.n == 1:
-            return a * b % self.p
         p = self.p
         da, db = self._digits(a), self._digits(b)
         prod = [0] * (2 * self.n - 1)
@@ -266,7 +264,9 @@ class FieldSpec:
     def _theta_powers(self):
         """theta**i for 0 <= i <= q-1.  Multiplication by theta is a linear
         map on coefficient vectors, so its matrix power M**k takes a block
-        of k consecutive powers, one column each, to the next block."""
+        of k consecutive powers, one column each, to the next block.  Under
+        the field-size cap every dot product stays below n * p**2 < 2**41,
+        so int64 is exact."""
         p, n, q = self.p, self.n, self.q
         # column i holds the coefficients of theta * x^i
         step = np.array([self._digits(self._mul_raw(p**i, self.theta)) for i in range(n)]).T

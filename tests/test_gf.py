@@ -209,7 +209,7 @@ def test_frozen_arithmetic_values():
     f9 = gf.make_field(3, 2)
     mu = 3  # the adjoined root: coefficient vector (0, 1)
     assert f9.mul(mu, mu) == 2
-    assert f9.mul(1, f9.inv(f9.inv(2))) == 2
+    assert f9.inv(f9.inv(2)) == 2
 
 
 def test_operand_validation():
