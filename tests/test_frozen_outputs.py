@@ -80,6 +80,8 @@ WITNESS_DIGEST = "5321f9bc661eb76aa5b717716224319bd5f985a62de51b62b6cd96a66a7215
 
 BERGE_WITNESS_DIGEST = "166a6428b25f490eeb92075a260856dfa0538eee4d8a943fbba56e0fcf3e028b"
 
+BIPARTITE_WITNESS_DIGEST = "c2266c6039202edb9bfe82c9f08c73e861a192e9444de5b31d34a572a68ba4a3"
+
 GREEDY_DIGEST = "794366ca2562116751f6e44cc1b63be665e4a09753261735d691d38249f57cd0"
 
 # sha256 of the iterative path's extremes triple, JSON-encoded, per Wenger host
@@ -147,6 +149,47 @@ def test_decider_witnesses_frozen():
         assert verdicts == {True, False}, key
     blob = json.dumps(record, sort_keys=True).encode("utf-8")
     assert hashlib.sha256(blob).hexdigest() == WITNESS_DIGEST
+
+
+def _bipartite_hosts(rng) -> list:
+    # seeded edge-subgraphs of three Wenger hosts (C_4-free; W_1(5) has
+    # C_6s, W_2(5) has C_8s) and small random bipartite graphs whose two
+    # sides interleave in index order
+    hosts = []
+    for M, q in ((1, 5), (1, 7), (2, 5)):
+        W = constructions.build_wenger(M, q)
+        for keep in (0.35, 0.6, 0.85, 1.0):
+            edges = [e for e in W.edges if rng.random() < keep]
+            hosts.append(LabeledHypergraph(2, list(W.vertices), edges))
+    for _ in range(40):
+        nx, ny = rng.randrange(3, 16), rng.randrange(3, 16)
+        perm = rng.sample(range(nx + ny), nx + ny)
+        density = rng.choice((0.15, 0.25, 0.4, 0.6))
+        edges = [(perm[u], perm[nx + v]) for u in range(nx) for v in range(ny)
+                 if rng.random() < density]
+        hosts.append(LabeledHypergraph(2, [f"v{i}" for i in range(nx + ny)], edges))
+    return hosts
+
+
+def _bipartite_record() -> list:
+    out = []
+    for G in _bipartite_hosts(random.Random(20231018)):
+        assert G.colouring is not None
+        for L in (6, 8):
+            out.append(["C", L, forbidden.contains_cycle(G, L)])
+        for t in (2, 3):
+            out.append(["K2t", t, forbidden.contains_kst(G, 2, t)])
+    return out
+
+
+def test_bipartite_witnesses_frozen():
+    record = _bipartite_record()
+    # both verdicts of every decider and size
+    for key in (("C", 6), ("C", 8), ("K2t", 2), ("K2t", 3)):
+        verdicts = {r[-1] is None for r in record if tuple(r[:2]) == key}
+        assert verdicts == {True, False}, key
+    blob = json.dumps(record, sort_keys=True).encode("utf-8")
+    assert hashlib.sha256(blob).hexdigest() == BIPARTITE_WITNESS_DIGEST
 
 
 def _random_hypergraph(rng, m, n):
