@@ -12,7 +12,9 @@ exists, the first witness in the documented search order is returned as
 
 with vertices given as integer indices into the host graph. Witnesses
 are re-checked edge by edge against the host before being returned;
-`None` means the pattern is absent, never "gave up".
+`None` means the pattern is absent, never "gave up". Exact int64 counts
+on the adjacency matrix may prove a pattern absent first; they never
+pick a witness.
 """
 
 from __future__ import annotations
@@ -36,8 +38,11 @@ _BERGE_RE = re.compile(r"^bergeC_(\d+)$")
 
 _EXPLICIT_MAX_VERTICES = 10
 
-# rows of same-side 4-path counts the length-4 theta filter holds at once
-_THETA4_ROWS = 256
+# rows of counts the theta 4-path filter and the walk-count kernel hold at
+# once; every entry counts walks of some length j <= max(4, k) in the
+# host, so it is at most D**j for maximum degree D, far below 2**63 for
+# the lengths asked here, and the int64 arithmetic is exact
+_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -176,6 +181,37 @@ def _paths_by_end(sadj, root: int, length: int, floor: int) -> dict:
     return buckets
 
 
+def _walk_counts_reach(G: LabeledHypergraph, k: int, threshold: int):
+    """Least j in 2..k at which an off-diagonal non-backtracking walk
+    count A_j[u, w], u != w, reaches `threshold`; None if none does.
+
+    The counts follow A_1 = A, A_2 = A^2 - D and
+    A_j = A_{j-1} A - A_{j-2} (D - I), with A = `G.csr` and D its degree
+    matrix; the last term scales columns, so no n x n product is formed.
+    They are built in int64 for `_ROWS` rows at a time, j ascending
+    within a block, and the search stops in the first block where some
+    entry reaches the threshold, returning that j.
+    """
+    A = G.csr
+    deg = np.diff(A.indptr)
+    D = sparse.diags(deg, format="csr", dtype=np.int64)
+    for lo in range(0, G.n, _ROWS):
+        rows = np.arange(lo, min(lo + _ROWS, G.n))
+        older = A[rows]
+        walks = older @ A - D[rows]
+        for j in range(2, k + 1):
+            if j > 2:
+                scaled = sparse.csr_matrix(
+                    (older.data * (deg[older.indices] - 1), older.indices, older.indptr),
+                    shape=older.shape,
+                )
+                older, walks = walks, walks @ A - scaled
+            row_of = np.repeat(rows, np.diff(walks.indptr))
+            if np.any((walks.data >= threshold) & (walks.indices != row_of)):
+                return j
+    return None
+
+
 def _pack_disjoint(paths, K: int):
     """Pick K of the given u-v paths with pairwise disjoint interiors.
 
@@ -214,10 +250,14 @@ def _pack_from(items, K, i, acc, used):
 def contains_kst(G: LabeledHypergraph, s: int, t: int):
     """Find a K_{s,t} subgraph (s hub vertices totally joined to t others).
 
-    Search order: for s = 2 the codegree counter scans vertices in
-    ascending order and reports the first hub pair whose common
-    neighbourhood reaches size t; for other s, hub sets are explored
-    in ascending lexicographic order with intersection pruning.
+    For s = 2 the codegrees, the off-diagonal entries of A^2, are first
+    computed exactly in int64 row blocks by `_walk_counts_reach`; when
+    all are below t the host is free and None is returned at once.
+    Otherwise the witness comes from the ordered search: a codegree
+    counter scans vertices in ascending order and reports the first hub
+    pair whose common neighbourhood reaches size t. For other s, hub sets
+    are explored in ascending lexicographic order with intersection
+    pruning.
 
     Returns a witness whose vertex list is the s hubs followed by the
     t leaves, or None.
@@ -228,26 +268,31 @@ def contains_kst(G: LabeledHypergraph, s: int, t: int):
     pat = "K_{%d,%d}" % (s, t)
 
     if s == 2:
-        counts: dict[tuple[int, int], list[int]] = {}
-        for w, nb in enumerate(G.sadj):
-            for i in range(len(nb)):
-                for j in range(i + 1, len(nb)):
-                    key = (nb[i], nb[j])
-                    lst = counts.setdefault(key, [])
-                    lst.append(w)
-                    if len(lst) == t:
-                        hubs = list(key)
-                        edges = [(h, x) for h in hubs for x in lst]
-                        return _emit(G, pat, hubs + lst, edges)
-        return None
-
-    adj = G.adj
-    cand = [v for v in range(G.n) if len(adj[v]) >= t]
-    found = _kst_hubs(adj, cand, s, t, 0, [], set())
+        found = None if _walk_counts_reach(G, 2, t) is None else _codegree_scan(G.sadj, t)
+    else:
+        adj = G.adj
+        cand = [v for v in range(G.n) if len(adj[v]) >= t]
+        found = _kst_hubs(adj, cand, s, t, 0, [], set())
     if found is None:
         return None
     edges = [(h, x) for h in found[:s] for x in found[s:]]
     return _emit(G, pat, found, edges)
+
+
+def _codegree_scan(sadj, t):
+    """Scan vertices w in ascending order, crediting w to every pair of its
+    neighbours; returns the first pair to reach t common neighbours
+    followed by those t neighbours, or None."""
+    counts: dict[tuple[int, int], list[int]] = {}
+    for w, nb in enumerate(sadj):
+        for i in range(len(nb)):
+            for j in range(i + 1, len(nb)):
+                key = (nb[i], nb[j])
+                lst = counts.setdefault(key, [])
+                lst.append(w)
+                if len(lst) == t:
+                    return list(key) + lst
+    return None
 
 
 def _kst_hubs(adj, cand, s, t, start, hubs, common):
@@ -311,11 +356,25 @@ def contains_cycle(G: LabeledHypergraph, length: int):
     and for root r only cycles whose minimum vertex is r. The returned
     vertex list is the cycle in traversal order, oriented so that its
     second entry is smaller than its last.
+
+    An even length 2k >= 6 on a bipartite host is first decided by the
+    non-backtracking walk counts A_j of `_walk_counts_reach`. If every
+    off-diagonal entry of A_j is at most 1 for 2 <= j < k, the host has
+    no even cycle shorter than 2k (the girth gate), so every
+    non-backtracking k-walk is a path, and the host contains C_{2k} iff
+    some off-diagonal entry of A_k is at least 2. When the gate passes
+    and no such entry exists, None is returned at once. On a hit, a
+    failed gate, a non-bipartite host or any other length, the ordered
+    search runs and gives the witness; lengths up to 5 and odd lengths
+    never touch `G.csr`.
     """
     _require_graph(G)
     if length < 3:
         raise ValueError(f"cycle length must be >= 3, got {length}")
     if length > G.n:
+        return None
+    if (length % 2 == 0 and length >= 6 and G.colouring is not None
+            and _walk_counts_reach(G, length // 2, 2) is None):
         return None
     for cyc in _cycles(G.sadj, length):
         return _finish_cycle(G, "C_{%d}" % length, cyc)
@@ -408,8 +467,8 @@ def _theta4_bipartite(G, K, pat):
         C = (Ms @ Ms.T).tocsr()
         degO = np.asarray(Ms.sum(axis=0)).ravel()
         corr = (Ms @ sparse.diags(degO - 2, dtype=np.int64) @ Ms.T).tocsr()
-        for lo in range(0, len(side), _THETA4_ROWS):
-            blk = slice(lo, lo + _THETA4_ROWS)
+        for lo in range(0, len(side), _ROWS):
+            blk = slice(lo, lo + _ROWS)
             Cb = C[blk]
             W = (Cb @ C).toarray()
             W -= (deg[blk, None] + deg[None, :]) * Cb.toarray()

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from splitforge import forbidden, oracle, structures
+from splitforge import constructions, forbidden, oracle, structures
 from splitforge.forbidden import ForbiddenPattern, parse_pattern
 from splitforge.structures import LabeledHypergraph
 
@@ -317,6 +317,158 @@ def test_cycle_agrees_with_kst_on_c4():
         assert (forbidden.contains_cycle(G, 4) is not None) == (
             forbidden.contains_kst(G, 2, 2) is not None
         )
+
+
+# ------------------------------------------------------ walk-count kernel
+
+
+def naive_nb_walks(G, u, j):
+    # end vertex -> number of non-backtracking walks of j edges from u
+    counts = {}
+    stack = [(u, -1, 0)]
+    while stack:
+        x, prev, steps = stack.pop()
+        if steps == j:
+            counts[x] = counts.get(x, 0) + 1
+            continue
+        for y in G.adj[x]:
+            if y != prev:
+                stack.append((y, x, steps + 1))
+    return counts
+
+
+@pytest.mark.parametrize("rows", [256, 3])
+def test_walk_counts_reach_matches_enumerated_walks(monkeypatch, rows):
+    # the kernel's answer, block by block, from walks enumerated one by
+    # one; three-row blocks make every host span several blocks
+    monkeypatch.setattr(forbidden, "_ROWS", rows)
+    rng = random.Random(7)
+    answers = set()
+    for _ in range(25):
+        G = random_graph(rng, rng.randrange(2, 13), rng.choice((0.15, 0.3, 0.5)))
+        walks = {(u, j): naive_nb_walks(G, u, j) for u in range(G.n) for j in (2, 3, 4)}
+        for k, threshold in ((2, 1), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3), (4, 5)):
+            want = None
+            for lo in range(0, G.n, rows):
+                block = range(lo, min(lo + rows, G.n))
+                want = next((j for j in range(2, k + 1) if any(
+                    c >= threshold for u in block
+                    for w, c in walks[u, j].items() if w != u)), None)
+                if want is not None:
+                    break
+            assert forbidden._walk_counts_reach(G, k, threshold) == want
+            answers.add(want)
+    assert answers == {None, 2, 3, 4}
+
+
+def bfs_distance(adj, u, v, limit):
+    # distance from u to v if at most `limit`, else None
+    seen, frontier = {u}, [u]
+    for d in range(1, limit + 1):
+        frontier = [y for x in frontier for y in adj[x] if y not in seen and not seen.add(y)]
+        if v in seen:
+            return d
+    return None
+
+
+def random_bipartite(rng, girth=None):
+    # sides interleaved in index order; with `girth`, an edge is kept
+    # only if it closes no cycle shorter than that
+    nx, ny = rng.randrange(3, 16), rng.randrange(3, 16)
+    perm = rng.sample(range(nx + ny), nx + ny)
+    X, Y = perm[:nx], perm[nx:]
+    adj = {v: set() for v in perm}
+    edges = []
+    for _ in range(rng.randrange(nx + ny, 3 * (nx + ny))):
+        u, v = rng.choice(X), rng.choice(Y)
+        if v in adj[u] or (girth and bfs_distance(adj, u, v, girth - 2) is not None):
+            continue
+        adj[u].add(v)
+        adj[v].add(u)
+        edges.append((u, v))
+    return graph(nx + ny, edges)
+
+
+def kernel_hosts():
+    rng = random.Random(2007)
+    hosts = [constructions.build_wenger(1, 5), constructions.build_wenger(2, 5)]
+    for _ in range(12):
+        hosts.append(random_bipartite(rng, girth=6))
+        hosts.append(random_bipartite(rng, girth=8))
+        hosts.append(random_bipartite(rng))
+        hosts.append(random_graph(rng, rng.randrange(6, 31), 0.15))
+    return hosts
+
+
+def test_walk_kernel_verdicts_match_ordered_search():
+    # hits included: where the girth gate passes, the kernel's C_6 and C_8
+    # verdicts equal the ordered search's, and the gate fails exactly on
+    # bipartite hosts with a shorter even cycle; K_{2,2} and K_{2,3} come
+    # from the codegrees on every host
+    seen = set()
+    for G in kernel_hosts():
+        for L in (6, 8):
+            k = L // 2
+            ordered = next(forbidden._cycles(G.sadj, L), None)
+            got = forbidden.contains_cycle(G, L)
+            if ordered is None:
+                assert got is None
+            else:
+                assert got == forbidden._finish_cycle(G, "C_{%d}" % L, ordered)
+            if G.colouring is None:
+                seen.add((L, "odd"))
+                continue
+            gate = forbidden._walk_counts_reach(G, k - 1, 2) is None
+            shorter = any(next(forbidden._cycles(G.sadj, 2 * j), None) is not None
+                          for j in range(2, k))
+            assert gate == (not shorter)
+            if gate:
+                hit = forbidden._walk_counts_reach(G, k, 2) is not None
+                assert hit == (ordered is not None)
+                seen.add((L, hit))
+            else:
+                seen.add((L, "gate"))
+        for t in (2, 3):
+            hit = forbidden._walk_counts_reach(G, 2, t) is not None
+            assert hit == (forbidden._codegree_scan(G.sadj, t) is not None)
+            seen.add((t, hit))
+    assert seen == {(L, v) for L in (6, 8) for v in (True, False, "gate", "odd")} | {
+        (t, v) for t in (2, 3) for v in (True, False)}
+
+
+def test_walk_kernel_hosts_agree_with_networkx():
+    nx = pytest.importorskip("networkx")
+    for G in kernel_hosts():
+        H = nx.Graph()
+        H.add_nodes_from(range(G.n))
+        H.add_edges_from(G.edges)
+        for L in (4, 6, 8):
+            want = any(len(c) == L for c in nx.simple_cycles(H, length_bound=L))
+            assert (forbidden.contains_cycle(G, L) is not None) == want
+            if L == 4:
+                assert (forbidden.contains_kst(G, 2, 2) is not None) == want
+        codegree = max((len(list(nx.common_neighbors(H, u, v)))
+                        for u, v in itertools.combinations(range(G.n), 2)), default=0)
+        assert (forbidden.contains_kst(G, 2, 3) is not None) == (codegree >= 3)
+
+
+def test_free_hosts_decided_without_neighbour_lists():
+    # the kernel alone proves these splits free: the ordered search, and
+    # with it the neighbour tuples, never runs
+    G = constructions.partition_wenger(2, 5)[0]
+    assert forbidden.contains_cycle(G, 6) is None
+    assert "csr" in G.__dict__ and "sadj" not in G.__dict__
+    G = constructions.partition_norm_quotient(9, 2, 1, 4, 2, seed=7)[0]
+    assert forbidden.contains_kst(G, 2, 2) is None
+    assert "csr" in G.__dict__ and "sadj" not in G.__dict__
+
+
+@pytest.mark.parametrize("L", [4, 5])
+def test_short_cycles_never_build_the_adjacency_matrix(L):
+    # the oracle's tiny hosts ask for C_3..C_5 tens of thousands of times
+    G = constructions.partition_wenger(2, 5)[0]
+    assert forbidden.contains_cycle(G, L) is None
+    assert "csr" not in G.__dict__ and "colouring" not in G.__dict__
 
 
 def test_girth():
