@@ -194,11 +194,11 @@ def _walk_counts_reach(G: LabeledHypergraph, k: int, threshold: int):
     """
     A = G.csr
     deg = np.diff(A.indptr)
-    D = sparse.diags(deg, format="csr", dtype=np.int64)
     for lo in range(0, G.n, _ROWS):
-        rows = np.arange(lo, min(lo + _ROWS, G.n))
-        older = A[rows]
-        walks = older @ A - D[rows]
+        older = A[lo:lo + _ROWS]
+        rows = np.arange(lo, lo + older.shape[0])
+        D = sparse.csr_matrix((deg[rows], rows, np.arange(len(rows) + 1)), shape=older.shape)
+        walks = older @ A - D
         for j in range(2, k + 1):
             if j > 2:
                 scaled = sparse.csr_matrix(
