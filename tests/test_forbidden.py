@@ -361,14 +361,12 @@ def test_walk_counts_reach_matches_enumerated_walks(monkeypatch, rows):
     assert answers == {None, 2, 3, 4}
 
 
-def bfs_distance(adj, u, v, limit):
-    # distance from u to v if at most `limit`, else None
-    seen, frontier = {u}, [u]
-    for d in range(1, limit + 1):
-        frontier = [y for x in frontier for y in adj[x] if y not in seen and not seen.add(y)]
-        if v in seen:
-            return d
-    return None
+def within(adj, u, v, limit):
+    # whether v is at most `limit` edges from u
+    reach = {u}
+    for _ in range(limit):
+        reach |= {y for x in reach for y in adj[x]}
+    return v in reach
 
 
 def random_bipartite(rng, girth=None):
@@ -381,7 +379,7 @@ def random_bipartite(rng, girth=None):
     edges = []
     for _ in range(rng.randrange(nx + ny, 3 * (nx + ny))):
         u, v = rng.choice(X), rng.choice(Y)
-        if v in adj[u] or (girth and bfs_distance(adj, u, v, girth - 2) is not None):
+        if v in adj[u] or (girth and within(adj, u, v, girth - 2)):
             continue
         adj[u].add(v)
         adj[v].add(u)
