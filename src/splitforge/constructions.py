@@ -184,6 +184,10 @@ def _patch_graph_free(n_patch: int, patch_edges, cand, t: int, count: int) -> bo
     hi = max(cand)
     n = max(n_patch, hi + 1)
     tiny = LabeledHypergraph(2, [str(i) for i in range(n)], list(patch_edges) + [cand])
+    if t == 2:
+        # the codegree scan alone: on patch graphs this small it is
+        # cheaper than building the adjacency matrix for the walk counts
+        return forbidden._codegree_scan(tiny.sadj, count) is None
     return forbidden.contains_kst(tiny, t, count) is None
 
 

@@ -39,9 +39,11 @@ _BERGE_RE = re.compile(r"^bergeC_(\d+)$")
 _EXPLICIT_MAX_VERTICES = 10
 
 # rows of counts the theta 4-path filter and the walk-count kernel hold at
-# once; every entry counts walks of some length j <= max(4, k) in the
-# host, so it is at most D**j for maximum degree D, far below 2**63 for
-# the lengths asked here, and the int64 arithmetic is exact
+# once; every entry counts walks, so the int64 arithmetic is exact while
+# the counts stay small: the theta filter's are at most D**3 for maximum
+# degree D, and the kernel stops one step past the first block whose
+# off-diagonal counts reach its threshold, so every entry it forms is at
+# most about D * D * threshold, whatever the walk length asked for
 _ROWS = 256
 
 
@@ -357,24 +359,20 @@ def contains_cycle(G: LabeledHypergraph, length: int):
     vertex list is the cycle in traversal order, oriented so that its
     second entry is smaller than its last.
 
-    An even length 2k >= 6 on a bipartite host is first decided by the
-    non-backtracking walk counts A_j of `_walk_counts_reach`. If every
-    off-diagonal entry of A_j is at most 1 for 2 <= j < k, the host has
-    no even cycle shorter than 2k (the girth gate), so every
-    non-backtracking k-walk is a path, and the host contains C_{2k} iff
-    some off-diagonal entry of A_k is at least 2. When the gate passes
-    and no such entry exists, None is returned at once. On a hit, a
-    failed gate, a non-bipartite host or any other length, the ordered
-    search runs and gives the witness; lengths up to 5 and odd lengths
-    never touch `G.csr`.
+    An even length 2k >= 6 is first put to the non-backtracking walk
+    counts of `_walk_counts_reach`: a C_{2k} joins each pair of its
+    opposite vertices by two paths of k edges, so it puts a count of at
+    least 2 off the diagonal of A_k, and when no count up to A_k
+    reaches 2 the host is free and None is returned at once. Otherwise
+    the ordered search decides and gives the witness; lengths up to 5
+    and odd lengths never touch `G.csr`.
     """
     _require_graph(G)
     if length < 3:
         raise ValueError(f"cycle length must be >= 3, got {length}")
     if length > G.n:
         return None
-    if (length % 2 == 0 and length >= 6 and G.colouring is not None
-            and _walk_counts_reach(G, length // 2, 2) is None):
+    if length % 2 == 0 and length >= 6 and _walk_counts_reach(G, length // 2, 2) is None:
         return None
     for cyc in _cycles(G.sadj, length):
         return _finish_cycle(G, "C_{%d}" % length, cyc)

@@ -399,39 +399,31 @@ def kernel_hosts():
 
 
 def test_walk_kernel_verdicts_match_ordered_search():
-    # hits included: where the girth gate passes, the kernel's C_6 and C_8
-    # verdicts equal the ordered search's, and the gate fails exactly on
-    # bipartite hosts with a shorter even cycle; K_{2,2} and K_{2,3} come
-    # from the codegrees on every host
+    # the kernel's "absent" is sound on every host, bipartite or not:
+    # wherever it answers None the ordered search finds nothing, and
+    # contains_cycle returns the ordered search's first cycle; hits come
+    # with and without a cycle of the length asked for (shorter even
+    # cycles, odd cycles), and K_{2,2}/K_{2,3} hits are exact
     seen = set()
     for G in kernel_hosts():
         for L in (6, 8):
-            k = L // 2
             ordered = next(forbidden._cycles(G.sadj, L), None)
             got = forbidden.contains_cycle(G, L)
             if ordered is None:
                 assert got is None
             else:
                 assert got == forbidden._finish_cycle(G, "C_{%d}" % L, ordered)
-            if G.colouring is None:
-                seen.add((L, "odd"))
-                continue
-            gate = forbidden._walk_counts_reach(G, k - 1, 2) is None
-            shorter = any(next(forbidden._cycles(G.sadj, 2 * j), None) is not None
-                          for j in range(2, k))
-            assert gate == (not shorter)
-            if gate:
-                hit = forbidden._walk_counts_reach(G, k, 2) is not None
-                assert hit == (ordered is not None)
-                seen.add((L, hit))
-            else:
-                seen.add((L, "gate"))
+            hit = forbidden._walk_counts_reach(G, L // 2, 2) is not None
+            assert hit or ordered is None
+            seen.add((L, hit, ordered is not None, G.colouring is not None))
         for t in (2, 3):
             hit = forbidden._walk_counts_reach(G, 2, t) is not None
             assert hit == (forbidden._codegree_scan(G.sadj, t) is not None)
             seen.add((t, hit))
-    assert seen == {(L, v) for L in (6, 8) for v in (True, False, "gate", "odd")} | {
-        (t, v) for t in (2, 3) for v in (True, False)}
+    assert seen >= {(L, hit, found, True) for L in (6, 8)
+                    for hit, found in ((False, False), (True, False), (True, True))}
+    assert {(L, True, False, False) for L in (6, 8)} | {(6, False, False, False)} <= seen
+    assert seen >= {(t, v) for t in (2, 3) for v in (True, False)}
 
 
 def test_walk_kernel_hosts_agree_with_networkx():
@@ -459,6 +451,9 @@ def test_free_hosts_decided_without_neighbour_lists():
     G = constructions.partition_norm_quotient(9, 2, 1, 4, 2, seed=7)[0]
     assert forbidden.contains_kst(G, 2, 2) is None
     assert "csr" in G.__dict__ and "sadj" not in G.__dict__
+    G = cycle_graph(9)  # not bipartite
+    assert forbidden.contains_cycle(G, 6) is None
+    assert "sadj" not in G.__dict__
 
 
 @pytest.mark.parametrize("L", [4, 5])
