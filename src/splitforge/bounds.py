@@ -20,6 +20,8 @@ from typing import Dict, Tuple
 
 from .gf import is_prime
 
+_MAX_E_DENOMINATOR = 1000  # exact ceiling checks raise to e's denominator
+
 __all__ = [
     "TuranEnvelope",
     "AdmissiblePair",
@@ -49,8 +51,9 @@ class TuranEnvelope:
     C : rational
         Leading constant, must be positive.  Stored exactly as a Fraction.
     e : rational
-        Exponent with ``1 < e <= m``.  Float inputs are converted exactly,
-        so pass Fractions for values like 5/3 that floats cannot represent.
+        Exponent with ``1 < e <= m`` and a reduced denominator of at most
+        1000.  Float inputs are converted exactly, so pass Fractions or
+        strings for values like 5/3 or 1.1 that floats cannot represent.
     m : int
         Uniformity of the hypergraphs the ceiling applies to.
     """
@@ -68,6 +71,8 @@ class TuranEnvelope:
             raise ValueError(f"leading constant C must be positive, got {self.C}")
         if not (1 < self.e <= self.m):
             raise ValueError(f"exponent e must lie in (1, m] = (1, {self.m}], got {self.e}")
+        if self.e.denominator > _MAX_E_DENOMINATOR:
+            raise ValueError(f"exponent e = {self.e} has a denominator above {_MAX_E_DENOMINATOR}")
 
 
 def _ceiling_holds(required: Fraction, env: TuranEnvelope, n_vertices: int) -> bool:

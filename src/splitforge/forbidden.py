@@ -12,9 +12,9 @@ exists, the first witness in the documented search order is returned as
 
 with vertices given as integer indices into the host graph. Witnesses
 are re-checked edge by edge against the host before being returned;
-`None` means the pattern is absent, never "gave up". Exact int64 counts
-on the adjacency matrix may prove a pattern absent first; they never
-pick a witness.
+`None` means the pattern is absent, never "gave up". Exact int64 walk
+counts on the adjacency matrix may prove a pattern absent or skip pairs
+that cannot hold it; they never pick a witness.
 """
 
 from __future__ import annotations
@@ -38,12 +38,12 @@ _BERGE_RE = re.compile(r"^bergeC_(\d+)$")
 
 _EXPLICIT_MAX_VERTICES = 10
 
-# rows of counts the theta 4-path filter and the walk-count kernel hold at
-# once; every entry counts walks, so the int64 arithmetic is exact while
-# the counts stay small: the theta filter's are at most D**3 for maximum
-# degree D, and the kernel stops one step past the first block whose
-# off-diagonal counts reach its threshold, so every entry it forms is at
-# most about D * D * threshold, whatever the walk length asked for
+# rows of walk counts `_walk_blocks` holds at once; every entry counts
+# walks, so the int64 arithmetic is exact while the counts stay small:
+# the theta filter's sums are at most D**4 for maximum degree D and it
+# runs only when that is below 2**63, and `_walk_counts_reach` stops one step
+# past the first block whose off-diagonal counts reach its threshold, so
+# every entry it forms is at most about D * D * threshold
 _ROWS = 256
 
 
@@ -183,19 +183,22 @@ def _paths_by_end(sadj, root: int, length: int, floor: int) -> dict:
     return buckets
 
 
-def _walk_counts_reach(G: LabeledHypergraph, k: int, threshold: int):
-    """Least j in 2..k at which an off-diagonal non-backtracking walk
-    count A_j[u, w], u != w, reaches `threshold`; None if none does.
+def _walk_blocks(G: LabeledHypergraph, k: int):
+    """Yield (j, row_of, walks) for j = 2..k in each block of `_ROWS`
+    rows: `walks` holds those rows of the non-backtracking walk counts
+    A_j in int64 CSR and `row_of` the host row of each of its entries.
 
     The counts follow A_1 = A, A_2 = A^2 - D and
     A_j = A_{j-1} A - A_{j-2} (D - I), with A = `G.csr` and D its degree
-    matrix; the last term scales columns, so no n x n product is formed.
-    They are built in int64 for `_ROWS` rows at a time, j ascending
-    within a block, and the search stops in the first block where some
-    entry reaches the threshold, returning that j.
+    matrix, the last as one product of the block pair [A_{j-1} A_{j-2}]
+    with the stacked [A; I - D], so no n x n product is formed.
+    Blocks go in ascending row order and j ascends within a block; a
+    block's A_j is formed only when the consumer asks for it.
     """
     A = G.csr
     deg = np.diff(A.indptr)
+    if k > 2:
+        step = sparse.vstack([A, sparse.diags(1 - deg, dtype=np.int64)], format="csr")
     for lo in range(0, G.n, _ROWS):
         older = A[lo:lo + _ROWS]
         rows = np.arange(lo, lo + older.shape[0])
@@ -203,15 +206,17 @@ def _walk_counts_reach(G: LabeledHypergraph, k: int, threshold: int):
         walks = older @ A - D
         for j in range(2, k + 1):
             if j > 2:
-                scaled = sparse.csr_matrix(
-                    (older.data * (deg[older.indices] - 1), older.indices, older.indptr),
-                    shape=older.shape,
-                )
-                older, walks = walks, walks @ A - scaled
-            row_of = np.repeat(rows, np.diff(walks.indptr))
-            if np.any((walks.data >= threshold) & (walks.indices != row_of)):
-                return j
-    return None
+                older, walks = walks, sparse.hstack([walks, older], format="csr") @ step
+            yield j, np.repeat(rows, np.diff(walks.indptr)), walks
+
+
+def _walk_counts_reach(G: LabeledHypergraph, k: int, threshold: int):
+    """Least j in 2..k at which an off-diagonal non-backtracking walk
+    count A_j[u, w], u != w, reaches `threshold`; None if none does.
+    The blocks of `_walk_blocks` go in order, so the search stops in the
+    first block where some entry reaches the threshold."""
+    return next((j for j, row_of, walks in _walk_blocks(G, k)
+                 if np.any((walks.data >= threshold) & (walks.indices != row_of))), None)
 
 
 def _pack_disjoint(paths, K: int):
@@ -430,15 +435,16 @@ def contains_theta(G: LabeledHypergraph, K: int, length: int):
     `length` edges between two common endpoints.
 
     K = 2 delegates to `contains_cycle` (the pattern is a 2*length
-    cycle). For length 4 on a bipartite host, candidate endpoint pairs
-    on each side are prefiltered by the exact 4-path count
-
-        paths4 = C@C - (deg_u + deg_v) * C - M diag(deg - 2) M^T,  C = M M^T,
-
-    computed in int64 one block of rows at a time (entries are at most
-    D**3 for maximum degree D); only pairs with at least K paths are
-    handed to the path enumerator and an exact disjoint-packing search.
-    All other hosts enumerate paths root by root.
+    cycle). Otherwise pairs u < v go in row-major order, with one
+    `_paths_by_end` search per root u, and the first pair whose u-v
+    paths hold K with disjoint interiors gives the witness. For
+    length <= 4 only pairs with A_length[u, v] >= K in the walk counts
+    of `_walk_blocks` are tried: every path is a non-backtracking walk
+    (the counts are exact for length <= 3, and for length 4 on
+    bipartite hosts), so the filter never changes the witness. Every
+    sum it forms, partial sums included, is at most D**4 in absolute
+    value for maximum degree D; when D**4 >= 2**63, or for length >= 5,
+    every root is searched (`_theta_generic`).
     """
     _require_graph(G)
     if K < 2 or length < 2:
@@ -451,32 +457,19 @@ def contains_theta(G: LabeledHypergraph, K: int, length: int):
         return {"pattern": pat, "vertices": w["vertices"], "edges": w["edges"]}
     if not G.edge_set:
         return None
-    if length == 4 and G.colouring is not None:
-        return _theta4_bipartite(G, K, pat)
-    return _theta_generic(G, K, length, pat)
-
-
-def _theta4_bipartite(G, K, pat):
-    color = np.asarray(G.colouring)
-    X, Y = np.flatnonzero(color == 0), np.flatnonzero(color == 1)
-    for side, other in ((X, Y), (Y, X)):
-        Ms = G.csr[side][:, other]
-        deg = np.asarray(Ms.sum(axis=1)).ravel()
-        C = (Ms @ Ms.T).tocsr()
-        degO = np.asarray(Ms.sum(axis=0)).ravel()
-        corr = (Ms @ sparse.diags(degO - 2, dtype=np.int64) @ Ms.T).tocsr()
-        for lo in range(0, len(side), _ROWS):
-            blk = slice(lo, lo + _ROWS)
-            Cb = C[blk]
-            W = (Cb @ C).toarray()
-            W -= (deg[blk, None] + deg[None, :]) * Cb.toarray()
-            W -= corr[blk].toarray()
-            # pairs i < j with at least K 4-paths, in row-major order
-            for i, j in np.argwhere(np.triu(W >= K, k=lo + 1)):
-                u, v = int(side[lo + i]), int(side[j])
-                chosen = _pack_disjoint(_paths_by_end(G.sadj, u, 4, -1).get(v, []), K)
-                if chosen is not None:
-                    return _theta_witness(G, pat, u, v, chosen)
+    if length > 4 or int(np.diff(G.csr.indptr).max()) ** 4 >= 2 ** 63:
+        return _theta_generic(G, K, length, pat)
+    root = None
+    for j, row_of, walks in _walk_blocks(G, length):
+        if j < length:
+            continue
+        keep = (walks.data >= K) & (walks.indices > row_of)
+        for u, v in sorted(zip(row_of[keep].tolist(), walks.indices[keep].tolist())):
+            if u != root:
+                root, buckets = u, _paths_by_end(G.sadj, u, length, -1)
+            chosen = _pack_disjoint(buckets.get(v, []), K)
+            if chosen is not None:
+                return _theta_witness(G, pat, u, v, chosen)
     return None
 
 

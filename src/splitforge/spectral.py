@@ -224,9 +224,9 @@ def greedy_split(G: LabeledHypergraph, m: int, H, sizes=None, seed=None):
     H has no degree-one vertex).  On bipartite input, seeds come from
     the side of vertex 0 and growth vertices from the other side.
 
-    ``sizes`` may override {"seed_size", "target_s", "max_iters"};
-    defaults are seed_size = ceil(sqrt(n/m)), target_s = seed_size,
-    max_iters = 4*seed_size.  ``seed`` randomizes tie-breaking only.
+    ``sizes`` may override {"seed_size", "target_s", "max_iters"}; keys
+    absent or None default to seed_size = ceil(sqrt(n/m)), target_s =
+    seed_size, max_iters = 4*seed_size.  ``seed`` randomizes ties only.
 
     Returns (augmented graph, partition, GreedySplitTrace).  Raises
     RuntimeError with diagnostics when seeding is infeasible, and
@@ -242,8 +242,8 @@ def greedy_split(G: LabeledHypergraph, m: int, H, sizes=None, seed=None):
     unknown = set(sizes) - {"seed_size", "target_s", "max_iters"}
     if unknown:
         raise ValueError(f"unknown sizes keys {sorted(unknown)}")
-    seed_size = sizes.get("seed_size")
-    seed_size = math.ceil(math.sqrt(n / m)) if seed_size is None else int(seed_size)
+    sizes = {key: v for key, v in sizes.items() if v is not None}
+    seed_size = int(sizes.get("seed_size", math.ceil(math.sqrt(n / m))))
     if seed_size < 1:
         raise ValueError("seed_size must be positive")
     target_s = sizes.get("target_s", seed_size)

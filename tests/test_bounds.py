@@ -70,6 +70,16 @@ def test_envelope_zero_denominator_names_the_field():
         TuranEnvelope(C=1, e="1/0", m=2)
 
 
+def test_envelope_rejects_exponents_with_huge_denominators():
+    # the exact ceiling check raises to e's denominator: 10**10 for the
+    # first, 2**51 for the float 1.1
+    for e in ("1.0000000001", 1.1, Fraction(1501, 1001)):
+        with pytest.raises(ValueError, match="exponent e = .* denominator above 1000"):
+            envelope(1, e)
+    for e in (Fraction(3, 2), Fraction(4, 3), Fraction(5, 3), Fraction(7, 4), "1.1"):
+        assert envelope(1, e).e == Fraction(e)
+
+
 # ---------------------------------------------------------------------------
 # min_k_lower
 

@@ -230,6 +230,12 @@ def test_bound_lower(tmp_path):
     assert doc["relaxed"]["formula_ref"] == "lb.relaxed-power"
 
 
+def test_bound_lower_rejects_a_huge_exponent_denominator(capsys):
+    code = cli.main(["bound", "--lower", "--r", "100", "--m", "2", "--e", "1.0000000001"])
+    assert code == 2
+    assert "exponent e = 10000000001/10000000000" in capsys.readouterr().err
+
+
 def test_bound_berge_path_and_tree(capsys):
     assert cli.main(["bound", "--berge-path", "--r", "7", "--m", "2", "--t", "3"]) == 0
     doc = json.loads(capsys.readouterr().out)

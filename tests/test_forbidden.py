@@ -542,10 +542,61 @@ def test_theta_bipartite_fast_path_matches_naive():
     assert hits >= 10 and misses >= 10
 
 
+def path_counts(G, length):
+    # (u, v) with u < v -> number of simple u-v paths of `length` edges
+    counts = {}
+    for u in range(G.n):
+        stack = [(u,)]
+        while stack:
+            path = stack.pop()
+            if len(path) <= length:
+                stack.extend(path + (y,) for y in G.adj[path[-1]] if y not in path)
+            elif path[-1] > u:
+                counts[u, path[-1]] = counts.get((u, path[-1]), 0) + 1
+    return counts
+
+
+def test_theta_filter_keeps_the_generic_witness(monkeypatch):
+    # random graphs and bipartite hosts of 6 to 22 vertices, the sides
+    # interleaved in index order; the walk-count filter skips only pairs
+    # with fewer than K paths, so contains_theta returns _theta_generic's
+    # witness, and its counts equal the path counts for length <= 3 and
+    # for length 4 on bipartite hosts
+    rng = random.Random(7)
+    seen = set()
+    for i in range(60):
+        if i % 2:
+            G = random_graph(rng, rng.randrange(6, 23), rng.choice((0.15, 0.25, 0.35)))
+        else:
+            nx, ny = rng.randrange(3, 12), rng.randrange(3, 12)
+            perm = rng.sample(range(nx + ny), nx + ny)
+            density = rng.choice((0.3, 0.45, 0.6))
+            G = graph(nx + ny, [(perm[u], perm[nx + v]) for u in range(nx)
+                                for v in range(ny) if rng.random() < density])
+        monkeypatch.setattr(forbidden, "_ROWS", rng.choice((4, 256)))
+        for ell in (2, 3, 4):
+            paths = path_counts(G, ell)
+            walks = {}
+            for j, row_of, block in forbidden._walk_blocks(G, ell):
+                if j == ell:
+                    walks.update(((int(u), int(v)), int(c)) for u, v, c in
+                                 zip(row_of, block.indices, block.data) if v > u and c)
+            if ell <= 3 or G.colouring is not None:
+                assert walks == paths
+            for K in (3, 4):
+                assert {p for p, c in paths.items() if c >= K} <= \
+                    {p for p, c in walks.items() if c >= K}
+                w = forbidden.contains_theta(G, K, ell)
+                assert w == forbidden._theta_generic(G, K, ell, "theta_{%d,%d}" % (K, ell))
+                seen.add((K, ell, w is None))
+    assert seen == {(K, ell, absent) for K in (3, 4) for ell in (2, 3, 4)
+                    for absent in (True, False)}
+
+
 def test_theta4_high_degree_host_takes_exact_filter(monkeypatch):
-    # a star K_{1,300} has maximum degree 300, so its 4-path counts reach
-    # past float32's exact integers; the bipartite host must still be
-    # decided by the exact filter, never by the generic search
+    # a star K_{1,300} has maximum degree 300, so its 4-walk counts are
+    # far from int64's limit (D**4 < 2**63); the bipartite host must
+    # still be decided by the exact filter, never by the generic search
     reference = forbidden._theta_generic
 
     def no_generic(*args):
@@ -564,11 +615,12 @@ def test_theta4_high_degree_host_takes_exact_filter(monkeypatch):
 
 
 def test_theta4_without_candidates_builds_no_neighbour_lists():
-    # every same-side pair of C_10 has at most two 4-paths, so the exact
-    # filter hands no pair on and the path search never runs
-    G = cycle_graph(10)
-    assert forbidden.contains_theta(G, 3, 4) is None
-    assert "csr" in G.__dict__ and "sadj" not in G.__dict__
+    # every pair of C_10, and of the odd cycle C_9, has at most two
+    # non-backtracking 4-walks, so the exact filter hands no pair on and
+    # the path search never runs
+    for G in (cycle_graph(10), cycle_graph(9)):
+        assert forbidden.contains_theta(G, 3, 4) is None
+        assert "csr" in G.__dict__ and "sadj" not in G.__dict__
 
 
 def test_theta_validation():

@@ -326,6 +326,19 @@ def test_greedy_split_seed_size_zero_is_rejected():
         spectral.greedy_split(build_wenger(1, 5), 3, "K_{2,2}", sizes={"seed_size": 0})
 
 
+def test_greedy_split_none_sizes_take_the_defaults():
+    G = build_wenger(1, 7)
+
+    def run(sizes):
+        G2, P, trace = spectral.greedy_split(G, 3, "K_{2,2}", sizes=sizes, seed=1)
+        return G2.edges, P.parts, trace.to_json_dict()
+
+    want = run(None)
+    keys = ("seed_size", "target_s", "max_iters")
+    for sizes in [{k: None} for k in keys] + [dict.fromkeys(keys)]:
+        assert run(sizes) == want
+
+
 def test_greedy_split_h_freeness_invariant():
     G = build_wenger(1, 3)
     G2, P, trace = spectral.greedy_split(G, 3, "K_{2,2}", sizes={"seed_size": 2})
