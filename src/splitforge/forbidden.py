@@ -13,8 +13,8 @@ exists, the first witness in the documented search order is returned as
 with vertices given as integer indices into the host graph. Witnesses
 are re-checked edge by edge against the host before being returned;
 `None` means the pattern is absent, never "gave up". Exact int64 walk
-counts on the adjacency matrix may prove a pattern absent or skip pairs
-that cannot hold it; they never pick a witness.
+counts on the adjacency or incidence matrix may prove a pattern absent
+or skip pairs that cannot hold it; they never pick a witness.
 """
 
 from __future__ import annotations
@@ -43,8 +43,19 @@ _EXPLICIT_MAX_VERTICES = 10
 # the theta filter's sums are at most D**4 for maximum degree D and it
 # runs only when that is below 2**63, and `_walk_counts_reach` stops one step
 # past the first block whose off-diagonal counts reach its threshold, so
-# every entry it forms is at most about D * D * threshold
+# every entry it forms is at most about D * D * threshold; on the
+# incidence matrix of an m-uniform host D is max(vertex degree, m)
 _ROWS = 256
+
+# hyperedges from which `contains_berge_cycle` runs the walk counts before
+# its ordered search.  On berge3(q), which holds no Berge 2-, 3- or
+# 4-cycle, the kernel (incidence matrix built per call) first beat the
+# ordered search (neighbour tuples built per call) for lengths 3 and 4 at
+# q = 11 (165 edges) and for length 2 between q = 13 and 17 (286 and 680
+# edges); with the three lengths sharing one host's layouts, as `verify`
+# runs them, the crossover on free sub-hosts of berge3(19) lay between
+# 256 and 300 edges.  The oracle's hosts have at most 20 edges.
+_BERGE_KERNEL_EDGES = 256
 
 
 @dataclass(frozen=True)
@@ -183,39 +194,42 @@ def _paths_by_end(sadj, root: int, length: int, floor: int) -> dict:
     return buckets
 
 
-def _walk_blocks(G: LabeledHypergraph, k: int):
+def _walk_blocks(A, rows: int, k: int):
     """Yield (j, row_of, walks) for j = 2..k in each block of `_ROWS`
-    rows: `walks` holds those rows of the non-backtracking walk counts
-    A_j in int64 CSR and `row_of` the host row of each of its entries.
+    of the first `rows` rows of the symmetric 0/1 int64 CSR matrix A:
+    `walks` holds those rows of the non-backtracking walk counts A_j in
+    int64 CSR and `row_of` the host row of each of its entries.
 
     The counts follow A_1 = A, A_2 = A^2 - D and
-    A_j = A_{j-1} A - A_{j-2} (D - I), with A = `G.csr` and D its degree
-    matrix, the last as one product of the block pair [A_{j-1} A_{j-2}]
-    with the stacked [A; I - D], so no n x n product is formed.
-    Blocks go in ascending row order and j ascends within a block; a
-    block's A_j is formed only when the consumer asks for it.
+    A_j = A_{j-1} A - A_{j-2} (D - I), with D the degree matrix of A,
+    the last as one product of the block pair [A_{j-1} A_{j-2}] with
+    the stacked [A; I - D], so no full product is formed.  A block's
+    rows of A_j need only the same rows of A_{j-1} and A_{j-2}, so any
+    leading rows can be scanned alone.  Blocks go in ascending row
+    order and j ascends within a block; a block's A_j is formed only
+    when the consumer asks for it.
     """
-    A = G.csr
     deg = np.diff(A.indptr)
     if k > 2:
         step = sparse.vstack([A, sparse.diags(1 - deg, dtype=np.int64)], format="csr")
-    for lo in range(0, G.n, _ROWS):
-        older = A[lo:lo + _ROWS]
-        rows = np.arange(lo, lo + older.shape[0])
-        D = sparse.csr_matrix((deg[rows], rows, np.arange(len(rows) + 1)), shape=older.shape)
+    for lo in range(0, rows, _ROWS):
+        older = A[lo:min(lo + _ROWS, rows)]
+        block = np.arange(lo, lo + older.shape[0])
+        D = sparse.csr_matrix((deg[block], block, np.arange(len(block) + 1)), shape=older.shape)
         walks = older @ A - D
         for j in range(2, k + 1):
             if j > 2:
                 older, walks = walks, sparse.hstack([walks, older], format="csr") @ step
-            yield j, np.repeat(rows, np.diff(walks.indptr)), walks
+            yield j, np.repeat(block, np.diff(walks.indptr)), walks
 
 
-def _walk_counts_reach(G: LabeledHypergraph, k: int, threshold: int):
+def _walk_counts_reach(A, rows: int, k: int, threshold: int):
     """Least j in 2..k at which an off-diagonal non-backtracking walk
-    count A_j[u, w], u != w, reaches `threshold`; None if none does.
-    The blocks of `_walk_blocks` go in order, so the search stops in the
-    first block where some entry reaches the threshold."""
-    return next((j for j, row_of, walks in _walk_blocks(G, k)
+    count A_j[u, w], u != w, u among the first `rows` rows of A, reaches
+    `threshold`; None if none does.  The blocks of `_walk_blocks` go in
+    order, so the search stops in the first block where some entry
+    reaches the threshold."""
+    return next((j for j, row_of, walks in _walk_blocks(A, rows, k)
                  if np.any((walks.data >= threshold) & (walks.indices != row_of))), None)
 
 
@@ -275,7 +289,7 @@ def contains_kst(G: LabeledHypergraph, s: int, t: int):
     pat = "K_{%d,%d}" % (s, t)
 
     if s == 2:
-        found = None if _walk_counts_reach(G, 2, t) is None else _codegree_scan(G.sadj, t)
+        found = None if _walk_counts_reach(G.csr, G.n, 2, t) is None else _codegree_scan(G.sadj, t)
     else:
         adj = G.adj
         cand = [v for v in range(G.n) if len(adj[v]) >= t]
@@ -377,7 +391,7 @@ def contains_cycle(G: LabeledHypergraph, length: int):
         raise ValueError(f"cycle length must be >= 3, got {length}")
     if length > G.n:
         return None
-    if length % 2 == 0 and length >= 6 and _walk_counts_reach(G, length // 2, 2) is None:
+    if length % 2 == 0 and length >= 6 and _walk_counts_reach(G.csr, G.n, length // 2, 2) is None:
         return None
     for cyc in _cycles(G.sadj, length):
         return _finish_cycle(G, "C_{%d}" % length, cyc)
@@ -460,7 +474,7 @@ def contains_theta(G: LabeledHypergraph, K: int, length: int):
     if length > 4 or int(np.diff(G.csr.indptr).max()) ** 4 >= 2 ** 63:
         return _theta_generic(G, K, length, pat)
     root = None
-    for j, row_of, walks in _walk_blocks(G, length):
+    for j, row_of, walks in _walk_blocks(G.csr, G.n, length):
         if j < length:
             continue
         keep = (walks.data >= K) & (walks.indices > row_of)
@@ -502,15 +516,33 @@ def contains_berge_cycle(Hy: LabeledHypergraph, length: int):
     v_1 .. v_l together with l distinct hyperedges e_i covering the
     consecutive pairs {v_i, v_{i+1}}.
 
-    Length 2 scans vertex pairs for two covering hyperedges. Lengths 3
-    and 4 take the core cycles of the shadow graph (pairs covered by
-    some hyperedge) in the order `_cycles` yields them and decide the
-    edge assignment by a system-of-distinct-representatives search.
+    A Berge l-cycle is exactly a cycle of 2l nodes in the vertex-edge
+    incidence graph `Hy.incidence`.  Such a cycle passes through a vertex
+    node, and the node opposite it is joined to it by two paths of l
+    edges, so it puts a count of at least 2 into that vertex's row of
+    the non-backtracking walk counts A_l.  On hosts of `_BERGE_KERNEL_EDGES`
+    hyperedges or more, `_walk_counts_reach` first scans only the n
+    vertex rows of the incidence matrix up to A_l; when no count reaches
+    2 the host is free and None is returned at once (for l = 2, A_2 on
+    vertex rows is the pair codegree, so that test is exact).  Smaller
+    hosts, and every hit, go to the ordered search, which alone picks
+    the witness: length 2 scans vertex pairs for two covering
+    hyperedges, and lengths 3 and 4 take the core cycles of the shadow
+    graph (pairs covered by some hyperedge) in the order `_cycles`
+    yields them and decide the edge assignment by a
+    system-of-distinct-representatives search.
     """
     if length not in (2, 3, 4):
         raise ValueError(f"Berge cycle length must be 2, 3 or 4, got {length}")
     if Hy.m < 3:
         raise ValueError("Berge cycle detection expects a hypergraph with m >= 3")
+    if len(Hy.edges) >= _BERGE_KERNEL_EDGES and \
+            _walk_counts_reach(Hy.incidence, Hy.n, length, 2) is None:
+        return None
+    return _berge_search(Hy, length)
+
+
+def _berge_search(Hy, length):
     pat = "bergeC_%d" % length
     pair2edges: dict[tuple[int, int], list[int]] = {}
     for ei, e in enumerate(Hy.edges):

@@ -137,6 +137,20 @@ class LabeledHypergraph:
         return (A + A.T).tocsr()
 
     @cached_property
+    def incidence(self):
+        """Symmetric 0/1 int64 matrix of the vertex-edge incidence graph in
+        canonical CSR format, on n + |E| nodes: vertex v is node v and edge
+        i is node n + i.  Hypergraphs (m >= 3) only; callers must not
+        modify it."""
+        if self.m < 3:
+            raise ValueError(f"an incidence matrix needs m >= 3, got m={self.m}")
+        E = np.array(self.edges, dtype=np.int64).reshape(-1, self.m)
+        N = self.n + len(E)
+        nodes = np.repeat(np.arange(self.n, N), self.m)
+        B = sparse.csr_matrix((np.ones(E.size, dtype=np.int64), (E.ravel(), nodes)), shape=(N, N))
+        return (B + B.T).tocsr()
+
+    @cached_property
     def colouring(self):
         """2-colouring by breadth-first search, starting each component at
         its least vertex with colour 0: a tuple of 0/1 per vertex, or None

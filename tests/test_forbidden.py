@@ -356,7 +356,7 @@ def test_walk_counts_reach_matches_enumerated_walks(monkeypatch, rows):
                     for w, c in walks[u, j].items() if w != u)), None)
                 if want is not None:
                     break
-            assert forbidden._walk_counts_reach(G, k, threshold) == want
+            assert forbidden._walk_counts_reach(G.csr, G.n, k, threshold) == want
             answers.add(want)
     assert answers == {None, 2, 3, 4}
 
@@ -413,11 +413,11 @@ def test_walk_kernel_verdicts_match_ordered_search():
                 assert got is None
             else:
                 assert got == forbidden._finish_cycle(G, "C_{%d}" % L, ordered)
-            hit = forbidden._walk_counts_reach(G, L // 2, 2) is not None
+            hit = forbidden._walk_counts_reach(G.csr, G.n, L // 2, 2) is not None
             assert hit or ordered is None
             seen.add((L, hit, ordered is not None, G.colouring is not None))
         for t in (2, 3):
-            hit = forbidden._walk_counts_reach(G, 2, t) is not None
+            hit = forbidden._walk_counts_reach(G.csr, G.n, 2, t) is not None
             assert hit == (forbidden._codegree_scan(G.sadj, t) is not None)
             seen.add((t, hit))
     assert seen >= {(L, hit, found, True) for L in (6, 8)
@@ -454,6 +454,10 @@ def test_free_hosts_decided_without_neighbour_lists():
     G = cycle_graph(9)  # not bipartite
     assert forbidden.contains_cycle(G, 6) is None
     assert "sadj" not in G.__dict__
+    Hy = constructions.build_berge3(17)[0]  # 680 edges, above the Berge cut
+    for L in (2, 3, 4):
+        assert forbidden.contains_berge_cycle(Hy, L) is None
+    assert "incidence" in Hy.__dict__ and "sadj" not in Hy.__dict__
 
 
 @pytest.mark.parametrize("L", [4, 5])
@@ -577,7 +581,7 @@ def test_theta_filter_keeps_the_generic_witness(monkeypatch):
         for ell in (2, 3, 4):
             paths = path_counts(G, ell)
             walks = {}
-            for j, row_of, block in forbidden._walk_blocks(G, ell):
+            for j, row_of, block in forbidden._walk_blocks(G.csr, G.n, ell):
                 if j == ell:
                     walks.update(((int(u), int(v)), int(c)) for u, v, c in
                                  zip(row_of, block.indices, block.data) if v > u and c)
@@ -667,6 +671,108 @@ def test_berge_matches_naive(ell):
         assert (w is not None) == naive_berge(Hy, ell)
         if w is not None:
             check_berge_witness(Hy, w, ell)
+
+
+def berge_kernel_hosts():
+    # 3- and 4-uniform hosts of up to 30 vertices and 16 edges: dense
+    # ones on few vertices hold Berge cycles of every length, sparse ones
+    # on many vertices often hold none
+    rng = random.Random(2003)
+    hosts = [fano_plane()]
+    for _ in range(60):
+        m = rng.choice((3, 4))
+        n = rng.randrange(m + 2, 31)
+        edges = {tuple(sorted(rng.sample(range(n), m))) for _ in range(rng.randrange(2, 17))}
+        hosts.append(LabeledHypergraph(m, [f"v{i}" for i in range(n)], sorted(edges)))
+    return hosts
+
+
+def incidence_graph(Hy):
+    # vertex v is node v and edge i is node n + i, as in Hy.incidence
+    return graph(Hy.n + len(Hy.edges),
+                 [(v, Hy.n + i) for i, e in enumerate(Hy.edges) for v in e])
+
+
+@pytest.mark.parametrize("rows", [256, 4])
+def test_berge_walk_kernel_verdicts_match_ordered_search(monkeypatch, rows):
+    # called on the incidence matrix directly, so these hosts below the
+    # cut exercise it: the kernel scans the vertex rows only and answers
+    # the first j at which walks enumerated from a vertex node reach 2;
+    # where it answers None neither naive_berge nor the ordered search
+    # finds a Berge cycle of the length asked for; for length 2 it is
+    # exact, and for 3 and 4 its hits come with and without such a cycle
+    monkeypatch.setattr(forbidden, "_ROWS", rows)
+    seen = set()
+    for Hy in berge_kernel_hosts():
+        inc = incidence_graph(Hy)
+        assert (Hy.incidence != inc.csr).nnz == 0
+        walks = {(u, j): naive_nb_walks(inc, u, j) for u in range(Hy.n) for j in (2, 3, 4)}
+        for L in (2, 3, 4):
+            want = None
+            for lo in range(0, Hy.n, rows):
+                block = range(lo, min(lo + rows, Hy.n))
+                want = next((j for j in range(2, L + 1) if any(
+                    c >= 2 for u in block for w, c in walks[u, j].items() if w != u)), None)
+                if want is not None:
+                    break
+            got = forbidden._walk_counts_reach(Hy.incidence, Hy.n, L, 2)
+            assert got == want
+            ordered = forbidden._berge_search(Hy, L)
+            if got is None:
+                assert ordered is None and not naive_berge(Hy, L)
+            if L == 2:
+                assert (got is not None) == (ordered is not None)
+            seen.add((L, got is not None, ordered is not None))
+    assert seen == {(L, hit, found) for L in (2, 3, 4)
+                    for hit, found in ((False, False), (True, False), (True, True))} - {(2, True, False)}
+
+
+def test_berge_walk_kernel_agrees_with_networkx():
+    nx = pytest.importorskip("networkx")
+    for Hy in berge_kernel_hosts():
+        inc = nx.Graph()
+        inc.add_nodes_from(range(Hy.n + len(Hy.edges)))
+        inc.add_edges_from((v, Hy.n + i) for i, e in enumerate(Hy.edges) for v in e)
+        for L in (2, 3, 4):
+            want = any(len(c) == 2 * L for c in nx.simple_cycles(inc, length_bound=2 * L))
+            assert (forbidden._berge_search(Hy, L) is not None) == want
+            assert want <= (forbidden._walk_counts_reach(Hy.incidence, Hy.n, L, 2) is not None)
+
+
+def test_berge_hits_above_the_cut_keep_the_ordered_witness():
+    # berge3(17) holds no Berge cycle of length 2 to 4; five seeded
+    # random triples on its last 30 vertices add every length, the kernel
+    # reports a hit, and the decider returns the ordered search's witness;
+    # its two-cycles lie on those last vertices, so a scan that skips
+    # vertex rows misses them
+    H = constructions.build_berge3(17)[0]
+    rng = random.Random(5)
+    edges = list(H.edges)
+    for _ in range(5):
+        edges.append(tuple(sorted(rng.sample(range(H.n - 30, H.n), 3))))
+    Hy = LabeledHypergraph(3, H.vertices, edges)
+    assert len(Hy.edges) >= forbidden._BERGE_KERNEL_EDGES
+    for L in (2, 3, 4):
+        assert forbidden._walk_counts_reach(Hy.incidence, Hy.n, L, 2) is not None
+        w = forbidden.contains_berge_cycle(Hy, L)
+        assert w is not None and w == forbidden._berge_search(Hy, L)
+        check_berge_witness(Hy, w, L)
+
+
+def test_hosts_below_the_cut_never_build_the_incidence_matrix(monkeypatch):
+    # the oracle asks bergeC_2 and bergeC_3 of hosts with at most 18
+    # vertices tens of thousands of times; they take the ordered search
+    def refuse(self):
+        raise AssertionError("incidence matrix built below the cut")
+
+    monkeypatch.setattr(LabeledHypergraph, "incidence", property(refuse))
+    res = oracle.exact_f(oracle.OracleQuery(
+        4, 3, 2, (parse_pattern("bergeC_2"), parse_pattern("bergeC_3"))))
+    assert res.status == "found"
+    Hy = constructions.build_berge3(9)[0]
+    assert len(Hy.edges) < forbidden._BERGE_KERNEL_EDGES
+    for L in (2, 3, 4):
+        assert forbidden.contains_berge_cycle(Hy, L) is None
 
 
 # -------------------------------------------------------- explicit pattern
