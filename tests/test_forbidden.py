@@ -337,6 +337,20 @@ def naive_nb_walks(G, u, j):
     return counts
 
 
+def first_reach(walks, n, rows, k, threshold):
+    # `_walk_counts_reach` from enumerated walks: the first block of
+    # `rows` of the n rows, then the least j, with an off-diagonal count
+    # reaching the threshold
+    for lo in range(0, n, rows):
+        block = range(lo, min(lo + rows, n))
+        want = next((j for j in range(2, k + 1) if any(
+            c >= threshold for u in block
+            for w, c in walks[u, j].items() if w != u)), None)
+        if want is not None:
+            return want
+    return None
+
+
 @pytest.mark.parametrize("rows", [256, 3])
 def test_walk_counts_reach_matches_enumerated_walks(monkeypatch, rows):
     # the kernel's answer, block by block, from walks enumerated one by
@@ -348,14 +362,7 @@ def test_walk_counts_reach_matches_enumerated_walks(monkeypatch, rows):
         G = random_graph(rng, rng.randrange(2, 13), rng.choice((0.15, 0.3, 0.5)))
         walks = {(u, j): naive_nb_walks(G, u, j) for u in range(G.n) for j in (2, 3, 4)}
         for k, threshold in ((2, 1), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3), (4, 5)):
-            want = None
-            for lo in range(0, G.n, rows):
-                block = range(lo, min(lo + rows, G.n))
-                want = next((j for j in range(2, k + 1) if any(
-                    c >= threshold for u in block
-                    for w, c in walks[u, j].items() if w != u)), None)
-                if want is not None:
-                    break
+            want = first_reach(walks, G.n, rows, k, threshold)
             assert forbidden._walk_counts_reach(G.csr, G.n, k, threshold) == want
             answers.add(want)
     assert answers == {None, 2, 3, 4}
@@ -708,15 +715,8 @@ def test_berge_walk_kernel_verdicts_match_ordered_search(monkeypatch, rows):
         assert (Hy.incidence != inc.csr).nnz == 0
         walks = {(u, j): naive_nb_walks(inc, u, j) for u in range(Hy.n) for j in (2, 3, 4)}
         for L in (2, 3, 4):
-            want = None
-            for lo in range(0, Hy.n, rows):
-                block = range(lo, min(lo + rows, Hy.n))
-                want = next((j for j in range(2, L + 1) if any(
-                    c >= 2 for u in block for w, c in walks[u, j].items() if w != u)), None)
-                if want is not None:
-                    break
             got = forbidden._walk_counts_reach(Hy.incidence, Hy.n, L, 2)
-            assert got == want
+            assert got == first_reach(walks, Hy.n, rows, L, 2)
             ordered = forbidden._berge_search(Hy, L)
             if got is None:
                 assert ordered is None and not naive_berge(Hy, L)
