@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -404,9 +403,8 @@ def _cmd_partition_greedy(args, argv, threads) -> int:
 
 
 def _add_threads(p) -> None:
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads to record; SPLITFORGE_THREADS is the fallback; "
-                        "never affects results")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads to record (default 1); never affects results")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -524,20 +522,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _resolve_threads(flag_value) -> int:
-    if flag_value is None:
-        env = os.environ.get("SPLITFORGE_THREADS")
-        if env is None or env == "":
-            return 1
-        try:
-            flag_value = int(env)
-        except ValueError:
-            raise ValueError(f"SPLITFORGE_THREADS must be an integer, got {env!r}")
-    if flag_value < 1:
-        raise ValueError(f"thread count must be >= 1, got {flag_value}")
-    return flag_value
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = _build_parser()
@@ -546,8 +530,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        threads = _resolve_threads(args.threads)
-        return args.handler(args, argv, threads)
+        if args.threads < 1:
+            raise ValueError(f"thread count must be >= 1, got {args.threads}")
+        return args.handler(args, argv, args.threads)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 5

@@ -177,18 +177,17 @@ def build_norm_quotient(q: int, t: int, d: int = 1) -> LabeledHypergraph:
     return LabeledHypergraph(2, *_norm_quotient(q, t, d))
 
 
-def _patch_graph_free(n_patch: int, patch_edges, cand, t: int, count: int) -> bool:
-    # exact forbidden-structure recheck on the patch subgraph alone; the
-    # patch vertices have no edges into the original graph, so freeness
-    # of the union reduces to freeness of each side
-    hi = max(cand)
-    n = max(n_patch, hi + 1)
-    tiny = LabeledHypergraph(2, [str(i) for i in range(n)], list(patch_edges) + [cand])
-    if t == 2:
-        # the codegree scan alone: on patch graphs this small it is
-        # cheaper than building the adjacency matrix for the walk counts
-        return forbidden._codegree_scan(tiny.sadj, count) is None
-    return forbidden.contains_kst(tiny, t, count) is None
+def _patch_graph_free(adj, u: int, v: int, t: int, count: int) -> bool:
+    # exact K_{t,count} recheck of the patch graph `adj` (neighbour sets)
+    # plus the edge uv; the patch vertices have no edges into the original
+    # graph and the patch graph is free, so a new copy uses uv: its side
+    # holding u lies in N(v) + u and the side holding v in N(u) + v, and
+    # the subgraph on those vertices decides
+    near = sorted(adj[u] | adj[v] | {u, v})
+    index = {x: i for i, x in enumerate(near)}
+    edges = [(index[x], index[y]) for x in near for y in adj[x] if x < y and y in index]
+    local = LabeledHypergraph(2, near, edges + [(index[u], index[v])])
+    return forbidden.contains_kst(local, t, count) is None
 
 
 def partition_norm_quotient(
@@ -310,8 +309,7 @@ def partition_norm_quotient(
 
     def patch_greedy() -> None:
         pool: list = [[] for _ in range(r)]  # patch vertices per part
-        patch_edges_local: list = []  # index pairs local to the patch subgraph
-        local_of: dict = {}  # graph index -> patch-subgraph index
+        adj: dict = {}  # patch vertex -> its patch neighbours
         covered: set = set()
 
         def fresh_vertex(part: int) -> int:
@@ -320,22 +318,19 @@ def partition_norm_quotient(
             part_vertices[part].append(u)
             pool[part].append(u)
             patch_count[part] += 1
-            local_of[u] = len(local_of)
+            adj[u] = set()
             stats.fresh_vertices += 1
             return u
 
         def try_commit(u, v, pa, pb) -> bool:
             # u or v None asks for a fresh vertex on that side
-            nu = len(local_of) if u is None else local_of[u]
-            nv = len(local_of) + (1 if u is None else 0) if v is None else local_of[v]
-            if not _patch_graph_free(
-                len(local_of), patch_edges_local, (nu, nv), t, t_count
-            ):
+            if u is not None and v is not None and not _patch_graph_free(adj, u, v, t, t_count):
                 return False
             gu = fresh_vertex(pa) if u is None else u
             gv = fresh_vertex(pb) if v is None else v
             edges.append((gu, gv))
-            patch_edges_local.append((local_of[gu], local_of[gv]))
+            adj[gu].add(gv)
+            adj[gv].add(gu)
             stats.patched_pairs += 1
             stats.patch_edges += 1
             return True
@@ -346,9 +341,10 @@ def partition_norm_quotient(
                 stats.reused_pairs += 1
                 continue
             # existing patch vertices first, then one fresh end, then a
-            # fresh edge; a fresh-fresh edge is an isolated edge and never
-            # closes a K_{t,t_count} (t >= 2, t_count >= 2: every vertex of
-            # one has degree >= 2), so the last candidate always commits
+            # fresh edge; an edge with a fresh end leaves that end at
+            # degree one and never closes a K_{t,t_count} (t >= 2,
+            # t_count >= 2: every vertex of one has degree >= 2), so it
+            # commits unchecked and the last candidate always commits
             cands = chain(product(pool[pa], pool[pb]), product(pool[pa], [None]),
                           product([None], pool[pb]), [(None, None)])
             if not any(try_commit(u, v, pa, pb) for u, v in cands):

@@ -12,9 +12,10 @@ exists, the first witness in the documented search order is returned as
 
 with vertices given as integer indices into the host graph. Witnesses
 are re-checked edge by edge against the host before being returned;
-`None` means the pattern is absent, never "gave up". Exact int64 walk
-counts on the adjacency or incidence matrix may prove a pattern absent
-or skip pairs that cannot hold it; they never pick a witness.
+`None` means the pattern is absent, never "gave up". On hosts of
+`_KERNEL_EDGES` edges or more, exact int64 walk counts on the adjacency
+or incidence matrix may prove a pattern absent or skip pairs that cannot
+hold it; they never pick a witness.
 """
 
 from __future__ import annotations
@@ -47,15 +48,23 @@ _EXPLICIT_MAX_VERTICES = 10
 # incidence matrix of an m-uniform host D is max(vertex degree, m)
 _ROWS = 256
 
-# hyperedges from which `contains_berge_cycle` runs the walk counts before
-# its ordered search.  On berge3(q), which holds no Berge 2-, 3- or
-# 4-cycle, the kernel (incidence matrix built per call) first beat the
-# ordered search (neighbour tuples built per call) for lengths 3 and 4 at
-# q = 11 (165 edges) and for length 2 between q = 13 and 17 (286 and 680
-# edges); with the three lengths sharing one host's layouts, as `verify`
-# runs them, the crossover on free sub-hosts of berge3(19) lay between
-# 256 and 300 edges.  The oracle's hosts have at most 20 edges.
-_BERGE_KERNEL_EDGES = 256
+# edges (hyperedges for Berge cycles) from which `contains_kst` (s = 2),
+# `contains_cycle` (even lengths >= 6), `contains_theta` (length <= 4)
+# and `contains_berge_cycle` run the walk counts before the ordered
+# search; smaller hosts, the oracle's (at most 20 edges) among them, take
+# the search alone, with the same verdict and witness.  Kernel against
+# search on free hosts, a fresh host per call (2-core VM, best of 7):
+# - berge3(q): lengths 3 and 4 cross at q = 11 (165 edges), length 2
+#   between q = 13 and 17 (286 and 680), all three on one host between
+#   256 and 300 edges (sub-hosts of berge3(19));
+# - K_{2,2}: W_1(5) (125 edges) 0.81 / 0.39 ms, W_2(4) (256) 0.82 / 0.92,
+#   W_1(8) (512) 1.27 / 2.76; on edge samples of W_2(5) up to 320 edges
+#   the search leads;
+# - C_6: W_2(4) 2.27 / 1.71 ms, W_2(5) (625) 3.14 / 6.04;
+# - theta_{3,4}: BFS balls of theta(9) 3.0 / 12.8 ms at 135 edges, its
+#   sparse edge samples 4.1 / 2.2 ms at 600.
+# A host that holds the pattern pays the kernel on top of the search.
+_KERNEL_EDGES = 256
 
 
 @dataclass(frozen=True)
@@ -271,12 +280,13 @@ def _pack_from(items, K, i, acc, used):
 def contains_kst(G: LabeledHypergraph, s: int, t: int):
     """Find a K_{s,t} subgraph (s hub vertices totally joined to t others).
 
-    For s = 2 the codegrees, the off-diagonal entries of A^2, are first
-    computed exactly in int64 row blocks by `_walk_counts_reach`; when
-    all are below t the host is free and None is returned at once.
-    Otherwise the witness comes from the ordered search: a codegree
-    counter scans vertices in ascending order and reports the first hub
-    pair whose common neighbourhood reaches size t. For other s, hub sets
+    For s = 2 on hosts of `_KERNEL_EDGES` edges or more, the codegrees,
+    the off-diagonal entries of A^2, are first computed exactly in int64
+    row blocks by `_walk_counts_reach`; when all are below t the host is
+    free and None is returned at once. Otherwise, and on smaller hosts,
+    the ordered search decides and gives the witness: a codegree counter
+    scans vertices in ascending order and reports the first hub pair
+    whose common neighbourhood reaches size t. For other s, hub sets
     are explored in ascending lexicographic order with intersection
     pruning.
 
@@ -289,7 +299,9 @@ def contains_kst(G: LabeledHypergraph, s: int, t: int):
     pat = "K_{%d,%d}" % (s, t)
 
     if s == 2:
-        found = None if _walk_counts_reach(G.csr, G.n, 2, t) is None else _codegree_scan(G.sadj, t)
+        if len(G.edges) >= _KERNEL_EDGES and _walk_counts_reach(G.csr, G.n, 2, t) is None:
+            return None
+        found = _codegree_scan(G.sadj, t)
     else:
         adj = G.adj
         cand = [v for v in range(G.n) if len(adj[v]) >= t]
@@ -378,12 +390,13 @@ def contains_cycle(G: LabeledHypergraph, length: int):
     vertex list is the cycle in traversal order, oriented so that its
     second entry is smaller than its last.
 
-    An even length 2k >= 6 is first put to the non-backtracking walk
-    counts of `_walk_counts_reach`: a C_{2k} joins each pair of its
-    opposite vertices by two paths of k edges, so it puts a count of at
-    least 2 off the diagonal of A_k, and when no count up to A_k
-    reaches 2 the host is free and None is returned at once. Otherwise
-    the ordered search decides and gives the witness; lengths up to 5
+    On hosts of `_KERNEL_EDGES` edges or more, an even length 2k >= 6 is
+    first put to the non-backtracking walk counts of
+    `_walk_counts_reach`: a C_{2k} joins each pair of its opposite
+    vertices by two paths of k edges, so it puts a count of at least 2
+    off the diagonal of A_k, and when no count up to A_k reaches 2 the
+    host is free and None is returned at once. Otherwise the ordered
+    search decides and gives the witness; smaller hosts, lengths up to 5
     and odd lengths never touch `G.csr`.
     """
     _require_graph(G)
@@ -391,7 +404,8 @@ def contains_cycle(G: LabeledHypergraph, length: int):
         raise ValueError(f"cycle length must be >= 3, got {length}")
     if length > G.n:
         return None
-    if length % 2 == 0 and length >= 6 and _walk_counts_reach(G.csr, G.n, length // 2, 2) is None:
+    if length % 2 == 0 and length >= 6 and len(G.edges) >= _KERNEL_EDGES and \
+            _walk_counts_reach(G.csr, G.n, length // 2, 2) is None:
         return None
     for cyc in _cycles(G.sadj, length):
         return _finish_cycle(G, "C_{%d}" % length, cyc)
@@ -452,13 +466,14 @@ def contains_theta(G: LabeledHypergraph, K: int, length: int):
     cycle). Otherwise pairs u < v go in row-major order, with one
     `_paths_by_end` search per root u, and the first pair whose u-v
     paths hold K with disjoint interiors gives the witness. For
-    length <= 4 only pairs with A_length[u, v] >= K in the walk counts
-    of `_walk_blocks` are tried: every path is a non-backtracking walk
-    (the counts are exact for length <= 3, and for length 4 on
-    bipartite hosts), so the filter never changes the witness. Every
-    sum it forms, partial sums included, is at most D**4 in absolute
-    value for maximum degree D; when D**4 >= 2**63, or for length >= 5,
-    every root is searched (`_theta_generic`).
+    length <= 4 on hosts of `_KERNEL_EDGES` edges or more, only pairs
+    with A_length[u, v] >= K in the walk counts of `_walk_blocks` are
+    tried: every path is a non-backtracking walk (the counts are exact
+    for length <= 3, and for length 4 on bipartite hosts), so the
+    filter never changes the witness. Every sum it forms, partial sums
+    included, is at most D**4 in absolute value for maximum degree D;
+    when D**4 >= 2**63, for length >= 5, or on smaller hosts, every
+    root is searched (`_theta_generic`).
     """
     _require_graph(G)
     if K < 2 or length < 2:
@@ -469,9 +484,8 @@ def contains_theta(G: LabeledHypergraph, K: int, length: int):
         if w is None:
             return None
         return {"pattern": pat, "vertices": w["vertices"], "edges": w["edges"]}
-    if not G.edge_set:
-        return None
-    if length > 4 or int(np.diff(G.csr.indptr).max()) ** 4 >= 2 ** 63:
+    if length > 4 or len(G.edges) < _KERNEL_EDGES or \
+            int(np.diff(G.csr.indptr).max()) ** 4 >= 2 ** 63:
         return _theta_generic(G, K, length, pat)
     root = None
     for j, row_of, walks in _walk_blocks(G.csr, G.n, length):
@@ -520,7 +534,7 @@ def contains_berge_cycle(Hy: LabeledHypergraph, length: int):
     incidence graph `Hy.incidence`.  Such a cycle passes through a vertex
     node, and the node opposite it is joined to it by two paths of l
     edges, so it puts a count of at least 2 into that vertex's row of
-    the non-backtracking walk counts A_l.  On hosts of `_BERGE_KERNEL_EDGES`
+    the non-backtracking walk counts A_l.  On hosts of `_KERNEL_EDGES`
     hyperedges or more, `_walk_counts_reach` first scans only the n
     vertex rows of the incidence matrix up to A_l; when no count reaches
     2 the host is free and None is returned at once (for l = 2, A_2 on
@@ -536,7 +550,7 @@ def contains_berge_cycle(Hy: LabeledHypergraph, length: int):
         raise ValueError(f"Berge cycle length must be 2, 3 or 4, got {length}")
     if Hy.m < 3:
         raise ValueError("Berge cycle detection expects a hypergraph with m >= 3")
-    if len(Hy.edges) >= _BERGE_KERNEL_EDGES and \
+    if len(Hy.edges) >= _KERNEL_EDGES and \
             _walk_counts_reach(Hy.incidence, Hy.n, length, 2) is None:
         return None
     return _berge_search(Hy, length)

@@ -8,6 +8,7 @@ compared edge for edge.
 from __future__ import annotations
 
 import json
+import random
 import re
 from itertools import combinations, product
 from math import comb
@@ -16,7 +17,7 @@ import pytest
 
 from splitforge import constructions as cons
 from splitforge import forbidden
-from splitforge.structures import property_B_check, verify_rk
+from splitforge.structures import LabeledHypergraph, property_B_check, verify_rk
 
 
 def label_map(G):
@@ -114,6 +115,37 @@ def test_partition_norm_quotient_greedy_q9():
     assert stats.patched_pairs + stats.reused_pairs == 34
     assert stats.reused_pairs > 0
     assert stats.fresh_vertices < 68
+
+
+@pytest.mark.parametrize("t, count", [(2, 2), (2, 3), (3, 3)])
+def test_patch_recheck_near_the_new_edge_matches_whole_graph(t, count):
+    # random K_{t,count}-free patch graphs on scattered vertex ids, grown
+    # one edge at a time; for every candidate edge between two of their
+    # vertices the recheck on N(u) + N(v) gives the verdict of
+    # contains_kst on the whole patch graph plus the edge
+    rng = random.Random(11 * t + count)
+    seen = set()
+    for _ in range(12):
+        ids = rng.sample(range(1000), rng.randrange(6, 15))
+        adj = {x: set() for x in ids}
+
+        def whole_free(u, v):
+            index = {x: i for i, x in enumerate(ids)}
+            edges = [(index[x], index[y]) for x in ids for y in adj[x] if x < y]
+            G = LabeledHypergraph(2, ids, edges + [(index[u], index[v])])
+            return forbidden.contains_kst(G, t, count) is None
+
+        for _ in range(rng.randrange(10, 50)):
+            u, v = rng.sample(ids, 2)
+            if v in adj[u]:
+                continue
+            want = whole_free(u, v)
+            assert cons._patch_graph_free(adj, u, v, t, count) == want
+            seen.add(want)
+            if want:
+                adj[u].add(v)
+                adj[v].add(u)
+    assert seen == {True, False}
 
 
 def test_partition_norm_quotient_other_instances():

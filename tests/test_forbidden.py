@@ -405,7 +405,16 @@ def kernel_hosts():
     return hosts
 
 
-def test_walk_kernel_verdicts_match_ordered_search():
+def both_sides_of_the_cut(monkeypatch):
+    # the walk-count cut at 0, so every host runs the kernel first, then
+    # at its default, where only the Wenger hosts here reach it
+    default = forbidden._KERNEL_EDGES
+    for cut in (0, default):
+        monkeypatch.setattr(forbidden, "_KERNEL_EDGES", cut)
+        yield cut
+
+
+def test_walk_kernel_verdicts_match_ordered_search(monkeypatch):
     # the kernel's "absent" is sound on every host, bipartite or not:
     # wherever it answers None the ordered search finds nothing, and
     # contains_cycle returns the ordered search's first cycle; hits come
@@ -415,11 +424,12 @@ def test_walk_kernel_verdicts_match_ordered_search():
     for G in kernel_hosts():
         for L in (6, 8):
             ordered = next(forbidden._cycles(G.sadj, L), None)
-            got = forbidden.contains_cycle(G, L)
-            if ordered is None:
-                assert got is None
-            else:
-                assert got == forbidden._finish_cycle(G, "C_{%d}" % L, ordered)
+            for _ in both_sides_of_the_cut(monkeypatch):
+                got = forbidden.contains_cycle(G, L)
+                if ordered is None:
+                    assert got is None
+                else:
+                    assert got == forbidden._finish_cycle(G, "C_{%d}" % L, ordered)
             hit = forbidden._walk_counts_reach(G.csr, G.n, L // 2, 2) is not None
             assert hit or ordered is None
             seen.add((L, hit, ordered is not None, G.colouring is not None))
@@ -433,20 +443,21 @@ def test_walk_kernel_verdicts_match_ordered_search():
     assert seen >= {(t, v) for t in (2, 3) for v in (True, False)}
 
 
-def test_walk_kernel_hosts_agree_with_networkx():
+def test_walk_kernel_hosts_agree_with_networkx(monkeypatch):
     nx = pytest.importorskip("networkx")
     for G in kernel_hosts():
         H = nx.Graph()
         H.add_nodes_from(range(G.n))
         H.add_edges_from(G.edges)
-        for L in (4, 6, 8):
-            want = any(len(c) == L for c in nx.simple_cycles(H, length_bound=L))
-            assert (forbidden.contains_cycle(G, L) is not None) == want
-            if L == 4:
-                assert (forbidden.contains_kst(G, 2, 2) is not None) == want
+        cycles = {L: any(len(c) == L for c in nx.simple_cycles(H, length_bound=L))
+                  for L in (4, 6, 8)}
         codegree = max((len(list(nx.common_neighbors(H, u, v)))
                         for u, v in itertools.combinations(range(G.n), 2)), default=0)
-        assert (forbidden.contains_kst(G, 2, 3) is not None) == (codegree >= 3)
+        for _ in both_sides_of_the_cut(monkeypatch):
+            for L, want in cycles.items():
+                assert (forbidden.contains_cycle(G, L) is not None) == want
+            assert (forbidden.contains_kst(G, 2, 2) is not None) == cycles[4]
+            assert (forbidden.contains_kst(G, 2, 3) is not None) == (codegree >= 3)
 
 
 def test_free_hosts_decided_without_neighbour_lists():
@@ -458,7 +469,7 @@ def test_free_hosts_decided_without_neighbour_lists():
     G = constructions.partition_norm_quotient(9, 2, 1, 4, 2, seed=7)[0]
     assert forbidden.contains_kst(G, 2, 2) is None
     assert "csr" in G.__dict__ and "sadj" not in G.__dict__
-    G = cycle_graph(9)  # not bipartite
+    G = cycle_graph(301)  # not bipartite, above the cut
     assert forbidden.contains_cycle(G, 6) is None
     assert "sadj" not in G.__dict__
     Hy = constructions.build_berge3(17)[0]  # 680 edges, above the Berge cut
@@ -572,7 +583,8 @@ def test_theta_filter_keeps_the_generic_witness(monkeypatch):
     # interleaved in index order; the walk-count filter skips only pairs
     # with fewer than K paths, so contains_theta returns _theta_generic's
     # witness, and its counts equal the path counts for length <= 3 and
-    # for length 4 on bipartite hosts
+    # for length 4 on bipartite hosts; at the default cut every host here
+    # is below it and takes _theta_generic alone
     rng = random.Random(7)
     seen = set()
     for i in range(60):
@@ -597,9 +609,10 @@ def test_theta_filter_keeps_the_generic_witness(monkeypatch):
             for K in (3, 4):
                 assert {p for p, c in paths.items() if c >= K} <= \
                     {p for p, c in walks.items() if c >= K}
-                w = forbidden.contains_theta(G, K, ell)
-                assert w == forbidden._theta_generic(G, K, ell, "theta_{%d,%d}" % (K, ell))
-                seen.add((K, ell, w is None))
+                want = forbidden._theta_generic(G, K, ell, "theta_{%d,%d}" % (K, ell))
+                for _ in both_sides_of_the_cut(monkeypatch):
+                    assert forbidden.contains_theta(G, K, ell) == want
+                seen.add((K, ell, want is None))
     assert seen == {(K, ell, absent) for K in (3, 4) for ell in (2, 3, 4)
                     for absent in (True, False)}
 
@@ -626,10 +639,10 @@ def test_theta4_high_degree_host_takes_exact_filter(monkeypatch):
 
 
 def test_theta4_without_candidates_builds_no_neighbour_lists():
-    # every pair of C_10, and of the odd cycle C_9, has at most two
+    # every pair of C_300, and of the odd cycle C_301, has at most two
     # non-backtracking 4-walks, so the exact filter hands no pair on and
     # the path search never runs
-    for G in (cycle_graph(10), cycle_graph(9)):
+    for G in (cycle_graph(300), cycle_graph(301)):
         assert forbidden.contains_theta(G, 3, 4) is None
         assert "csr" in G.__dict__ and "sadj" not in G.__dict__
 
@@ -751,7 +764,7 @@ def test_berge_hits_above_the_cut_keep_the_ordered_witness():
     for _ in range(5):
         edges.append(tuple(sorted(rng.sample(range(H.n - 30, H.n), 3))))
     Hy = LabeledHypergraph(3, H.vertices, edges)
-    assert len(Hy.edges) >= forbidden._BERGE_KERNEL_EDGES
+    assert len(Hy.edges) >= forbidden._KERNEL_EDGES
     for L in (2, 3, 4):
         assert forbidden._walk_counts_reach(Hy.incidence, Hy.n, L, 2) is not None
         w = forbidden.contains_berge_cycle(Hy, L)
@@ -770,9 +783,25 @@ def test_hosts_below_the_cut_never_build_the_incidence_matrix(monkeypatch):
         4, 3, 2, (parse_pattern("bergeC_2"), parse_pattern("bergeC_3"))))
     assert res.status == "found"
     Hy = constructions.build_berge3(9)[0]
-    assert len(Hy.edges) < forbidden._BERGE_KERNEL_EDGES
+    assert len(Hy.edges) < forbidden._KERNEL_EDGES
     for L in (2, 3, 4):
         assert forbidden.contains_berge_cycle(Hy, L) is None
+
+
+def test_graph_hosts_below_the_cut_never_build_the_adjacency_matrix(monkeypatch):
+    # the oracle asks K_{2,t}, even cycles and theta of graphs with at
+    # most 18 vertices thousands of times; they take the ordered search
+    def refuse(self):
+        raise AssertionError("adjacency matrix built below the cut")
+
+    monkeypatch.setattr(LabeledHypergraph, "csr", property(refuse))
+    for patterns in (["K_{2,2}"], ["C_4", "C_6"]):
+        res = oracle.exact_f(oracle.OracleQuery(
+            6, 2, 3, tuple(parse_pattern(p) for p in patterns)))
+        assert res.status == "found" and res.value == 2
+    G = theta_graph(3, 4)
+    check_theta_witness(G, forbidden.contains_theta(G, 3, 4), 3, 4)
+    assert forbidden.contains_theta(cycle_graph(10), 3, 4) is None
 
 
 # -------------------------------------------------------- explicit pattern

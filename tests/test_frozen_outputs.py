@@ -19,8 +19,9 @@ from splitforge import cli, constructions, forbidden, spectral
 from splitforge.structures import LabeledHypergraph
 
 # the construction recipes of acceptance test c11, plus a seeded and two
-# even-characteristic Wenger splits and theta with its internal edges
-# kept, with their payload sha256 for the graph and the partition document
+# even-characteristic Wenger splits, theta with its internal edges kept
+# and a greedy norm-quotient patch against K_{3,3}, with their payload
+# sha256 for the graph and the partition document
 RECIPES = {
     "w2_3": (["wenger", "--M", "2", "--q", "3"],
             "e17cb8b592d24909c6cf79bb1d80dab8512929693ab38a8f3bfe4094f6b12914",
@@ -40,7 +41,12 @@ RECIPES = {
                      "--patch-strategy", "greedy_reuse"],
             "33de22e6e62bb15da9d90f6c808fbeffede9e35fe99f586de982cf595a19f92b",
             "071f958750b668fb63d27498a0b1a85601953b231b3f7b7bbaad14356d060653"),
-    "nq_25": (["norm-quotient", "--q", "25", "--t", "2", "--d", "1",
+    "nq_7_t3_greedy": (["norm-quotient", "--q", "7", "--t", "3", "--d", "1",
+                        "--h", "3", "--a", "2", "--seed", "3",
+                        "--patch-strategy", "greedy_reuse"],
+            "6bf490f64a673b7d6c302465f0f3946d082eab478fe416277b7810e3f404350e",
+            "9b1c138bb3d606797316491c9dc27f0fb8b2cdc71456d396bae617e09f00a64c"),
+    "nq_25":(["norm-quotient", "--q", "25", "--t", "2", "--d", "1",
                "--h", "6", "--a", "4", "--seed", "7"],
             "bbd7c690a7c1e980082f606e437db1a062754f6f74ce63ac332f43677a3ab6f0",
             "a966e662798f3f0c0080c19f060d4e454b6405f5cd24be821f4e376d222f4cf2"),
