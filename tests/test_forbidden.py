@@ -407,7 +407,7 @@ def kernel_hosts():
 
 def both_sides_of_the_cut(monkeypatch):
     # the walk-count cut at 0, so every host runs the kernel first, then
-    # at its default, where only the Wenger hosts here reach it
+    # at its default
     default = forbidden._KERNEL_EDGES
     for cut in (0, default):
         monkeypatch.setattr(forbidden, "_KERNEL_EDGES", cut)
@@ -472,7 +472,7 @@ def test_free_hosts_decided_without_neighbour_lists():
     G = cycle_graph(301)  # not bipartite, above the cut
     assert forbidden.contains_cycle(G, 6) is None
     assert "sadj" not in G.__dict__
-    Hy = constructions.build_berge3(17)[0]  # 680 edges, above the Berge cut
+    Hy = constructions.build_berge3(17)[0]  # 680 edges, above the cut
     for L in (2, 3, 4):
         assert forbidden.contains_berge_cycle(Hy, L) is None
     assert "incidence" in Hy.__dict__ and "sadj" not in Hy.__dict__
