@@ -84,7 +84,10 @@ RECIPES = {
 
 WITNESS_DIGEST = "5321f9bc661eb76aa5b717716224319bd5f985a62de51b62b6cd96a66a721576"
 
-BERGE_WITNESS_DIGEST = "166a6428b25f490eeb92075a260856dfa0538eee4d8a943fbba56e0fcf3e028b"
+# sha256 of the Berge record's length-2 entries, then of its length-3 and
+# length-4 entries
+BERGE2_WITNESS_DIGEST = "fb1bc1cb5c02012cbc2a4403ee62a87162b9e0622e0bafe890e9d072bc7a8e93"
+BERGE34_WITNESS_DIGEST = "f11db8bb28a7c02dbe073e8eaec8bf14dc6bd5376ed8e18722a8764981fa8b22"
 
 BIPARTITE_WITNESS_DIGEST = "c2266c6039202edb9bfe82c9f08c73e861a192e9444de5b31d34a572a68ba4a3"
 
@@ -219,8 +222,9 @@ def test_berge_witnesses_frozen():
     for L in (2, 3, 4):
         verdicts = {r[-1] is None for r in record if r[0] == L}
         assert verdicts == {True, False}, L
-    blob = json.dumps(record, sort_keys=True).encode("utf-8")
-    assert hashlib.sha256(blob).hexdigest() == BERGE_WITNESS_DIGEST
+    for lengths, digest in (((2,), BERGE2_WITNESS_DIGEST), ((3, 4), BERGE34_WITNESS_DIGEST)):
+        blob = json.dumps([r for r in record if r[0] in lengths], sort_keys=True).encode("utf-8")
+        assert hashlib.sha256(blob).hexdigest() == digest, lengths
 
 
 def _greedy_record():
