@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from itertools import chain, combinations, product
 from operator import itemgetter
 
@@ -61,18 +61,7 @@ class PatchStats:
     warnings: list = dc_field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "deficient_pairs": self.deficient_pairs,
-            "patched_pairs": self.patched_pairs,
-            "reused_pairs": self.reused_pairs,
-            "skipped_merged_pairs": self.skipped_merged_pairs,
-            "fresh_vertices": self.fresh_vertices,
-            "patch_edges": self.patch_edges,
-            "internal_edges_deleted": self.internal_edges_deleted,
-            "max_patch_per_part": self.max_patch_per_part,
-            "warnings": list(self.warnings),
-        }
+        return asdict(self)
 
 
 def _prime_power(q: int):

@@ -4,6 +4,8 @@ Deciders cover complete bipartite graphs K_{s,t}, cycles of a prescribed
 length (plus girth), theta graphs (two endpoints joined by K internally
 disjoint paths of equal length), short Berge cycles in uniform
 hypergraphs, and arbitrary explicit patterns on at most 10 vertices.
+A Berge l-cycle is a cycle of 2l nodes in the vertex-edge incidence
+graph; lengths 3 and 4 are searched there by the graph cycles' enumerator.
 
 All deciders are exact and deterministic. When a copy of the pattern
 exists, the first witness in the documented search order is returned as
@@ -54,9 +56,10 @@ _ROWS = 256
 # search; smaller hosts, the oracle's (at most 20 edges) among them, take
 # the search alone, with the same verdict and witness.  Kernel against
 # search on free hosts, a fresh host per call (2-core VM, best of 7):
-# - berge3(q): lengths 3 and 4 cross at q = 11 (165 edges), length 2
-#   between q = 13 and 17 (286 and 680), all three on one host between
-#   256 and 300 edges (sub-hosts of berge3(19));
+# - berge3(q): lengths 3 and 4 cross near q = 11 (165 edges, 2.44 / 2.28
+#   and 2.92 / 3.94 ms) and at q = 13 (286) take 2.6 / 4.8 and
+#   3.6 / 8.3 ms; length 2 crosses between q = 13 (1.03 / 0.83 ms) and
+#   17 (680, 2.12 / 2.28); no workload decides a host near the cut;
 # - K_{2,2}: W_1(5) (125 edges) 0.81 / 0.39 ms, W_2(4) (256) 0.82 / 0.92,
 #   W_1(8) (512) 1.27 / 2.76; on edge samples of W_2(5) up to 320 edges
 #   the search leads;
@@ -353,7 +356,9 @@ def _cycles(sadj, length: int):
     """Yield every cycle with `length` vertices exactly once, as a vertex
     list starting at its minimum vertex.
 
-    `sadj` holds each vertex's neighbours in ascending order. Roots go in
+    `sadj` holds each vertex's neighbours in ascending order: a graph's
+    `G.sadj`, or the incidence graph `_berge_search` builds, where a root
+    whose neighbours are all smaller than it yields nothing. Roots go in
     ascending order; the cycles whose minimum vertex is the root are
     assembled from two half-paths out of it that meet in the middle (for
     odd lengths the halves are joined across an edge), ordered by the
@@ -531,20 +536,24 @@ def contains_berge_cycle(Hy: LabeledHypergraph, length: int):
     consecutive pairs {v_i, v_{i+1}}.
 
     A Berge l-cycle is exactly a cycle of 2l nodes in the vertex-edge
-    incidence graph `Hy.incidence`.  Such a cycle passes through a vertex
-    node, and the node opposite it is joined to it by two paths of l
-    edges, so it puts a count of at least 2 into that vertex's row of
-    the non-backtracking walk counts A_l.  On hosts of `_KERNEL_EDGES`
-    hyperedges or more, `_walk_counts_reach` first scans only the n
-    vertex rows of the incidence matrix up to A_l; when no count reaches
-    2 the host is free and None is returned at once (for l = 2, A_2 on
-    vertex rows is the pair codegree, so that test is exact).  Smaller
-    hosts, and every hit, go to the ordered search, which alone picks
-    the witness: length 2 scans vertex pairs for two covering
-    hyperedges, and lengths 3 and 4 take the core cycles of the shadow
-    graph (pairs covered by some hyperedge) in the order `_cycles`
-    yields them and decide the edge assignment by a
-    system-of-distinct-representatives search.
+    incidence graph, vertex v as node v and edge i as node n + i.  Such a
+    cycle passes through a vertex node, and the node opposite it is
+    joined to it by two paths of l edges, so it puts a count of at least
+    2 into that vertex's row of the non-backtracking walk counts A_l.  On
+    hosts of `_KERNEL_EDGES` hyperedges or more, `_walk_counts_reach`
+    first scans only the n vertex rows of `Hy.incidence` up to A_l; when
+    no count reaches 2 the host is free and None is returned at once
+    (for l = 2, A_2 on vertex rows is the pair codegree, so that test is
+    exact).  Smaller hosts, and every hit, go to the ordered search,
+    which alone picks the witness.  Length 2 scans vertex pairs in
+    lexicographic order for two covering hyperedges and takes the two
+    least.  Lengths 3 and 4 take the first cycle `_cycles` yields on the
+    incidence graph's ascending neighbour tuples, oriented as
+    `contains_cycle` orients its witness (the hyperedge after v_1 has a
+    smaller index than the one before it): its vertex nodes are the
+    core and its edge nodes, in slot order, the hyperedges.  Either way
+    the witness is `contains_cycle`'s witness on the incidence graph,
+    read back.
     """
     if length not in (2, 3, 4):
         raise ValueError(f"Berge cycle length must be 2, 3 or 4, got {length}")
@@ -558,12 +567,11 @@ def contains_berge_cycle(Hy: LabeledHypergraph, length: int):
 
 def _berge_search(Hy, length):
     pat = "bergeC_%d" % length
-    pair2edges: dict[tuple[int, int], list[int]] = {}
-    for ei, e in enumerate(Hy.edges):
-        for a, b in combinations(e, 2):
-            pair2edges.setdefault((a, b), []).append(ei)
-
     if length == 2:
+        pair2edges: dict[tuple[int, int], list[int]] = {}
+        for ei, e in enumerate(Hy.edges):
+            for a, b in combinations(e, 2):
+                pair2edges.setdefault((a, b), []).append(ei)
         for pair in sorted(pair2edges):
             lst = pair2edges[pair]
             if len(lst) >= 2:
@@ -571,38 +579,13 @@ def _berge_search(Hy, length):
                 return _emit(Hy, pat, list(pair), es)
         return None
 
-    for cyc in _cycles(Hy.sadj, length):
-        sdr = _distinct_representatives(
-            [pair2edges[(u, v) if u < v else (v, u)]
-             for u, v in zip(cyc, cyc[1:] + cyc[:1])]
-        )
-        if sdr is not None:
-            return _emit(Hy, pat, cyc, [Hy.edges[i] for i in sdr])
+    n = Hy.n
+    nbrs = tuple(tuple(n + i for i in inc) for inc in Hy.incident) + Hy.edges
+    for cyc in _cycles(nbrs, 2 * length):
+        if cyc[1] > cyc[-1]:
+            cyc = [cyc[0]] + cyc[1:][::-1]
+        return _emit(Hy, pat, cyc[0::2], [Hy.edges[i - n] for i in cyc[1::2]])
     return None
-
-
-def _distinct_representatives(cand_lists):
-    """Assign a distinct element to every slot, backtracking over slots in
-    order of increasing candidate count. Returns the assignment in slot
-    order or None."""
-    order = sorted(range(len(cand_lists)), key=lambda i: (len(cand_lists[i]), i))
-    chosen: dict[int, int] = {}
-    if _sdr_from(cand_lists, order, chosen, 0):
-        return [chosen[i] for i in range(len(cand_lists))]
-    return None
-
-
-def _sdr_from(cand_lists, order, chosen, k):
-    if k == len(order):
-        return True
-    slot = order[k]
-    for e in cand_lists[slot]:
-        if e not in chosen.values():
-            chosen[slot] = e
-            if _sdr_from(cand_lists, order, chosen, k + 1):
-                return True
-            del chosen[slot]
-    return False
 
 
 # -------------------------------------------------------- explicit pattern

@@ -17,7 +17,7 @@ import math
 import random
 import weakref
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
@@ -185,15 +185,7 @@ class GreedySplitTrace:
         ]
 
     def to_json_dict(self) -> dict:
-        return {
-            "seeds": list(self.seeds),
-            "iterations": list(self.iterations),
-            "patches": list(self.patches),
-            "final_part_sizes": list(self.final_part_sizes),
-            "stagnated": self.stagnated,
-            "advisories": dict(self.advisories),
-            "diagnostics": list(self.diagnostics),
-        }
+        return asdict(self)
 
 
 def _pattern_for_split(H) -> "forbidden.ForbiddenPattern":

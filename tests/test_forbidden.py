@@ -752,6 +752,35 @@ def test_berge_walk_kernel_agrees_with_networkx():
             assert want <= (forbidden._walk_counts_reach(Hy.incidence, Hy.n, L, 2) is not None)
 
 
+def test_berge_cycles_are_incidence_graph_cycles(monkeypatch):
+    # a Berge l-cycle is a cycle of 2l nodes in the incidence graph, and
+    # the decider's witness is contains_cycle's first such cycle read
+    # back: its vertex nodes are the core, its edge nodes the hyperedges
+    rng = random.Random(1973)
+    hosts = [constructions.build_berge3(9)[0]]
+    for _ in range(40):
+        m = rng.choice((3, 4))
+        n = rng.randrange(m + 2, 13)
+        edges = {tuple(sorted(rng.sample(range(n), m))) for _ in range(rng.randrange(2, 2 * n))}
+        hosts.append(LabeledHypergraph(m, [f"v{i}" for i in range(n)], sorted(edges)))
+    seen = set()
+    for Hy in hosts:
+        inc = incidence_graph(Hy)
+        for L in (2, 3, 4):
+            for _ in both_sides_of_the_cut(monkeypatch):
+                cyc = forbidden.contains_cycle(inc, 2 * L)
+                got = forbidden.contains_berge_cycle(Hy, L)
+                if cyc is None:
+                    assert got is None
+                else:
+                    assert got == {"pattern": "bergeC_%d" % L,
+                                   "vertices": cyc["vertices"][0::2],
+                                   "edges": [list(Hy.edges[i - Hy.n]) for i in cyc["vertices"][1::2]]}
+                    check_berge_witness(Hy, got, L)
+            seen.add((L, cyc is not None))
+    assert seen == {(L, found) for L in (2, 3, 4) for found in (True, False)}
+
+
 def test_berge_hits_above_the_cut_keep_the_ordered_witness():
     # berge3(17) holds no Berge cycle of length 2 to 4; five seeded
     # random triples on its last 30 vertices add every length, the kernel
@@ -856,8 +885,7 @@ def test_recursive_searches_leave_no_reference_cycles():
     calls = {
         "_pack_disjoint": lambda: forbidden._pack_disjoint(
             [(0, 1, 2), (0, 3, 2), (0, 1, 4, 2), (0, 5, 2)], 3),
-        "_distinct_representatives": lambda: forbidden._distinct_representatives(
-            [[0, 1], [1, 2], [0, 2], [3]]),
+        "contains_berge_cycle": lambda: forbidden.contains_berge_cycle(fano_plane(), 3),
         "contains_kst": lambda: forbidden.contains_kst(G, 3, 4),
         "contains_explicit": lambda: forbidden.contains_explicit(
             G, [(0, 1), (1, 2), (2, 3), (3, 0)]),

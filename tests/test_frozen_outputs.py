@@ -87,7 +87,7 @@ WITNESS_DIGEST = "5321f9bc661eb76aa5b717716224319bd5f985a62de51b62b6cd96a66a7215
 # sha256 of the Berge record's length-2 entries, then of its length-3 and
 # length-4 entries
 BERGE2_WITNESS_DIGEST = "fb1bc1cb5c02012cbc2a4403ee62a87162b9e0622e0bafe890e9d072bc7a8e93"
-BERGE34_WITNESS_DIGEST = "f11db8bb28a7c02dbe073e8eaec8bf14dc6bd5376ed8e18722a8764981fa8b22"
+BERGE34_WITNESS_DIGEST = "0db295604d448a56395c5cbb9135c96a7554f58e2d584551923e4e67dea6b230"
 
 BIPARTITE_WITNESS_DIGEST = "c2266c6039202edb9bfe82c9f08c73e861a192e9444de5b31d34a572a68ba4a3"
 
