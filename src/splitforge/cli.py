@@ -1,12 +1,14 @@
 """Command-line interface: reproducible construct/verify/analyse runs.
 
-Every command writes UTF-8 JSON.  The result fields sit at the top level
-of the document and a run manifest sits next to them under "provenance";
-the manifest carries the command, parameters, seed, thread count, tool
-version, input digests, a sha256 of the canonical payload (the document
-minus the provenance key) and the wall time.  Repeated runs with the same
-parameters and seed produce byte-identical payloads; only the manifest's
-wall time may differ.
+Every command writes one UTF-8 JSON document in canonical form: sorted
+keys, no whitespace, one trailing newline.  The result fields sit at the
+top level of the document and a run manifest sits next to them under
+"provenance"; the manifest carries the command, parameters, seed, thread
+count, tool version, input digests, a sha256 of the canonical payload
+(the document minus the provenance key) and the wall time.  A document
+written to a file replaces the old file only once it is complete.
+Repeated runs with the same parameters and seed produce byte-identical
+payloads; only the manifest's wall time may differ.
 
 Exit codes: 0 success (including an "exhausted" oracle verdict), 1
 unexpected internal failure, 2 invalid parameters or unreadable input,
@@ -20,8 +22,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -63,20 +67,28 @@ _RNG_NAME = "python-random-mt19937"
 # -- JSON plumbing -----------------------------------------------------------
 
 
-def _canonical(payload: dict) -> bytes:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+def _canonical(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
 def _emit(payload: dict, manifest: dict, out: str | None) -> None:
+    """Write the document in canonical form plus a newline.  A file is
+    written next to `out` and renamed over it, so a failed write leaves
+    the old file as it was."""
     doc = dict(payload)
     manifest = dict(manifest)
-    manifest["payload_sha256"] = hashlib.sha256(_canonical(payload)).hexdigest()
+    manifest["payload_sha256"] = hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
     doc["provenance"] = manifest
-    text = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    text = _canonical(doc) + "\n"
     if out is None:
         sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
+        return
+    tmp = Path(out + ".tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, out)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _load(path: str, inputs: dict, cls):
@@ -92,11 +104,11 @@ def _load(path: str, inputs: dict, cls):
 class _Run:
     """Collects manifest ingredients while a command executes."""
 
-    def __init__(self, command: str, argv: list, threads: int, seed=None):
-        self.command = command
+    def __init__(self, args, argv: list):
+        self.command = args.cmd
         self.argv = list(argv)
-        self.threads = threads
-        self.seed = seed
+        self.threads = args.threads
+        self.seed = getattr(args, "seed", None)
         self.params: dict = {}
         self.inputs: dict = {}
         self._t0 = time.monotonic()
@@ -173,8 +185,7 @@ def _construct_payloads(args):
     raise ValueError(f"unknown family {fam!r}")
 
 
-def _cmd_construct(args, argv, threads) -> int:
-    run = _Run("construct", argv, threads, seed=getattr(args, "seed", None))
+def _cmd_construct(args, run) -> int:
     params, G, P, extra = _construct_payloads(args)
     run.params = params
     if args.partition and P is None:
@@ -190,8 +201,7 @@ def _cmd_construct(args, argv, threads) -> int:
 # -- verify ------------------------------------------------------------------
 
 
-def _cmd_verify(args, argv, threads) -> int:
-    run = _Run("verify", argv, threads)
+def _cmd_verify(args, run) -> int:
     G = _load(args.graph, run.inputs, LabeledHypergraph)
     P = _load(args.partition, run.inputs, SplitPartition)
     run.params = {"forbid": list(args.forbid or [])}
@@ -216,27 +226,15 @@ def _cmd_verify(args, argv, threads) -> int:
 # -- spectrum / mixing -------------------------------------------------------
 
 
-def _cmd_spectrum(args, argv, threads) -> int:
-    run = _Run("spectrum", argv, threads)
+def _cmd_spectrum(args, run) -> int:
     G = _load(args.graph, run.inputs, LabeledHypergraph)
     s = spectrum(G)
-    payload = {
-        "n": s.n,
-        "d": s.d,
-        "bipartite": s.bipartite,
-        "rho": s.rho,
-        "rho1": s.rho1,
-        "rho2": s.rho2,
-        "rho_n": s.rho_n,
-        "eigenvalues": list(s.eigenvalues) if s.eigenvalues is not None else None,
-        "extremes": list(s.extremes) if s.extremes is not None else None,
-    }
+    payload = dict(asdict(s), rho1=s.rho1, rho2=s.rho2, rho_n=s.rho_n)
     _emit(payload, run.manifest(), args.out)
     return 0
 
 
-def _cmd_mixing(args, argv, threads) -> int:
-    run = _Run("mixing", argv, threads)
+def _cmd_mixing(args, run) -> int:
     G = _load(args.graph, run.inputs, LabeledHypergraph)
     U = _ints(args.U)
     W = _ints(args.W)
@@ -257,8 +255,7 @@ _BOUND_FLAGS = {
 }
 
 
-def _cmd_bound(args, argv, threads) -> int:
-    run = _Run("bound", argv, threads)
+def _cmd_bound(args, run) -> int:
     mode = next(k for k in _BOUND_FLAGS if getattr(args, k))
     missing = [f"--{f}" for f in _BOUND_FLAGS[mode] if getattr(args, f) is None]
     if missing:
@@ -333,8 +330,7 @@ def _cmd_bound(args, argv, threads) -> int:
 # -- oracle ------------------------------------------------------------------
 
 
-def _cmd_oracle(args, argv, threads) -> int:
-    run = _Run("oracle", argv, threads)
+def _cmd_oracle(args, run) -> int:
     patterns = tuple(parse_pattern(p) for p in args.forbid)
     run.params = {
         "r": args.r, "m": args.m, "k_max": args.k_max,
@@ -368,8 +364,7 @@ def _cmd_oracle(args, argv, threads) -> int:
 # -- partition-greedy --------------------------------------------------------
 
 
-def _cmd_partition_greedy(args, argv, threads) -> int:
-    run = _Run("partition-greedy", argv, threads, seed=args.seed)
+def _cmd_partition_greedy(args, run) -> int:
     G = _load(args.graph, run.inputs, LabeledHypergraph)
     H = parse_pattern(args.forbid)
     sizes = {}
@@ -532,7 +527,7 @@ def main(argv=None) -> int:
     try:
         if args.threads < 1:
             raise ValueError(f"thread count must be >= 1, got {args.threads}")
-        return args.handler(args, argv, args.threads)
+        return args.handler(args, _Run(args, argv))
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 5

@@ -118,15 +118,21 @@ def _drop_internal(edges, parts, n: int) -> list:
 
 
 def _norm_quotient(q: int, t: int, d: int):
-    """Labels and edges of the norm-quotient graph, unvalidated."""
+    """Source field, coset count Q, labels and edges of the norm-quotient
+    graph, unvalidated.
+
+    The coset of N(z) is read from the source field's log table: with
+    e = (q^(t-1) - 1)/(q - 1), N(z) = z^e, and under the embedding
+    theta_q -> theta_source^e, N(theta_source^i) = theta_q^(i mod (q-1)).
+    The cosets of the order-d subgroup of F_q* are the residues of the
+    exponent mod Q, and Q divides q - 1, so the label of z is log[z] % Q.
+    """
     p, s = _odd_prime_power(q)
     if t < 2:
         raise ValueError("t must be at least 2")
     if d < 1 or (q - 1) % d != 0:
         raise ValueError(f"d={d} must divide q-1={q - 1}")
-    target = gf.make_field(p, s)
-    K = gf.subgroup(target, d)
-    Q = K.quotient_order
+    Q = (q - 1) // d
     source = gf.make_field(p, s * (t - 1))
     nside = source.q
 
@@ -140,12 +146,12 @@ def _norm_quotient(q: int, t: int, d: int):
             z = source.add(x, y)
             if z == 0:
                 continue
-            c = gf.coset_of(gf.norm_map(source, z, t, target), K)
+            c = source.log[z] % Q
             base_p = x * Q
             base_l = off + y * Q
             for i in range(Q):
                 edges.append((base_p + i, base_l + (c - i) % Q))
-    return labels, edges
+    return source, Q, labels, edges
 
 
 def build_norm_quotient(q: int, t: int, d: int = 1) -> LabeledHypergraph:
@@ -163,7 +169,7 @@ def build_norm_quotient(q: int, t: int, d: int = 1) -> LabeledHypergraph:
     t : arity parameter, at least 2; the source field is F_q^(t-1).
     d : divisor of q - 1 selecting the subgroup K.
     """
-    return LabeledHypergraph(2, *_norm_quotient(q, t, d))
+    return LabeledHypergraph(2, *_norm_quotient(q, t, d)[2:])
 
 
 def _patch_graph_free(adj, u: int, v: int, t: int, count: int) -> bool:
@@ -212,34 +218,32 @@ def partition_norm_quotient(
     """
     if patch_strategy not in _PATCH_STRATEGIES:
         raise ValueError(f"unknown patch strategy {patch_strategy!r}")
-    labels0, edges0 = _norm_quotient(q, t, d)
-    p, s = gf.prime_power(q)
-    K = gf.subgroup(gf.make_field(p, s), d)
-    Q = K.quotient_order
+    source, Q, labels0, edges0 = _norm_quotient(q, t, d)
     if h < 1 or a < 1 or h * a != Q:
         raise ValueError(f"need h*a == (q-1)/d = {Q}, got {h}*{a}")
     if a > h:
         raise ValueError(f"need a <= h, got a={a} h={h}")
 
     warnings: list = []
-    if s % 2 == 1:
+    if gf.prime_power(q)[1] % 2 == 1:
         warnings.append(
             "q is an odd prime power; the forbidden-structure guarantee for "
             "this family is only established for even powers"
         )
 
-    source = gf.make_field(p, s * (t - 1))
     nside = source.q
     off = nside * Q
 
-    H_reps, A_reps = gf.coset_reps(K, h)
+    # H is the order-h subgroup of Z_Q, the multiples of a, and A = [0, a)
+    # a transversal: every index is uniquely eta + alpha, eta in H, alpha in A
+    H_reps = range(0, Q, a)
     if seed is None:
-        chosen = list(H_reps[:a])
+        chosen = H_reps[:a]
     else:
         chosen = random.Random(seed).sample(H_reps, a)
-    # eta of a merged P-group -> alpha; A = [0, a), so the part over
-    # (element, alpha) is element * a + alpha
-    eta_alpha = dict(zip(chosen, A_reps))
+    # eta of a merged P-group -> alpha; the part over (element, alpha) is
+    # element * a + alpha
+    eta_alpha = dict(zip(chosen, range(a)))
     r = nside * a
 
     new_index: dict = {}
@@ -268,8 +272,8 @@ def partition_norm_quotient(
     pair_list = []
     for x in range(nside):
         negx = source.neg(x)
-        for al in A_reps:
-            for al2 in A_reps:
+        for al in range(a):
+            for al2 in range(a):
                 stats.deficient_pairs += 1
                 pa = x * a + al
                 pb = negx * a + al2
@@ -422,6 +426,19 @@ def partition_wenger(M: int, q: int, seed: int | None = None):
 # ------------------------------------------------------------------------
 
 
+def _subfield_split(F) -> list:
+    """(a, b) with x = a + mu*b for each x of F, over the subfield of
+    index 2; mu is the least element outside the subfield, whose nonzero
+    elements are the powers of theta^(root + 1), root = p^(n/2)."""
+    sub = [0, *F.exp[::F.p ** (F.n // 2) + 1]]
+    in_sub = set(sub)
+    mu = next(x for x in range(F.q) if x not in in_sub)
+    split = {F.add(a, F.mul(mu, b)): (a, b) for a in sub for b in sub}
+    if len(split) != F.q:
+        raise RuntimeError("quadratic subfield basis failed to span")
+    return [split[x] for x in range(F.q)]
+
+
 def build_theta(q: int, reduce_parts: bool = True):
     """Four-coordinate bipartite graph over an even-power field.
 
@@ -441,7 +458,6 @@ def build_theta(q: int, reduce_parts: bool = True):
     if s % 2 == 1:
         raise ValueError(f"q={q} must be an even power")
     F = gf.make_field(p, s)
-    qs = gf.QuadraticSplit(F)
     root = p ** (s // 2)
     n4 = q ** 4
 
@@ -470,10 +486,9 @@ def build_theta(q: int, reduce_parts: bool = True):
                             (base_p3 + v4, n4 + (base_l2 + sub_b[v4]) * q + w4)
                         )
 
-    split1 = [qs.split(x)[0] for x in range(q)]
-    split2 = [qs.split(x)[1] for x in range(q)]
-    parts = _merge_groups(coords, n4, lambda c: (c[0], split2[c[2]], c[3]),
-                          lambda c: (c[0], c[1], split1[c[3]]))
+    ab = _subfield_split(F)
+    parts = _merge_groups(coords, n4, lambda c: (c[0], ab[c[2]][1], c[3]),
+                          lambda c: (c[0], c[1], ab[c[3]][0]))
     if reduce_parts:
         edges = _drop_internal(edges, parts, 2 * n4)
     G = LabeledHypergraph(2, labels, edges)

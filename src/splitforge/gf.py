@@ -15,25 +15,25 @@ The defining polynomial is the monic irreducible of degree ``n`` whose
 lower-coefficient encoding (same digit convention) is least, which
 keeps element encodings and every vertex label derived from them
 reproducible across runs.
+
+The module has no subgroup, coset, norm or subfield helpers: each is one
+read of the tables, made where it is used.  The order-d subgroup of
+GF(q)^* is the powers of ``theta**((q-1)/d)``, so the coset of x is
+``log[x] % ((q-1)/d)``; the subfield GF(p^m) is 0 plus
+``exp[::(q-1)/(p^m-1)]``; and the norm down to a subfield is the power
+``x**((q-1)/(p^m-1))``, which maps ``theta**i`` to the subfield element
+``theta**(i (q-1)/(p^m-1))``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
     "FieldSpec",
-    "SubgroupHandle",
-    "QuadraticSplit",
     "make_field",
-    "subgroup",
-    "coset_of",
-    "coset_reps",
-    "norm_map",
-    "subfield_elements",
     "least_irreducible",
     "is_prime",
     "prime_factors",
@@ -170,15 +170,13 @@ class FieldSpec:
         Prime characteristic.
     n : int
         Extension degree, at least 1.
-    poly : sequence of int, optional
-        Monic irreducible of degree n over GF(p), little-endian.  When
-        omitted the least irreducible in encoding order is used, so
-        `make_field(p, n)` is reproducible.
 
     Attributes
     ----------
     q : int
         Field size ``p**n``.
+    poly : tuple of int
+        The defining polynomial, `least_irreducible(p, n)`, little-endian.
     theta : int
         The least primitive element; its order is verified exactly
         against the prime factorization of ``q - 1``.
@@ -189,7 +187,7 @@ class FieldSpec:
         ``zech[i] == log[1 + theta**i]``, None where ``theta**i == -1``.
     """
 
-    def __init__(self, p: int, n: int, poly=None) -> None:
+    def __init__(self, p: int, n: int) -> None:
         if not is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
         if n < 1:
@@ -200,15 +198,7 @@ class FieldSpec:
         self.p = p
         self.n = n
         self.q = q
-        if poly is None:
-            poly = least_irreducible(p, n)
-        else:
-            poly = tuple(c % p for c in poly)
-            if len(poly) != n + 1 or poly[-1] != 1:
-                raise ValueError("defining polynomial must be monic of degree n")
-            if not _is_irreducible(poly, p):
-                raise ValueError(f"polynomial {poly} is reducible over GF({p})")
-        self.poly = poly
+        self.poly = least_irreducible(p, n)
         self.theta = self._find_generator()
         powers = self._theta_powers()
         if powers.pop() != 1:
@@ -237,18 +227,10 @@ class FieldSpec:
         da, db = self._digits(a), self._digits(b)
         prod = [0] * (2 * self.n - 1)
         for i, ai in enumerate(da):
-            if ai:
-                for j, bj in enumerate(db):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        # x^n = -(poly[0] + poly[1] x + ... + poly[n-1] x^{n-1})
-        for k in range(len(prod) - 1, self.n - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = 0
-                for i in range(self.n):
-                    prod[k - self.n + i] = (prod[k - self.n + i] - c * self.poly[i]) % p
+            for j, bj in enumerate(db):
+                prod[i + j] += ai * bj
         v = 0
-        for c in reversed(prod[: self.n]):
+        for c in reversed(_poly_mod(prod, self.poly, p)):
             v = v * p + c
         return v
 
@@ -351,140 +333,3 @@ class FieldSpec:
 def make_field(p: int, n: int) -> FieldSpec:
     """GF(p^n) with the least defining polynomial, cached per (p, n)."""
     return FieldSpec(p, n)
-
-
-# ------------------------------------------------------------------
-# multiplicative subgroups and coset labels
-# ------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SubgroupHandle:
-    """The subgroup K_d = <theta^((q-1)/d)> of GF(q)^*, of order d."""
-
-    spec: FieldSpec
-    d: int
-    generator: int
-
-    @property
-    def quotient_order(self) -> int:
-        return (self.spec.q - 1) // self.d
-
-    def elements(self) -> list[int]:
-        out, acc = [], 1
-        for _ in range(self.d):
-            out.append(acc)
-            acc = self.spec.mul(acc, self.generator)
-        return sorted(out)
-
-
-def subgroup(spec: FieldSpec, d: int) -> SubgroupHandle:
-    """Handle for the unique subgroup of GF(q)^* with d elements."""
-    if d < 1 or (spec.q - 1) % d != 0:
-        raise ValueError(f"subgroup order {d} does not divide {spec.q - 1}")
-    gen = spec.pow(spec.theta, (spec.q - 1) // d) if spec.q > 2 else 1
-    return SubgroupHandle(spec=spec, d=d, generator=gen)
-
-
-def coset_of(x: int, K: SubgroupHandle) -> int:
-    """Label in [0, Q) of the coset x*K_d in the cyclic quotient.
-
-    Label c stands for the coset theta^c * K_d, so two elements get the
-    same label exactly when their ratio lies in K_d.
-    """
-    spec = K.spec
-    spec._check(x)
-    if x == 0:
-        raise ValueError("0 is not in the multiplicative group")
-    return spec.log[x] % K.quotient_order
-
-
-def coset_reps(K: SubgroupHandle, h: int) -> tuple[list[int], list[int]]:
-    """Order-h subgroup H of the quotient plus a transversal A.
-
-    Both are returned as coset-label lists.  With a = Q/h, H is the set
-    of multiples of a in Z_Q and A = [0, a); every label decomposes
-    uniquely as alpha + eta with alpha in A and eta in H, which is the
-    tiling the quotient-based constructions rely on.
-    """
-    Q = K.quotient_order
-    if h < 1 or Q % h != 0:
-        raise ValueError(f"order {h} does not divide the quotient order {Q}")
-    a = Q // h
-    return [i * a for i in range(h)], list(range(a))
-
-
-# ------------------------------------------------------------------
-# norm map and subfields
-# ------------------------------------------------------------------
-
-
-def norm_map(source: FieldSpec, x: int, t: int, target: FieldSpec) -> int:
-    """Field norm GF(q^{t-1}) -> GF(q): x -> x^(1 + q + ... + q^{t-2}).
-
-    The value lands in the embedded copy of the target field and is
-    returned as a target element, pulled back along the canonical
-    embedding that sends the target's primitive element to
-    theta_source^e with e = (q^{t-1} - 1)/(q - 1).  N(0) = 0 and the
-    restriction to nonzero elements is multiplicative and surjective
-    with all fibers of size e.
-    """
-    if t < 2:
-        raise ValueError(f"tower height t must be >= 2, got {t}")
-    if source.p != target.p or source.q != target.q ** (t - 1):
-        raise ValueError(
-            f"incompatible field tower: GF({source.q}) is not "
-            f"GF({target.q})^{t - 1}"
-        )
-    source._check(x)
-    if t == 2:
-        return x
-    if x == 0:
-        return 0
-    e = (source.q - 1) // (target.q - 1)
-    j = source.log[x] * e % (source.q - 1)
-    if j % e:
-        raise RuntimeError("norm image escaped the embedded subfield")
-    return target.exp[j // e]
-
-
-def subfield_elements(spec: FieldSpec, m: int) -> list[int]:
-    """Elements of the subfield GF(p^m) inside GF(p^n), ascending.
-
-    These are exactly the fixed points of the p^m-power map.
-    """
-    if m < 1 or spec.n % m != 0:
-        raise ValueError(
-            f"GF({spec.p}^{m}) is not a subfield of GF({spec.p}^{spec.n})"
-        )
-    pm = spec.p**m
-    return [x for x in range(spec.q) if spec.pow(x, pm) == x]
-
-
-class QuadraticSplit:
-    """Coordinates of GF(q) over its index-2 subfield.
-
-    Every x factors uniquely as ``x = a + mu*b`` with a, b in the
-    subfield and mu the least element outside it; `split` recovers
-    (a, b) from x by table lookup.
-    """
-
-    def __init__(self, spec: FieldSpec) -> None:
-        if spec.n % 2:
-            raise ValueError(
-                f"GF({spec.q}) has odd degree {spec.n} over its prime field"
-            )
-        self.spec = spec
-        self.sub = subfield_elements(spec, spec.n // 2)
-        in_sub = set(self.sub)
-        self.mu = next(x for x in range(spec.q) if x not in in_sub)
-        self._split_table = {}
-        for a in self.sub:
-            for b in self.sub:
-                self._split_table[spec.add(a, spec.mul(self.mu, b))] = (a, b)
-        if len(self._split_table) != spec.q:
-            raise RuntimeError("quadratic subfield basis failed to span")
-
-    def split(self, x: int) -> tuple[int, int]:
-        self.spec._check(x)
-        return self._split_table[x]

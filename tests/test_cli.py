@@ -425,6 +425,32 @@ def test_payload_digest_matches(tmp_path):
     assert G.n == 54
 
 
+def test_documents_are_written_in_canonical_form(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    assert cli.main(["construct", "wenger", "--M", "2", "--q", "3", "--out", str(g)]) == 0
+    raw = g.read_bytes()
+    canon = json.dumps(json.loads(raw), sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    assert raw == canon.encode("utf-8") + b"\n"
+    assert cli.main(["spectrum", "--graph", str(g)]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), sort_keys=True, separators=(",", ":"),
+                             ensure_ascii=False) + "\n"
+
+
+def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch, capsys):
+    g = tmp_path / "g.json"
+    g.write_bytes(b"old bytes")
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.os, "replace", fail)
+    assert cli.main(["construct", "wenger", "--M", "2", "--q", "3", "--out", str(g)]) == 2
+    assert "disk full" in capsys.readouterr().err
+    assert g.read_bytes() == b"old bytes"
+    assert sorted(tmp_path.iterdir()) == [g]
+
+
 def test_threads_do_not_change_payload(tmp_path):
     docs = []
     for threads, name in [("1", "a"), ("4", "b")]:

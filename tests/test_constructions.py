@@ -16,7 +16,7 @@ from math import comb
 import pytest
 
 from splitforge import constructions as cons
-from splitforge import forbidden
+from splitforge import forbidden, gf
 from splitforge.structures import LabeledHypergraph, property_B_check, verify_rk
 
 
@@ -57,6 +57,41 @@ def test_norm_quotient_q3_matches_modular_oracle():
     }
     assert got == expect
     assert set(degrees(G)) == {2}
+
+
+@pytest.mark.parametrize("q, t, d", [(5, 3, 1), (3, 4, 1), (9, 2, 2), (7, 3, 3)])
+def test_norm_quotient_labels_match_power_oracle(q, t, d):
+    # N(z) = z^e by repeated multiplication, e = (q^(t-1) - 1)/(q - 1); its
+    # label is k mod Q where N(z) = (theta^e)^k, found by stepping through
+    # the powers of theta^e, with no log table
+    p, s = gf.prime_power(q)
+    F = gf.make_field(p, s * (t - 1))
+    e = (F.q - 1) // (q - 1)
+    Q = (q - 1) // d
+
+    def power(x, k):
+        acc = 1
+        for _ in range(k):
+            acc = F.mul(acc, x)
+        return acc
+
+    step, acc, exponent = power(F.theta, e), 1, {}
+    for k in range(q - 1):
+        exponent[acc] = k
+        acc = F.mul(acc, step)
+    assert acc == 1 and len(exponent) == q - 1
+    # P:x,ci ~ L:y,cj when x + y != 0 and N(x + y) lies in coset i + j mod Q
+    expect = set()
+    for x in range(F.q):
+        for y in range(F.q):
+            z = F.add(x, y)
+            if z == 0:
+                continue
+            c = exponent[power(z, e)] % Q
+            for i in range(Q):
+                expect.add(frozenset((f"P:{x},c{i}", f"L:{y},c{(c - i) % Q}")))
+    G = cons.build_norm_quotient(q, t, d)
+    assert {frozenset((G.vertices[u], G.vertices[v])) for u, v in G.edges} == expect
 
 
 def test_norm_quotient_shapes():

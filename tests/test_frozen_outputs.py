@@ -20,8 +20,9 @@ from splitforge.structures import LabeledHypergraph
 
 # the construction recipes of acceptance test c11, plus a seeded and two
 # even-characteristic Wenger splits, theta with its internal edges kept
-# and a greedy norm-quotient patch against K_{3,3}, with their payload
-# sha256 for the graph and the partition document
+# and a greedy norm-quotient patch against K_{3,3}, two norm-quotient
+# splits over a proper subgroup (d > 1), with their payload sha256 for the
+# graph and the partition document
 RECIPES = {
     "w2_3": (["wenger", "--M", "2", "--q", "3"],
             "e17cb8b592d24909c6cf79bb1d80dab8512929693ab38a8f3bfe4094f6b12914",
@@ -46,6 +47,15 @@ RECIPES = {
                         "--patch-strategy", "greedy_reuse"],
             "6bf490f64a673b7d6c302465f0f3946d082eab478fe416277b7810e3f404350e",
             "9b1c138bb3d606797316491c9dc27f0fb8b2cdc71456d396bae617e09f00a64c"),
+    "nq_9_d2": (["norm-quotient", "--q", "9", "--t", "2", "--d", "2",
+                 "--h", "2", "--a", "2", "--seed", "7"],
+            "1fa9c6ed90d54495c34d40e461279a9054b7bb0b1e559b1d7450adecfc678a61",
+            "6fb72f670d8da62941cf8b062dd2123b87d59052badccb90f505bd02920c7890"),
+    "nq_7_t3_d3_greedy": (["norm-quotient", "--q", "7", "--t", "3", "--d", "3",
+                           "--h", "2", "--a", "1", "--seed", "3",
+                           "--patch-strategy", "greedy_reuse"],
+            "bcb71ddb8fc8bec2af7eb874b7af471b1a5d1e0af8488ab9dbdcf735c305133b",
+            "c4e9641d4d7b8bb5728f8a032d19821db0f495bb726b42e07806054431c0efc6"),
     "nq_25":(["norm-quotient", "--q", "25", "--t", "2", "--d", "1",
                "--h", "6", "--a", "4", "--seed", "7"],
             "bbd7c690a7c1e980082f606e437db1a062754f6f74ce63ac332f43677a3ab6f0",

@@ -14,6 +14,7 @@ from collections import Counter
 import pytest
 
 from splitforge import gf
+from splitforge.constructions import _subfield_split
 
 
 # --------------------------------------------------------------- oracles
@@ -134,15 +135,6 @@ def test_make_field_rejects_bad_input():
     for p, n in [(4, 2), (1, 1), (0, 1), (9, 1), (3, 0), (2, 21)]:
         with pytest.raises(ValueError):
             gf.make_field(p, n)
-
-
-def test_explicit_poly_validation():
-    spec = gf.FieldSpec(3, 2, poly=(1, 0, 1))
-    assert spec.q == 9
-    with pytest.raises(ValueError):
-        gf.FieldSpec(3, 2, poly=(0, 0, 1))  # x^2 is reducible
-    with pytest.raises(ValueError):
-        gf.FieldSpec(3, 2, poly=(1, 0, 2))  # not monic
 
 
 # ------------------------------------------------------------ arithmetic
@@ -304,6 +296,31 @@ def test_exp_is_the_powers_of_theta(p, n):
     assert acc == 1
 
 
+@pytest.mark.parametrize("p,n", [(2, 8), (3, 5), (5, 3), (7, 2), (2, 13)])
+def test_field_matches_sympy(p, n):
+    # sympy's dense GF(p)[x] arithmetic on big-endian coefficient lists
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_add, gf_irreducible_p, gf_mul, gf_rem, gf_strip
+
+    spec = gf.make_field(p, n)
+    modulus = [ZZ(c) for c in reversed(spec.poly)]
+    assert gf_irreducible_p(modulus, p, ZZ)
+
+    def to_poly(x):
+        return gf_strip([ZZ(c) for c in reversed(digits_of(x, p, n))])
+
+    def from_poly(c):
+        return from_digits([int(v) for v in reversed(c)], p)
+
+    rng = random.Random(1000 * p + n)
+    for _ in range(500):
+        a, b = rng.randrange(spec.q), rng.randrange(spec.q)
+        fa, fb = to_poly(a), to_poly(b)
+        assert spec.mul(a, b) == from_poly(gf_rem(gf_mul(fa, fb, p, ZZ), modulus, p, ZZ))
+        assert spec.add(a, b) == from_poly(gf_add(fa, fb, p, ZZ))
+
+
 # ------------------------------------------------------------- primitives
 
 
@@ -327,7 +344,10 @@ def test_primitive_has_full_order(p, n):
         assert mult_order_naive(spec, g) < spec.q - 1
 
 
-# -------------------------------------------------------------- norm map
+# ------------------------------------------- norms, cosets and subfields
+# gf has no helpers for these: callers read them from exp/log, and these
+# tests check the identities those reads rest on against repeated
+# multiplication
 
 
 TOWERS = [(2, 3), (2, 4), (3, 3), (3, 4), (3, 5), (4, 3), (5, 3), (9, 3)]
@@ -338,171 +358,106 @@ def tower_specs(q, t):
     return gf.make_field(p, n * (t - 1)), gf.make_field(p, n)
 
 
-def test_norm_map_frozen():
+def power_naive(spec, x, e):
+    acc = 1
+    for _ in range(e):
+        acc = spec.mul(acc, x)
+    return acc
+
+
+def test_norm_frozen():
     f9 = gf.make_field(3, 2)
-    f3 = gf.make_field(3, 1)
-    for x in range(9):
-        assert gf.norm_map(f9, x, 2, f9) == x  # t=2 is the identity
     mu = 3
-    assert gf.norm_map(f9, mu, 3, f3) == 1  # mu^4 with mu^2 = -1
-    assert gf.norm_map(f9, 0, 3, f3) == 0
+    assert power_naive(f9, mu, 4) == 1  # N(mu) = mu^4 with mu^2 = -1
+    assert f9.log[mu] % 2 == 0  # the label log[mu] mod (3-1) names theta_3^0 = 1
 
 
 @pytest.mark.parametrize("q,t", TOWERS)
 def test_norm_is_the_power_map_under_embedding(q, t):
+    # N(theta_source^i) = theta_target^(i mod (q-1)) under the embedding
     source, target = tower_specs(q, t)
     e = (source.q - 1) // (target.q - 1)
-    for x in range(source.q):
-        y = gf.norm_map(source, x, t, target)
-        assert embed_subfield(source, target, y) == source.pow(x, e)
+    for x in range(1, source.q):
+        y = target.exp[source.log[x] % (target.q - 1)]
+        assert embed_subfield(source, target, y) == power_naive(source, x, e)
 
 
 @pytest.mark.parametrize("q,t", TOWERS)
 def test_norm_multiplicative_surjective_equal_fibers(q, t):
     source, target = tower_specs(q, t)
+    e = (source.q - 1) // (target.q - 1)
+    norm = [0] + [power_naive(source, x, e) for x in range(1, source.q)]
     for x in range(1, source.q):
         for y in range(1, source.q):
-            lhs = gf.norm_map(source, source.mul(x, y), t, target)
-            rhs = target.mul(
-                gf.norm_map(source, x, t, target), gf.norm_map(source, y, t, target)
-            )
-            assert lhs == rhs
-    fibers = Counter(gf.norm_map(source, x, t, target) for x in range(1, source.q))
-    assert set(fibers) == set(range(1, target.q))
-    fiber_size = (source.q - 1) // (target.q - 1)
-    assert all(c == fiber_size for c in fibers.values())
-
-
-def test_norm_map_tower_validation():
-    f9 = gf.make_field(3, 2)
-    f3 = gf.make_field(3, 1)
-    f27 = gf.make_field(3, 3)
-    f5 = gf.make_field(5, 1)
-    with pytest.raises(ValueError):
-        gf.norm_map(f9, 1, 1, f9)
-    with pytest.raises(ValueError):
-        gf.norm_map(f27, 1, 3, f3)  # 27 != 3^2
-    with pytest.raises(ValueError):
-        gf.norm_map(f9, 1, 3, f5)  # wrong characteristic
-
-
-# ------------------------------------------------- subgroups and cosets
+            assert norm[source.mul(x, y)] == source.mul(norm[x], norm[y])
+    # onto the image of the target's nonzero elements, the subfield's
+    fibers = Counter(norm[1:])
+    assert set(fibers) == {embed_subfield(source, target, y) for y in range(1, target.q)}
+    assert set(fibers) == set(source.exp[::e])
+    assert all(c == e for c in fibers.values())
 
 
 def test_subgroup_frozen():
     f7 = gf.make_field(7, 1)
-    K = gf.subgroup(f7, 3)
-    assert K.elements() == [1, 2, 4]
-    assert K.quotient_order == 2
+    assert sorted(f7.exp[::2]) == [1, 2, 4]  # order 3, quotient order 2
     f9 = gf.make_field(3, 2)
-    K1 = gf.subgroup(f9, 1)
-    assert K1.elements() == [1]
-    assert K1.quotient_order == 8
+    assert f9.exp[::8] == [1]
 
 
 @pytest.mark.parametrize("p,n", [(7, 1), (3, 2), (5, 2), (13, 1)])
 def test_subgroup_and_coset_properties(p, n):
+    # the order-d subgroup is exp[::Q], Q = (q-1)/d, and log[x] % Q labels
+    # the coset of x
     spec = gf.make_field(p, n)
     for d in divisors(spec.q - 1):
-        K = gf.subgroup(spec, d)
-        elems = K.elements()
-        assert len(elems) == d
-        if d > 1:
-            assert mult_order_naive(spec, K.generator) == d
-        else:
-            assert K.generator == 1
-        Q = K.quotient_order
+        Q = (spec.q - 1) // d
+        elems = spec.exp[::Q]
+        assert len(set(elems)) == d
+        assert mult_order_naive(spec, elems[1 % d]) == d
+        assert {spec.mul(x, y) for x in elems for y in elems} == set(elems)
         for x in range(1, spec.q):
-            cx = gf.coset_of(x, K)
+            cx = spec.log[x] % Q
             assert 0 <= cx < Q
             for k in elems:
-                assert gf.coset_of(spec.mul(x, k), K) == cx
-        assert {gf.coset_of(x, K) for x in range(1, spec.q)} == set(range(Q))
+                assert spec.log[spec.mul(x, k)] % Q == cx
+        assert {spec.log[x] % Q for x in range(1, spec.q)} == set(range(Q))
 
 
-def test_subgroup_validation():
-    f7 = gf.make_field(7, 1)
-    with pytest.raises(ValueError):
-        gf.subgroup(f7, 4)
-    with pytest.raises(ValueError):
-        gf.subgroup(f7, 0)
-    K = gf.subgroup(f7, 3)
-    with pytest.raises(ValueError):
-        gf.coset_of(0, K)
+def test_subfield_is_a_stride_of_exp():
+    # GF(p^m) in GF(p^n) is 0 plus every ((q-1)/(p^m-1))-th power of
+    # theta: the fixed points of x -> x^(p^m)
+    for (p, n, m) in [(3, 2, 1), (3, 4, 2), (2, 6, 3), (2, 6, 2), (5, 2, 1)]:
+        spec = gf.make_field(p, n)
+        pm = p**m
+        sub = [0, *spec.exp[:: (spec.q - 1) // (pm - 1)]]
+        assert sorted(sub) == [x for x in range(spec.q) if power_naive(spec, x, pm) == x]
+        s = set(sub)
+        assert all(spec.add(a, b) in s and spec.mul(a, b) in s for a in sub for b in sub)
 
 
-def test_coset_reps_frozen():
-    f9 = gf.make_field(3, 2)
-    K = gf.subgroup(f9, 1)
-    H, A = gf.coset_reps(K, 4)
-    assert H == [0, 2, 4, 6]
-    assert A == [0, 1]
-
-
-@pytest.mark.parametrize("p,n", [(7, 1), (3, 2), (5, 2), (13, 1)])
-def test_coset_reps_tile_quotient(p, n):
-    spec = gf.make_field(p, n)
-    for d in divisors(spec.q - 1):
-        K = gf.subgroup(spec, d)
-        Q = K.quotient_order
-        for h in divisors(Q):
-            H, A = gf.coset_reps(K, h)
-            assert len(H) == h and len(A) == Q // h
-            # H is the order-h subgroup of Z_Q
-            assert all((x + y) % Q in set(H) for x in H for y in H)
-            seen = sorted((a + eta) % Q for a in A for eta in H)
-            assert seen == list(range(Q))
-
-
-def test_coset_reps_validation():
-    f9 = gf.make_field(3, 2)
-    K = gf.subgroup(f9, 1)
-    with pytest.raises(ValueError):
-        gf.coset_reps(K, 3)  # 3 does not divide 8
-
-
-# ----------------------------------------------------- subfields / split
-
-
-def test_subfield_elements():
-    f9 = gf.make_field(3, 2)
-    assert gf.subfield_elements(f9, 1) == [0, 1, 2]
-    f81 = gf.make_field(3, 4)
-    sub = gf.subfield_elements(f81, 2)
-    assert len(sub) == 9
-    s = set(sub)
-    for a in sub:
-        for b in sub:
-            assert f81.add(a, b) in s
-            assert f81.mul(a, b) in s
-    with pytest.raises(ValueError):
-        gf.subfield_elements(f81, 3)
+def check_quadratic_split(p):
+    # constructions._subfield_split: x = a + mu*b over GF(p) in GF(p^2),
+    # with mu = p, the least element outside GF(p) = [0, p)
+    spec = gf.make_field(p, 2)
+    ab = _subfield_split(spec)
+    assert len(ab) == spec.q
+    for x in range(spec.q):
+        a, b = ab[x]
+        assert 0 <= a < p and 0 <= b < p
+        assert spec.add(a, spec.mul(p, b)) == x
 
 
 def test_quadratic_split_gf9():
-    f9 = gf.make_field(3, 2)
-    qs = gf.QuadraticSplit(f9)
-    assert qs.sub == [0, 1, 2]
-    assert qs.mu == 3
-    for x in range(9):
-        a, b = qs.split(x)
-        assert a in (0, 1, 2) and b in (0, 1, 2)
-        assert f9.add(a, f9.mul(qs.mu, b)) == x
+    check_quadratic_split(3)
+    assert _subfield_split(gf.make_field(3, 2))[3] == (0, 1)
 
 
 def test_quadratic_split_gf25():
-    f25 = gf.make_field(5, 2)
-    qs = gf.QuadraticSplit(f25)
-    assert qs.sub == [0, 1, 2, 3, 4]
-    assert len({f25.add(a, f25.mul(qs.mu, b)) for a in qs.sub for b in qs.sub}) == 25
-    for x in range(25):
-        a, b = qs.split(x)
-        assert f25.add(a, f25.mul(qs.mu, b)) == x
+    check_quadratic_split(5)
 
 
-def test_quadratic_split_needs_even_degree():
-    with pytest.raises(ValueError):
-        gf.QuadraticSplit(gf.make_field(3, 3))
+def test_quadratic_split_gf49():
+    check_quadratic_split(7)
 
 
 # ---------------------------------------------------------- integer utils
