@@ -21,8 +21,9 @@ from splitforge.structures import LabeledHypergraph
 # the construction recipes of acceptance test c11, plus a seeded and two
 # even-characteristic Wenger splits, theta with its internal edges kept
 # and a greedy norm-quotient patch against K_{3,3}, two norm-quotient
-# splits over a proper subgroup (d > 1), with their payload sha256 for the
-# graph and the partition document
+# splits over a proper subgroup (d > 1), the PG(2,4) and AG(2,4) designs,
+# berge3 over GF(27), W_2(8) and a t = 4 norm-quotient split, with their
+# payload sha256 for the graph and the partition document
 RECIPES = {
     "w2_3": (["wenger", "--M", "2", "--q", "3"],
             "e17cb8b592d24909c6cf79bb1d80dab8512929693ab38a8f3bfe4094f6b12914",
@@ -90,6 +91,22 @@ RECIPES = {
     "pb": (["property-B", "--m", "3", "--c", "2,1", "--r", "6"],
             "266216aeef67d3ddb71419671dfed66afa41ca3bf9ad763c8e4899d727ac66cf",
             "c82c848e84e711bb51a75e64db8794225d3f3e64bdf623ab4706ac0267b56629"),
+    "pg24": (["design", "--id", "PG(2,4)"],
+            "759fa68d7f41dc5227c8750c88be0dc1427402eb513b780439fc252e1cfd792a",
+            "bc0b604ac94c80235426f4404e37f1e62b221840f4766b7c2ea931d5250b2724"),
+    "ag24": (["design", "--id", "AG(2,4)"],
+            "0748a2dfa6f89e219435ba6067f1dba7c8564de02953ffbf1a139e91e2f8ec61",
+            "8fa7b200e657532daef873f28f9b743c56000f91a861517b28b89487f2e70dca"),
+    "b3_27": (["berge3", "--q", "27"],
+            "ece97dad838e94a8cfedc5c37477cb1360bed2af42b2329c88650e8b96cc8df1",
+            "6d565f9a6ab9b627d4a4e2e6aec5f90dff28c305ac171fd33953068ba8d7b699"),
+    "w2_8": (["wenger", "--M", "2", "--q", "8"],
+            "8d961b3ad7e4efe3d6535a215afa297f55069357e8a34267d6b4b85f417b9ea2",
+            "61c025c11fad5d24fdbc3f8cc429c5ffebfde863ae96c7038894fd5e3293e980"),
+    "nq_5_t4": (["norm-quotient", "--q", "5", "--t", "4", "--d", "1",
+                 "--h", "2", "--a", "2", "--seed", "1"],
+            "48c82ddf9c2decc9255d3276d201023fc1b1bcf082658806e2c79d34c3a4bf19",
+            "44b9f05fb71993ed5b6db0d78749930dd51b77f6b6c1ea8f60e151422698c9ed"),
 }
 
 WITNESS_DIGEST = "5321f9bc661eb76aa5b717716224319bd5f985a62de51b62b6cd96a66a721576"
