@@ -71,10 +71,20 @@ def _canonical(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
+def _write_atomic(path: str, text: str) -> None:
+    """Write text next to `path` and rename it over `path`, so a failed
+    write leaves the old file as it was."""
+    tmp = Path(path + ".tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _emit(payload: dict, manifest: dict, out: str | None) -> None:
-    """Write the document in canonical form plus a newline.  A file is
-    written next to `out` and renamed over it, so a failed write leaves
-    the old file as it was."""
+    """Write the document in canonical form plus a newline, to stdout or
+    atomically to the file `out`."""
     doc = dict(payload)
     manifest = dict(manifest)
     manifest["payload_sha256"] = hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
@@ -82,13 +92,8 @@ def _emit(payload: dict, manifest: dict, out: str | None) -> None:
     text = _canonical(doc) + "\n"
     if out is None:
         sys.stdout.write(text)
-        return
-    tmp = Path(out + ".tmp")
-    try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, out)
-    finally:
-        tmp.unlink(missing_ok=True)
+    else:
+        _write_atomic(out, text)
 
 
 def _load(path: str, inputs: dict, cls):
@@ -387,10 +392,9 @@ def _cmd_partition_greedy(args, run) -> int:
     payload["trace"] = trace.to_json_dict()
     _emit(payload, run.manifest(), args.out_partition)
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            for rec in trace.iteration_records():
-                fh.write(json.dumps(rec, sort_keys=True, ensure_ascii=False) + "\n")
-            fh.write(json.dumps({"provenance": run.manifest()}, sort_keys=True, ensure_ascii=False) + "\n")
+        recs = [*trace.iteration_records(), {"provenance": run.manifest()}]
+        _write_atomic(args.trace, "".join(
+            json.dumps(rec, sort_keys=True, ensure_ascii=False) + "\n" for rec in recs))
     return 0
 
 

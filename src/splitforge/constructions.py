@@ -32,9 +32,11 @@ from dataclasses import asdict, dataclass, field as dc_field
 from itertools import chain, combinations, product
 from operator import itemgetter
 
+import numpy as np
+
 from . import forbidden
 from . import gf
-from .structures import LabeledHypergraph, SplitPartition
+from .structures import LabeledHypergraph, SplitPartition, part_map
 
 _PATCH_STRATEGIES = ("matching", "greedy_reuse")
 
@@ -78,12 +80,14 @@ def _odd_prime_power(q: int):
     return p, s
 
 
-def _rank(tp, q: int) -> int:
-    """Index of the coordinate tuple tp in product(range(q), repeat=len(tp))."""
-    idx = 0
-    for c in tp:
-        idx = idx * q + c
-    return idx
+def _tables(F):
+    """F's q x q addition and multiplication tables and its negation
+    vector as int64 arrays, built from F's own scalar ops, so the builders
+    evaluate their equations on whole arrays with F's exact arithmetic."""
+    els = range(F.q)
+    add = np.array([[F.add(a, b) for b in els] for a in els], dtype=np.int64)
+    mul = np.array([[F.mul(a, b) for b in els] for a in els], dtype=np.int64)
+    return add, mul, np.array([F.neg(a) for a in els], dtype=np.int64)
 
 
 def _merge_groups(coords, off: int, key_p, key_l, seed: int | None = None) -> list:
@@ -102,14 +106,11 @@ def _merge_groups(coords, off: int, key_p, key_l, seed: int | None = None) -> li
     return [groups_p[kp] + groups_l[kl] for kp, kl in zip(sorted(groups_p), keys_l)]
 
 
-def _drop_internal(edges, parts, n: int) -> list:
-    """The graph edges, in order, whose two ends lie in different parts;
-    a vertex outside every part is a part of its own."""
-    part_of = [-1 - v for v in range(n)]
-    for i, part in enumerate(parts):
-        for v in part:
-            part_of[v] = i
-    return [(u, v) for u, v in edges if part_of[u] != part_of[v]]
+def _drop_internal(edges, parts, n: int):
+    """The rows of the (E, 2) edge array, in order, whose two ends lie in
+    different parts; a vertex outside every part is a part of its own."""
+    ends = part_map(parts, n)[edges]
+    return edges[ends[:, 0] != ends[:, 1]]
 
 
 # ------------------------------------------------------------------------
@@ -140,18 +141,14 @@ def _norm_quotient(q: int, t: int, d: int):
     labels += [f"L:{y},c{j}" for y in range(nside) for j in range(Q)]
     off = nside * Q
 
-    edges = []
-    for x in range(nside):
-        for y in range(nside):
-            z = source.add(x, y)
-            if z == 0:
-                continue
-            c = source.log[z] % Q
-            base_p = x * Q
-            base_l = off + y * Q
-            for i in range(Q):
-                edges.append((base_p + i, base_l + (c - i) % Q))
-    return source, Q, labels, edges
+    # (x, y) row-major over the pairs with z = x + y nonzero, then i
+    z = _tables(source)[0].ravel()
+    x, y = np.divmod(np.flatnonzero(z), nside)
+    c = np.array([0, *source.log[1:]])[z[z != 0]] % Q
+    i = np.arange(Q)
+    pts = x[:, None] * Q + i
+    lines = off + y[:, None] * Q + (c[:, None] - i) % Q
+    return source, Q, labels, np.stack([pts, lines], axis=-1).reshape(-1, 2)
 
 
 def build_norm_quotient(q: int, t: int, d: int = 1) -> LabeledHypergraph:
@@ -169,7 +166,8 @@ def build_norm_quotient(q: int, t: int, d: int = 1) -> LabeledHypergraph:
     t : arity parameter, at least 2; the source field is F_q^(t-1).
     d : divisor of q - 1 selecting the subgroup K.
     """
-    return LabeledHypergraph(2, *_norm_quotient(q, t, d)[2:])
+    _, _, labels, edges = _norm_quotient(q, t, d)
+    return LabeledHypergraph(2, labels, edges.tolist())
 
 
 def _patch_graph_free(adj, u: int, v: int, t: int, count: int) -> bool:
@@ -246,7 +244,7 @@ def partition_norm_quotient(
     eta_alpha = dict(zip(chosen, range(a)))
     r = nside * a
 
-    new_index: dict = {}
+    new_index = np.full(2 * off, -1, dtype=np.int64)  # -1: dropped P vertex
     labels: list = []
     part_vertices: list = [[] for _ in range(r)]
     for x in range(nside):
@@ -255,17 +253,18 @@ def partition_norm_quotient(
             if eta not in eta_alpha:
                 continue
             new_index[x * Q + i] = len(labels)
+            part_vertices[x * a + eta_alpha[eta]].append(len(labels))
             labels.append(labels0[x * Q + i])
-            part_vertices[x * a + eta_alpha[eta]].append(new_index[x * Q + i])
     for y in range(nside):
         for j in range(Q):
             new_index[off + y * Q + j] = len(labels)
+            part_vertices[y * a + j % a].append(len(labels))
             labels.append(labels0[off + y * Q + j])
-            part_vertices[y * a + j % a].append(new_index[off + y * Q + j])
 
     stats = PatchStats(strategy=patch_strategy, warnings=warnings)
-    kept = [(new_index[u], new_index[v]) for u, v in edges0 if u in new_index]
-    edges = _drop_internal(kept, part_vertices, len(labels))
+    kept = new_index[edges0]
+    kept = kept[kept[:, 0] >= 0]
+    edges = _drop_internal(kept, part_vertices, len(labels)).tolist()
     stats.internal_edges_deleted = len(kept) - len(edges)
 
     # deficient part pairs: kept P-group over x against L-group over -x
@@ -367,20 +366,21 @@ def _wenger(M: int, q: int):
     """Labels and edges of the Wenger graph W_M(q), unvalidated."""
     if M < 1:
         raise ValueError("M must be at least 1")
-    F = gf.make_field(*_prime_power(q))
+    add, mul, neg = _tables(gf.make_field(*_prime_power(q)))
     pts = list(product(range(q), repeat=M + 1))
     nside = len(pts)
 
     labels = ["P:" + ",".join(map(str, tp)) for tp in pts]
     labels += ["L:" + ",".join(map(str, tp)) for tp in pts]
-    edges = []
-    for base, tp in enumerate(pts):
-        for l1 in range(q):
-            line = [l1]
-            for j in range(1, M + 1):
-                line.append(F.sub(F.mul(line[-1], tp[0]), tp[j]))
-            edges.append((base, nside + _rank(line, q)))
-    return labels, edges
+    # one row per (point, l_1) pair, points in index order; the chain
+    # l_{j+1} = l_j p_1 - p_{j+1} builds the line's index digit by digit
+    p = np.repeat(np.indices((q,) * (M + 1)).reshape(M + 1, -1), q, axis=1)
+    l = np.tile(np.arange(q), nside)
+    rank = l
+    for j in range(1, M + 1):
+        l = add[mul[l, p[0]], neg[p[j]]]
+        rank = rank * q + l
+    return labels, np.column_stack([np.arange(nside).repeat(q), nside + rank])
 
 
 def build_wenger(M: int, q: int) -> LabeledHypergraph:
@@ -392,7 +392,8 @@ def build_wenger(M: int, q: int) -> LabeledHypergraph:
     Labels are ``P:<c1>,...,<c(M+1)>`` and ``L:...`` with coordinates in
     the integer encoding of F_q.
     """
-    return LabeledHypergraph(2, *_wenger(M, q))
+    labels, edges = _wenger(M, q)
+    return LabeledHypergraph(2, labels, edges.tolist())
 
 
 _WENGER_FIXED = {2: ((0, 2), (0, 1)), 4: ((0, 2, 4), (0, 1, 3))}
@@ -416,7 +417,7 @@ def partition_wenger(M: int, q: int, seed: int | None = None):
     fixed_p, fixed_l = _WENGER_FIXED[M]
     parts = _merge_groups(product(range(q), repeat=M + 1), n // 2,
                           itemgetter(*fixed_p), itemgetter(*fixed_l), seed)
-    G2 = LabeledHypergraph(2, labels, _drop_internal(edges, parts, n))
+    G2 = LabeledHypergraph(2, labels, _drop_internal(edges, parts, n).tolist())
     P = SplitPartition(parts, 2 * q ** (M // 2))
     return G2, P
 
@@ -458,6 +459,7 @@ def build_theta(q: int, reduce_parts: bool = True):
     if s % 2 == 1:
         raise ValueError(f"q={q} must be an even power")
     F = gf.make_field(p, s)
+    add, mul, neg = _tables(F)
     root = p ** (s // 2)
     n4 = q ** 4
 
@@ -465,33 +467,19 @@ def build_theta(q: int, reduce_parts: bool = True):
     labels = ["P:" + ",".join(map(str, tp)) for tp in coords]
     labels += ["L:" + ",".join(map(str, tp)) for tp in coords]
 
-    edges = []
-    for v1 in range(q):
-        for w1 in range(q):
-            aa = F.mul(v1, w1)
-            bb = F.mul(F.mul(v1, v1), w1)
-            cc = F.mul(v1, F.mul(w1, w1))
-            sub_a = [F.sub(aa, x) for x in range(q)]
-            sub_b = [F.sub(bb, x) for x in range(q)]
-            sub_c = [F.sub(cc, x) for x in range(q)]
-            for v2 in range(q):
-                w2 = sub_a[v2]
-                base_p2 = (v1 * q + v2) * q
-                base_l2 = (w1 * q + w2) * q
-                for v3 in range(q):
-                    w4 = sub_c[v3]
-                    base_p3 = (base_p2 + v3) * q
-                    for v4 in range(q):
-                        edges.append(
-                            (base_p3 + v4, n4 + (base_l2 + sub_b[v4]) * q + w4)
-                        )
+    v1, w1, v2, v3, v4 = np.indices((q,) * 5).reshape(5, -1)
+    w2 = add[mul[v1, w1], neg[v2]]
+    w3 = add[mul[mul[v1, v1], w1], neg[v4]]
+    w4 = add[mul[v1, mul[w1, w1]], neg[v3]]
+    edges = np.column_stack([((v1 * q + v2) * q + v3) * q + v4,
+                             n4 + ((w1 * q + w2) * q + w3) * q + w4])
 
     ab = _subfield_split(F)
     parts = _merge_groups(coords, n4, lambda c: (c[0], ab[c[2]][1], c[3]),
                           lambda c: (c[0], c[1], ab[c[3]][0]))
     if reduce_parts:
         edges = _drop_internal(edges, parts, 2 * n4)
-    G = LabeledHypergraph(2, labels, edges)
+    G = LabeledHypergraph(2, labels, edges.tolist())
     P = SplitPartition(parts, 2 * q * root)
     return G, P
 
@@ -511,32 +499,25 @@ def build_berge3(q: int):
     """
     p, s = _odd_prime_power(q)
     F = gf.make_field(p, s)
+    add, mul, neg = _tables(F)
     inv2 = F.inv(2)
-    banned = [F.mul(inv2, F.mul(x, x)) for x in range(q)]
 
-    labels = []
-    vidx: dict = {}
-    parts: list = [[] for _ in range(q)]
-    for x1 in range(q):
-        for x2 in range(q):
-            if x2 == banned[x1]:
-                continue
-            vidx[(x1, x2)] = len(labels)
-            parts[x1].append(len(labels))
-            labels.append(f"B:{x1},{x2}")
+    # vertex (x1, x2) off the parabola is vidx[x1, x2], row-major, so
+    # each row x1 holds the q - 1 consecutive indices of part x1
+    x1, x2 = np.indices((q, q))
+    on = x2 == mul[inv2, mul[x1, x1]]
+    vidx = np.cumsum(~on).reshape(q, q) - 1
+    labels = [f"B:{a},{b}" for a, b in zip(x1[~on].tolist(), x2[~on].tolist())]
 
-    edges = []
-    for a1, b1, c1 in combinations(range(q), 3):
-        ab = F.mul(a1, b1)
-        bc = F.mul(b1, c1)
-        ca = F.mul(c1, a1)
-        a2 = F.mul(inv2, F.sub(F.add(ab, ca), bc))
-        b2 = F.sub(ab, a2)
-        c2 = F.sub(ca, a2)
-        edges.append((vidx[(a1, a2)], vidx[(b1, b2)], vidx[(c1, c2)]))
+    a1, b1, c1 = np.array(list(combinations(range(q), 3))).reshape(-1, 3).T
+    ab, bc, ca = mul[a1, b1], mul[b1, c1], mul[c1, a1]
+    a2 = mul[inv2, add[add[ab, ca], neg[bc]]]
+    b2 = add[ab, neg[a2]]
+    c2 = add[ca, neg[a2]]
+    edges = np.column_stack([vidx[a1, a2], vidx[b1, b2], vidx[c1, c2]])
 
-    G = LabeledHypergraph(3, labels, edges)
-    P = SplitPartition(parts, q - 1)
+    G = LabeledHypergraph(3, labels, edges.tolist())
+    P = SplitPartition(np.arange(q * (q - 1)).reshape(q, q - 1).tolist(), q - 1)
     return G, P
 
 
@@ -607,38 +588,26 @@ def design_catalog(design_id: str) -> DesignInstance:
     mm = _PG_RE.match(design_id)
     if mm:
         q = int(mm.group(1))
-        F = _catalog_field(q)
-        points = (
+        add, mul, _ = _tables(_catalog_field(q))
+        points = np.array(
             [(x, y, 1) for x in range(q) for y in range(q)]
             + [(x, 1, 0) for x in range(q)]
             + [(1, 0, 0)]
         )
-        blocks = []
-        for coef in points:
-            block = [
-                i
-                for i, pt in enumerate(points)
-                if F.add(
-                    F.add(F.mul(coef[0], pt[0]), F.mul(coef[1], pt[1])),
-                    F.mul(coef[2], pt[2]),
-                )
-                == 0
-            ]
-            blocks.append(tuple(block))
-        return DesignInstance(2, q * q + q + 1, q + 1, tuple(blocks))
+        # block i holds the points on the line with coefficients points[i]
+        terms = mul[points[:, None, :], points[None, :, :]]
+        dots = add[add[terms[..., 0], terms[..., 1]], terms[..., 2]]
+        blocks = [np.flatnonzero(row == 0).tolist() for row in dots]
+        return DesignInstance(2, q * q + q + 1, q + 1, blocks)
     mm = _AG_RE.match(design_id)
     if mm:
         q = int(mm.group(1))
-        F = _catalog_field(q)
-        blocks = []
-        for slope in range(q):
-            for icpt in range(q):
-                blocks.append(
-                    tuple(x * q + F.add(F.mul(slope, x), icpt) for x in range(q))
-                )
-        for c in range(q):
-            blocks.append(tuple(c * q + y for y in range(q)))
-        return DesignInstance(2, q * q, q, tuple(blocks))
+        add, mul, _ = _tables(_catalog_field(q))
+        # the lines y = slope x + icpt, then the vertical lines x = c
+        slope, icpt, x = np.indices((q, q, q))
+        blocks = np.vstack([(x * q + add[mul[slope, x], icpt]).reshape(q * q, q),
+                            np.arange(q * q).reshape(q, q)])
+        return DesignInstance(2, q * q, q, blocks.tolist())
     mm = _ALL_RE.match(design_id)
     if mm:
         m_outer, r, m_inner = map(int, mm.groups())

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import chain, combinations, count
 from math import comb
@@ -25,6 +25,7 @@ __all__ = [
     "LabeledHypergraph",
     "SplitPartition",
     "VerificationReport",
+    "part_map",
     "verify_rk",
     "property_B_check",
     "components",
@@ -260,25 +261,31 @@ class VerificationReport:
     wall_time: float = 0.0
 
     def to_json_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "k_effective": self.k_effective,
-            "completeness_ok": self.completeness_ok,
-            "missing_tuples": [list(t) for t in self.missing_tuples],
-            "independence_ok": self.independence_ok,
-            "forbidden_witness": self.forbidden_witness,
-            "wall_time": self.wall_time,
-        }
+        return asdict(self)
+
+
+def part_map(parts, n: int):
+    """The vertex-to-part array of n vertices: v maps to the index of its
+    part, or to -1 - v when it lies in no part, so two vertices share a
+    value exactly when they share a part."""
+    flat = np.fromiter(chain.from_iterable(parts), dtype=np.int64)
+    if flat.size and flat.max() >= n:
+        raise ValueError(f"partition references vertex {flat.max()}, graph has {n}")
+    out = -1 - np.arange(n, dtype=np.int64)
+    out[flat] = np.repeat(np.arange(len(parts)), [len(part) for part in parts])
+    return out
 
 
 def verify_rk(G: LabeledHypergraph, P: SplitPartition) -> VerificationReport:
     """Certify that (G, P) is an (r, k)-hypergraph.
 
-    Every edge contributes the tuple of parts it meets; an m-subset of
-    parts is covered when some edge meets each of the m parts in
-    exactly one vertex (for an m-uniform edge that means its vertices
-    lie in m distinct parts, all of them assigned).  Vertices outside
-    every part are allowed and such edges never cover a tuple.
+    Every edge contributes the sorted row of its vertices' entries in
+    :func:`part_map`.  An m-subset of parts is covered when some edge
+    meets each of the m parts in exactly one vertex: its row starts at a
+    part index (>= 0, so every vertex is assigned) and strictly
+    increases.  Vertices outside every part are allowed and such edges
+    never cover a tuple.  An edge lies inside one part when its row's
+    first and last entries are equal.
 
     Returns
     -------
@@ -288,26 +295,15 @@ def verify_rk(G: LabeledHypergraph, P: SplitPartition) -> VerificationReport:
         entirely inside one part).
     """
     t0 = time.monotonic()
-    n = G.n
-    part_of = [-1] * n
-    for i, part in enumerate(P.parts):
-        for v in part:
-            if v >= n:
-                raise ValueError(f"partition references vertex {v}, graph has {n}")
-            part_of[v] = i
     r, m = P.r, G.m
+    rows = np.sort(part_map(P.parts, G.n)[np.array(G.edges, dtype=np.int64).reshape(-1, m)], axis=1)
+    independent = not (rows[:, 0] == rows[:, -1]).any()
+    rainbow = np.unique(rows[(rows[:, 0] >= 0) & (np.diff(rows, axis=1) > 0).all(axis=1)], axis=0)
     k_eff = max((len(p) for p in P.parts), default=0)
-    covered = set()
-    independent = True
-    for e in G.edges:
-        ps = sorted(part_of[v] for v in e)
-        if ps[0] == ps[-1] and ps[0] != -1:
-            independent = False
-        if ps[0] != -1 and all(ps[i] < ps[i + 1] for i in range(m - 1)):
-            covered.add(tuple(ps))
-    if len(covered) == comb(r, m):
+    if len(rainbow) == comb(r, m):
         missing = []
     else:
+        covered = set(map(tuple, rainbow.tolist()))
         missing = [c for c in combinations(range(r), m) if c not in covered]
     return VerificationReport(
         r=r,

@@ -451,6 +451,30 @@ def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch, capsys):
     assert sorted(tmp_path.iterdir()) == [g]
 
 
+def test_failed_trace_write_keeps_the_old_trace(tmp_path, monkeypatch, capsys):
+    g = tmp_path / "w13.json"
+    assert cli.main(["construct", "wenger", "--M", "1", "--q", "3", "--out", str(g)]) == 0
+    tr = tmp_path / "trace.jsonl"
+    tr.write_bytes(b"old trace")
+    replace = cli.os.replace
+
+    def fail_trace(src, dst):
+        if str(dst).endswith(".jsonl"):
+            raise OSError("disk full")
+        replace(src, dst)
+
+    monkeypatch.setattr(cli.os, "replace", fail_trace)
+    code = cli.main(
+        ["partition-greedy", "--graph", str(g), "--m", "3", "--forbid", "K_{2,2}",
+         "--seed", "5", "--seed-size", "1", "--out-graph", str(tmp_path / "g2.json"),
+         "--out-partition", str(tmp_path / "p.json"), "--trace", str(tr)]
+    )
+    assert code == 2
+    assert "disk full" in capsys.readouterr().err
+    assert tr.read_bytes() == b"old trace"
+    assert not list(tmp_path.glob("*.tmp"))
+
+
 def test_threads_do_not_change_payload(tmp_path):
     docs = []
     for threads, name in [("1", "a"), ("4", "b")]:

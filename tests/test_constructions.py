@@ -2,7 +2,9 @@
 
 Oracles here avoid the gf tables wherever a prime field suffices: the
 q = 3 and q = 5 instances are rebuilt with plain modular arithmetic and
-compared edge for edge.
+compared edge for edge.  Over prime powers the oracles check each
+family's equations with the field's scalar ops, never the builders'
+array tables, and compare sets of edges, not their order.
 """
 
 from __future__ import annotations
@@ -26,6 +28,15 @@ def label_map(G):
 
 def degrees(G):
     return [G.degree(v) for v in range(G.n)]
+
+
+def coords(label):
+    """The coordinates of a label such as ``P:1,0,2``."""
+    return tuple(map(int, label[2:].split(",")))
+
+
+def field(q):
+    return gf.make_field(*gf.prime_power(q))
 
 
 def canonical_json(G, P, extra=None):
@@ -247,6 +258,19 @@ def test_wenger_matches_modular_oracle(M, q):
     assert got == wenger_oracle_edges(M, q)
 
 
+@pytest.mark.parametrize("M,q", [(2, 4), (2, 8), (2, 9), (4, 4)])
+def test_wenger_edges_satisfy_the_chain_over_prime_powers(M, q):
+    # each (point, l_1) has one solution l, so q^(M+2) distinct edges that
+    # all solve the chain are the whole solution set
+    F = field(q)
+    G = cons.build_wenger(M, q)
+    assert len(G.edges) == q ** (M + 2)
+    for u, v in G.edges:
+        assert G.vertices[u][0] == "P" and G.vertices[v][0] == "L"
+        p, l = coords(G.vertices[u]), coords(G.vertices[v])
+        assert all(F.add(l[j], p[j]) == F.mul(l[j - 1], p[0]) for j in range(1, M + 1))
+
+
 def test_wenger_shapes():
     G = cons.build_wenger(2, 3)
     assert G.n == 54 and len(G.edges) == 81
@@ -344,6 +368,21 @@ def test_theta_q9():
     assert set(off.values()) == {2} and len(off) == comb(243, 2)
 
 
+def test_theta_edges_satisfy_the_three_equations():
+    # each (v, w1) has one solution w, so 9^5 distinct solving edges are
+    # the whole solution set; the reduced graph keeps a subset of them
+    F = field(9)
+    full, _ = cons.build_theta(9, reduce_parts=False)
+    assert len(full.edges) == 9**5
+    for u, v in full.edges:
+        assert full.vertices[u][0] == "P" and full.vertices[v][0] == "L"
+        (v1, v2, v3, v4), (w1, w2, w3, w4) = coords(full.vertices[u]), coords(full.vertices[v])
+        assert w2 == F.sub(F.mul(v1, w1), v2)
+        assert w3 == F.sub(F.mul(F.mul(v1, v1), w1), v4)
+        assert w4 == F.sub(F.mul(v1, F.mul(w1, w1)), v3)
+    assert cons.build_theta(9)[0].edge_set <= full.edge_set
+
+
 def test_theta_determinism_and_validation():
     a = cons.build_theta(9)
     b = cons.build_theta(9)
@@ -378,6 +417,21 @@ def test_berge3_q5_matches_modular_oracle():
     assert P.r == 5 and P.declared_k == 4
     rep = verify_rk(G, P)
     assert rep.completeness_ok and rep.independence_ok
+
+
+@pytest.mark.parametrize("q", [9, 27])
+def test_berge3_triples_satisfy_the_pair_relations(q):
+    # in odd characteristic a triple of first coordinates fixes the
+    # second ones, so one solving triple per 3-set is the solution set
+    F = field(q)
+    G, _ = cons.build_berge3(q)
+    half = F.inv(2)
+    assert all(x2 != F.mul(half, F.mul(x1, x1)) for x1, x2 in map(coords, G.vertices))
+    triples = [sorted(coords(G.vertices[v]) for v in e) for e in G.edges]
+    assert sorted(tuple(x1 for x1, _ in tri) for tri in triples) == list(combinations(range(q), 3))
+    for tri in triples:
+        for (x1, x2), (y1, y2) in combinations(tri, 2):
+            assert F.add(x2, y2) == F.mul(x1, y1)
 
 
 @pytest.mark.parametrize("q", [5, 9])
@@ -415,6 +469,22 @@ def test_design_catalog():
     for bad in ["PG(2,6)", "PG(2,37)", "AG(2,1)", "all-3-subsets(5,2)", "nope"]:
         with pytest.raises(ValueError):
             cons.design_catalog(bad)
+
+
+@pytest.mark.parametrize("q", [4, 8])
+def test_pg_blocks_are_the_projective_lines(q):
+    F = field(q)
+    # the catalog's point order
+    points = ([(x, y, 1) for x in range(q) for y in range(q)]
+              + [(x, 1, 0) for x in range(q)] + [(1, 0, 0)])
+    lines = {
+        frozenset(i for i, pt in enumerate(points)
+                  if F.add(F.add(F.mul(a[0], pt[0]), F.mul(a[1], pt[1])), F.mul(a[2], pt[2])) == 0)
+        for a in product(range(q), repeat=3) if any(a)
+    }
+    blocks = cons.design_catalog(f"PG(2,{q})").blocks
+    assert len(blocks) == len(lines) == q * q + q + 1
+    assert {frozenset(b) for b in blocks} == lines
 
 
 def test_design_instance_validation():
