@@ -372,15 +372,14 @@ def _wenger(M: int, q: int):
 
     labels = ["P:" + ",".join(map(str, tp)) for tp in pts]
     labels += ["L:" + ",".join(map(str, tp)) for tp in pts]
-    # one row per (point, l_1) pair, points in index order; the chain
+    # one row per (point, l_1) pair in index order; the chain
     # l_{j+1} = l_j p_1 - p_{j+1} builds the line's index digit by digit
-    p = np.repeat(np.indices((q,) * (M + 1)).reshape(M + 1, -1), q, axis=1)
-    l = np.tile(np.arange(q), nside)
+    *p, l = np.indices((q,) * (M + 2)).reshape(M + 2, -1)
     rank = l
     for j in range(1, M + 1):
         l = add[mul[l, p[0]], neg[p[j]]]
         rank = rank * q + l
-    return labels, np.column_stack([np.arange(nside).repeat(q), nside + rank])
+    return labels, np.column_stack([np.arange(len(l)) // q, nside + rank])
 
 
 def build_wenger(M: int, q: int) -> LabeledHypergraph:
@@ -509,7 +508,7 @@ def build_berge3(q: int):
     vidx = np.cumsum(~on).reshape(q, q) - 1
     labels = [f"B:{a},{b}" for a, b in zip(x1[~on].tolist(), x2[~on].tolist())]
 
-    a1, b1, c1 = np.array(list(combinations(range(q), 3))).reshape(-1, 3).T
+    a1, b1, c1 = np.array(list(combinations(range(q), 3))).T
     ab, bc, ca = mul[a1, b1], mul[b1, c1], mul[c1, a1]
     a2 = mul[inv2, add[add[ab, ca], neg[bc]]]
     b2 = add[ab, neg[a2]]

@@ -296,11 +296,14 @@ def verify_rk(G: LabeledHypergraph, P: SplitPartition) -> VerificationReport:
     """
     t0 = time.monotonic()
     r, m = P.r, G.m
-    rows = np.sort(part_map(P.parts, G.n)[np.array(G.edges, dtype=np.int64).reshape(-1, m)], axis=1)
+    edges = np.array(G.edges, dtype=np.int64).reshape(-1, m)
+    rows = np.sort(part_map(P.parts, G.n)[edges], axis=1)
     independent = not (rows[:, 0] == rows[:, -1]).any()
-    rainbow = np.unique(rows[(rows[:, 0] >= 0) & (np.diff(rows, axis=1) > 0).all(axis=1)], axis=0)
+    rainbow = rows[(rows[:, 0] >= 0) & (np.diff(rows, axis=1) > 0).all(axis=1)]
+    rainbow = rainbow[np.lexsort(rainbow.T)]  # equal rows end up adjacent
+    distinct = len(rainbow) and 1 + (rainbow[1:] != rainbow[:-1]).any(axis=1).sum()
     k_eff = max((len(p) for p in P.parts), default=0)
-    if len(rainbow) == comb(r, m):
+    if distinct == comb(r, m):
         missing = []
     else:
         covered = set(map(tuple, rainbow.tolist()))
