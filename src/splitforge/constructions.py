@@ -90,6 +90,11 @@ def _tables(F):
     return add, mul, np.array([F.neg(a) for a in els], dtype=np.int64)
 
 
+def _graph(m: int, labels, edges) -> LabeledHypergraph:
+    """The hypergraph on the rows of an (E, m) edge array, one tuple of ints at a time."""
+    return LabeledHypergraph(m, labels, zip(*edges.T.tolist()))
+
+
 def _merge_groups(coords, off: int, key_p, key_l, seed: int | None = None) -> list:
     """Parts of a point/line graph: point i and line off + i carry the
     coordinates coords[i]; points are grouped by key_p, lines by key_l,
@@ -119,8 +124,8 @@ def _drop_internal(edges, parts, n: int):
 
 
 def _norm_quotient(q: int, t: int, d: int):
-    """Source field, coset count Q, labels and edges of the norm-quotient
-    graph, unvalidated.
+    """Source field, coset count Q, labels and (E, 2) edge array of the
+    norm-quotient graph, unvalidated.
 
     The coset of N(z) is read from the source field's log table: with
     e = (q^(t-1) - 1)/(q - 1), N(z) = z^e, and under the embedding
@@ -141,7 +146,7 @@ def _norm_quotient(q: int, t: int, d: int):
     labels += [f"L:{y},c{j}" for y in range(nside) for j in range(Q)]
     off = nside * Q
 
-    # (x, y) row-major over the pairs with z = x + y nonzero, then i
+    # (x, y) row-major over the pairs with z = x + y != 0 (log[0] is None), then i
     z = _tables(source)[0].ravel()
     x, y = np.divmod(np.flatnonzero(z), nside)
     c = np.array([0, *source.log[1:]])[z[z != 0]] % Q
@@ -166,8 +171,7 @@ def build_norm_quotient(q: int, t: int, d: int = 1) -> LabeledHypergraph:
     t : arity parameter, at least 2; the source field is F_q^(t-1).
     d : divisor of q - 1 selecting the subgroup K.
     """
-    _, _, labels, edges = _norm_quotient(q, t, d)
-    return LabeledHypergraph(2, labels, edges.tolist())
+    return _graph(2, *_norm_quotient(q, t, d)[2:])
 
 
 def _patch_graph_free(adj, u: int, v: int, t: int, count: int) -> bool:
@@ -363,7 +367,7 @@ def partition_norm_quotient(
 
 
 def _wenger(M: int, q: int):
-    """Labels and edges of the Wenger graph W_M(q), unvalidated."""
+    """Labels and (E, 2) edge array of the Wenger graph W_M(q), unvalidated."""
     if M < 1:
         raise ValueError("M must be at least 1")
     add, mul, neg = _tables(gf.make_field(*_prime_power(q)))
@@ -391,8 +395,7 @@ def build_wenger(M: int, q: int) -> LabeledHypergraph:
     Labels are ``P:<c1>,...,<c(M+1)>`` and ``L:...`` with coordinates in
     the integer encoding of F_q.
     """
-    labels, edges = _wenger(M, q)
-    return LabeledHypergraph(2, labels, edges.tolist())
+    return _graph(2, *_wenger(M, q))
 
 
 _WENGER_FIXED = {2: ((0, 2), (0, 1)), 4: ((0, 2, 4), (0, 1, 3))}
@@ -416,7 +419,7 @@ def partition_wenger(M: int, q: int, seed: int | None = None):
     fixed_p, fixed_l = _WENGER_FIXED[M]
     parts = _merge_groups(product(range(q), repeat=M + 1), n // 2,
                           itemgetter(*fixed_p), itemgetter(*fixed_l), seed)
-    G2 = LabeledHypergraph(2, labels, _drop_internal(edges, parts, n).tolist())
+    G2 = _graph(2, labels, _drop_internal(edges, parts, n))
     P = SplitPartition(parts, 2 * q ** (M // 2))
     return G2, P
 
@@ -478,7 +481,7 @@ def build_theta(q: int, reduce_parts: bool = True):
                           lambda c: (c[0], c[1], ab[c[3]][0]))
     if reduce_parts:
         edges = _drop_internal(edges, parts, 2 * n4)
-    G = LabeledHypergraph(2, labels, edges.tolist())
+    G = _graph(2, labels, edges)
     P = SplitPartition(parts, 2 * q * root)
     return G, P
 
@@ -515,7 +518,7 @@ def build_berge3(q: int):
     c2 = add[ca, neg[a2]]
     edges = np.column_stack([vidx[a1, a2], vidx[b1, b2], vidx[c1, c2]])
 
-    G = LabeledHypergraph(3, labels, edges.tolist())
+    G = _graph(3, labels, edges)
     P = SplitPartition(np.arange(q * (q - 1)).reshape(q, q - 1).tolist(), q - 1)
     return G, P
 
