@@ -322,12 +322,33 @@ def test_oracle_exhausted_is_still_success(tmp_path):
     assert doc["certificate"] is None
 
 
-def test_oracle_budget_exit_5(tmp_path):
+def test_oracle_budget_exit_5(tmp_path, capsys):
     code = cli.main(
         ["oracle", "--r", "4", "--m", "2", "--k-max", "2", "--forbid", "C_4",
          "--budget", "3", "--out", str(tmp_path / "o.json")]
     )
     assert code == 5
+    assert "3 edge placements exhausted at r=4, m=2, k=1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("m, spec, message", [
+    ("3", "C_4", "this decider needs a 2-uniform graph, got m=3"),
+    ("2", "bergeC_2", "Berge cycle detection expects a hypergraph with m >= 3"),
+])
+def test_oracle_pattern_that_does_not_fit_m_exits_2(tmp_path, capsys, m, spec, message):
+    code = cli.main(["oracle", "--r", "4", "--m", m, "--k-max", "2", "--forbid", spec,
+                     "--out", str(tmp_path / "o.json")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_oracle_payload_digest_frozen(tmp_path):
+    out = tmp_path / "o.json"
+    assert cli.main(["oracle", "--r", "4", "--m", "2", "--k-max", "3", "--forbid", "C_4",
+                     "--out", str(out)]) == 0
+    assert load(out)["provenance"]["payload_sha256"] == \
+        "7d6ab6eb9d108d777b84994079f8c765744c2fc227466e049bca44a95a6a2704"
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from itertools import combinations
 import pytest
 
 from splitforge import cli, constructions, forbidden, spectral
+from splitforge.oracle import OracleQuery, exact_f
 from splitforge.structures import LabeledHypergraph
 
 # the construction recipes of acceptance test c11, plus a seeded and two
@@ -291,3 +292,52 @@ def test_iterative_extremes_frozen(M, q):
     assert s.eigenvalues is None
     blob = json.dumps(list(s.extremes)).encode("utf-8")
     assert hashlib.sha256(blob).hexdigest() == EXTREMES_DIGEST[M, q]
+
+
+# exact_f queries: the six of the oracle-sweep benchmark, then cheap ones
+# that reach K_{2,t}, theta, an explicit pattern (K_4 less an edge),
+# Berge 4-cycles and mixed families; each maps (r, m, k_max, patterns)
+# to (status, value, per_k_nodes, nodes_total, certificate sha256)
+_DIAMOND = forbidden.ForbiddenPattern("explicit", (), ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2)))
+ORACLE_RECORD = {
+    "cycles345_r6": ((6, 2, 3, ("C_3", "C_4", "C_5")), ("found", 2, {1: 6, 2: 6572}, 6578,
+                     "23c46f7111cb994abf747b9b4c4760d4b83afcb078510883585d0cfccdd7b9d8")),
+    "bergeC2_r6": ((6, 3, 2, ("bergeC_2",)), ("exhausted", None, {1: 2, 2: 63145}, 63147, None)),
+    "bergeC3_r5": ((5, 3, 3, ("bergeC_3",)), ("found", 3, {1: 4, 2: 8429, 3: 133}, 8566,
+                   "19aa6def45192e6744fd6ca229bf0aeea383581b59a466404224c513a5cdb3cb")),
+    "C4_r4": ((4, 2, 3, ("C_4",)), ("found", 2, {1: 5, 2: 9}, 14,
+              "acfe74bd693dec6d796e0618dd9cca5df38684847504955e36a2b1676dc026fe")),
+    "C4_r5": ((5, 2, 3, ("C_4",)), ("found", 2, {1: 6, 2: 17}, 23,
+              "1090e8705c8d2ed3285546207007d1badff715bdeb3a4f1bb1dda8eb3969bd23")),
+    "C4_r6": ((6, 2, 3, ("C_4",)), ("found", 2, {1: 7, 2: 79}, 86,
+              "b2a14b2d5dda7263fa51e93e3301ffcda92ed550a341f05ab51a22af21e1d51f")),
+    "K22_r4": ((4, 2, 3, ("K_{2,2}",)), ("found", 2, {1: 5, 2: 9}, 14,
+               "acfe74bd693dec6d796e0618dd9cca5df38684847504955e36a2b1676dc026fe")),
+    "K23_r6": ((6, 2, 3, ("K_{2,3}",)), ("found", 2, {1: 8, 2: 26}, 34,
+               "4d0e70f399b72a0004a54954a1fa004517cc62d900612e73db64ad6e62ff2c88")),
+    "K13_r4": ((4, 2, 3, ("K_{1,3}",)), ("found", 2, {1: 3, 2: 12}, 15,
+               "a002532138db0bd5896aeb9f9e5205ea9b3e5f7b68e924a0ad585595b0649f53")),
+    "theta23_r6": ((6, 2, 3, ("theta_{2,3}",)), ("found", 2, {1: 11, 2: 30}, 41,
+                   "2ddff4d9937d03a2a82d1c9fa2ad70bcef389a80f11ba96b1e6556ec8e9bc489")),
+    "diamond_r5": ((5, 2, 3, (_DIAMOND,)), ("found", 2, {1: 6, 2: 17}, 23,
+                   "6348efcdd066eee38a77ae876da9a0959b799010a25450e2f227f98ab7f3e178")),
+    "bergeC4_r4": ((4, 3, 3, ("bergeC_4",)), ("found", 2, {1: 4, 2: 7}, 11,
+                   "57a5246fd9e32f6130c39c3b5b77432e77ed8d679cf79ab3b9a9f1194fca6d00")),
+    "C4_K22_r5": ((5, 2, 3, ("C_4", "K_{2,2}")), ("found", 2, {1: 6, 2: 17}, 23,
+                  "1090e8705c8d2ed3285546207007d1badff715bdeb3a4f1bb1dda8eb3969bd23")),
+    "C3_theta32_r5": ((5, 2, 3, ("C_3", "theta_{3,2}")), ("found", 2, {1: 5, 2: 17}, 22,
+                      "7ac6f296cf7bc1c80483e54f33de52617b1d9326d94e6ba0829e21cfa9cff17f")),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(ORACLE_RECORD))
+def test_oracle_outputs_frozen(tag):
+    (r, m, k_max, specs), expected = ORACLE_RECORD[tag]
+    patterns = tuple(p if isinstance(p, forbidden.ForbiddenPattern) else forbidden.parse_pattern(p)
+                     for p in specs)
+    res = exact_f(OracleQuery(r, m, k_max, patterns))
+    cert = None
+    if res.graph is not None:
+        doc = {"graph": res.graph.to_json_dict(), "partition": res.partition.to_json_dict()}
+        cert = hashlib.sha256(cli._canonical(doc).encode("utf-8")).hexdigest()
+    assert (res.status, res.value, res.per_k_nodes, res.nodes_total, cert) == expected
