@@ -5,8 +5,9 @@ keys, no whitespace, one trailing newline.  The result fields sit at the
 top level of the document and a run manifest sits next to them under
 "provenance"; the manifest carries the command, parameters, seed, thread
 count, tool version, input digests, a sha256 of the canonical payload
-(the document minus the provenance key) and the wall time.  A document
-written to a file replaces the old file only once it is complete.
+(the document minus the provenance key) and the wall time; an oracle
+run's manifest also has "paths", which names the check each pattern's
+placements took, "incremental" or "fallback".  A document written to a file replaces the old file only once it is complete.
 Repeated runs with the same parameters and seed produce byte-identical
 payloads; only the manifest's wall time may differ.
 
@@ -357,12 +358,13 @@ def _cmd_oracle(args, run) -> int:
         "nodes_total": res.nodes_total,
         "certificate": certificate,
     }
-    _emit(payload, run.manifest(), args.out)
+    manifest = dict(run.manifest(), paths=res.paths)
+    _emit(payload, manifest, args.out)
     if certificate is not None:
         if args.cert_graph:
-            _emit(certificate["graph"], run.manifest(), args.cert_graph)
+            _emit(certificate["graph"], manifest, args.cert_graph)
         if args.cert_partition:
-            _emit(certificate["partition"], run.manifest(), args.cert_partition)
+            _emit(certificate["partition"], manifest, args.cert_partition)
     return 0
 
 

@@ -7,6 +7,17 @@ Minimal assignments place exactly one rainbow edge per m-tuple of parts;
 removing edges never creates a forbidden pattern, so feasibility at k is
 equivalent to feasibility with a minimal assignment.
 
+The search grows one host per level, `_PatternState`, and asks it at
+each placement only whether the new edge closes a forbidden copy: the
+host before the edge is free and every pattern is monotone, so a new
+copy uses the new edge.  Cycles and K_{1,t}, K_{2,t} on graphs and Berge
+cycles on hypergraphs are decided incrementally, from the neighbour
+lists and the covered pairs; any other pattern, or one whose kind does
+not fit m, takes the named fallback, which builds the host and runs the
+full decider (`check_pattern`), so its errors and messages are the
+deciders' own.  A found certificate is rechecked with `verify_rk` and
+the full deciders.
+
 The feasibility envelope is deliberately small (r <= 6, k <= 3, m in
 {2, 3}); beyond it the node budget cuts the search off with an explicit
 failure rather than an unreliable verdict.
@@ -18,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .forbidden import ForbiddenPattern, check_pattern
+from .forbidden import ForbiddenPattern, _paths_by_end, check_pattern
 from .structures import (
     BudgetExceededError,
     LabeledHypergraph,
@@ -86,7 +97,9 @@ class OracleResult:
     when every k up to k_max was searched completely without a witness
     (so the true threshold exceeds k_max).  ``per_k_nodes`` records how
     many edge placements each level attempted; together with a budget
-    that was never hit it is the exhaustion evidence.
+    that was never hit it is the exhaustion evidence.  ``paths`` maps
+    each pattern's spec string to the check its placements took,
+    "incremental" or "fallback".
     """
 
     status: str
@@ -95,10 +108,126 @@ class OracleResult:
     partition: Optional[SplitPartition]
     per_k_nodes: Dict[int, int]
     nodes_total: int
+    paths: Dict[str, str]
 
 
 def _patterns_absent(G: LabeledHypergraph, patterns: Tuple[ForbiddenPattern, ...]) -> bool:
     return all(check_pattern(G, pat) is None for pat in patterns)
+
+
+def _route(pattern: ForbiddenPattern, m: int) -> str:
+    """"incremental" when `_PatternState` decides the pattern on an
+    m-uniform host by itself, else "fallback" (a fresh host and the full
+    decider, whose errors and messages the search then raises)."""
+    kind = pattern.kind
+    if m == 2 and (kind == "cycle" or kind == "complete_bipartite" and pattern.params[0] <= 2):
+        return "incremental"
+    if m >= 3 and kind == "berge_cycle":
+        return "incremental"
+    return "fallback"
+
+
+class _PatternState:
+    """The host of one level's search, grown and shrunk one edge at a
+    time, that tells whether the next edge would close a forbidden copy.
+
+    ``nb`` holds one neighbour list per node: vertex v is node v, and on
+    m >= 3 hosts the i-th placed edge is node n + i, so the lists are the
+    graph's adjacency (m = 2) or its vertex-edge incidence graph.  Edges
+    are popped in the reverse order of their adding, so every list grows
+    and shrinks at its end.
+
+    `closes` is exact only while the host is free of every pattern, as
+    it is at each node of the search: patterns are monotone, so a new
+    copy uses the new edge, and each incremental rule looks for one
+    through it.  A pattern `_route` does not take goes to the fallback.
+    """
+
+    def __init__(self, m: int, labels, patterns: Tuple[ForbiddenPattern, ...]):
+        self.m = m
+        self.labels = labels
+        self.edges: List[tuple] = []
+        self.nb: List[list] = [[] for _ in labels]
+        self.covered: Dict[tuple, int] = {}  # placed edges over each vertex pair (m >= 3)
+        self.tests = [(pat, _route(pat, m) == "incremental") for pat in patterns]
+
+    def add(self, edge: tuple) -> None:
+        self.edges.append(edge)
+        nb = self.nb
+        if self.m == 2:
+            u, v = edge
+            nb[u].append(v)
+            nb[v].append(u)
+        else:
+            for v in edge:
+                nb[v].append(len(nb))
+            nb.append(list(edge))
+            cov = self.covered
+            for pair in itertools.combinations(edge, 2):
+                cov[pair] = cov.get(pair, 0) + 1
+
+    def pop(self) -> None:
+        edge = self.edges.pop()
+        nb = self.nb
+        if self.m == 2:
+            u, v = edge
+            nb[u].pop()
+            nb[v].pop()
+        else:
+            nb.pop()
+            for v in edge:
+                nb[v].pop()
+            for pair in itertools.combinations(edge, 2):
+                self.covered[pair] -= 1
+
+    def host(self) -> LabeledHypergraph:
+        return LabeledHypergraph(self.m, self.labels, self.edges)
+
+    def closes(self, edge: tuple) -> bool:
+        """Whether the free host plus `edge` (sorted, not yet placed)
+        holds a forbidden pattern; patterns go in the query's order, so
+        a fallback raises exactly where the full deciders would."""
+        host = None
+        for pat, incremental in self.tests:
+            if incremental:
+                hit = self._closes(pat, edge)
+            else:
+                if host is None:
+                    host = LabeledHypergraph(self.m, self.labels, self.edges + [edge])
+                hit = check_pattern(host, pat) is not None
+            if hit:
+                return True
+        return False
+
+    def _closes(self, pat: ForbiddenPattern, edge: tuple) -> bool:
+        nb = self.nb
+        if pat.kind == "cycle":
+            # a C_L through uv is uv plus a u-v path of L - 1 edges
+            u, v = edge
+            return v in _paths_by_end(nb, u, pat.params[0] - 1, -1)
+        if pat.kind == "complete_bipartite":
+            # the edge joins a hub a to a leaf c: a K_{1,t} needs t - 1
+            # more leaves at a, a K_{2,t} a second hub among c's
+            # neighbours that shares t - 1 neighbours with a
+            s, t = pat.params
+            for a, c in edge, edge[::-1]:
+                if s == 1 and len(nb[a]) >= t - 1:
+                    return True
+                if s == 2 and any(len(set(nb[a]).intersection(nb[b])) >= t - 1 for b in nb[c]):
+                    return True
+            return False
+        # a Berge l-cycle through the edge is a 2l-cycle of the incidence
+        # graph through its node: two of its vertices a, b and an a-b
+        # path of 2l - 2 edges among the placed edges; for l = 2 the path
+        # is one placed edge that already covers the pair a, b
+        if pat.params[0] == 2:
+            return any(self.covered.get(pair) for pair in itertools.combinations(edge, 2))
+        length = 2 * pat.params[0] - 2
+        for i, a in enumerate(edge[:-1]):
+            ends = _paths_by_end(nb, a, length, -1)
+            if any(b in ends for b in edge[i + 1:]):
+                return True
+        return False
 
 
 def _search_k(query: OracleQuery, k: int, counter: List[int]):
@@ -108,18 +237,19 @@ def _search_k(query: OracleQuery, k: int, counter: List[int]):
     # part p uses vertices 0..used[p]-1: vertices never used before are
     # interchangeable under relabeling within their part, so only the
     # least unused one is offered, and backtracking frees them in LIFO order
-    G = _assign(query, k, flat, part_tuples, [], [0] * r, counter, 0)
+    state = _PatternState(m, flat, query.pattern)
+    G = _assign(query, k, part_tuples, state, [0] * r, counter, 0)
     if G is None:
         return None
     P = SplitPartition([range(i * k, (i + 1) * k) for i in range(r)], declared_k=k)
     return G, P
 
 
-def _assign(query, k, flat, part_tuples, edges, used, counter, idx):
-    """Place one edge for each part tuple from idx on, extending `edges`;
+def _assign(query, k, part_tuples, state, used, counter, idx):
+    """Place one edge for each part tuple from idx on, growing `state`;
     the finished pattern-free host, or None when no placement works."""
     if idx == len(part_tuples):
-        return LabeledHypergraph(query.m, flat, edges)
+        return state.host()
     parts = part_tuples[idx]
     for combo in itertools.product(*(range(min(used[p] + 1, k)) for p in parts)):
         counter[0] += 1
@@ -128,17 +258,19 @@ def _assign(query, k, flat, part_tuples, edges, used, counter, idx):
                 f"unknown within budget: {query.budget} edge placements "
                 f"exhausted at r={query.r}, m={query.m}, k={k}"
             )
-        edges.append(tuple(p * k + v for p, v in zip(parts, combo)))
+        edge = tuple(p * k + v for p, v in zip(parts, combo))
+        # patterns are monotone under edge addition, so a hit here
+        # rules out the entire subtree
+        if state.closes(edge):
+            continue
         marks = [p for p, v in zip(parts, combo) if v == used[p]]
         for p in marks:
             used[p] += 1
-        # patterns are monotone under edge addition, so a hit here
-        # rules out the entire subtree
-        if _patterns_absent(LabeledHypergraph(query.m, flat, edges), query.pattern):
-            witness = _assign(query, k, flat, part_tuples, edges, used, counter, idx + 1)
-            if witness is not None:
-                return witness
-        edges.pop()
+        state.add(edge)
+        witness = _assign(query, k, part_tuples, state, used, counter, idx + 1)
+        if witness is not None:
+            return witness
+        state.pop()
         for p in marks:
             used[p] -= 1
     return None
@@ -150,7 +282,11 @@ def exact_f(query: OracleQuery) -> OracleResult:
     Searches k = 1..k_max in order.  Within each k, parts are fixed as r
     groups of k vertices and only minimal assignments (one cross-part
     edge per m-tuple of parts) are enumerated, with within-part vertex
-    interchangeability pruning and pattern checks after every placement.
+    interchangeability pruning.  Every placement asks the level's
+    `_PatternState` whether the edge closes a forbidden copy: an
+    incremental rule for the kinds it knows, the named fallback (a fresh
+    host and `check_pattern`) for the rest.  The found certificate is
+    rechecked with `verify_rk` and the full deciders.
 
     Parameters
     ----------
@@ -171,6 +307,7 @@ def exact_f(query: OracleQuery) -> OracleResult:
     """
     counter = [0]
     per_k: Dict[int, int] = {}
+    paths = {pat.spec_string(): _route(pat, query.m) for pat in query.pattern}
     for k in range(1, query.k_max + 1):
         before = counter[0]
         outcome = _search_k(query, k, counter)
@@ -182,5 +319,5 @@ def exact_f(query: OracleQuery) -> OracleResult:
                 raise RuntimeError("internal error: witness failed split re-verification")
             if not _patterns_absent(G, query.pattern):
                 raise RuntimeError("internal error: witness contains a forbidden pattern")
-            return OracleResult("found", k, G, P, per_k, counter[0])
-    return OracleResult("exhausted", None, None, None, per_k, counter[0])
+            return OracleResult("found", k, G, P, per_k, counter[0], paths)
+    return OracleResult("exhausted", None, None, None, per_k, counter[0], paths)

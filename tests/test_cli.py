@@ -347,8 +347,20 @@ def test_oracle_payload_digest_frozen(tmp_path):
     out = tmp_path / "o.json"
     assert cli.main(["oracle", "--r", "4", "--m", "2", "--k-max", "3", "--forbid", "C_4",
                      "--out", str(out)]) == 0
-    assert load(out)["provenance"]["payload_sha256"] == \
+    doc = load(out)
+    assert doc["provenance"]["payload_sha256"] == \
         "7d6ab6eb9d108d777b84994079f8c765744c2fc227466e049bca44a95a6a2704"
+    # the check path is in the manifest only, outside the hashed payload
+    assert doc["provenance"]["paths"] == {"C_{4}": "incremental"}
+    assert "paths" not in payload_of(doc)
+
+
+def test_oracle_manifest_names_the_fallback(tmp_path):
+    out = tmp_path / "o.json"
+    assert cli.main(["oracle", "--r", "4", "--m", "2", "--k-max", "3", "--forbid", "C_3",
+                     "--forbid", "theta_{3,2}", "--forbid", "K_{3,3}", "--out", str(out)]) == 0
+    assert load(out)["provenance"]["paths"] == {
+        "C_{3}": "incremental", "theta_{3,2}": "fallback", "K_{3,3}": "fallback"}
 
 
 # ---------------------------------------------------------------------------

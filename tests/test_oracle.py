@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from splitforge.bounds import TuranEnvelope, min_k_lower
-from splitforge.forbidden import check_pattern, contains_cycle, parse_pattern
-from splitforge.oracle import OracleQuery, OracleResult, exact_f
+from splitforge.forbidden import ForbiddenPattern, check_pattern, contains_cycle, parse_pattern
+from splitforge.oracle import OracleQuery, OracleResult, _PatternState, exact_f
 from splitforge.structures import (
     BudgetExceededError,
     LabeledHypergraph,
@@ -157,3 +158,59 @@ def test_deterministic_and_node_accounting():
     assert a.nodes_total == b.nodes_total
     assert sorted(a.graph.edges) == sorted(b.graph.edges)
     assert a.nodes_total == sum(a.per_k_nodes.values())
+
+
+def test_result_names_each_pattern_path():
+    res = exact_f(OracleQuery(4, 2, 2, (C4, parse_pattern("theta_{3,2}"))))
+    assert res.paths == {"C_{4}": "incremental", "theta_{3,2}": "fallback"}
+    loose_path = ForbiddenPattern("explicit", (), ((0, 1, 2), (2, 3, 4)))
+    res = exact_f(OracleQuery(3, 3, 1, (parse_pattern("bergeC_3"), loose_path)))
+    assert res.paths == {"bergeC_3": "incremental", "explicit": "fallback"}
+
+
+def _state_cross_check(rng, m, pattern, n, steps):
+    """Random add/pop sequences on n vertices: whenever the placed host
+    is free, `closes` must agree with the full decider on the host plus
+    the edge.  Returns the verdicts compared."""
+    labels = [f"v{i}" for i in range(n)]
+    state = _PatternState(m, labels, (pattern,))
+    pool = list(itertools.combinations(range(n), m))
+    free = [True]  # whether each prefix of the placed edges is free
+    seen = []
+    for _ in range(steps):
+        if state.edges and rng.random() < 0.3:
+            state.pop()
+            free.pop()
+            continue
+        edge = rng.choice([e for e in pool if e not in state.edges])
+        full = check_pattern(LabeledHypergraph(m, labels, state.edges + [edge]), pattern) is not None
+        if free[-1]:
+            assert state.closes(edge) == full, (pattern, state.edges, edge)
+            seen.append(full)
+        if full and rng.random() < 0.8:
+            continue
+        state.add(edge)
+        free.append(free[-1] and not full)
+    # undoing in LIFO order leaves what adding the same edges afresh builds
+    fresh = _PatternState(m, labels, (pattern,))
+    for e in state.edges:
+        fresh.add(e)
+    assert fresh.nb == state.nb
+    assert fresh.covered == {p: c for p, c in state.covered.items() if c}
+    return seen
+
+
+@pytest.mark.parametrize("m, spec", [
+    (2, "C_3"), (2, "C_4"), (2, "C_5"), (2, "C_6"),
+    (2, "K_{1,2}"), (2, "K_{1,3}"), (2, "K_{2,2}"), (2, "K_{2,3}"),
+    (3, "bergeC_2"), (3, "bergeC_3"), (3, "bergeC_4"),
+    (4, "bergeC_2"), (4, "bergeC_3"), (4, "bergeC_4"),
+])
+def test_incremental_state_agrees_with_the_full_deciders(m, spec):
+    # the full deciders are the test oracle for every incremental rule
+    rng = random.Random(f"{m}:{spec}")
+    pattern = parse_pattern(spec)
+    seen = []
+    for _ in range(12):
+        seen += _state_cross_check(rng, m, pattern, rng.randrange(6, 13), 60)
+    assert set(seen) == {True, False}
