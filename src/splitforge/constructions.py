@@ -91,8 +91,11 @@ def _tables(F):
 
 
 def _graph(m: int, labels, edges) -> LabeledHypergraph:
-    """The hypergraph on the rows of an (E, m) edge array, one tuple of ints at a time."""
-    return LabeledHypergraph(m, labels, zip(*edges.T.tolist()))
+    """The hypergraph on the rows of an (E, m) edge array, one tuple of
+    ints at a time.  The ints come from one object array per graph, so
+    every tuple that holds a vertex shares its int object."""
+    pool = np.arange(len(labels)).astype(object)
+    return LabeledHypergraph(m, labels, zip(*pool[edges.T].tolist()))
 
 
 def _merge_groups(coords, off: int, key_p, key_l, seed: int | None = None) -> list:
