@@ -7,7 +7,8 @@ top level of the document and a run manifest sits next to them under
 count, tool version, input digests, a sha256 of the canonical payload
 (the document minus the provenance key) and the wall time; an oracle
 run's manifest also has "paths", which names the check each pattern's
-placements took, "incremental" or "fallback".  A document written to a file replaces the old file only once it is complete.
+placements took, "incremental" or "fallback".  A document written to a
+file replaces the old file only once it is complete.
 Repeated runs with the same parameters and seed produce byte-identical
 payloads; only the manifest's wall time may differ.
 

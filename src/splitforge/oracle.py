@@ -180,9 +180,6 @@ class _PatternState:
             for pair in itertools.combinations(edge, 2):
                 self.covered[pair] -= 1
 
-    def host(self) -> LabeledHypergraph:
-        return LabeledHypergraph(self.m, self.labels, self.edges)
-
     def closes(self, edge: tuple) -> bool:
         """Whether the free host plus `edge` (sorted, not yet placed)
         holds a forbidden pattern; patterns go in the query's order, so
@@ -249,7 +246,7 @@ def _assign(query, k, part_tuples, state, used, counter, idx):
     """Place one edge for each part tuple from idx on, growing `state`;
     the finished pattern-free host, or None when no placement works."""
     if idx == len(part_tuples):
-        return state.host()
+        return LabeledHypergraph(query.m, state.labels, state.edges)
     parts = part_tuples[idx]
     for combo in itertools.product(*(range(min(used[p] + 1, k)) for p in parts)):
         counter[0] += 1
