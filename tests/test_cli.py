@@ -355,14 +355,6 @@ def test_oracle_payload_digest_frozen(tmp_path):
     assert "paths" not in payload_of(doc)
 
 
-def test_oracle_manifest_names_the_fallback(tmp_path):
-    out = tmp_path / "o.json"
-    assert cli.main(["oracle", "--r", "4", "--m", "2", "--k-max", "3", "--forbid", "C_3",
-                     "--forbid", "theta_{3,2}", "--forbid", "K_{3,3}", "--out", str(out)]) == 0
-    assert load(out)["provenance"]["paths"] == {
-        "C_{3}": "incremental", "theta_{3,2}": "fallback", "K_{3,3}": "fallback"}
-
-
 # ---------------------------------------------------------------------------
 # partition-greedy
 
