@@ -10,10 +10,10 @@ equivalent to feasibility with a minimal assignment.
 The search grows one host per level, `_PatternState`, and asks it at
 each placement only whether the new edge closes a forbidden copy: the
 host before the edge is free and every pattern is monotone, so a new
-copy uses the new edge.  Cycles and K_{1,t}, K_{2,t} on graphs and Berge
-cycles on hypergraphs are decided incrementally, from the neighbour
-lists and the covered pairs; any other pattern, or one whose kind does
-not fit m, takes the named fallback, which builds the host and runs the
+copy uses the new edge.  Cycles on graphs and Berge cycles on
+hypergraphs are decided incrementally, from the neighbour lists and the
+covered pairs; any other pattern, or one whose kind does not fit m,
+takes the named fallback, which builds the host and runs the
 full decider (`check_pattern`), so its errors and messages are the
 deciders' own.  A found certificate is rechecked with `verify_rk` and
 the full deciders.
@@ -120,9 +120,7 @@ def _route(pattern: ForbiddenPattern, m: int) -> str:
     m-uniform host by itself, else "fallback" (a fresh host and the full
     decider, whose errors and messages the search then raises)."""
     kind = pattern.kind
-    if m == 2 and (kind == "cycle" or kind == "complete_bipartite" and pattern.params[0] <= 2):
-        return "incremental"
-    if m >= 3 and kind == "berge_cycle":
+    if m == 2 and kind == "cycle" or m >= 3 and kind == "berge_cycle":
         return "incremental"
     return "fallback"
 
@@ -140,16 +138,17 @@ class _PatternState:
     `closes` is exact only while the host is free of every pattern, as
     it is at each node of the search: patterns are monotone, so a new
     copy uses the new edge, and each incremental rule looks for one
-    through it.  A pattern `_route` does not take goes to the fallback.
+    through it.  ``routes`` pairs each pattern with its `_route`; a
+    "fallback" one is decided on a fresh host.
     """
 
-    def __init__(self, m: int, labels, patterns: Tuple[ForbiddenPattern, ...]):
+    def __init__(self, m: int, labels, routes: List[Tuple[ForbiddenPattern, str]]):
         self.m = m
         self.labels = labels
         self.edges: List[tuple] = []
         self.nb: List[list] = [[] for _ in labels]
         self.covered: Dict[tuple, int] = {}  # placed edges over each vertex pair (m >= 3)
-        self.tests = [(pat, _route(pat, m) == "incremental") for pat in patterns]
+        self.tests = [(pat, route == "incremental") for pat, route in routes]
 
     def add(self, edge: tuple) -> None:
         self.edges.append(edge)
@@ -202,17 +201,6 @@ class _PatternState:
             # a C_L through uv is uv plus a u-v path of L - 1 edges
             u, v = edge
             return v in _paths_by_end(nb, u, pat.params[0] - 1, -1)
-        if pat.kind == "complete_bipartite":
-            # the edge joins a hub a to a leaf c: a K_{1,t} needs t - 1
-            # more leaves at a, a K_{2,t} a second hub among c's
-            # neighbours that shares t - 1 neighbours with a
-            s, t = pat.params
-            for a, c in edge, edge[::-1]:
-                if s == 1 and len(nb[a]) >= t - 1:
-                    return True
-                if s == 2 and any(len(set(nb[a]).intersection(nb[b])) >= t - 1 for b in nb[c]):
-                    return True
-            return False
         # a Berge l-cycle through the edge is a 2l-cycle of the incidence
         # graph through its node: two of its vertices a, b and an a-b
         # path of 2l - 2 edges among the placed edges; for l = 2 the path
@@ -227,14 +215,14 @@ class _PatternState:
         return False
 
 
-def _search_k(query: OracleQuery, k: int, counter: List[int]):
+def _search_k(query: OracleQuery, k: int, routes, counter: List[int]):
     r, m = query.r, query.m
     flat = [f"p{i}v{j}" for i in range(r) for j in range(k)]
     part_tuples = list(itertools.combinations(range(r), m))
     # part p uses vertices 0..used[p]-1: vertices never used before are
     # interchangeable under relabeling within their part, so only the
     # least unused one is offered, and backtracking frees them in LIFO order
-    state = _PatternState(m, flat, query.pattern)
+    state = _PatternState(m, flat, routes)
     G = _assign(query, k, part_tuples, state, [0] * r, counter, 0)
     if G is None:
         return None
@@ -304,10 +292,11 @@ def exact_f(query: OracleQuery) -> OracleResult:
     """
     counter = [0]
     per_k: Dict[int, int] = {}
-    paths = {pat.spec_string(): _route(pat, query.m) for pat in query.pattern}
+    routes = [(pat, _route(pat, query.m)) for pat in query.pattern]
+    paths = {pat.spec_string(): route for pat, route in routes}
     for k in range(1, query.k_max + 1):
         before = counter[0]
-        outcome = _search_k(query, k, counter)
+        outcome = _search_k(query, k, routes, counter)
         per_k[k] = counter[0] - before
         if outcome is not None:
             G, P = outcome

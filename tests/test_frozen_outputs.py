@@ -295,8 +295,8 @@ def test_iterative_extremes_frozen(M, q):
 
 
 # exact_f queries: the six of the oracle-sweep benchmark, then cheap ones
-# that reach K_{2,t}, theta, an explicit pattern (K_4 less an edge),
-# Berge 4-cycles and mixed families; each maps (r, m, k_max, patterns)
+# that reach the fallback (K_{s,t}, theta, an explicit pattern: K_4 less
+# an edge), Berge 4-cycles and mixed families; each maps (r, m, k_max, patterns)
 # to (status, value, per_k_nodes, nodes_total, certificate sha256)
 _DIAMOND = forbidden.ForbiddenPattern("explicit", (), ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2)))
 ORACLE_RECORD = {

@@ -8,7 +8,7 @@ import pytest
 
 from splitforge.bounds import TuranEnvelope, min_k_lower
 from splitforge.forbidden import ForbiddenPattern, check_pattern, contains_cycle, parse_pattern
-from splitforge.oracle import OracleQuery, OracleResult, _PatternState, exact_f
+from splitforge.oracle import OracleQuery, OracleResult, _PatternState, _route, exact_f
 from splitforge.structures import (
     BudgetExceededError,
     LabeledHypergraph,
@@ -173,7 +173,8 @@ def _state_cross_check(rng, m, pattern, n, steps):
     is free, `closes` must agree with the full decider on the host plus
     the edge.  Returns the verdicts compared."""
     labels = [f"v{i}" for i in range(n)]
-    state = _PatternState(m, labels, (pattern,))
+    routes = [(pattern, _route(pattern, m))]
+    state = _PatternState(m, labels, routes)
     pool = list(itertools.combinations(range(n), m))
     free = [True]  # whether each prefix of the placed edges is free
     seen = []
@@ -192,7 +193,7 @@ def _state_cross_check(rng, m, pattern, n, steps):
         state.add(edge)
         free.append(free[-1] and not full)
     # undoing in LIFO order leaves what adding the same edges afresh builds
-    fresh = _PatternState(m, labels, (pattern,))
+    fresh = _PatternState(m, labels, routes)
     for e in state.edges:
         fresh.add(e)
     assert fresh.nb == state.nb
@@ -202,7 +203,6 @@ def _state_cross_check(rng, m, pattern, n, steps):
 
 @pytest.mark.parametrize("m, spec", [
     (2, "C_3"), (2, "C_4"), (2, "C_5"), (2, "C_6"),
-    (2, "K_{1,2}"), (2, "K_{1,3}"), (2, "K_{2,2}"), (2, "K_{2,3}"),
     (3, "bergeC_2"), (3, "bergeC_3"), (3, "bergeC_4"),
     (4, "bergeC_2"), (4, "bergeC_3"), (4, "bergeC_4"),
 ])
@@ -210,6 +210,7 @@ def test_incremental_state_agrees_with_the_full_deciders(m, spec):
     # the full deciders are the test oracle for every incremental rule
     rng = random.Random(f"{m}:{spec}")
     pattern = parse_pattern(spec)
+    assert _route(pattern, m) == "incremental"
     seen = []
     for _ in range(12):
         seen += _state_cross_check(rng, m, pattern, rng.randrange(6, 13), 60)
