@@ -90,14 +90,6 @@ def _tables(F):
     return add, mul, np.array([F.neg(a) for a in els], dtype=np.int64)
 
 
-def _graph(m: int, labels, edges) -> LabeledHypergraph:
-    """The hypergraph on the rows of an (E, m) edge array, one tuple of
-    ints at a time.  The ints come from one object array per graph, so
-    every tuple that holds a vertex shares its int object."""
-    pool = np.arange(len(labels)).astype(object)
-    return LabeledHypergraph(m, labels, zip(*pool[edges.T].tolist()))
-
-
 def _merge_groups(coords, off: int, key_p, key_l, seed: int | None = None) -> list:
     """Parts of a point/line graph: point i and line off + i carry the
     coordinates coords[i]; points are grouped by key_p, lines by key_l,
@@ -174,7 +166,7 @@ def build_norm_quotient(q: int, t: int, d: int = 1) -> LabeledHypergraph:
     t : arity parameter, at least 2; the source field is F_q^(t-1).
     d : divisor of q - 1 selecting the subgroup K.
     """
-    return _graph(2, *_norm_quotient(q, t, d)[2:])
+    return LabeledHypergraph(2, *_norm_quotient(q, t, d)[2:])
 
 
 def _patch_graph_free(adj, u: int, v: int, t: int, count: int) -> bool:
@@ -398,7 +390,7 @@ def build_wenger(M: int, q: int) -> LabeledHypergraph:
     Labels are ``P:<c1>,...,<c(M+1)>`` and ``L:...`` with coordinates in
     the integer encoding of F_q.
     """
-    return _graph(2, *_wenger(M, q))
+    return LabeledHypergraph(2, *_wenger(M, q))
 
 
 _WENGER_FIXED = {2: ((0, 2), (0, 1)), 4: ((0, 2, 4), (0, 1, 3))}
@@ -422,7 +414,7 @@ def partition_wenger(M: int, q: int, seed: int | None = None):
     fixed_p, fixed_l = _WENGER_FIXED[M]
     parts = _merge_groups(product(range(q), repeat=M + 1), n // 2,
                           itemgetter(*fixed_p), itemgetter(*fixed_l), seed)
-    G2 = _graph(2, labels, _drop_internal(edges, parts, n))
+    G2 = LabeledHypergraph(2, labels, _drop_internal(edges, parts, n))
     P = SplitPartition(parts, 2 * q ** (M // 2))
     return G2, P
 
@@ -484,7 +476,7 @@ def build_theta(q: int, reduce_parts: bool = True):
                           lambda c: (c[0], c[1], ab[c[3]][0]))
     if reduce_parts:
         edges = _drop_internal(edges, parts, 2 * n4)
-    G = _graph(2, labels, edges)
+    G = LabeledHypergraph(2, labels, edges)
     P = SplitPartition(parts, 2 * q * root)
     return G, P
 
@@ -521,7 +513,7 @@ def build_berge3(q: int):
     c2 = add[ca, neg[a2]]
     edges = np.column_stack([vidx[a1, a2], vidx[b1, b2], vidx[c1, c2]])
 
-    G = _graph(3, labels, edges)
+    G = LabeledHypergraph(3, labels, edges)
     P = SplitPartition(np.arange(q * (q - 1)).reshape(q, q - 1).tolist(), q - 1)
     return G, P
 

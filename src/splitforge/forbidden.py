@@ -302,7 +302,7 @@ def contains_kst(G: LabeledHypergraph, s: int, t: int):
     pat = "K_{%d,%d}" % (s, t)
 
     if s == 2:
-        if len(G.edges) >= _KERNEL_EDGES and _walk_counts_reach(G.csr, G.n, 2, t) is None:
+        if len(G.edge_array) >= _KERNEL_EDGES and _walk_counts_reach(G.csr, G.n, 2, t) is None:
             return None
         found = _codegree_scan(G.sadj, t)
     else:
@@ -409,7 +409,7 @@ def contains_cycle(G: LabeledHypergraph, length: int):
         raise ValueError(f"cycle length must be >= 3, got {length}")
     if length > G.n:
         return None
-    if length % 2 == 0 and length >= 6 and len(G.edges) >= _KERNEL_EDGES and \
+    if length % 2 == 0 and length >= 6 and len(G.edge_array) >= _KERNEL_EDGES and \
             _walk_counts_reach(G.csr, G.n, length // 2, 2) is None:
         return None
     for cyc in _cycles(G.sadj, length):
@@ -489,7 +489,7 @@ def contains_theta(G: LabeledHypergraph, K: int, length: int):
         if w is None:
             return None
         return {"pattern": pat, "vertices": w["vertices"], "edges": w["edges"]}
-    if length > 4 or len(G.edges) < _KERNEL_EDGES or \
+    if length > 4 or len(G.edge_array) < _KERNEL_EDGES or \
             int(np.diff(G.csr.indptr).max()) ** 4 >= 2 ** 63:
         return _theta_generic(G, K, length, pat)
     root = None
@@ -559,7 +559,7 @@ def contains_berge_cycle(Hy: LabeledHypergraph, length: int):
         raise ValueError(f"Berge cycle length must be 2, 3 or 4, got {length}")
     if Hy.m < 3:
         raise ValueError("Berge cycle detection expects a hypergraph with m >= 3")
-    if len(Hy.edges) >= _KERNEL_EDGES and \
+    if len(Hy.edge_array) >= _KERNEL_EDGES and \
             _walk_counts_reach(Hy.incidence, Hy.n, length, 2) is None:
         return None
     return _berge_search(Hy, length)

@@ -75,10 +75,10 @@ def _require_regular(G: LabeledHypergraph) -> int:
         raise ValueError("spectral routines need a 2-uniform graph")
     if G.n < 2:
         raise ValueError("need at least 2 vertices")
-    degs = {G.degree(v) for v in range(G.n)}
+    degs = np.unique(np.bincount(G.edge_array.ravel(), minlength=G.n))
     if len(degs) != 1:
-        raise ValueError(f"graph is not regular: degrees {sorted(degs)}")
-    return degs.pop()
+        raise ValueError(f"graph is not regular: degrees {degs.tolist()}")
+    return int(degs[0])
 
 
 def spectrum(G: LabeledHypergraph) -> SpectrumSummary:
@@ -409,7 +409,7 @@ def greedy_split(G: LabeledHypergraph, m: int, H, sizes=None, seed=None):
     # ---- step 4: fresh degree-one patch vertices
     labels = list(G.vertices)
     existing = set(labels)
-    edges = list(G.edges)
+    edges = G.edge_array.tolist()
     counter = 0
     for i in range(m):
         for j in range(i + 1, m):

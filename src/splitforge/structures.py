@@ -1,11 +1,11 @@
 """Hypergraph, partition, and certification data model.
 
 A LabeledHypergraph is an m-uniform edge list over string-labeled
-vertices; vertex indices, not labels, are the API currency.  A
-SplitPartition carries r pairwise-disjoint parts plus the declared part
-size cap, and verify_rk certifies whether the pair is rainbow complete:
-for every m-subset of parts there is an edge meeting each chosen part
-in exactly one vertex.
+vertices, held as one (E, m) int array that every reader uses; vertex
+indices, not labels, are the API currency.  A SplitPartition carries r
+pairwise-disjoint parts plus the declared part size cap, and verify_rk
+certifies whether the pair is rainbow complete: for every m-subset of
+parts there is an edge meeting each chosen part in exactly one vertex.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from math import comb
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import csgraph
 
 __all__ = [
     "BudgetExceededError",
@@ -65,8 +66,14 @@ def _json_index_rows(rows, kind: str, key: str) -> None:
         raise ValueError(f"{kind} field {key!r} holds {bad!r}, not a vertex index")
 
 
+def _reject(rows, bad, message: str) -> None:
+    """Raise ValueError(message) naming the first row of `rows` marked in `bad`."""
+    if bad.any():
+        raise ValueError(message.format(tuple(np.ravel(rows[int(np.argmax(bad))]).tolist())))
+
+
 class LabeledHypergraph:
-    """Immutable m-uniform hypergraph.
+    """Immutable m-uniform hypergraph held as one (E, m) int array.
 
     Parameters
     ----------
@@ -74,13 +81,15 @@ class LabeledHypergraph:
         Uniformity, at least 2.  m=2 is the ordinary graph case.
     vertices : sequence of str
         Labels in construction order; edges refer to their indices.
-    edges : iterable of iterables of int
+    edges : (E, m) int array, or iterable of iterables of int
         Each edge must have exactly m distinct in-range vertices.
         Duplicate edges are rejected rather than merged, since the
         builders in this package never produce them intentionally.
+        ``edge_array`` keeps a read-only int64 copy, each row sorted;
+        ``edges``, its rows as int tuples, is built on first use.
     """
 
-    __slots__ = ("m", "vertices", "edges", "__dict__", "__weakref__")
+    __slots__ = ("m", "vertices", "edge_array", "__dict__", "__weakref__")
 
     def __init__(self, m: int, vertices, edges) -> None:
         if m < 2:
@@ -88,23 +97,34 @@ class LabeledHypergraph:
         self.m = m
         self.vertices = tuple(str(v) for v in vertices)
         n = len(self.vertices)
-        norm = []
-        seen = set()
-        for e in edges:
-            e = tuple(sorted(e))
-            if len(e) != m or len(set(e)) != m:
-                raise ValueError(f"edge {e} does not have {m} distinct vertices")
-            if e[0] < 0 or e[-1] >= n:
-                raise ValueError(f"edge {e} references a vertex outside [0, {n})")
-            if e in seen:
-                raise ValueError(f"duplicate edge {e}")
-            seen.add(e)
-            norm.append(e)
-        self.edges = tuple(norm)
+        if isinstance(edges, np.ndarray):
+            width = np.full(len(edges), edges.shape[1] if edges.ndim == 2 else 0)
+        else:
+            edges = list(edges)
+            width = np.fromiter(map(len, edges), np.int64, len(edges))
+        distinct = "edge {} does not have %d distinct vertices" % m
+        _reject(edges, width != m, distinct)
+        try:  # a copy: changing the caller's array later leaves the graph as it is
+            E = np.array(edges, dtype=np.int64).reshape(len(edges), m)
+        except OverflowError:  # an index of 2**63 or more, which the range check names
+            E = np.array(edges, dtype=object).reshape(len(edges), m)
+        E = np.sort(E, axis=1)
+        _reject(E, (E[:, 1:] == E[:, :-1]).any(axis=1), distinct)
+        _reject(E, (E[:, 0] < 0) | (E[:, -1] >= n), "edge {} references a vertex outside [0, %d)" % n)
+        S = E[np.lexsort(E.T)]  # equal rows end up adjacent
+        _reject(S[1:], (S[1:] == S[:-1]).all(axis=1), "duplicate edge {}")
+        E.flags.writeable = False
+        self.edge_array = E
 
     @property
     def n(self) -> int:
         return len(self.vertices)
+
+    @cached_property
+    def edges(self) -> tuple:
+        """The rows of ``edge_array`` as a tuple of int tuples."""
+        pool = np.arange(self.n).astype(object)  # one int object per vertex, shared by every tuple
+        return tuple(zip(*pool[self.edge_array.T].tolist()))
 
     @cached_property
     def edge_set(self) -> frozenset:
@@ -113,19 +133,18 @@ class LabeledHypergraph:
     @cached_property
     def adj(self) -> tuple:
         """Neighbor sets: vertices sharing at least one edge."""
-        out = [set() for _ in range(self.n)]
-        for e in self.edges:
-            for u in e:
-                for v in e:
-                    if u != v:
-                        out[u].add(v)
-        return tuple(out)
+        return tuple(map(set, self.sadj))
 
     @cached_property
     def sadj(self) -> tuple:
         """Neighbours of each vertex as an ascending tuple; for m >= 3 the
         lists of the shadow graph."""
-        return tuple(tuple(sorted(a)) for a in self.adj)
+        E, n = self.edge_array, self.n
+        i, j = np.nonzero(~np.eye(self.m, dtype=bool))  # every ordered pair of columns
+        pairs = np.unique(E[:, i] * n + E[:, j])  # the pairs (u, v) as u * n + v, sorted
+        ends = np.searchsorted(pairs, np.arange(n + 1) * n).tolist()
+        nbrs = np.arange(n).astype(object)[pairs % n].tolist()  # one int object per vertex
+        return tuple(tuple(nbrs[a:b]) for a, b in zip(ends, ends[1:]))
 
     @cached_property
     def csr(self):
@@ -133,7 +152,7 @@ class LabeledHypergraph:
         Graphs (m = 2) only; callers must not modify it."""
         if self.m != 2:
             raise ValueError(f"an adjacency matrix needs a 2-uniform graph, got m={self.m}")
-        E = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        E = self.edge_array
         A = sparse.csr_matrix((np.ones(len(E), dtype=np.int64), E.T), shape=(self.n, self.n))
         return (A + A.T).tocsr()
 
@@ -145,7 +164,7 @@ class LabeledHypergraph:
         modify it."""
         if self.m < 3:
             raise ValueError(f"an incidence matrix needs m >= 3, got m={self.m}")
-        E = np.array(self.edges, dtype=np.int64).reshape(-1, self.m)
+        E = self.edge_array
         N = self.n + len(E)
         nodes = np.repeat(np.arange(self.n, N), self.m)
         B = sparse.csr_matrix((np.ones(E.size, dtype=np.int64), (E.ravel(), nodes)), shape=(N, N))
@@ -192,7 +211,7 @@ class LabeledHypergraph:
         return {
             "m": self.m,
             "vertices": list(self.vertices),
-            "edges": [list(e) for e in self.edges],
+            "edges": self.edge_array.tolist(),
         }
 
     @classmethod
@@ -205,7 +224,7 @@ class LabeledHypergraph:
         return cls(m, vertices, edges)
 
     def __repr__(self) -> str:
-        return f"LabeledHypergraph(m={self.m}, n={self.n}, edges={len(self.edges)})"
+        return f"LabeledHypergraph(m={self.m}, n={self.n}, edges={len(self.edge_array)})"
 
 
 class SplitPartition:
@@ -268,9 +287,9 @@ def part_map(parts, n: int):
     """The vertex-to-part array of n vertices: v maps to the index of its
     part, or to -1 - v when it lies in no part, so two vertices share a
     value exactly when they share a part."""
-    flat = np.fromiter(chain.from_iterable(parts), dtype=np.int64)
-    if flat.size and flat.max() >= n:
-        raise ValueError(f"partition references vertex {flat.max()}, graph has {n}")
+    flat = list(chain.from_iterable(parts))  # Python ints, so an index >= 2**63 is named too
+    if flat and max(flat) >= n:
+        raise ValueError(f"partition references vertex {max(flat)}, graph has {n}")
     out = -1 - np.arange(n, dtype=np.int64)
     out[flat] = np.repeat(np.arange(len(parts)), [len(part) for part in parts])
     return out
@@ -296,8 +315,7 @@ def verify_rk(G: LabeledHypergraph, P: SplitPartition) -> VerificationReport:
     """
     t0 = time.monotonic()
     r, m = P.r, G.m
-    edges = np.array(G.edges, dtype=np.int64).reshape(-1, m)
-    rows = np.sort(part_map(P.parts, G.n)[edges], axis=1)
+    rows = np.sort(part_map(P.parts, G.n)[G.edge_array], axis=1)
     independent = not (rows[:, 0] == rows[:, -1]).any()
     rainbow = rows[(rows[:, 0] >= 0) & (np.diff(rows, axis=1) > 0).all(axis=1)]
     rainbow = rainbow[np.lexsort(rainbow.T)]  # equal rows end up adjacent
@@ -388,22 +406,11 @@ def _colour_from(order, incident, counts, c, budget, nodes, pos) -> bool:
 def components(G: LabeledHypergraph) -> list:
     """Connected components (vertices share a component when they share
     an edge), as sorted index lists ordered by least vertex."""
-    parent = list(range(G.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in G.edges:
-        r0 = find(e[0])
-        for v in e[1:]:
-            rv = find(v)
-            if rv != r0:
-                parent[rv] = r0
-    groups = {}
-    for v in range(G.n):
-        groups.setdefault(find(v), []).append(v)
-    return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
-
+    E = G.edge_array
+    first = np.repeat(E[:, 0], G.m - 1)  # each edge links its least vertex to the others
+    links = sparse.coo_matrix((np.ones(first.size), (first, E[:, 1:].ravel())), shape=(G.n, G.n))
+    ncomp, label = csgraph.connected_components(links, directed=False)
+    groups = [[] for _ in range(ncomp)]
+    for v, c in enumerate(label.tolist()):
+        groups[c].append(v)
+    return sorted(groups, key=lambda g: g[0])

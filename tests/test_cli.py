@@ -567,9 +567,13 @@ def _set(doc, key, value):
     (lambda g, p: (_set(g, "vertices", "abcd"), p), "'vertices'"),
     (lambda g, p: ([g], p), "JSON object"),
     (lambda g, p: (g, [p]), "JSON object"),
+    (lambda g, p: (g, _set(p, "parts", [[0, 1], [2, 2**70]])), str(2**70)),
+    (lambda g, p: (_set(g, "edges", [[0, 2], [0, 2**70], [1, 2], [1, 3]]), p), str(2**70)),
+    (lambda g, p: (_set(g, "edges", [[0, 1, 2], [1, 2, 3]]), p), "edge (0, 1, 2)"),
 ], ids=["float-edge-vertex", "float-part-vertex", "string-edge-vertex", "bool-edge-vertex",
         "bool-part-vertex", "flat-edges", "string-m", "bool-m", "float-k", "string-vertices",
-        "array-graph", "array-partition"])
+        "array-graph", "array-partition", "huge-part-vertex", "huge-edge-vertex",
+        "three-vertex-edges"])
 def test_hostile_documents_exit_2(tmp_path, capsys, mutate, named):
     graph, parts = mutate(*_k22_docs())
     g = write_json(tmp_path / "g.json", graph)

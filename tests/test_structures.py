@@ -174,6 +174,28 @@ def test_hypergraph_validation():
         LabeledHypergraph(2, ["a", "b"], [(0, 2)])
     with pytest.raises(ValueError):
         LabeledHypergraph(2, ["a", "b"], [(0, 1), (1, 0)])
+    E = np.array([[1, 0], [2, 3]])
+    G = LabeledHypergraph(2, list("abcd"), E)
+    E[0] = [3, 2]  # the graph holds its own copy
+    assert G.edges == ((0, 1), (2, 3))
+    assert not G.edge_array.flags.writeable
+    with pytest.raises(ValueError, match=r"edge \(0, 1, 2\)"):
+        LabeledHypergraph(2, list("abcd"), np.array([[0, 1, 2], [1, 2, 3]]))
+    with pytest.raises(ValueError, match=str(2**70)):
+        LabeledHypergraph(2, ["a", "b"], [(0, 2**70)])
+
+
+def test_array_readers_never_build_edge_tuples():
+    from splitforge import constructions, forbidden
+
+    G, P = constructions.build_theta(9)
+    G2 = LabeledHypergraph.from_json_dict(G.to_json_dict())
+    assert structures.verify_rk(G2, P).completeness_ok
+    host = constructions.build_wenger(2, 5)
+    assert len(host.edge_array) >= forbidden._KERNEL_EDGES
+    assert forbidden.contains_cycle(host, 6) is None
+    for H in (G, G2, host):
+        assert "edges" not in H.__dict__
 
 
 def test_partition_validation():
