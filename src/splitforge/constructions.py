@@ -660,12 +660,8 @@ def build_property_B(m: int, c, r: int):
         raise ValueError(f"profile {c} must be positive and sum to m={m}")
     k = len(c)
     labels = [f"p{i}c{j}" for i in range(r) for j in range(k)]
-    colors = []
-    for j, cnt in enumerate(c):
-        colors.extend([j] * cnt)
-    edges = []
-    for sub in combinations(range(r), m):
-        edges.append(tuple(sub[x] * k + colors[x] for x in range(m)))
+    # each part of an m-subset, times k, plus the colour the profile gives its position
+    edges = np.array(list(combinations(range(r), m))) * k + np.repeat(np.arange(k), c)
     parts = [tuple(i * k + j for j in range(k)) for i in range(r)]
     G = LabeledHypergraph(m, labels, edges)
     P = SplitPartition(parts, k)

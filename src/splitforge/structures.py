@@ -19,7 +19,6 @@ from math import comb
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import csgraph
 
 __all__ = [
     "BudgetExceededError",
@@ -141,7 +140,8 @@ class LabeledHypergraph:
         lists of the shadow graph."""
         E, n = self.edge_array, self.n
         i, j = np.nonzero(~np.eye(self.m, dtype=bool))  # every ordered pair of columns
-        pairs = np.unique(E[:, i] * n + E[:, j])  # the pairs (u, v) as u * n + v, sorted
+        pairs = np.sort(E[:, i] * n + E[:, j], axis=None)  # the pairs (u, v) as u * n + v
+        pairs = pairs[np.diff(pairs, prepend=-1) > 0]  # each once, however many edges cover it
         ends = np.searchsorted(pairs, np.arange(n + 1) * n).tolist()
         nbrs = np.arange(n).astype(object)[pairs % n].tolist()  # one int object per vertex
         return tuple(tuple(nbrs[a:b]) for a, b in zip(ends, ends[1:]))
@@ -406,6 +406,7 @@ def _colour_from(order, incident, counts, c, budget, nodes, pos) -> bool:
 def components(G: LabeledHypergraph) -> list:
     """Connected components (vertices share a component when they share
     an edge), as sorted index lists ordered by least vertex."""
+    from scipy.sparse import csgraph  # here, not at the top: its import takes ~0.1 s and 11 MB
     E = G.edge_array
     first = np.repeat(E[:, 0], G.m - 1)  # each edge links its least vertex to the others
     links = sparse.coo_matrix((np.ones(first.size), (first, E[:, 1:].ravel())), shape=(G.n, G.n))
