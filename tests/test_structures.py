@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from splitforge import structures
+from splitforge import constructions, forbidden, structures
 from splitforge.structures import (
     BudgetExceededError,
     LabeledHypergraph,
@@ -186,8 +186,6 @@ def test_hypergraph_validation():
 
 
 def test_array_readers_never_build_edge_tuples():
-    from splitforge import constructions, forbidden
-
     G, P = constructions.build_theta(9)
     G2 = LabeledHypergraph.from_json_dict(G.to_json_dict())
     assert structures.verify_rk(G2, P).completeness_ok
