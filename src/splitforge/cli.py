@@ -7,10 +7,21 @@ top level of the document and a run manifest sits next to them under
 count, tool version, input digests, a sha256 of the canonical payload
 (the document minus the provenance key) and the wall time; an oracle
 run's manifest also has "paths", which names the check each pattern's
-placements took, "incremental" or "fallback".  A document written to a
-file replaces the old file only once it is complete.
+placements took, "incremental" or "fallback", and a verify run's
+"paths" names the route each --forbid pattern took, "orbit" or "full".
+A document written to a file replaces the old file only once it is
+complete.
 Repeated runs with the same parameters and seed produce byte-identical
 payloads; only the manifest's wall time may differ.
+
+verify takes the orbit route for a cycle C_{2k}, a K_{2,t} or a short
+theta when the graph document's construct recipe names a theta or
+Wenger host that the graph is an edge-subgraph of: walk counts on one
+row per vertex orbit of the host's translation group prove the pattern
+absent (see `forbidden.orbit_test`).  Every hit, and every recipe that
+is missing or does not fit, goes to the full deciders, so the payload
+is the same either way; a generator that is not an automorphism of its
+host is an internal failure.
 
 Exit codes: 0 success (including an "exhausted" oracle verdict), 1
 unexpected internal failure, 2 invalid parameters or unreadable input,
@@ -30,6 +41,8 @@ import time
 from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .bounds import (
@@ -52,14 +65,17 @@ from .constructions import (
     design_catalog,
     partition_norm_quotient,
     partition_wenger,
+    theta_host,
+    wenger_host,
 )
-from .forbidden import parse_pattern, check_pattern
+from .forbidden import check_pattern, orbit_test, parse_pattern, rows_prove_absent
 from .oracle import OracleQuery, exact_f
 from .spectral import greedy_split, mixing_check, spectrum
 from .structures import (
     BudgetExceededError,
     LabeledHypergraph,
     SplitPartition,
+    orbit_representatives,
     verify_rk,
 )
 
@@ -98,14 +114,21 @@ def _emit(payload: dict, manifest: dict, out: str | None) -> None:
         _write_atomic(out, text)
 
 
-def _load(path: str, inputs: dict, cls):
-    """Read a JSON document as `cls` and record its digest in `inputs`."""
+def _load_doc(path: str, inputs: dict, cls):
+    """Read a JSON document as `cls` and record its digest in `inputs`;
+    returns the object and the parsed document."""
     raw = Path(path).read_bytes()
     inputs[path] = "sha256:" + hashlib.sha256(raw).hexdigest()
     try:
-        return cls.from_json_dict(json.loads(raw.decode("utf-8")))
+        doc = json.loads(raw.decode("utf-8"))
+        return cls.from_json_dict(doc), doc
     except ValueError as exc:  # also bad UTF-8 and bad JSON
         raise ValueError(f"{path}: {exc}") from None
+
+
+def _load(path: str, inputs: dict, cls):
+    """Read a JSON document as `cls` and record its digest in `inputs`."""
+    return _load_doc(path, inputs, cls)[0]
 
 
 class _Run:
@@ -208,21 +231,61 @@ def _cmd_construct(args, run) -> int:
 # -- verify ------------------------------------------------------------------
 
 
+def _recipe_host(G: LabeledHypergraph, provenance):
+    """The unsplit host that the graph document's construct recipe
+    (``provenance.params``) names, with its generators, when G is an
+    edge-subgraph of it; None when the recipe is missing, names no
+    theta or Wenger host, or does not fit G.
+
+    Nothing in the recipe is trusted: its vertex count must equal G.n
+    before anything is built, the family's own builder rebuilds the host
+    (and refuses parameters it cannot build), and every edge of G must
+    be an edge of the host.
+    """
+    params = provenance.get("params") if type(provenance) is dict else None
+    if type(params) is not dict or G.m != 2:
+        return None
+    family, q, M = params.get("family"), params.get("q"), params.get("M")
+    if family == "theta":
+        dim, build = 4, theta_host
+    elif family == "wenger" and type(M) is int and M >= 1:
+        dim, build = M + 1, lambda q: wenger_host(M, q)
+    else:
+        return None
+    # 2 q^dim > G.n once dim reaches the bit length of G.n, so the power stays small
+    if type(q) is not int or q < 2 or dim >= G.n.bit_length() or 2 * q ** dim != G.n:
+        return None
+    try:
+        H, gens = build(q)
+    except ValueError:  # q is not a prime power the family accepts
+        return None
+    n = G.n
+    if not np.isin(G.edge_array @ (n, 1), H.edge_array @ (n, 1), assume_unique=True).all():
+        return None
+    return H, orbit_representatives(H, gens, family)
+
+
 def _cmd_verify(args, run) -> int:
-    G = _load(args.graph, run.inputs, LabeledHypergraph)
+    G, doc = _load_doc(args.graph, run.inputs, LabeledHypergraph)
     P = _load(args.partition, run.inputs, SplitPartition)
     run.params = {"forbid": list(args.forbid or [])}
+    patterns = [parse_pattern(text) for text in args.forbid or []]
+    tests = [orbit_test(pat) for pat in patterns]
     report = verify_rk(G, P)
     rep = report.to_json_dict()
     rep.pop("wall_time", None)  # belongs in provenance, not the payload
-    findings = []
-    for pat_text in args.forbid or []:
-        pat = parse_pattern(pat_text)
-        findings.append({"pattern": pat.spec_string(), "witness": check_pattern(G, pat)})
+    host = _recipe_host(G, doc.get("provenance")) if any(tests) else None
+    findings, paths = [], {}
+    for pat, test in zip(patterns, tests):
+        if host is not None and test is not None and rows_prove_absent(host[0].csr, host[1], test):
+            witness, paths[pat.spec_string()] = None, "orbit"
+        else:
+            witness, paths[pat.spec_string()] = check_pattern(G, pat), "full"
+        findings.append({"pattern": pat.spec_string(), "witness": witness})
     split_ok = report.completeness_ok and report.independence_ok
     found = any(f["witness"] is not None for f in findings)
     payload = {"report": rep, "forbidden": findings, "ok": split_ok and not found}
-    _emit(payload, run.manifest(), args.out)
+    _emit(payload, dict(run.manifest(), paths=paths), args.out)
     if not split_ok:
         return 3
     if found:

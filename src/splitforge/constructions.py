@@ -113,6 +113,27 @@ def _drop_internal(edges, parts, n: int):
     return edges[ends[:, 0] != ends[:, 1]]
 
 
+def _translations(q: int, dim: int, moves) -> list:
+    """Vertex permutations of a point/line graph on two copies of F_q^dim,
+    points first, each indexed by its coordinates in row-major order.
+
+    ``moves(pt, ln, a)`` rewrites the coordinate rows of every point and
+    every line in place; it is called once per generator for each a in
+    the additive basis 1, p, ..., p^(s-1) of F_q, q = p^s, and the
+    permutation maps vertex v to entry v of the result."""
+    p, s = _prime_power(q)
+    shape = (q,) * dim
+    coords = np.indices(shape).reshape(dim, -1)
+    gens = []
+    for move in moves:
+        for a in (p ** i for i in range(s)):
+            pt, ln = coords.copy(), coords.copy()
+            move(pt, ln, a)
+            gens.append(np.concatenate([np.ravel_multi_index(pt, shape),
+                                        q ** dim + np.ravel_multi_index(ln, shape)]))
+    return gens
+
+
 # ------------------------------------------------------------------------
 # norm quotient family
 # ------------------------------------------------------------------------
@@ -393,6 +414,35 @@ def build_wenger(M: int, q: int) -> LabeledHypergraph:
     return LabeledHypergraph(2, *_wenger(M, q))
 
 
+def wenger_host(M: int, q: int):
+    """W_M(q) and vertex permutations that generate automorphisms of it,
+    as int64 arrays g mapping vertex v to g[v] (see `_translations`).
+
+    In 1-based coordinates, one generator for each j = 2..M+1 sets
+    p_j += a, p_{j+1} -= a p_1 (when j <= M) and l_j -= a, and a last
+    one sets l_1 += a and p_2 += a p_1; each keeps every equation
+    l_{j+1} + p_{j+1} = l_j p_1.  Together they fix p_1 and are
+    transitive on the rest, so the vertex orbits are the q point classes
+    of p_1 and the lines: q + 1 orbits.
+    """
+    H = build_wenger(M, q)
+    add, mul, neg = _tables(gf.make_field(*_prime_power(q)))
+
+    def shift(j):  # 0-based coordinate j >= 1
+        def move(pt, ln, a):
+            pt[j] = add[pt[j], a]
+            if j < M:
+                pt[j + 1] = add[pt[j + 1], neg[mul[a, pt[0]]]]
+            ln[j] = add[ln[j], neg[a]]
+        return move
+
+    def lift(pt, ln, a):
+        ln[0] = add[ln[0], a]
+        pt[1] = add[pt[1], mul[a, pt[0]]]
+
+    return H, _translations(q, M + 1, [*map(shift, range(1, M + 1)), lift])
+
+
 _WENGER_FIXED = {2: ((0, 2), (0, 1)), 4: ((0, 2, 4), (0, 1, 3))}
 
 
@@ -479,6 +529,28 @@ def build_theta(q: int, reduce_parts: bool = True):
     G = LabeledHypergraph(2, labels, edges)
     P = SplitPartition(parts, 2 * q * root)
     return G, P
+
+
+def theta_host(q: int):
+    """The unsplit theta graph ``build_theta(q, reduce_parts=False)`` and
+    vertex permutations that generate automorphisms of it, as int64
+    arrays g mapping vertex v to g[v] (see `_translations`).
+
+    The three translations v2 += a with w2 -= a, v4 += a with w3 -= a
+    and v3 += a with w4 -= a keep the three equations.  They fix v1 and
+    w1 and are transitive on the rest, so the vertex orbits are the q
+    point classes of v1 and the q line classes of w1: 2q orbits.
+    """
+    H = build_theta(q, reduce_parts=False)[0]
+    add, _, neg = _tables(gf.make_field(*_prime_power(q)))
+
+    def move(v, w):
+        def apply(pt, ln, a):
+            pt[v] = add[pt[v], a]
+            ln[w] = add[ln[w], neg[a]]
+        return apply
+
+    return H, _translations(q, 4, [move(1, 1), move(3, 2), move(2, 3)])
 
 
 # ------------------------------------------------------------------------

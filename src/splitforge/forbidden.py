@@ -206,27 +206,28 @@ def _paths_by_end(sadj, root: int, length: int, floor: int) -> dict:
     return buckets
 
 
-def _walk_blocks(A, rows: int, k: int):
+def _walk_blocks(A, rows, k: int):
     """Yield (j, row_of, walks) for j = 2..k in each block of `_ROWS`
-    of the first `rows` rows of the symmetric 0/1 int64 CSR matrix A:
-    `walks` holds those rows of the non-backtracking walk counts A_j in
-    int64 CSR and `row_of` the host row of each of its entries.
+    rows of the int64 index array `rows` of the symmetric 0/1 int64 CSR
+    matrix A: `walks` holds those rows of the non-backtracking walk
+    counts A_j in int64 CSR and `row_of` the host row of each of its
+    entries.
 
     The counts follow A_1 = A, A_2 = A^2 - D and
     A_j = A_{j-1} A - A_{j-2} (D - I), with D the degree matrix of A,
     the last as one product of the block pair [A_{j-1} A_{j-2}] with
     the stacked [A; I - D], so no full product is formed.  A block's
     rows of A_j need only the same rows of A_{j-1} and A_{j-2}, so any
-    leading rows can be scanned alone.  Blocks go in ascending row
-    order and j ascends within a block; a block's A_j is formed only
-    when the consumer asks for it.
+    set of rows can be scanned alone.  Blocks go in the order of `rows`
+    and j ascends within a block; a block's A_j is formed only when the
+    consumer asks for it.
     """
     deg = np.diff(A.indptr)
     if k > 2:
         step = sparse.vstack([A, sparse.diags(1 - deg, dtype=np.int64)], format="csr")
-    for lo in range(0, rows, _ROWS):
-        older = A[lo:min(lo + _ROWS, rows)]
-        block = np.arange(lo, lo + older.shape[0])
+    for lo in range(0, len(rows), _ROWS):
+        block = rows[lo:lo + _ROWS]
+        older = A[block]
         D = sparse.csr_matrix((deg[block], block, np.arange(len(block) + 1)), shape=older.shape)
         walks = older @ A - D
         for j in range(2, k + 1):
@@ -235,9 +236,9 @@ def _walk_blocks(A, rows: int, k: int):
             yield j, np.repeat(block, np.diff(walks.indptr)), walks
 
 
-def _walk_counts_reach(A, rows: int, k: int, threshold: int):
+def _walk_counts_reach(A, rows, k: int, threshold: int):
     """Least j in 2..k at which an off-diagonal non-backtracking walk
-    count A_j[u, w], u != w, u among the first `rows` rows of A, reaches
+    count A_j[u, w], u != w, u in the int64 index array `rows`, reaches
     `threshold`; None if none does.  The blocks of `_walk_blocks` go in
     order, so the search stops in the first block where some entry
     reaches the threshold."""
@@ -302,7 +303,7 @@ def contains_kst(G: LabeledHypergraph, s: int, t: int):
     pat = "K_{%d,%d}" % (s, t)
 
     if s == 2:
-        if len(G.edge_array) >= _KERNEL_EDGES and _walk_counts_reach(G.csr, G.n, 2, t) is None:
+        if len(G.edge_array) >= _KERNEL_EDGES and _walk_counts_reach(G.csr, np.arange(G.n), 2, t) is None:
             return None
         found = _codegree_scan(G.sadj, t)
     else:
@@ -410,7 +411,7 @@ def contains_cycle(G: LabeledHypergraph, length: int):
     if length > G.n:
         return None
     if length % 2 == 0 and length >= 6 and len(G.edge_array) >= _KERNEL_EDGES and \
-            _walk_counts_reach(G.csr, G.n, length // 2, 2) is None:
+            _walk_counts_reach(G.csr, np.arange(G.n), length // 2, 2) is None:
         return None
     for cyc in _cycles(G.sadj, length):
         return _finish_cycle(G, "C_{%d}" % length, cyc)
@@ -493,7 +494,7 @@ def contains_theta(G: LabeledHypergraph, K: int, length: int):
             int(np.diff(G.csr.indptr).max()) ** 4 >= 2 ** 63:
         return _theta_generic(G, K, length, pat)
     root = None
-    for j, row_of, walks in _walk_blocks(G.csr, G.n, length):
+    for j, row_of, walks in _walk_blocks(G.csr, np.arange(G.n), length):
         if j < length:
             continue
         keep = (walks.data >= K) & (walks.indices > row_of)
@@ -560,7 +561,7 @@ def contains_berge_cycle(Hy: LabeledHypergraph, length: int):
     if Hy.m < 3:
         raise ValueError("Berge cycle detection expects a hypergraph with m >= 3")
     if len(Hy.edge_array) >= _KERNEL_EDGES and \
-            _walk_counts_reach(Hy.incidence, Hy.n, length, 2) is None:
+            _walk_counts_reach(Hy.incidence, np.arange(Hy.n), length, 2) is None:
         return None
     return _berge_search(Hy, length)
 
@@ -700,3 +701,47 @@ def check_pattern(G: LabeledHypergraph, pattern):
     if pattern.kind == "berge_cycle":
         return contains_berge_cycle(G, *pattern.params)
     return contains_explicit(G, pattern.edges)
+
+
+# ------------------------------------------------------------ orbit rows
+
+
+def orbit_test(pattern):
+    """The walk counts that prove `pattern` absent from one row per
+    vertex orbit: (k, threshold) when every copy of the pattern, at each
+    of its vertices u (for K_{2,t}, at each hub; for a theta, at each
+    end), puts an off-diagonal count of at least `threshold` into row u
+    of the non-backtracking walk counts A_k; None for other patterns.
+
+    - C_{2k}, k >= 2, and theta_{2,k}: A_k, threshold 2 (u and the vertex
+      opposite it are joined by two paths of k edges);
+    - K_{2,t}: A_2, threshold t (the two hubs' codegree);
+    - theta_{K,l}, K >= 3, l <= 4: A_l, threshold K.
+
+    An automorphism s keeps the counts, A_j[s u, s w] = A_j[u, w], and
+    maps a copy at u to a copy at s u, so a host whose orbit
+    representatives' rows stay below the threshold holds no copy, and
+    neither does any edge-subgraph of it.
+    """
+    if isinstance(pattern, str):
+        pattern = parse_pattern(pattern)
+    kind, p = pattern.kind, pattern.params
+    if kind == "cycle" and p[0] % 2 == 0:
+        return p[0] // 2, 2
+    if kind == "complete_bipartite" and p[0] == 2:
+        return 2, p[1]
+    if kind == "theta" and p[0] == 2:
+        return p[1], 2
+    if kind == "theta" and p[1] <= 4:
+        return p[1], p[0]
+    return None
+
+
+def rows_prove_absent(A, rows, test) -> bool:
+    """True when no walk count of `orbit_test`'s (k, threshold) reaches
+    the threshold in the rows `rows` (an int64 index array) of the
+    adjacency matrix A, for any j up to k; False on a hit, or when the
+    maximum degree D has D**4 >= 2**63 (`contains_theta`'s guard)."""
+    k, threshold = test
+    return int(np.diff(A.indptr).max()) ** 4 < 2 ** 63 and \
+        _walk_counts_reach(A, rows, k, threshold) is None

@@ -29,6 +29,7 @@ __all__ = [
     "verify_rk",
     "property_B_check",
     "components",
+    "orbit_representatives",
 ]
 
 
@@ -415,3 +416,40 @@ def components(G: LabeledHypergraph) -> list:
     for v, c in enumerate(label.tolist()):
         groups[c].append(v)
     return sorted(groups, key=lambda g: g[0])
+
+
+def orbit_representatives(G: LabeledHypergraph, gens, name: str) -> np.ndarray:
+    """The least vertex of each orbit of the group that the vertex
+    permutations `gens` (int arrays g, vertex v to g[v]) generate on the
+    graph G, ascending.
+
+    Each generator is first checked to be a permutation of the n
+    vertices that maps G's edge set onto itself; a RuntimeError names
+    the first that is not by `name` and its index, and no orbit is
+    formed.  The orbits come from min-label propagation: every vertex
+    keeps the least label among itself and its images, then looks its
+    label's label up, until nothing changes.
+    """
+    if G.m != 2:
+        raise ValueError(f"orbit representatives need a 2-uniform graph, got m={G.m}")
+    n = G.n
+    E = G.edge_array
+    codes = E @ (n, 1)  # edge (u, v), u < v, as u * n + v
+    gens = [np.asarray(g) for g in gens]
+    for i, g in enumerate(gens):
+        if g.shape != (n,) or g.dtype.kind not in "iu" or \
+                not np.array_equal(np.sort(g), np.arange(n)):
+            raise RuntimeError(f"{name} generator {i} is not a permutation of the {n} vertices")
+        u, v = g[E].T
+        # g is a permutation, so mapping the edges into the edges maps them onto them
+        if not np.isin(np.minimum(u, v) * n + np.maximum(u, v), codes, assume_unique=True).all():
+            raise RuntimeError(f"{name} generator {i} does not map the host's edges to edges")
+    label = np.arange(n)
+    while True:
+        new = label
+        for g in gens:
+            new = np.minimum(new, new[g])
+        new = new[new]
+        if np.array_equal(new, label):
+            return np.flatnonzero(label == np.arange(n))
+        label = new

@@ -12,6 +12,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from splitforge import constructions, forbidden, oracle, structures
@@ -363,7 +364,7 @@ def test_walk_counts_reach_matches_enumerated_walks(monkeypatch, rows):
         walks = {(u, j): naive_nb_walks(G, u, j) for u in range(G.n) for j in (2, 3, 4)}
         for k, threshold in ((2, 1), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3), (4, 5)):
             want = first_reach(walks, G.n, rows, k, threshold)
-            assert forbidden._walk_counts_reach(G.csr, G.n, k, threshold) == want
+            assert forbidden._walk_counts_reach(G.csr, np.arange(G.n), k, threshold) == want
             answers.add(want)
     assert answers == {None, 2, 3, 4}
 
@@ -430,11 +431,11 @@ def test_walk_kernel_verdicts_match_ordered_search(monkeypatch):
                     assert got is None
                 else:
                     assert got == forbidden._finish_cycle(G, "C_{%d}" % L, ordered)
-            hit = forbidden._walk_counts_reach(G.csr, G.n, L // 2, 2) is not None
+            hit = forbidden._walk_counts_reach(G.csr, np.arange(G.n), L // 2, 2) is not None
             assert hit or ordered is None
             seen.add((L, hit, ordered is not None, G.colouring is not None))
         for t in (2, 3):
-            hit = forbidden._walk_counts_reach(G.csr, G.n, 2, t) is not None
+            hit = forbidden._walk_counts_reach(G.csr, np.arange(G.n), 2, t) is not None
             assert hit == (forbidden._codegree_scan(G.sadj, t) is not None)
             seen.add((t, hit))
     assert seen >= {(L, hit, found, True) for L in (6, 8)
@@ -600,7 +601,7 @@ def test_theta_filter_keeps_the_generic_witness(monkeypatch):
         for ell in (2, 3, 4):
             paths = path_counts(G, ell)
             walks = {}
-            for j, row_of, block in forbidden._walk_blocks(G.csr, G.n, ell):
+            for j, row_of, block in forbidden._walk_blocks(G.csr, np.arange(G.n), ell):
                 if j == ell:
                     walks.update(((int(u), int(v)), int(c)) for u, v, c in
                                  zip(row_of, block.indices, block.data) if v > u and c)
@@ -728,7 +729,7 @@ def test_berge_walk_kernel_verdicts_match_ordered_search(monkeypatch, rows):
         assert (Hy.incidence != inc.csr).nnz == 0
         walks = {(u, j): naive_nb_walks(inc, u, j) for u in range(Hy.n) for j in (2, 3, 4)}
         for L in (2, 3, 4):
-            got = forbidden._walk_counts_reach(Hy.incidence, Hy.n, L, 2)
+            got = forbidden._walk_counts_reach(Hy.incidence, np.arange(Hy.n), L, 2)
             assert got == first_reach(walks, Hy.n, rows, L, 2)
             ordered = forbidden._berge_search(Hy, L)
             if got is None:
@@ -749,7 +750,7 @@ def test_berge_walk_kernel_agrees_with_networkx():
         for L in (2, 3, 4):
             want = any(len(c) == 2 * L for c in nx.simple_cycles(inc, length_bound=2 * L))
             assert (forbidden._berge_search(Hy, L) is not None) == want
-            assert want <= (forbidden._walk_counts_reach(Hy.incidence, Hy.n, L, 2) is not None)
+            assert want <= (forbidden._walk_counts_reach(Hy.incidence, np.arange(Hy.n), L, 2) is not None)
 
 
 def test_berge_cycles_are_incidence_graph_cycles(monkeypatch):
@@ -795,7 +796,7 @@ def test_berge_hits_above_the_cut_keep_the_ordered_witness():
     Hy = LabeledHypergraph(3, H.vertices, edges)
     assert len(Hy.edges) >= forbidden._KERNEL_EDGES
     for L in (2, 3, 4):
-        assert forbidden._walk_counts_reach(Hy.incidence, Hy.n, L, 2) is not None
+        assert forbidden._walk_counts_reach(Hy.incidence, np.arange(Hy.n), L, 2) is not None
         w = forbidden.contains_berge_cycle(Hy, L)
         assert w is not None and w == forbidden._berge_search(Hy, L)
         check_berge_witness(Hy, w, L)
@@ -859,6 +860,40 @@ def test_explicit_matches_naive():
         for pat in patterns:
             got = forbidden.contains_explicit(G, pat)
             assert (got is not None) == naive_embed(G, pat)
+
+
+def test_theta_and_explicit_agree_with_networkx_vf2():
+    # every verdict against VF2 subgraph monomorphisms (not induced), and
+    # each witness is a copy: its edges are host edges on distinct vertices
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+    rng = random.Random(2029)
+    thetas = [(3, 2), (3, 3), (4, 2)]
+    explicit = [
+        [(0, 1), (1, 2), (2, 0), (2, 3)],
+        [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)],
+        [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)],
+        [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5)],
+    ]
+    seen = set()
+    for _ in range(30):
+        G = random_graph(rng, rng.randrange(6, 12), rng.choice((0.25, 0.4, 0.55)))
+        host = nx.Graph()
+        host.add_nodes_from(range(G.n))
+        host.add_edges_from(G.edges)
+        for label, pattern, got in (
+                [(("theta", K, L), theta_graph(K, L).edges, forbidden.contains_theta(G, K, L))
+                 for K, L in thetas]
+                + [(("explicit", i), pat, forbidden.contains_explicit(G, pat))
+                   for i, pat in enumerate(explicit)]):
+            want = next(GraphMatcher(host, nx.Graph(pattern)).subgraph_monomorphisms_iter(), None)
+            assert (got is not None) == (want is not None)
+            if got is not None:
+                assert all(host.has_edge(*e) for e in got["edges"])
+                assert len(set(got["vertices"])) == len(got["vertices"])
+            seen.add((label, got is not None))
+    assert {found for _, found in seen} == {True, False}
+    assert {label for label, found in seen if found} >= {("theta", 3, 2), ("theta", 3, 3), ("explicit", 0)}
 
 
 # -------------------------------------------------------------- dispatcher

@@ -1,0 +1,272 @@
+"""The orbit route of ``verify --forbid``: walk counts on one row per
+vertex orbit of a theta or Wenger host prove a pattern absent from any
+edge-subgraph of it, and every other case takes the full deciders with
+the same payload and exit code."""
+
+from __future__ import annotations
+
+import json
+import random
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy import sparse
+from scipy.sparse import csgraph
+
+from splitforge import cli, constructions, forbidden, structures
+from splitforge.forbidden import check_pattern
+from splitforge.structures import LabeledHypergraph
+
+HOSTS = [("wenger", (M, q)) for M in (1, 2) for q in (3, 4, 5, 7)] + [("theta", (9,))]
+PATTERNS = ["C_4", "C_6", "C_8", "K_{2,2}", "K_{2,3}", "theta_{3,3}", "theta_{3,4}"]
+
+
+def host_and_gens(family, args):
+    return (constructions.theta_host if family == "theta" else constructions.wenger_host)(*args)
+
+
+def recipe(family, args):
+    if family == "theta":
+        return {"family": "theta", "q": args[0], "reduce_parts": True}
+    return {"family": "wenger", "M": args[0], "q": args[1]}
+
+
+def write_json(path: Path, doc) -> Path:
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def verify(tmp_path, graph_doc, patterns, name="g"):
+    """Run verify on the document; returns the exit code and the report,
+    or None when no report was written."""
+    g = write_json(tmp_path / f"{name}.json", graph_doc)
+    p = write_json(tmp_path / "parts.json", {"k": 1, "parts": []})
+    out = tmp_path / f"{name}_report.json"
+    argv = ["verify", "--graph", str(g), "--partition", str(p), "--out", str(out)]
+    for spec in patterns:
+        argv += ["--forbid", spec]
+    code = cli.main(argv)
+    return code, json.loads(out.read_text(encoding="utf-8")) if out.exists() else None
+
+
+def payload_bytes(report):
+    doc = dict(report)
+    doc.pop("provenance")
+    return cli._canonical(doc)
+
+
+# ---------------------------------------------------------------- the hosts
+
+
+@pytest.mark.parametrize("family, args", HOSTS)
+def test_orbit_rows_agree_with_every_row(family, args):
+    # the generators are automorphisms (orbit_representatives checks each),
+    # their orbits are those of the generator graph, 2q for theta and
+    # q + 1 for Wenger, and the representatives' rows give the kernel's
+    # answer on every row, the least j included
+    H, gens = host_and_gens(family, args)
+    reps = structures.orbit_representatives(H, gens, family)
+    q = args[-1]
+    assert len(reps) == (2 * q if family == "theta" else q + 1)
+    links = sparse.coo_matrix((np.ones(len(gens) * H.n), (np.tile(np.arange(H.n), len(gens)),
+                                                           np.concatenate(gens))), shape=(H.n, H.n))
+    _, label = csgraph.connected_components(links, directed=False)
+    first = {}
+    for v, c in enumerate(label.tolist()):
+        first.setdefault(c, v)
+    assert reps.tolist() == sorted(first.values())
+    A, every = H.csr, np.arange(H.n)
+    for spec in PATTERNS:
+        k, threshold = forbidden.orbit_test(spec)
+        want = forbidden._walk_counts_reach(A, every, k, threshold)
+        assert forbidden._walk_counts_reach(A, reps, k, threshold) == want
+        assert forbidden.rows_prove_absent(A, reps, (k, threshold)) == (want is None)
+
+
+def test_orbit_tests_of_each_pattern():
+    assert forbidden.orbit_test("C_6") == (3, 2)
+    assert forbidden.orbit_test("C_4") == (2, 2)
+    assert forbidden.orbit_test("K_{2,3}") == (2, 3)
+    assert forbidden.orbit_test("theta_{2,5}") == (5, 2)
+    assert forbidden.orbit_test("theta_{3,4}") == (4, 3)
+    for spec in ("C_5", "K_{3,3}", "K_{1,4}", "theta_{3,5}", "bergeC_2"):
+        assert forbidden.orbit_test(spec) is None
+
+
+@pytest.mark.parametrize("family, args", HOSTS)
+def test_verify_on_edge_subgraphs_matches_check_pattern(tmp_path, family, args):
+    # seeded random edge-subgraphs G of the host: each verdict is
+    # check_pattern(G)'s, witnesses included; the orbit route answers
+    # only "absent", and a hit (C_8 on W_2) falls back
+    rng = random.Random(sum(args) * 31 + len(family))
+    H, _ = host_and_gens(family, args)
+    patterns, shares = (PATTERNS, (1.0, 0.9)) if family == "wenger" else \
+        (["C_6", "K_{2,2}", "theta_{3,4}"], (0.9,))
+    seen = set()
+    for share in shares:
+        keep = np.sort(rng.sample(range(len(H.edge_array)), int(share * len(H.edge_array))))
+        G = LabeledHypergraph(2, H.vertices, H.edge_array[keep])
+        doc = dict(G.to_json_dict(), provenance={"params": recipe(family, args)})
+        code, report = verify(tmp_path, doc, patterns)
+        paths = report["provenance"]["paths"]
+        for finding in report["forbidden"]:
+            spec = finding["pattern"]
+            want = check_pattern(G, spec)
+            assert finding["witness"] == want
+            assert paths[spec] == "full" or want is None
+            seen.add((paths[spec], want is None))
+        assert code == (4 if any(f["witness"] for f in report["forbidden"]) else 0)
+    assert ("orbit", True) in seen
+    if family == "wenger" and args[0] == 2:
+        assert ("full", False) in seen
+
+
+# ------------------------------------------------------------------ the CLI
+
+
+def test_payload_is_the_same_with_the_orbit_route_off(tmp_path, monkeypatch):
+    # theta(9) with theta_{3,4} and W_2(5) with C_6 take the orbit route;
+    # with it forced off the payload bytes and payload_sha256 are the same
+    runs = {}
+    for family, construct, patterns in (
+            ("theta", ["theta", "--q", "9"], ["theta_{3,4}"]),
+            ("wenger", ["wenger", "--M", "2", "--q", "5"], ["C_6", "K_{2,2}", "C_8"])):
+        g, p = tmp_path / f"{family}.json", tmp_path / f"{family}_parts.json"
+        assert cli.main(["construct", *construct, "--out", str(g), "--partition", str(p)]) == 0
+        for route in ("on", "off"):
+            if route == "off":
+                monkeypatch.setattr(cli, "_recipe_host", lambda G, provenance: None)
+            out = tmp_path / f"{family}_{route}.json"
+            argv = ["verify", "--graph", str(g), "--partition", str(p), "--out", str(out)]
+            for spec in patterns:
+                argv += ["--forbid", spec]
+            runs[family, route] = (cli.main(argv), json.loads(out.read_text(encoding="utf-8")))
+            monkeypatch.undo()
+    for family in ("theta", "wenger"):
+        (code_on, on), (code_off, off) = runs[family, "on"], runs[family, "off"]
+        assert code_on == code_off
+        assert payload_bytes(on) == payload_bytes(off)
+        assert on["provenance"]["payload_sha256"] == off["provenance"]["payload_sha256"]
+        assert set(off["provenance"]["paths"].values()) == {"full"}
+    assert runs["theta", "on"][1]["provenance"]["paths"] == {"theta_{3,4}": "orbit"}
+    assert runs["wenger", "on"][1]["provenance"]["paths"] == {
+        "C_{6}": "orbit", "K_{2,2}": "orbit", "C_{8}": "full"}
+    assert runs["wenger", "on"][0] == 4  # W_2(5) holds a C_8
+
+
+def test_verify_without_forbid_never_builds_the_host(tmp_path, monkeypatch):
+    g, p = tmp_path / "g.json", tmp_path / "p.json"
+    assert cli.main(["construct", "wenger", "--M", "2", "--q", "3", "--out", str(g),
+                     "--partition", str(p)]) == 0
+
+    def refuse(*args):
+        raise AssertionError("host built")
+
+    monkeypatch.setattr(cli, "wenger_host", refuse)
+    out = tmp_path / "r.json"
+    for forbid in ([], ["C_5"]):
+        argv = ["verify", "--graph", str(g), "--partition", str(p), "--out", str(out)]
+        for spec in forbid:
+            argv += ["--forbid", spec]
+        assert cli.main(argv) == 0
+        assert set(json.loads(out.read_text(encoding="utf-8"))["provenance"]["paths"].values()) <= {"full"}
+
+
+def _w23():
+    G, _ = constructions.partition_wenger(2, 3)
+    return G.to_json_dict(), {"family": "wenger", "M": 2, "q": 3}
+
+
+def _with_provenance(provenance):
+    def mutate(doc, params):
+        doc["provenance"] = provenance
+        return doc
+    return mutate
+
+
+def _with_params(**changes):
+    def mutate(doc, params):
+        doc["provenance"] = {"params": dict(params, **changes)}
+        return doc
+    return mutate
+
+
+def _without_provenance(doc, params):
+    return doc
+
+
+def _with_outside_edge(doc, params):
+    # points 0 and 1 are on the same side, so the edge is not in W_2(3)
+    doc["edges"].append([0, 1])
+    doc["provenance"] = {"params": params}
+    return doc
+
+
+@pytest.mark.parametrize("mutate", [
+    _without_provenance,
+    _with_provenance([1, 2]),
+    _with_provenance("wenger"),
+    _with_provenance({"params": ["wenger", 2, 3]}),
+    _with_params(q="3"),
+    _with_params(q=True),
+    _with_params(q=-3),
+    _with_params(M=True),
+    _with_params(M=10 ** 30),
+    _with_params(family="hexagon"),
+    _with_params(family="theta"),
+    _with_params(q=5),
+    _with_outside_edge,
+], ids=["missing", "array", "string", "params-array", "string-q", "bool-q", "negative-q",
+        "bool-M", "huge-M", "unknown-family", "wrong-family", "wrong-count", "edge-outside-host"])
+def test_hostile_recipes_take_the_full_route(tmp_path, monkeypatch, mutate):
+    # the recipe's vertex count never matches here, or the graph leaves
+    # the host, so the builders must not run or their host must be refused
+    doc, params = _w23()
+    patterns = ["C_6", "K_{2,2}", "C_8"]
+    doc = mutate(doc, params)
+    if mutate is not _with_outside_edge:
+        def refuse(*args):
+            raise AssertionError("host built")
+        monkeypatch.setattr(cli, "wenger_host", refuse)
+        monkeypatch.setattr(cli, "theta_host", refuse)
+    code, report = verify(tmp_path, doc, patterns)
+    assert set(report["provenance"]["paths"].values()) == {"full"}
+    doc.pop("provenance", None)
+    want_code, want = verify(tmp_path, doc, patterns, name="plain")
+    assert (code, payload_bytes(report)) == (want_code, payload_bytes(want))
+
+
+@pytest.mark.parametrize("family, q, dim", [("wenger", 6, 2), ("theta", 6, 4), ("theta", 5, 4)])
+def test_recipes_the_builder_refuses_take_the_full_route(tmp_path, family, q, dim):
+    # the vertex count fits, so the builder runs and refuses q: 6 is not a
+    # prime power and theta needs an even power of an odd prime
+    n = 2 * q ** dim
+    doc = {"m": 2, "vertices": [f"v{i}" for i in range(n)],
+           "edges": [[i, i + 1] for i in range(0, n - 1, 2)],
+           "provenance": {"params": {"family": family, "M": dim - 1, "q": q}}}
+    code, report = verify(tmp_path, doc, ["C_4", "K_{2,2}"])
+    assert code == 0 and report["provenance"]["paths"] == {"C_{4}": "full", "K_{2,2}": "full"}
+    with pytest.raises(ValueError):
+        host_and_gens(family, (q,) if family == "theta" else (dim - 1, q))
+
+
+@pytest.mark.parametrize("corrupt, index", [
+    (lambda gens: gens[2].__setitem__(0, gens[2][1]), 2),  # not a permutation
+    (lambda gens: gens[1].__setitem__([0, 1], gens[1][[1, 0]]), 1),  # not an automorphism
+])
+def test_corrupt_generator_is_refused_by_name(tmp_path, monkeypatch, capsys, corrupt, index):
+    doc, params = _w23()
+    doc["provenance"] = {"params": params}
+    build = constructions.wenger_host
+
+    def corrupted(M, q):
+        H, gens = build(M, q)
+        corrupt(gens)
+        return H, gens
+
+    monkeypatch.setattr(cli, "wenger_host", corrupted)
+    code, report = verify(tmp_path, doc, ["C_6"])
+    assert code == 1 and report is None
+    err = capsys.readouterr().err
+    assert err.startswith("internal failure: ") and f"wenger generator {index} " in err

@@ -128,6 +128,37 @@ def test_spectrum_iterative_path_is_reproducible():
     assert a.extremes == b.extremes
 
 
+def test_spectrum_shift_invert_fallback(monkeypatch):
+    # with every Lanczos call stalled, shift-invert about d + 1e-3 and
+    # -d - 1e-3 still finds the extremes of the 5002-cycle, 2,
+    # 2 cos(2 pi / n) and -2; when it stalls too, spectrum raises
+    # RuntimeError and caches nothing
+    eigsh = spectral.eigsh
+    calls = []
+
+    def lanczos_stalls(A, **kw):
+        calls.append((kw["which"], kw.get("sigma")))
+        if kw.get("sigma") is None:
+            raise spectral.ArpackNoConvergence("stalled", np.array([]), np.array([]))
+        return eigsh(A, **kw)
+
+    monkeypatch.setattr(spectral, "eigsh", lanczos_stalls)
+    n = 5002
+    s = spectral.spectrum(cycle_graph(n))
+    assert calls == [("LA", None), ("LM", 2 + 1e-3), ("SA", None), ("LM", -2 - 1e-3)]
+    assert abs(s.rho1 - 2) < 1e-8 and abs(s.rho_n + 2) < 1e-8
+    assert abs(s.rho2 - 2 * math.cos(2 * math.pi / n)) < 1e-8
+
+    def always_stalls(A, **kw):
+        raise spectral.ArpackNoConvergence("stalled", np.array([]), np.array([]))
+
+    monkeypatch.setattr(spectral, "eigsh", always_stalls)
+    G = cycle_graph(n)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        spectral.spectrum(G)
+    assert G not in spectral._SPECTRA
+
+
 def test_spectrum_validation():
     with pytest.raises(ValueError):
         spectral.spectrum(graph(3, [(0, 1)]))  # path, not regular
