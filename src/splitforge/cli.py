@@ -8,7 +8,9 @@ count, tool version, input digests, a sha256 of the canonical payload
 (the document minus the provenance key) and the wall time; an oracle
 run's manifest also has "paths", which names the check each pattern's
 placements took, "incremental" or "fallback", and a verify run's
-"paths" names the route each --forbid pattern took, "orbit" or "full".
+"paths" names the route each --forbid pattern took, "orbit" or "full";
+a spectrum run's "paths" names the solver, "dense-svd" (bipartite),
+"dense-eigh" or "iterative".
 A document written to a file replaces the old file only once it is
 complete.
 Repeated runs with the same parameters and seed produce byte-identical
@@ -300,7 +302,11 @@ def _cmd_spectrum(args, run) -> int:
     G = _load(args.graph, run.inputs, LabeledHypergraph)
     s = spectrum(G)
     payload = dict(asdict(s), rho1=s.rho1, rho2=s.rho2, rho_n=s.rho_n)
-    _emit(payload, run.manifest(), args.out)
+    if s.eigenvalues is None:
+        route = "iterative"
+    else:
+        route = "dense-svd" if s.bipartite else "dense-eigh"
+    _emit(payload, dict(run.manifest(), paths={"spectrum": route}), args.out)
     return 0
 
 

@@ -1,8 +1,10 @@
 """Adjacency spectra, mixing certification, and greedy partitioning.
 
-``spectrum`` computes adjacency eigenvalues of a regular graph (dense
-symmetric solve up to 5000 vertices, Lanczos extremes above) once per
-graph object and keeps them while the graph lives,
+``spectrum`` computes the adjacency eigenvalues of a regular graph once
+per graph object and keeps them while the graph lives: up to 5000
+vertices all of them (the singular values of the biadjacency block on a
+bipartite graph, a dense symmetric solve otherwise), above that the
+Lanczos extremes;
 ``mixing_check`` certifies the edge-distribution inequality
 |e(U,W) - expected| <= rho * sqrt(|U||W|), and ``greedy_split`` runs
 the seeded partition-growing algorithm whose output always passes
@@ -31,12 +33,14 @@ from .structures import (
 )
 
 _DENSE_LIMIT = 5000
-# Lanczos restarts before the shift-invert fallback: the Wenger hosts
-# converge far below the cap with the same bits as an uncapped run, while
-# the 6000-cycle, whose top gap is about 1e-6, took 42 s uncapped on a
-# 2-core VM.  Shift-invert stays the fallback: its LU factor of W_2(17)
-# took 22 s there.
-_MAXITER = 600
+# Lanczos restarts before the shift-invert fallback: W_2(17) and W_4(5)
+# give the same extremes bits with as few as 5 restarts as uncapped.  On
+# the 6000-cycle, whose top gap is about 1e-6, both calls stall: LA and SA
+# run out 100 restarts in 0.20 and 0.13 s (600 took 1.28 and 0.83 s, no
+# cap 42 s) and shift-invert then solves each end in 0.06 and 0.03 s
+# (2-core VM, one BLAS thread).  Shift-invert stays the fallback: its LU
+# factor of W_2(17) took 22 s there.
+_MAXITER = 100
 _SHIFT = 1e-3
 _SEED_NODE_BUDGET = 100_000
 
@@ -105,11 +109,26 @@ def _extremes(A, k: int, which: str, sigma: float, v0):
         raise RuntimeError("eigenvalue iteration did not converge") from exc
 
 
+def _bipartite_eigenvalues(A, colouring):
+    """Descending eigenvalues of a bipartite adjacency matrix A from the
+    singular values of its block B = A[side 0][:, side 1]: A is
+    [[0, B], [B^T, 0]] up to a permutation, so its spectrum is sigma,
+    |n0 - n1| zeros and -sigma."""
+    side = np.asarray(colouring, dtype=bool)
+    B = A[~side][:, side].toarray()
+    sigma = np.linalg.svd(B, compute_uv=False)
+    zeros = np.zeros(abs(B.shape[0] - B.shape[1]))
+    return np.concatenate((sigma, zeros, -sigma[::-1]))
+
+
 def spectrum(G: LabeledHypergraph) -> SpectrumSummary:
     """Eigenvalues of the adjacency matrix of a regular graph.
 
-    Dense symmetric solve for n <= 5000; Lanczos iteration for the
-    extreme triple (rho1, rho2, rho_n) above that, relative tolerance
+    For n <= 5000 the whole spectrum: on a bipartite graph from the
+    singular values sigma of the block of A between the two colour
+    classes (sigma, |n0 - n1| zeros, -sigma, so it is exactly symmetric),
+    on any other graph by a dense symmetric solve.  Above that, Lanczos
+    iteration for the extreme triple (rho1, rho2, rho_n), relative tolerance
     1e-8, started from a seeded vector so that equal graphs give equal
     bits.  Lanczos stops after `_MAXITER` restarts; an end of the
     spectrum it leaves unsolved is solved again by shift-invert about
@@ -126,7 +145,10 @@ def spectrum(G: LabeledHypergraph) -> SpectrumSummary:
     bip = G.colouring is not None
     A = G.csr.astype(np.float64)
     if n <= _DENSE_LIMIT:
-        eig = np.linalg.eigvalsh(A.toarray())[::-1]
+        if bip:
+            eig = _bipartite_eigenvalues(A, G.colouring)
+        else:
+            eig = np.linalg.eigvalsh(A.toarray())[::-1]
         eigenvalues = tuple(float(x) for x in eig)
         rho2, rho_n = eigenvalues[1], eigenvalues[-1]
         extremes = None

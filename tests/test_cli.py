@@ -187,6 +187,25 @@ def test_spectrum_c4(tmp_path, capsys):
     assert doc["provenance"]["inputs"][str(g)].startswith("sha256:")
 
 
+def cycle_doc(n: int) -> dict:
+    return {"m": 2, "vertices": [f"v{i}" for i in range(n)],
+            "edges": [[i, (i + 1) % n] for i in range(n)]}
+
+
+def test_spectrum_manifest_names_the_route(tmp_path):
+    petersen = {"m": 2, "vertices": [f"v{i}" for i in range(10)],
+                "edges": [[i, (i + 1) % 5] for i in range(5)]
+                + [[5 + i, 5 + (i + 2) % 5] for i in range(5)]
+                + [[i, 5 + i] for i in range(5)]}
+    for name, graph, route in (("c4", cycle_doc(4), "dense-svd"), ("petersen", petersen, "dense-eigh"),
+                               ("c6000", cycle_doc(6000), "iterative")):
+        g, out = write_json(tmp_path / f"{name}.json", graph), tmp_path / f"{name}_spec.json"
+        assert cli.main(["spectrum", "--graph", str(g), "--out", str(out)]) == 0
+        doc = load(out)
+        assert doc["provenance"]["paths"] == {"spectrum": route}, name
+        assert "paths" not in payload_of(doc)
+
+
 def test_spectrum_rejects_irregular(tmp_path):
     g = write_json(
         tmp_path / "p3.json",

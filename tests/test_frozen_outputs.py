@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from itertools import combinations
 
@@ -119,7 +120,12 @@ BERGE34_WITNESS_DIGEST = "0db295604d448a56395c5cbb9135c96a7554f58e2d584551923e4e
 
 BIPARTITE_WITNESS_DIGEST = "c2266c6039202edb9bfe82c9f08c73e861a192e9444de5b31d34a572a68ba4a3"
 
-GREEDY_DIGEST = "794366ca2562116751f6e44cc1b63be665e4a09753261735d691d38249f57cd0"
+# re-recorded when dense bipartite spectra moved to the singular values of
+# the biadjacency block: advisories["rho"] moved in its last bits
+GREEDY_DIGEST = "97c70c2c0fdcc317a0373cb4739c714be9b2f85750fb8f03097efaa7c0a1ec48"
+# the same record with each trace's advisories["rho"] dropped: the splits
+# rest on no spectrum bit, so a change of eigensolver leaves this alone
+GREEDY_NO_RHO_DIGEST = "4dcbcbfb1864ef64b8ee7d6af915ddbaf303b5821e3129a7c43551d4cc8fd433"
 
 # sha256 of the iterative path's extremes triple, JSON-encoded, per Wenger host
 EXTREMES_DIGEST = {
@@ -256,7 +262,9 @@ def test_berge_witnesses_frozen():
 
 
 def _greedy_record():
-    ok, failed = [], 0
+    """Every greedy split of the grid as [graph, partition, trace] JSON,
+    the Wenger (M, q) of each, and the count of runs that raised."""
+    ok, hosts, failed = [], [], 0
     for M, q in ((1, 3), (1, 5), (1, 7), (2, 3)):
         G = constructions.build_wenger(M, q)
         for m in (2, 3, 4, 8):
@@ -268,14 +276,25 @@ def _greedy_record():
                         failed += 1
                         continue
                     ok.append([G2.to_json_dict(), P.to_json_dict(), trace.to_json_dict()])
-    return ok, failed
+                    hosts.append((M, q))
+    return ok, hosts, failed
 
 
 def test_greedy_splits_frozen():
-    ok, failed = _greedy_record()
+    ok, _, failed = _greedy_record()
     assert (len(ok), failed) == (126, 18)
     blob = json.dumps(ok, sort_keys=True).encode("utf-8")
     assert hashlib.sha256(blob).hexdigest() == GREEDY_DIGEST
+
+
+def test_greedy_splits_frozen_without_rho():
+    # rho is the one float the record carries; it must sit on the closed
+    # form sqrt(Mq) of Cioaba-Lazebnik-Li, and everything else must not move
+    ok, hosts, _ = _greedy_record()
+    for (_, _, trace), (M, q) in zip(ok, hosts):
+        assert abs(trace["advisories"].pop("rho") - math.sqrt(M * q)) <= 1e-12, (M, q)
+    blob = json.dumps(ok, sort_keys=True).encode("utf-8")
+    assert hashlib.sha256(blob).hexdigest() == GREEDY_NO_RHO_DIGEST
 
 
 def test_greedy_seed_budget_frozen():

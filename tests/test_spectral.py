@@ -10,6 +10,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+import random
 import weakref
 from collections import deque
 
@@ -107,6 +108,73 @@ def test_spectrum_bipartite_symmetry():
     assert all(abs(eig[i] + eig[len(eig) - 1 - i]) < 1e-6 for i in range(len(eig)))
 
 
+def disjoint_union(*graphs):
+    edges, off = [], 0
+    for G in graphs:
+        edges += [(u + off, v + off) for u, v in G.edge_array.tolist()]
+        off += G.n
+    return graph(off, edges)
+
+
+def relabelled(G, rng):
+    # the same graph with its vertices shuffled, so that the two sides
+    # of a bipartite graph interleave
+    perm = list(range(G.n))
+    rng.shuffle(perm)
+    return graph(G.n, [(perm[u], perm[v]) for u, v in G.edge_array.tolist()])
+
+
+def matching_union(k, d, rng):
+    # d random perfect matchings between two sides of k vertices, each
+    # drawn again until it repeats no edge: a d-regular bipartite graph
+    edges: set = set()
+    for _ in range(d):
+        while True:
+            matching = {(i, k + p) for i, p in enumerate(rng.sample(range(k), k))}
+            if not matching & edges:
+                break
+        edges |= matching
+    return graph(2 * k, sorted(edges))
+
+
+def bipartite_hosts():
+    """Seeded bipartite regular graphs by name, built afresh on each call."""
+    rng = random.Random(19)
+    hosts = {f"C_{n}": cycle_graph(n) for n in (4, 6, 10, 16)}
+    hosts.update({f"K_{d},{d}": complete_bipartite(d, d) for d in (1, 2, 3, 5)})
+    hosts["C_4+C_6+C_10"] = relabelled(
+        disjoint_union(cycle_graph(4), cycle_graph(6), cycle_graph(10)), rng)
+    hosts["K_3,3+W_1(3)+K_3,3"] = relabelled(
+        disjoint_union(complete_bipartite(3, 3), build_wenger(1, 3), complete_bipartite(3, 3)), rng)
+    for k, d in ((7, 2), (9, 3), (12, 4), (20, 5)):
+        hosts[f"matchings k={k} d={d}"] = relabelled(matching_union(k, d, rng), rng)
+    hosts.update({f"edgeless {n}": graph(n, []) for n in (2, 5)})
+    hosts.update({f"W_1({q})": build_wenger(1, q) for q in (3, 4, 5, 7)})
+    hosts["W_2(3)"] = build_wenger(2, 3)
+    return hosts
+
+
+@pytest.mark.parametrize("name", sorted(bipartite_hosts()))
+def test_bipartite_spectrum_matches_the_eigvalsh_oracle(name, solves):
+    # test oracle: eigvalsh of the full dense adjacency matrix
+    G = bipartite_hosts()[name]
+    s = spectral.spectrum(G)
+    assert s.bipartite and solves[1] == ["svd"]
+    eig = s.eigenvalues
+    n = len(eig)
+    assert n == G.n
+    want = np.linalg.eigvalsh(G.csr.toarray().astype(np.float64))[::-1]
+    assert np.max(np.abs(np.array(eig) - want)) <= 1e-9
+    assert all(a >= b for a, b in zip(eig, eig[1:]))
+    assert all(eig[i] == -eig[n - 1 - i] for i in range(n))
+
+
+@pytest.mark.parametrize("G", [petersen(), cycle_graph(5)], ids=["Petersen", "C_5"])
+def test_non_bipartite_spectrum_takes_eigvalsh(G, solves):
+    s = spectral.spectrum(G)
+    assert not s.bipartite and solves[1] == ["eigvalsh"]
+
+
 def test_spectrum_iterative_path():
     n = 6000
     s = spectral.spectrum(cycle_graph(n))
@@ -168,15 +236,22 @@ def test_spectrum_validation():
 
 @pytest.fixture
 def solves(monkeypatch):
-    """Counts dense eigensolves."""
-    count = [0]
-    eigvalsh = np.linalg.eigvalsh
+    """Counts dense solves, a symmetric eigensolve or an SVD: solves[0]
+    is the total and solves[1] names the solver of each call in order."""
+    count = [0, []]
 
-    def counted(A):
-        count[0] += 1
-        return eigvalsh(A)
+    def counting(name):
+        real = getattr(np.linalg, name)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        def counted(*args, **kw):
+            count[0] += 1
+            count[1].append(name)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+
+    counting("eigvalsh")
+    counting("svd")
     return count
 
 
@@ -254,8 +329,6 @@ def test_mixing_bipartite_orientations():
 
 
 def test_mixing_random_pairs():
-    import random
-
     rng = random.Random(11)
     for G in [petersen(), complete_bipartite(3, 3), build_wenger(1, 3), build_wenger(2, 3)]:
         n = G.n
