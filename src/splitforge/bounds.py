@@ -18,9 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .gf import is_prime
+from .gf import MR_EXACT_BELOW, is_prime
 
 _MAX_E_DENOMINATOR = 1000  # exact ceiling checks raise to e's denominator
+_MAX_STEPS = 1_000_000  # progression steps the admissible prime search may take
 
 __all__ = [
     "TuranEnvelope",
@@ -92,7 +93,7 @@ def _least_k(required: Fraction, r: int, env: TuranEnvelope) -> int:
     while not _ceiling_holds(required, env, r * hi):
         hi *= 2
         if hi > 1 << 60:
-            raise RuntimeError("no feasible k below 2^60; check the envelope")
+            raise ValueError("no feasible k below 2^60; check the envelope")
     lo = hi // 2
     while lo + 1 < hi:
         mid = (lo + hi) // 2
@@ -272,7 +273,10 @@ def admissible_pair_for(d: int, *, max_primes: int = 4) -> AdmissiblePair:
     class (Dirichlet guarantees infinitely many, since x0 is coprime to
     the modulus).  Candidates are filtered by trial division over small
     primes and settled by deterministic Miller-Rabin; no probabilistic
-    verdicts.
+    verdicts.  A d whose search could test a candidate at or above
+    `gf.MR_EXACT_BELOW`, where that test is no longer proven exact (d
+    above about 3.2 * 10**17), is refused, as is a search that takes
+    more than 10^6 progression steps.
 
     Parameters
     ----------
@@ -286,17 +290,29 @@ def admissible_pair_for(d: int, *, max_primes: int = 4) -> AdmissiblePair:
     AdmissiblePair
         With per-prime r_values ``p^2 (p-1) / (D+1)`` and coefficient
         ``(2D+1) / (D(D+1))``.
+
+    Raises
+    ------
+    ValueError
+        For d < 12, a refused d or a search past its step cap.
     """
     if not isinstance(d, int) or d < 12:
         raise ValueError(_SMALL_D_MSG)
     if max_primes < 0:
         raise ValueError(f"max_primes must be nonnegative, got {max_primes}")
 
-    D = 1
-    while (D + 1) * (D + 2) < d:
-        D += 1
-    assert D * (D + 1) < d <= (D + 1) * (D + 2)
+    # x = D + 1 has (x - 1) x < d <= x (x + 1): isqrt(d) or the next integer
+    x = math.isqrt(d)
+    if x * (x + 1) < d:
+        x += 1
+    D = x - 1
     modulus = D * (D + 1)
+    # the search below tests candidates below (_MAX_STEPS + 2) * modulus
+    if (_MAX_STEPS + 2) * modulus > MR_EXACT_BELOW:
+        raise ValueError(
+            f"d={d} is too large: its prime search could pass {MR_EXACT_BELOW}, "
+            "beyond which primality tests are not proven exact"
+        )
 
     # x = -1 + D*t with D*t == 2 (mod D+1); invert D mod D+1
     t = 2 * pow(D, -1, D + 1) % (D + 1)
@@ -314,8 +330,8 @@ def admissible_pair_for(d: int, *, max_primes: int = 4) -> AdmissiblePair:
             r_values.append(candidate * candidate * (candidate - 1) // (D + 1))
         candidate += modulus
         steps += 1
-        if steps > 1_000_000:
-            raise RuntimeError(f"prime search for d={d} exceeded 10^6 progression steps")
+        if steps > _MAX_STEPS:
+            raise ValueError(f"prime search for d={d} exceeded {_MAX_STEPS} progression steps")
 
     return AdmissiblePair(
         d1=D,

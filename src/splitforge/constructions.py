@@ -40,6 +40,11 @@ from .structures import LabeledHypergraph, SplitPartition, part_map
 
 _PATCH_STRATEGIES = ("matching", "greedy_reuse")
 
+# edges (or field-table cells) above which a builder refuses a host before
+# it allocates anything for it; W_2(27), with 531,441 edges, is the
+# largest host the tests, demos and benchmark build
+_MAX_EDGES = 1 << 22
+
 
 @dataclass
 class PatchStats:
@@ -67,10 +72,34 @@ class PatchStats:
 
 
 def _prime_power(q: int):
+    if q > gf._MAX_FIELD:  # no field is built above the cap; factoring a huge q takes minutes
+        raise ValueError(f"q={q} exceeds the field-size cap {gf._MAX_FIELD}")
     pp = gf.prime_power(q)
     if pp is None:
         raise ValueError(f"q={q} is not a prime power")
     return pp
+
+
+def _check_size(family: str, base: int, exp: int = 1, what: str = "edges") -> None:
+    """Refuse a host of base ** exp edges (or table cells) above
+    `_MAX_EDGES`.  For exp > 1, base >= 2, so an exponent of the ceiling's
+    bit length or more is refused without evaluating a power that an
+    absurd exponent would take minutes to form."""
+    small = exp < _MAX_EDGES.bit_length()
+    if small and base ** exp <= _MAX_EDGES:
+        return
+    count = base ** exp if small else f"{base}^{exp}"
+    raise ValueError(f"{family} would have {count} {what}, above the ceiling of {_MAX_EDGES}")
+
+
+def _check_comb(family: str, r: int, m: int, what: str = "edges") -> None:
+    """`_check_size` for C(r, m), 0 <= m <= r.  With j = min(m, r - m) >= 1,
+    C(r, m) >= r and C(r, m) >= 2^j, so a huge r or j is refused without
+    evaluating the binomial."""
+    j = min(m, r - m)
+    if j >= 1 and (r > _MAX_EDGES or j >= _MAX_EDGES.bit_length()):
+        raise ValueError(f"{family} would have C({r},{m}) {what}, above the ceiling of {_MAX_EDGES}")
+    _check_size(family, math.comb(r, m), 1, what)
 
 
 def _odd_prime_power(q: int):
@@ -155,8 +184,11 @@ def _norm_quotient(q: int, t: int, d: int):
     if d < 1 or (q - 1) % d != 0:
         raise ValueError(f"d={d} must divide q-1={q - 1}")
     Q = (q - 1) // d
+    family = f"norm-quotient q={q} t={t} d={d}"
+    _check_size(family, q, 2 * (t - 1), "field-table cells")
+    nside = q ** (t - 1)
+    _check_size(family, nside * (nside - 1) * Q)
     source = gf.make_field(p, s * (t - 1))
-    nside = source.q
 
     labels = [f"P:{x},c{i}" for x in range(nside) for i in range(Q)]
     labels += [f"L:{y},c{j}" for y in range(nside) for j in range(Q)]
@@ -386,7 +418,9 @@ def _wenger(M: int, q: int):
     """Labels and (E, 2) edge array of the Wenger graph W_M(q), unvalidated."""
     if M < 1:
         raise ValueError("M must be at least 1")
-    add, mul, neg = _tables(gf.make_field(*_prime_power(q)))
+    pp = _prime_power(q)
+    _check_size(f"wenger W_{M}({q})", q, M + 2)
+    add, mul, neg = _tables(gf.make_field(*pp))
     pts = list(product(range(q), repeat=M + 1))
     nside = len(pts)
 
@@ -505,6 +539,7 @@ def build_theta(q: int, reduce_parts: bool = True):
     p, s = _odd_prime_power(q)
     if s % 2 == 1:
         raise ValueError(f"q={q} must be an even power")
+    _check_size(f"theta q={q}", q, 5)
     F = gf.make_field(p, s)
     add, mul, neg = _tables(F)
     root = p ** (s // 2)
@@ -567,6 +602,7 @@ def build_berge3(q: int):
     coordinate, so the split has q parts of size q - 1.
     """
     p, s = _odd_prime_power(q)
+    _check_comb(f"berge3 q={q}", q, 3)
     F = gf.make_field(p, s)
     add, mul, neg = _tables(F)
     inv2 = F.inv(2)
@@ -684,6 +720,7 @@ def design_catalog(design_id: str) -> DesignInstance:
             raise ValueError(f"inconsistent arity in {design_id!r}")
         if not 1 <= m_outer <= r:
             raise ValueError(f"need 1 <= m <= r in {design_id!r}")
+        _check_comb(design_id, r, m_outer, "blocks")
         return DesignInstance(
             m_outer, r, m_outer, tuple(combinations(range(r), m_outer))
         )
@@ -730,6 +767,7 @@ def build_property_B(m: int, c, r: int):
         raise ValueError(f"need r >= m >= 1, got m={m} r={r}")
     if not c or any(x < 1 for x in c) or sum(c) != m:
         raise ValueError(f"profile {c} must be positive and sum to m={m}")
+    _check_comb(f"property-B m={m} r={r}", r, m)
     k = len(c)
     labels = [f"p{i}c{j}" for i in range(r) for j in range(k)]
     # each part of an m-subset, times k, plus the colour the profile gives its position

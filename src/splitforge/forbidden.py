@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 from scipy import sparse
@@ -58,8 +57,9 @@ _ROWS = 256
 # search on free hosts, a fresh host per call (2-core VM, best of 7):
 # - berge3(q): lengths 3 and 4 cross near q = 11 (165 edges, 2.44 / 2.28
 #   and 2.92 / 3.94 ms) and at q = 13 (286) take 2.6 / 4.8 and
-#   3.6 / 8.3 ms; length 2 crosses between q = 13 (1.03 / 0.83 ms) and
-#   17 (680, 2.12 / 2.28); no workload decides a host near the cut;
+#   3.6 / 8.3 ms; length 2, the same incidence search, crosses between
+#   q = 7 (35 edges, 0.84 / 0.30 ms) and 11 (0.45 / 0.71); no workload
+#   decides a host near the cut;
 # - K_{2,2}: W_1(5) (125 edges) 0.81 / 0.39 ms, W_2(4) (256) 0.82 / 0.92,
 #   W_1(8) (512) 1.27 / 2.76; on edge samples of W_2(5) up to 320 edges
 #   the search leads;
@@ -546,15 +546,14 @@ def contains_berge_cycle(Hy: LabeledHypergraph, length: int):
     no count reaches 2 the host is free and None is returned at once
     (for l = 2, A_2 on vertex rows is the pair codegree, so that test is
     exact).  Smaller hosts, and every hit, go to the ordered search,
-    which alone picks the witness.  Length 2 scans vertex pairs in
-    lexicographic order for two covering hyperedges and takes the two
-    least.  Lengths 3 and 4 take the first cycle `_cycles` yields on the
-    incidence graph's ascending neighbour tuples, oriented as
+    which alone picks the witness: the first cycle `_cycles` yields on
+    the incidence graph's ascending neighbour tuples, oriented as
     `contains_cycle` orients its witness (the hyperedge after v_1 has a
-    smaller index than the one before it): its vertex nodes are the
-    core and its edge nodes, in slot order, the hyperedges.  Either way
-    the witness is `contains_cycle`'s witness on the incidence graph,
-    read back.
+    smaller index than the one before it).  Its vertex nodes are the
+    core and its edge nodes, in slot order, the hyperedges; so the
+    witness is `contains_cycle`'s witness on the incidence graph, read
+    back.  For length 2 that is the lexicographically least vertex pair
+    covered twice, with its two least hyperedges.
     """
     if length not in (2, 3, 4):
         raise ValueError(f"Berge cycle length must be 2, 3 or 4, got {length}")
@@ -567,25 +566,12 @@ def contains_berge_cycle(Hy: LabeledHypergraph, length: int):
 
 
 def _berge_search(Hy, length):
-    pat = "bergeC_%d" % length
-    if length == 2:
-        pair2edges: dict[tuple[int, int], list[int]] = {}
-        for ei, e in enumerate(Hy.edges):
-            for a, b in combinations(e, 2):
-                pair2edges.setdefault((a, b), []).append(ei)
-        for pair in sorted(pair2edges):
-            lst = pair2edges[pair]
-            if len(lst) >= 2:
-                es = [Hy.edges[lst[0]], Hy.edges[lst[1]]]
-                return _emit(Hy, pat, list(pair), es)
-        return None
-
     n = Hy.n
     nbrs = tuple(tuple(n + i for i in inc) for inc in Hy.incident) + Hy.edges
     for cyc in _cycles(nbrs, 2 * length):
         if cyc[1] > cyc[-1]:
             cyc = [cyc[0]] + cyc[1:][::-1]
-        return _emit(Hy, pat, cyc[0::2], [Hy.edges[i - n] for i in cyc[1::2]])
+        return _emit(Hy, "bergeC_%d" % length, cyc[0::2], [Hy.edges[i - n] for i in cyc[1::2]])
     return None
 
 

@@ -36,6 +36,7 @@ __all__ = [
     "make_field",
     "least_irreducible",
     "is_prime",
+    "MR_EXACT_BELOW",
     "prime_factors",
     "prime_power",
 ]
@@ -44,11 +45,15 @@ __all__ = [
 _MAX_FIELD = 2**20
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the least strong pseudoprime to all twelve witnesses, 399165290221 *
+# 798330580441 (Sorenson and Webster 2015)
+MR_EXACT_BELOW = 318_665_857_834_031_151_167_461
 
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin; the fixed witness set is exact for
-    every n below 3.3 * 10**24, far beyond the field-size cap."""
+    every n below `MR_EXACT_BELOW` (about 3.2 * 10**23), far beyond the
+    field-size cap."""
     if n < 2:
         return False
     for w in _MR_WITNESSES:

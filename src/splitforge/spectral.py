@@ -323,11 +323,16 @@ def greedy_split(G: LabeledHypergraph, m: int, H, sizes=None, seed=None):
     placed = [None] * n
     parts: list = [[] for _ in range(m)]
 
+    balls: dict = {}
+
     def ball_of(v):
-        zone = {v} | adj[v]
-        for u in adj[v]:
-            zone |= adj[u]
-        return zone
+        """Bitmask of the vertices at distance < 3 from v."""
+        if v not in balls:
+            ball = {v} | adj[v]
+            for u in adj[v]:
+                ball |= adj[u]
+            balls[v] = sum(1 << u for u in ball)
+        return balls[v]
 
     # ---- step 2: backtracking seed placement on bitmasks.  Slot s holds
     # seed s % seed_size of part s // seed_size; a slot's candidates are
@@ -337,8 +342,7 @@ def greedy_split(G: LabeledHypergraph, m: int, H, sizes=None, seed=None):
     # over the ascending seed pool.
     total = m * seed_size
     free = sum(1 << v for v in seed_pool)  # pool vertices not yet placed
-    zone = [0] * m
-    balls: dict = {}
+    zone = [0] * m  # per part, the union of its vertices' balls: its exclusion zone
     above = [-1] * (total + 1)  # per slot, the bits at or above its cursor
     chosen = [0] * total
     zone_before = [0] * total
@@ -356,11 +360,9 @@ def greedy_split(G: LabeledHypergraph, m: int, H, sizes=None, seed=None):
                 )
             bit = cand & -cand
             v = bit.bit_length() - 1
-            if v not in balls:
-                balls[v] = sum(1 << u for u in ball_of(v))
             chosen[slot] = v
             zone_before[slot] = zone[i]
-            zone[i] |= balls[v]
+            zone[i] |= ball_of(v)
             free ^= bit
             above[slot] = -(bit << 1)
             slot += 1
@@ -376,22 +378,8 @@ def greedy_split(G: LabeledHypergraph, m: int, H, sizes=None, seed=None):
             f"at pairwise distance >= 3 exists for m={m} "
             f"(pool size {len(seed_pool)})"
         )
-    ball2: list = [set() for _ in range(m)]  # distance-<3 exclusion zone per part
-    for slot, v in enumerate(chosen):
-        i = slot // seed_size
-        placed[v] = i
-        parts[i].append(v)
-        ball2[i] |= ball_of(v)
-        trace.seeds.append({"part": i, "vertex": v})
 
-    # pair coverage flags from the seeds
     covered = [[False] * m for _ in range(m)]
-    for i in range(m):
-        for v in parts[i]:
-            for w in adj[v]:
-                j = placed[w]
-                if j is not None and j != i:
-                    covered[i][j] = covered[j][i] = True
 
     def s_of(i: int) -> int:
         row = covered[i]
@@ -400,11 +388,17 @@ def greedy_split(G: LabeledHypergraph, m: int, H, sizes=None, seed=None):
     def add_vertex(v: int, i: int) -> None:
         placed[v] = i
         parts[i].append(v)
-        ball2[i] |= ball_of(v)
+        zone[i] |= ball_of(v)
         for w in adj[v]:
             j = placed[w]
             if j is not None and j != i:
                 covered[i][j] = covered[j][i] = True
+
+    # zone[i] already holds the seeds' balls; placing them flags the
+    # part pairs their edges cover
+    for slot, v in enumerate(chosen):
+        add_vertex(v, slot // seed_size)
+        trace.seeds.append({"part": slot // seed_size, "vertex": v})
 
     # ---- step 3: greedy growth
     it_count = 0
@@ -427,7 +421,7 @@ def greedy_split(G: LabeledHypergraph, m: int, H, sizes=None, seed=None):
             best_hits = 0
             best: list = []
             for v in grow_pool:
-                if placed[v] is not None or v in ball2[i]:
+                if placed[v] is not None or zone[i] >> v & 1:
                     continue
                 hits = len(
                     {placed[w] for w in adj[v] if placed[w] is not None} & lacking

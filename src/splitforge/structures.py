@@ -175,9 +175,10 @@ class LabeledHypergraph:
     def colouring(self):
         """2-colouring by breadth-first search, starting each component at
         its least vertex with colour 0: a tuple of 0/1 per vertex, or None
-        when an odd cycle obstructs.  Computed once per graph."""
+        when an odd cycle obstructs.  Computed once per graph, from
+        ``sadj``: the colours do not depend on the neighbour order."""
         color = [-1] * self.n
-        adj = self.adj
+        sadj = self.sadj
         for s in range(self.n):
             if color[s] != -1:
                 continue
@@ -187,7 +188,7 @@ class LabeledHypergraph:
                 nxt = []
                 for u in frontier:
                     cu = color[u]
-                    for w in adj[u]:
+                    for w in sadj[u]:
                         if color[w] == -1:
                             color[w] = 1 - cu
                             nxt.append(w)

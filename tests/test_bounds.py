@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from collections import Counter
 from decimal import Decimal, getcontext
 from fractions import Fraction
@@ -9,6 +10,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from splitforge import bounds
 from splitforge.bounds import (
     AdmissiblePair,
     TuranEnvelope,
@@ -21,6 +23,7 @@ from splitforge.bounds import (
     tree_bound,
 )
 from splitforge.constructions import design_catalog
+from splitforge.gf import MR_EXACT_BELOW
 
 
 def envelope(C, e, m=2):
@@ -303,6 +306,37 @@ def test_admissible_pair_both_pattern_accepted():
 
 def test_admissible_pair_deterministic():
     assert admissible_pair_for(200) == admissible_pair_for(200)
+
+
+def test_admissible_pair_D_matches_the_linear_scan():
+    for d in range(12, 20_001):
+        D = 1
+        while (D + 1) * (D + 2) < d:
+            D += 1
+        assert admissible_pair_for(d, max_primes=0).d1 == D
+
+
+def test_admissible_pair_refuses_a_search_past_the_exact_prime_test():
+    # every candidate the search tests lies below (steps + 2) * D (D + 1)
+    last = admissible_pair_for(318_665_221_570_890_812, max_primes=2)
+    assert (bounds._MAX_STEPS + 2) * last.modulus <= MR_EXACT_BELOW
+    for d in (318_665_221_570_890_813, 10**18, 10**40):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="too large"):
+            admissible_pair_for(d)
+        assert time.perf_counter() - start < 1.0
+
+
+def test_admissible_pair_step_cap_is_a_value_error(monkeypatch):
+    monkeypatch.setattr(bounds, "_MAX_STEPS", 5)
+    with pytest.raises(ValueError, match="exceeded 5 progression steps"):
+        admissible_pair_for(12, max_primes=100)
+
+
+def test_least_k_without_a_feasible_k_is_a_value_error():
+    # C(10^10, 3) edges need (r k)^(101/100) >= 1.6 * 10^29, so k > 2^60
+    with pytest.raises(ValueError, match="no feasible k below 2\\^60"):
+        min_k_lower(10**10, 3, envelope(1, "101/100", m=3))
 
 
 # ---------------------------------------------------------------------------

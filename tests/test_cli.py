@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -137,6 +138,25 @@ def test_construct_norm_quotient_partition_needs_h_and_a(tmp_path):
 
 def test_construct_theta_invalid_q_fast(tmp_path):
     assert cli.main(["construct", "theta", "--q", "4", "--out", str(tmp_path / "t.json")]) == 2
+
+
+def test_construct_oversized_host_exits_2_before_allocating(tmp_path, capsys):
+    out = tmp_path / "w.json"
+    assert cli.main(["construct", "wenger", "--M", "40", "--q", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "wenger W_40(2) would have 2^42 edges, above the ceiling of" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("family", ["wenger", "theta", "berge3", "norm-quotient"])
+def test_construct_huge_prime_q_exits_2_fast(family, tmp_path, capsys):
+    # 2^61 - 1 is prime: factoring it by trial division would take minutes
+    argv = ["construct", family, "--q", str(2**61 - 1), "--out", str(tmp_path / "g.json")]
+    argv += {"wenger": ["--M", "1"], "norm-quotient": ["--t", "2"]}.get(family, [])
+    start = time.perf_counter()
+    assert cli.main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "exceeds the field-size cap" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +315,18 @@ def test_bound_admissible(capsys):
     assert doc["primes"] == [7, 13, 19, 31]
     assert doc["r_values"][0] == 98
     assert doc["value"] == "5/6"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--admissible", "--d", str(10**20)],
+    ["--lower", "--r", "10000000000", "--m", "3", "--C", "1", "--e", "101/100"],
+])
+def test_bound_out_of_range_exits_2_fast(argv, capsys):
+    start = time.perf_counter()
+    assert cli.main(["bound", *argv]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("invalid parameters or input") and "Traceback" not in err
 
 
 def test_bound_k2d_and_table(capsys):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import time
 from itertools import combinations, product
 from math import comb
 
@@ -563,3 +564,59 @@ def test_property_b_validation():
         cons.build_property_B(3, (2, 0, 1), 4)
     with pytest.raises(ValueError):
         cons.build_property_B(3, (2, 2), 4)
+
+
+# ------------------------------------------------------------ size ceiling
+
+
+@pytest.mark.parametrize("build, args, message", [
+    (cons.build_wenger, (40, 2), "wenger W_40(2) would have 2^42 edges"),
+    (cons.wenger_host, (40, 2), "wenger W_40(2) would have 2^42 edges"),
+    (cons.build_wenger, (10**9, 3), "wenger W_1000000000(3) would have 3^1000000002 edges"),
+    (cons.partition_wenger, (4, 13), "wenger W_4(13) would have 4826809 edges"),
+    (cons.build_norm_quotient, (3, 12, 2), "norm-quotient q=3 t=12 d=2 would have "
+                                           "31381059609 field-table cells"),
+    (cons.build_norm_quotient, (1031, 2), "norm-quotient q=1031 t=2 d=1 would have "
+                                          "1093787900 edges"),
+    (cons.partition_norm_quotient, (1031, 2, 1, 1030, 1), "1093787900 edges"),
+    (cons.build_theta, (25,), "theta q=25 would have 9765625 edges"),
+    (cons.theta_host, (25,), "theta q=25 would have 9765625 edges"),
+    (cons.build_berge3, (343,), "berge3 q=343 would have 6666891 edges"),
+    (cons.design_catalog, ("all-10-subsets(60,10)",),
+     "all-10-subsets(60,10) would have 75394027566 blocks"),
+    (cons.design_catalog, ("all-5000000-subsets(10000000,5000000)",),
+     "would have C(10000000,5000000) blocks"),
+    (cons.build_property_B, (10, (5, 5), 60), "property-B m=10 r=60 would have 75394027566 edges"),
+    (cons.build_property_B, (2, (1, 1), 10**8), "property-B m=2 r=100000000 would have "
+                                                "C(100000000,2) edges"),
+])
+def test_oversized_hosts_are_refused_before_any_allocation(monkeypatch, build, args, message):
+    def no_field(*_):
+        raise AssertionError("a field was built for a refused host")
+
+    monkeypatch.setattr(gf, "make_field", no_field)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=re.escape(message)) as info:
+        build(*args)
+    assert time.perf_counter() - start < 1.0
+    assert str(info.value).endswith(f"above the ceiling of {cons._MAX_EDGES}")
+
+
+class _Admitted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("build, args", [
+    (cons.partition_wenger, (2, 27)),  # 531,441 edges, the largest host built anywhere
+    (cons.partition_norm_quotient, (81, 2, 1, 10, 8)),
+    (cons.build_theta, (9,)),
+    (cons.build_berge3, (49,)),
+])
+def test_size_ceiling_admits_the_hosts_in_use(monkeypatch, build, args):
+    # the size check passes and the builder goes on to build its field
+    def admitted(*_):
+        raise _Admitted
+
+    monkeypatch.setattr(gf, "make_field", admitted)
+    with pytest.raises(_Admitted):
+        build(*args)

@@ -271,6 +271,30 @@ def test_kst_matches_naive(s, t):
             check_kst_witness(G, w, s, t)
 
 
+def test_kst_large_hub_sets_agree_with_networkx_vf2():
+    # s >= 3 runs the hub-set search; every verdict against VF2 subgraph
+    # monomorphisms (not induced), every witness checked against the host
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+    rng = random.Random(2031)
+    shapes = [(3, 3), (3, 4), (4, 4)]
+    seen = set()
+    for _ in range(16):
+        G = random_graph(rng, rng.randrange(7, 10), rng.choice((0.45, 0.6, 0.8)))
+        host = nx.Graph()
+        host.add_nodes_from(range(G.n))
+        host.add_edges_from(G.edges)
+        for s, t in shapes:
+            got = forbidden.contains_kst(G, s, t)
+            matcher = GraphMatcher(host, nx.complete_bipartite_graph(s, t))
+            want = next(matcher.subgraph_monomorphisms_iter(), None)
+            assert (got is not None) == (want is not None)
+            if got is not None:
+                check_kst_witness(G, got, s, t)
+            seen.add(((s, t), got is not None))
+    assert seen == {(shape, found) for shape in shapes for found in (True, False)}
+
+
 # ----------------------------------------------------------------- cycles
 
 

@@ -469,6 +469,13 @@ def test_is_prime_against_sieve():
         assert gf.is_prime(n) == (n in primes)
 
 
+def test_is_prime_exactness_bound_is_its_first_pseudoprime():
+    # the witnesses pass this composite, so no larger bound may be claimed
+    assert gf.MR_EXACT_BELOW == 399165290221 * 798330580441
+    assert gf.is_prime(gf.MR_EXACT_BELOW)
+    assert gf.is_prime(399165290221) and gf.is_prime(798330580441)
+
+
 def test_prime_factors():
     assert gf.prime_factors(12) == [2, 3]
     assert gf.prime_factors(8) == [2]

@@ -169,6 +169,14 @@ def test_bipartite_spectrum_matches_the_eigvalsh_oracle(name, solves):
     assert all(eig[i] == -eig[n - 1 - i] for i in range(n))
 
 
+def test_bipartite_spectrum_builds_no_neighbour_sets():
+    # the colouring walks the `sadj` tuples, so `adj` is never built
+    G = build_wenger(2, 5)
+    s = spectral.spectrum(G)
+    assert s.bipartite and G.colouring is not None
+    assert "sadj" in G.__dict__ and "adj" not in G.__dict__
+
+
 @pytest.mark.parametrize("G", [petersen(), cycle_graph(5)], ids=["Petersen", "C_5"])
 def test_non_bipartite_spectrum_takes_eigvalsh(G, solves):
     s = spectral.spectrum(G)
