@@ -18,7 +18,7 @@ from splitforge.structures import verify_rk
 q = 9
 G, P = build_berge3(q)
 rep = verify_rk(G, P)
-print(f"q={q}: n={G.n}, hyperedges={len(G.edges)} (C({q},3)={math.comb(q, 3)})")
+print(f"q={q}: n={G.n}, hyperedges={len(G.edge_array)} (C({q},3)={math.comb(q, 3)})")
 print(f"parts={P.r}, max part={rep.k_effective}, complete={rep.completeness_ok}")
 for length in (2, 3, 4):
     print(f"Berge C_{length}: {contains_berge_cycle(G, length)}")

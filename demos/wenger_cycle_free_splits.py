@@ -20,7 +20,7 @@ def main() -> None:
         G, P = partition_wenger(2, q)
         rep = verify_rk(G, P)
         witness = contains_cycle(G, 6)
-        print(f"W_2({q}): n={G.n}, edges={len(G.edges)}")
+        print(f"W_2({q}): n={G.n}, edges={len(G.edge_array)}")
         print(f"  parts={P.r} (want {q * q}), max part={rep.k_effective} (want {2 * q})")
         print(f"  complete={rep.completeness_ok}, parts independent={rep.independence_ok}")
         print(f"  C_6 witness: {witness}")

@@ -172,22 +172,22 @@ def _emit(G: LabeledHypergraph, pattern: str, vertices, edges) -> dict:
     }
 
 
-def _paths_by_end(sadj, root: int, length: int, floor: int) -> dict:
+def _paths_by_end(adj, root: int, length: int, floor: int) -> dict:
     """Simple paths of exactly `length` edges from `root` whose other
     vertices all exceed `floor`, bucketed by end vertex; each bucket lists
     its paths (vertex tuples) in lexicographic order.
 
-    `sadj` holds each vertex's neighbours in ascending order.  The search
+    `adj` holds each vertex's neighbours in ascending order.  The search
     keeps a stack of neighbour iterators instead of recursing and closes
     paths in a plain loop over the last vertex's neighbours: on the large
     hosts most of the work is at that level.
     """
     buckets: dict[int, list[tuple]] = {}
     path = [root]
-    stack = [iter(sadj[root])]
+    stack = [iter(adj[root])]
     while path:
         if len(path) == length:
-            for z in sadj[path[-1]]:
+            for z in adj[path[-1]]:
                 if z > floor and z not in path:
                     path.append(z)
                     buckets.setdefault(z, []).append(tuple(path))
@@ -198,7 +198,7 @@ def _paths_by_end(sadj, root: int, length: int, floor: int) -> dict:
             if y > floor and y not in path:
                 path.append(y)
                 if len(path) < length:
-                    stack.append(iter(sadj[y]))
+                    stack.append(iter(adj[y]))
                 break
         else:
             stack.pop()
@@ -305,7 +305,7 @@ def contains_kst(G: LabeledHypergraph, s: int, t: int):
     if s == 2:
         if len(G.edge_array) >= _KERNEL_EDGES and _walk_counts_reach(G.csr, np.arange(G.n), 2, t) is None:
             return None
-        found = _codegree_scan(G.sadj, t)
+        found = _codegree_scan(G.adj, t)
     else:
         adj = G.adj
         cand = [v for v in range(G.n) if len(adj[v]) >= t]
@@ -316,12 +316,12 @@ def contains_kst(G: LabeledHypergraph, s: int, t: int):
     return _emit(G, pat, found, edges)
 
 
-def _codegree_scan(sadj, t):
+def _codegree_scan(adj, t):
     """Scan vertices w in ascending order, crediting w to every pair of its
     neighbours; returns the first pair to reach t common neighbours
     followed by those t neighbours, or None."""
     counts: dict[tuple[int, int], list[int]] = {}
-    for w, nb in enumerate(sadj):
+    for w, nb in enumerate(adj):
         for i in range(len(nb)):
             for j in range(i + 1, len(nb)):
                 key = (nb[i], nb[j])
@@ -342,7 +342,7 @@ def _kst_hubs(adj, cand, s, t, start, hubs, common):
         v = cand[ii]
         if len(cand) - ii < s - len(hubs):
             break
-        newc = adj[v] if not hubs else common & adj[v]
+        newc = common.intersection(adj[v]) if hubs else set(adj[v])
         if len(newc) >= t:
             r = _kst_hubs(adj, cand, s, t, ii + 1, hubs + [v], newc)
             if r is not None:
@@ -353,12 +353,12 @@ def _kst_hubs(adj, cand, s, t, start, hubs, common):
 # ----------------------------------------------------------------- cycles
 
 
-def _cycles(sadj, length: int):
+def _cycles(adj, length: int):
     """Yield every cycle with `length` vertices exactly once, as a vertex
     list starting at its minimum vertex.
 
-    `sadj` holds each vertex's neighbours in ascending order: a graph's
-    `G.sadj`, or the incidence graph `_berge_search` builds, where a root
+    `adj` holds each vertex's neighbours in ascending order: a graph's
+    `G.adj`, or the incidence graph `_berge_search` builds, where a root
     whose neighbours are all smaller than it yields nothing. Roots go in
     ascending order; the cycles whose minimum vertex is the root are
     assembled from two half-paths out of it that meet in the middle (for
@@ -366,8 +366,8 @@ def _cycles(sadj, length: int):
     far end (the smaller one for odd lengths), then by the half-paths.
     """
     half = length // 2
-    for root in range(len(sadj)):
-        buckets = _paths_by_end(sadj, root, half, root)
+    for root in range(len(adj)):
+        buckets = _paths_by_end(adj, root, half, root)
         if length % 2 == 0:
             for w in sorted(buckets):
                 lst = buckets[w]
@@ -378,7 +378,7 @@ def _cycles(sadj, length: int):
                             yield list(lst[i]) + list(reversed(lst[j][1:-1]))
         else:
             for x in sorted(buckets):
-                for y in sadj[x]:
+                for y in adj[x]:
                     if y <= x or y not in buckets:
                         continue
                     for p1 in buckets[x]:
@@ -413,7 +413,7 @@ def contains_cycle(G: LabeledHypergraph, length: int):
     if length % 2 == 0 and length >= 6 and len(G.edge_array) >= _KERNEL_EDGES and \
             _walk_counts_reach(G.csr, np.arange(G.n), length // 2, 2) is None:
         return None
-    for cyc in _cycles(G.sadj, length):
+    for cyc in _cycles(G.adj, length):
         return _finish_cycle(G, "C_{%d}" % length, cyc)
     return None
 
@@ -500,7 +500,7 @@ def contains_theta(G: LabeledHypergraph, K: int, length: int):
         keep = (walks.data >= K) & (walks.indices > row_of)
         for u, v in sorted(zip(row_of[keep].tolist(), walks.indices[keep].tolist())):
             if u != root:
-                root, buckets = u, _paths_by_end(G.sadj, u, length, -1)
+                root, buckets = u, _paths_by_end(G.adj, u, length, -1)
             chosen = _pack_disjoint(buckets.get(v, []), K)
             if chosen is not None:
                 return _theta_witness(G, pat, u, v, chosen)
@@ -509,7 +509,7 @@ def contains_theta(G: LabeledHypergraph, K: int, length: int):
 
 def _theta_generic(G, K, length, pat):
     for u in range(G.n):
-        buckets = _paths_by_end(G.sadj, u, length, -1)
+        buckets = _paths_by_end(G.adj, u, length, -1)
         for v in sorted(buckets):
             if v <= u:
                 continue

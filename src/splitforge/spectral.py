@@ -199,7 +199,10 @@ def mixing_check(G: LabeledHypergraph, U, W, mode: str = "general") -> dict:
     else:
         expected = summary.d / n * len(setU) * len(setW)
         rho = max(summary.rho2, -summary.rho_n)
-    e = sum(len(G.adj[u] & setW) for u in setU)
+    xU, xW = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    xU[list(setU)] = 1
+    xW[list(setW)] = 1
+    e = int(xU @ (G.csr @ xW))
     lhs = abs(e - expected)
     bound = rho * math.sqrt(len(setU) * len(setW))
     return {"lhs": lhs, "bound": bound, "ok": lhs <= bound + 1e-9}
@@ -328,9 +331,9 @@ def greedy_split(G: LabeledHypergraph, m: int, H, sizes=None, seed=None):
     def ball_of(v):
         """Bitmask of the vertices at distance < 3 from v."""
         if v not in balls:
-            ball = {v} | adj[v]
+            ball = {v, *adj[v]}
             for u in adj[v]:
-                ball |= adj[u]
+                ball.update(adj[u])
             balls[v] = sum(1 << u for u in ball)
         return balls[v]
 

@@ -132,11 +132,6 @@ class LabeledHypergraph:
 
     @cached_property
     def adj(self) -> tuple:
-        """Neighbor sets: vertices sharing at least one edge."""
-        return tuple(map(set, self.sadj))
-
-    @cached_property
-    def sadj(self) -> tuple:
         """Neighbours of each vertex as an ascending tuple; for m >= 3 the
         lists of the shadow graph."""
         E, n = self.edge_array, self.n
@@ -176,9 +171,9 @@ class LabeledHypergraph:
         """2-colouring by breadth-first search, starting each component at
         its least vertex with colour 0: a tuple of 0/1 per vertex, or None
         when an odd cycle obstructs.  Computed once per graph, from
-        ``sadj``: the colours do not depend on the neighbour order."""
+        ``adj``."""
         color = [-1] * self.n
-        sadj = self.sadj
+        adj = self.adj
         for s in range(self.n):
             if color[s] != -1:
                 continue
@@ -188,7 +183,7 @@ class LabeledHypergraph:
                 nxt = []
                 for u in frontier:
                     cu = color[u]
-                    for w in sadj[u]:
+                    for w in adj[u]:
                         if color[w] == -1:
                             color[w] = 1 - cu
                             nxt.append(w)
@@ -199,12 +194,11 @@ class LabeledHypergraph:
 
     @cached_property
     def incident(self) -> tuple:
-        """Edge-index lists per vertex."""
-        out = [[] for _ in range(self.n)]
-        for i, e in enumerate(self.edges):
-            for v in e:
-                out[v].append(i)
-        return tuple(tuple(lst) for lst in out)
+        """The indices of the edges at each vertex, ascending."""
+        E = self.edge_array
+        order = (np.argsort(E.ravel(), kind="stable") // self.m).tolist()
+        ends = np.cumsum(np.bincount(E.ravel(), minlength=self.n)).tolist()
+        return tuple(tuple(order[a:b]) for a, b in zip([0] + ends, ends))
 
     def degree(self, v: int) -> int:
         return len(self.incident[v])
@@ -375,7 +369,7 @@ def property_B_check(H: LabeledHypergraph, c, budget: int = 1_000_000) -> bool:
                 if not seen[w]:
                     seen[w] = True
                     queue.append(w)
-    counts = [[0] * len(c) for _ in H.edges]
+    counts = [[0] * len(c) for _ in range(len(H.edge_array))]
     return _colour_from(order, incident, counts, c, budget, count(1), 0)
 
 

@@ -1,0 +1,47 @@
+"""The benchmark's tracer hooks still bind to the package.
+
+``perfbench/tracer.py`` wraps named functions and the cached
+``LabeledHypergraph.adj`` property for its per-layer metrics; a rename in
+the package that it cannot follow would break every traced benchmark pass.
+This test installs the tracer in-process, so such a rename fails here first.
+"""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import splitforge
+from splitforge import spectral
+from splitforge.constructions import build_wenger
+from splitforge.structures import LabeledHypergraph
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_times_the_neighbour_build_and_uninstalls():
+    tracer = load_tracer()
+    modules = {name: importlib.import_module(f"splitforge.{name}") for name in tracer.LAYERS}
+    greedy, adj = spectral.greedy_split, LabeledHypergraph.__dict__["adj"].func
+    rec = tracer.Tracer()
+    rec.install(splitforge, modules)
+    try:
+        assert spectral.greedy_split is not greedy
+        G = build_wenger(1, 13)
+        spectral.spectrum(G)
+        spectral.greedy_split(G, 8, "K_{2,2}", seed=42)
+        metrics = rec.metrics()
+    finally:
+        rec.uninstall()
+    assert metrics["structures.adj_s"] > 0
+    assert metrics["spectral.spectrum_calls"] >= 1
+    assert spectral.greedy_split is greedy
+    assert LabeledHypergraph.__dict__["adj"].func is adj

@@ -67,7 +67,10 @@ def random_graph(rng, n, density=0.3):
 
 
 def naive_kst(G, s, t):
-    adj = G.adj
+    adj = [set() for _ in range(G.n)]
+    for u, v in G.edges:
+        adj[u].add(v)
+        adj[v].add(u)
     for hubs in itertools.combinations(range(G.n), s):
         common = set(range(G.n))
         for h in hubs:
@@ -448,7 +451,7 @@ def test_walk_kernel_verdicts_match_ordered_search(monkeypatch):
     seen = set()
     for G in kernel_hosts():
         for L in (6, 8):
-            ordered = next(forbidden._cycles(G.sadj, L), None)
+            ordered = next(forbidden._cycles(G.adj, L), None)
             for _ in both_sides_of_the_cut(monkeypatch):
                 got = forbidden.contains_cycle(G, L)
                 if ordered is None:
@@ -460,7 +463,7 @@ def test_walk_kernel_verdicts_match_ordered_search(monkeypatch):
             seen.add((L, hit, ordered is not None, G.colouring is not None))
         for t in (2, 3):
             hit = forbidden._walk_counts_reach(G.csr, np.arange(G.n), 2, t) is not None
-            assert hit == (forbidden._codegree_scan(G.sadj, t) is not None)
+            assert hit == (forbidden._codegree_scan(G.adj, t) is not None)
             seen.add((t, hit))
     assert seen >= {(L, hit, found, True) for L in (6, 8)
                     for hit, found in ((False, False), (True, False), (True, True))}
@@ -490,17 +493,17 @@ def test_free_hosts_decided_without_neighbour_lists():
     # with it the neighbour tuples, never runs
     G = constructions.partition_wenger(2, 5)[0]
     assert forbidden.contains_cycle(G, 6) is None
-    assert "csr" in G.__dict__ and "sadj" not in G.__dict__
+    assert "csr" in G.__dict__ and "adj" not in G.__dict__
     G = constructions.partition_norm_quotient(9, 2, 1, 4, 2, seed=7)[0]
     assert forbidden.contains_kst(G, 2, 2) is None
-    assert "csr" in G.__dict__ and "sadj" not in G.__dict__
+    assert "csr" in G.__dict__ and "adj" not in G.__dict__
     G = cycle_graph(301)  # not bipartite, above the cut
     assert forbidden.contains_cycle(G, 6) is None
-    assert "sadj" not in G.__dict__
+    assert "adj" not in G.__dict__
     Hy = constructions.build_berge3(17)[0]  # 680 edges, above the cut
     for L in (2, 3, 4):
         assert forbidden.contains_berge_cycle(Hy, L) is None
-    assert "incidence" in Hy.__dict__ and "sadj" not in Hy.__dict__
+    assert "incidence" in Hy.__dict__ and "adj" not in Hy.__dict__
 
 
 @pytest.mark.parametrize("L", [4, 5])
@@ -669,7 +672,7 @@ def test_theta4_without_candidates_builds_no_neighbour_lists():
     # the path search never runs
     for G in (cycle_graph(300), cycle_graph(301)):
         assert forbidden.contains_theta(G, 3, 4) is None
-        assert "csr" in G.__dict__ and "sadj" not in G.__dict__
+        assert "csr" in G.__dict__ and "adj" not in G.__dict__
 
 
 def test_theta_validation():

@@ -170,11 +170,13 @@ def test_bipartite_spectrum_matches_the_eigvalsh_oracle(name, solves):
 
 
 def test_bipartite_spectrum_builds_no_neighbour_sets():
-    # the colouring walks the `sadj` tuples, so `adj` is never built
+    # the colouring walks the `adj` tuples, built once, and no set view exists
     G = build_wenger(2, 5)
     s = spectral.spectrum(G)
+    adj = G.__dict__["adj"]
     assert s.bipartite and G.colouring is not None
-    assert "sadj" in G.__dict__ and "adj" not in G.__dict__
+    assert G.adj is adj and all(type(a) is tuple for a in adj)
+    assert not any(isinstance(v, (set, frozenset)) for v in G.__dict__.values())
 
 
 @pytest.mark.parametrize("G", [petersen(), cycle_graph(5)], ids=["Petersen", "C_5"])
@@ -360,6 +362,34 @@ def test_mixing_validation():
         spectral.mixing_check(K, [0], [2], mode="typo")
     with pytest.raises(ValueError):
         spectral.mixing_check(K, [0], [99])
+
+
+def test_mixing_and_greedy_build_no_sets_or_edge_tuples():
+    # e(U, W) is an indicator product on `csr` and the greedy balls walk
+    # the `adj` tuples, so neither builds a set view or the edge tuples;
+    # lhs still equals a count over the edges, repeats and empty U included
+    G = build_wenger(1, 13)
+    rng = random.Random(20261019)
+    points = [v for v in range(G.n) if G.vertices[v].startswith("P:")]
+    lines = [v for v in range(G.n) if G.vertices[v].startswith("L:")]
+    cases = [([], rng.choices(lines, k=5), "bipartite"), ([], list(range(G.n)), "general")]
+    for _ in range(20):
+        cases.append((rng.choices(points, k=rng.randint(1, 200)),
+                      rng.choices(lines, k=rng.randint(1, 200)), "bipartite"))
+        cases.append((rng.choices(range(G.n), k=rng.randint(1, 400)),
+                      rng.choices(range(G.n), k=rng.randint(1, 400)), "general"))
+    got = [spectral.mixing_check(G, U, W, mode=mode)["lhs"] for U, W, mode in cases]
+    spectral.greedy_split(G, 8, "K_{2,2}", seed=42)
+    assert not any(isinstance(v, (set, frozenset)) or
+                   isinstance(v, tuple) and any(isinstance(x, (set, frozenset)) for x in v)
+                   for v in G.__dict__.values())
+    assert "edges" not in G.__dict__
+    d = spectral.spectrum(G).d
+    for (U, W, mode), lhs in zip(cases, got):
+        setU, setW = set(U), set(W)
+        e = sum((a in setU and b in setW) + (b in setU and a in setW) for a, b in G.edges)
+        scale = 2 if mode == "bipartite" else 1
+        assert lhs == abs(e - scale * d / G.n * len(setU) * len(setW))
 
 
 # ------------------------------------------------------------ greedy_split

@@ -339,20 +339,40 @@ def random_hypergraph(rng, m, n):
     return graph(n, rng.sample(pool, rng.randrange(0, min(len(pool), 2 * n) + 1)), m=m)
 
 
-def test_sadj_is_the_sorted_shadow():
+def test_adj_is_the_sorted_shadow():
     rng = random.Random(20261018)
     for _ in range(120):
         m = rng.choice((2, 3))
         n = rng.randrange(m, 14)
         H = random_hypergraph(rng, m, n)
-        assert [list(a) for a in H.sadj] == [sorted(a) for a in H.adj]
         # the lists the Berge decider once built from its sorted pair index
         shadow = [[] for _ in range(n)]
         for a, b in sorted({p for e in H.edges for p in itertools.combinations(e, 2)}):
             shadow[a].append(b)
             shadow[b].append(a)
-        assert H.sadj == tuple(map(tuple, shadow))
-        assert H.sadj is H.sadj
+        assert H.adj == tuple(map(tuple, shadow))
+        assert H.adj is H.adj
+
+
+def test_incident_is_read_from_the_edge_array():
+    # each vertex's edge indices, ascending, as a pass over the edge tuples
+    # lists them; isolated vertices and edgeless hosts included, and no
+    # reader of `incident` builds those tuples
+    rng = random.Random(20261019)
+    for _ in range(120):
+        m = rng.choice((2, 3, 4))
+        H = random_hypergraph(rng, m, rng.randrange(m, 14))
+        structures.property_B_check(H, (1, m - 1))
+        degrees = [H.degree(v) for v in range(H.n)]
+        assert "edges" not in H.__dict__
+        want = [[] for _ in range(H.n)]
+        for i, e in enumerate(H.edges):
+            for v in e:
+                want[v].append(i)
+        assert H.incident == tuple(map(tuple, want))
+        assert degrees == list(map(len, want))
+    H = graph(5, [], m=3)
+    assert H.incident == ((),) * 5 and H.degree(4) == 0
 
 
 def test_csr_is_the_symmetric_adjacency():
