@@ -18,12 +18,15 @@ payloads; only the manifest's wall time may differ.
 
 verify takes the orbit route for a cycle C_{2k}, a K_{2,t} or a short
 theta when the graph document's construct recipe names a theta or
-Wenger host that the graph is an edge-subgraph of: walk counts on one
-row per vertex orbit of the host's translation group prove the pattern
-absent (see `forbidden.orbit_test`).  Every hit, and every recipe that
-is missing or does not fit, goes to the full deciders, so the payload
-is the same either way; a generator that is not an automorphism of its
-host is an internal failure.
+Wenger host that the graph is an edge-subgraph of, and for a Berge
+cycle bergeC_l when it names a berge3 host that the hypergraph is a
+sub-hypergraph of (`constructions.recipe_host`): walk counts on one row
+per vertex orbit of the host's automorphism group, of its adjacency or
+vertex-edge incidence matrix, prove the pattern absent (see
+`forbidden.orbit_test`).  Every hit, and every recipe that is missing or
+does not fit, goes to the full deciders, so the payload is the same
+either way; a generator that is not an automorphism of its host is an
+internal failure.
 
 Exit codes: 0 success (including an "exhausted" oracle verdict), 1
 unexpected internal failure, 2 invalid parameters or unreadable input,
@@ -44,9 +47,7 @@ from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__
+from . import __version__, constructions
 from .bounds import (
     TuranEnvelope,
     admissible_pair_for,
@@ -67,8 +68,6 @@ from .constructions import (
     design_catalog,
     partition_norm_quotient,
     partition_wenger,
-    theta_host,
-    wenger_host,
 )
 from .forbidden import check_pattern, orbit_test, parse_pattern, rows_prove_absent
 from .oracle import OracleQuery, exact_f
@@ -77,7 +76,6 @@ from .structures import (
     BudgetExceededError,
     LabeledHypergraph,
     SplitPartition,
-    orbit_representatives,
     verify_rk,
 )
 
@@ -233,53 +231,23 @@ def _cmd_construct(args, run) -> int:
 # -- verify ------------------------------------------------------------------
 
 
-def _recipe_host(G: LabeledHypergraph, provenance):
-    """The unsplit host that the graph document's construct recipe
-    (``provenance.params``) names, with its generators, when G is an
-    edge-subgraph of it; None when the recipe is missing, names no
-    theta or Wenger host, or does not fit G.
-
-    Nothing in the recipe is trusted: its vertex count must equal G.n
-    before anything is built, the family's own builder rebuilds the host
-    (and refuses parameters it cannot build), and every edge of G must
-    be an edge of the host.
-    """
-    params = provenance.get("params") if type(provenance) is dict else None
-    if type(params) is not dict or G.m != 2:
-        return None
-    family, q, M = params.get("family"), params.get("q"), params.get("M")
-    if family == "theta":
-        dim, build = 4, theta_host
-    elif family == "wenger" and type(M) is int and M >= 1:
-        dim, build = M + 1, lambda q: wenger_host(M, q)
-    else:
-        return None
-    # 2 q^dim > G.n once dim reaches the bit length of G.n, so the power stays small
-    if type(q) is not int or q < 2 or dim >= G.n.bit_length() or 2 * q ** dim != G.n:
-        return None
-    try:
-        H, gens = build(q)
-    except ValueError:  # q is not a prime power the family accepts
-        return None
-    n = G.n
-    if not np.isin(G.edge_array @ (n, 1), H.edge_array @ (n, 1), assume_unique=True).all():
-        return None
-    return H, orbit_representatives(H, gens, family)
-
-
 def _cmd_verify(args, run) -> int:
     G, doc = _load_doc(args.graph, run.inputs, LabeledHypergraph)
     P = _load(args.partition, run.inputs, SplitPartition)
     run.params = {"forbid": list(args.forbid or [])}
     patterns = [parse_pattern(text) for text in args.forbid or []]
-    tests = [orbit_test(pat) for pat in patterns]
+    # a pattern of the other uniformity goes to check_pattern, which refuses it
+    tests = [orbit_test(pat) if (pat.kind == "berge_cycle") == (G.m > 2) else None
+             for pat in patterns]
     report = verify_rk(G, P)
     rep = report.to_json_dict()
     rep.pop("wall_time", None)  # belongs in provenance, not the payload
-    host = _recipe_host(G, doc.get("provenance")) if any(tests) else None
+    provenance = doc.get("provenance")
+    params = provenance.get("params") if type(provenance) is dict else None
+    host = constructions.recipe_host(params, G) if any(tests) else None
     findings, paths = [], {}
     for pat, test in zip(patterns, tests):
-        if host is not None and test is not None and rows_prove_absent(host[0].csr, host[1], test):
+        if host is not None and test is not None and rows_prove_absent(*host, test):
             witness, paths[pat.spec_string()] = None, "orbit"
         else:
             witness, paths[pat.spec_string()] = check_pattern(G, pat), "full"

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import forbidden
 from . import gf
-from .structures import LabeledHypergraph, SplitPartition, part_map
+from .structures import LabeledHypergraph, SplitPartition, edge_codes, orbit_representatives, part_map
 
 _PATCH_STRATEGIES = ("matching", "greedy_reuse")
 
@@ -593,6 +593,15 @@ def theta_host(q: int):
 # ------------------------------------------------------------------------
 
 
+def _berge3_vertices(q: int, mul, inv2: int):
+    """Coordinates x1 and x2 of the points of F_q^2 off the parabola
+    x2 = x1^2 / 2, in vertex order (row-major), and the q x q array that
+    maps each point off the parabola to its vertex index."""
+    x1, x2 = np.indices((q, q))
+    off = x2 != mul[inv2, mul[x1, x1]]
+    return x1[off], x2[off], (np.cumsum(off) - 1).reshape(q, q)
+
+
 def build_berge3(q: int):
     """3-uniform family on affine points off the parabola x2 = x1^2 / 2.
 
@@ -607,12 +616,9 @@ def build_berge3(q: int):
     add, mul, neg = _tables(F)
     inv2 = F.inv(2)
 
-    # vertex (x1, x2) off the parabola is vidx[x1, x2], row-major, so
-    # each row x1 holds the q - 1 consecutive indices of part x1
-    x1, x2 = np.indices((q, q))
-    on = x2 == mul[inv2, mul[x1, x1]]
-    vidx = np.cumsum(~on).reshape(q, q) - 1
-    labels = [f"B:{a},{b}" for a, b in zip(x1[~on].tolist(), x2[~on].tolist())]
+    # row x1 of vidx holds the q - 1 consecutive indices of part x1
+    x1, x2, vidx = _berge3_vertices(q, mul, inv2)
+    labels = [f"B:{a},{b}" for a, b in zip(x1.tolist(), x2.tolist())]
 
     a1, b1, c1 = np.array(list(combinations(range(q), 3))).T
     ab, bc, ca = mul[a1, b1], mul[b1, c1], mul[c1, a1]
@@ -624,6 +630,75 @@ def build_berge3(q: int):
     G = LabeledHypergraph(3, labels, edges)
     P = SplitPartition(np.arange(q * (q - 1)).reshape(q, q - 1).tolist(), q - 1)
     return G, P
+
+
+def berge3_host(q: int):
+    """The berge3(q) hypergraph and vertex permutations that generate
+    automorphisms of it, as int64 arrays g mapping vertex v to g[v].
+
+    The translations (x1, x2) -> (x1 + c, x2 + c x1 + c^2/2), one for each
+    c in the additive basis 1, p, ..., p^(s-1) of F_q, and the scaling
+    (x1, x2) -> (theta x1, theta^2 x2), theta = ``F.theta``, keep the
+    edge equation a2 + b2 = a1 b1.  The translations keep
+    d = x2 - x1^2/2 and move x1 to any value, so they are transitive on
+    the q vertices of each d; the scaling multiplies d by theta^2, so the
+    vertex orbits are the two square classes of d: 2 orbits.
+    """
+    H = build_berge3(q)[0]
+    p, s = _odd_prime_power(q)
+    F = gf.make_field(p, s)
+    add, mul, _ = _tables(F)
+    inv2, t = F.inv(2), F.theta
+    x1, x2, vidx = _berge3_vertices(q, mul, inv2)
+    gens = [vidx[add[x1, c], add[add[x2, mul[c, x1]], mul[inv2, mul[c, c]]]]
+            for c in (p ** i for i in range(s))]
+    return H, gens + [vidx[mul[t, x1], mul[mul[t, t], x2]]]
+
+
+# ------------------------------------------------------------------------
+# recipe hosts
+# ------------------------------------------------------------------------
+
+
+def recipe_host(params, G: LabeledHypergraph):
+    """The unsplit host that a construct recipe ``params`` (a graph
+    document's ``provenance.params``) names, with the least vertex of
+    each of its vertex orbits, when G is a sub-hypergraph of it: a theta
+    or Wenger graph (`theta_host`, `wenger_host`) or a berge3 hypergraph
+    (`berge3_host`).  None when the recipe names no such host or does not
+    fit G.
+
+    Nothing in the recipe is trusted: its uniformity and vertex count
+    must equal G's before anything is built, the family's own builder
+    rebuilds the host (and refuses parameters it cannot build), and every
+    edge of G must be an edge of the host, compared on `edge_codes`.  A
+    generator that is not an automorphism of its host raises
+    RuntimeError (see `orbit_representatives`).
+    """
+    if type(params) is not dict:
+        return None
+    family, q, M = params.get("family"), params.get("q"), params.get("M")
+    if type(q) is not int or q < 2:
+        return None
+    if family == "berge3":
+        m, n, build = 3, q * (q - 1), lambda: berge3_host(q)
+    else:
+        if family == "theta":
+            dim, build = 4, lambda: theta_host(q)
+        elif family == "wenger" and type(M) is int and M >= 1:
+            dim, build = M + 1, lambda: wenger_host(M, q)
+        else:
+            return None
+        # 2 q^dim > G.n once dim reaches the bit length of G.n, so the power stays small
+        m, n = 2, 2 * q ** dim if dim < G.n.bit_length() else None
+    if (G.m, G.n) != (m, n):
+        return None
+    try:
+        H, gens = build()
+        inside = np.isin(edge_codes(G.edge_array, n), edge_codes(H.edge_array, n), assume_unique=True)
+    except ValueError:  # q is not a prime power the family accepts, or the codes overflow
+        return None
+    return (H, orbit_representatives(H, gens, family)) if inside.all() else None
 
 
 # ------------------------------------------------------------------------

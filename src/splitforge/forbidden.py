@@ -567,11 +567,12 @@ def contains_berge_cycle(Hy: LabeledHypergraph, length: int):
 
 def _berge_search(Hy, length):
     n = Hy.n
-    nbrs = tuple(tuple(n + i for i in inc) for inc in Hy.incident) + Hy.edges
+    nbrs = tuple(tuple(n + i for i in inc) for inc in Hy.incident) + \
+        tuple(map(tuple, Hy.edge_array.tolist()))
     for cyc in _cycles(nbrs, 2 * length):
         if cyc[1] > cyc[-1]:
             cyc = [cyc[0]] + cyc[1:][::-1]
-        return _emit(Hy, "bergeC_%d" % length, cyc[0::2], [Hy.edges[i - n] for i in cyc[1::2]])
+        return _emit(Hy, "bergeC_%d" % length, cyc[0::2], [nbrs[i] for i in cyc[1::2]])
     return None
 
 
@@ -702,12 +703,16 @@ def orbit_test(pattern):
     - C_{2k}, k >= 2, and theta_{2,k}: A_k, threshold 2 (u and the vertex
       opposite it are joined by two paths of k edges);
     - K_{2,t}: A_2, threshold t (the two hubs' codegree);
-    - theta_{K,l}, K >= 3, l <= 4: A_l, threshold K.
+    - theta_{K,l}, K >= 3, l <= 4: A_l, threshold K;
+    - bergeC_l: A_l of the vertex-edge incidence graph, threshold 2 (the
+      cycle is a C_{2l} there, through each of its core vertices).
 
     An automorphism s keeps the counts, A_j[s u, s w] = A_j[u, w], and
     maps a copy at u to a copy at s u, so a host whose orbit
     representatives' rows stay below the threshold holds no copy, and
-    neither does any edge-subgraph of it.
+    neither does any edge-subgraph of it.  A vertex permutation that
+    maps a hypergraph's edges to edges moves the incidence graph's edge
+    nodes with them, so one vertex row per orbit serves Berge cycles too.
     """
     if isinstance(pattern, str):
         pattern = parse_pattern(pattern)
@@ -720,14 +725,19 @@ def orbit_test(pattern):
         return p[1], 2
     if kind == "theta" and p[1] <= 4:
         return p[1], p[0]
+    if kind == "berge_cycle":
+        return p[0], 2
     return None
 
 
-def rows_prove_absent(A, rows, test) -> bool:
+def rows_prove_absent(H: LabeledHypergraph, rows, test) -> bool:
     """True when no walk count of `orbit_test`'s (k, threshold) reaches
-    the threshold in the rows `rows` (an int64 index array) of the
-    adjacency matrix A, for any j up to k; False on a hit, or when the
-    maximum degree D has D**4 >= 2**63 (`contains_theta`'s guard)."""
+    the threshold in the rows `rows` (an int64 index array of vertices)
+    of H's adjacency matrix (``csr``, m = 2) or vertex-edge incidence
+    matrix (``incidence``, m >= 3), for any j up to k; False on a hit,
+    or when the maximum degree D has D**4 >= 2**63 (`contains_theta`'s
+    guard)."""
     k, threshold = test
+    A = H.csr if H.m == 2 else H.incidence
     return int(np.diff(A.indptr).max()) ** 4 < 2 ** 63 and \
         _walk_counts_reach(A, rows, k, threshold) is None

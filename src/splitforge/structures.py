@@ -29,6 +29,7 @@ __all__ = [
     "verify_rk",
     "property_B_check",
     "components",
+    "edge_codes",
     "orbit_representatives",
 ]
 
@@ -413,31 +414,40 @@ def components(G: LabeledHypergraph) -> list:
     return sorted(groups, key=lambda g: g[0])
 
 
+def edge_codes(rows, n: int) -> np.ndarray:
+    """Each row of the (E, m) int array `rows`, ascending entries in
+    [0, n), as the int64 code sum of row[i] * n^(m-1-i), so two rows are
+    equal exactly when their codes are.  Raises ValueError when n^m
+    reaches 2^63, where a code could overflow."""
+    m = rows.shape[1]
+    if n ** m >= 2 ** 63:
+        raise ValueError(f"edge codes of {m} vertices out of {n} overflow int64")
+    return rows @ n ** np.arange(m - 1, -1, -1, dtype=np.int64)
+
+
 def orbit_representatives(G: LabeledHypergraph, gens, name: str) -> np.ndarray:
     """The least vertex of each orbit of the group that the vertex
     permutations `gens` (int arrays g, vertex v to g[v]) generate on the
-    graph G, ascending.
+    hypergraph G, ascending.
 
     Each generator is first checked to be a permutation of the n
-    vertices that maps G's edge set onto itself; a RuntimeError names
-    the first that is not by `name` and its index, and no orbit is
-    formed.  The orbits come from min-label propagation: every vertex
-    keeps the least label among itself and its images, then looks its
-    label's label up, until nothing changes.
+    vertices that maps G's edge set onto itself, on the `edge_codes` of
+    the sorted image rows; a RuntimeError names the first that is not by
+    `name` and its index, and no orbit is formed.  The orbits come from
+    min-label propagation: every vertex keeps the least label among
+    itself and its images, then looks its label's label up, until
+    nothing changes.
     """
-    if G.m != 2:
-        raise ValueError(f"orbit representatives need a 2-uniform graph, got m={G.m}")
     n = G.n
     E = G.edge_array
-    codes = E @ (n, 1)  # edge (u, v), u < v, as u * n + v
+    codes = edge_codes(E, n)
     gens = [np.asarray(g) for g in gens]
     for i, g in enumerate(gens):
         if g.shape != (n,) or g.dtype.kind not in "iu" or \
                 not np.array_equal(np.sort(g), np.arange(n)):
             raise RuntimeError(f"{name} generator {i} is not a permutation of the {n} vertices")
-        u, v = g[E].T
         # g is a permutation, so mapping the edges into the edges maps them onto them
-        if not np.isin(np.minimum(u, v) * n + np.maximum(u, v), codes, assume_unique=True).all():
+        if not np.isin(edge_codes(np.sort(g[E], axis=1), n), codes, assume_unique=True).all():
             raise RuntimeError(f"{name} generator {i} does not map the host's edges to edges")
     label = np.arange(n)
     while True:

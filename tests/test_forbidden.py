@@ -845,6 +845,16 @@ def test_hosts_below_the_cut_never_build_the_incidence_matrix(monkeypatch):
         assert forbidden.contains_berge_cycle(Hy, L) is None
 
 
+def test_berge_search_on_a_free_host_builds_no_edge_tuples():
+    # the ordered search reads its edge nodes from the edge array, so
+    # only a witness, rechecked by `_emit`, builds `edges`
+    Hy = constructions.build_berge3(11)[0]
+    assert len(Hy.edge_array) < forbidden._KERNEL_EDGES
+    for L in (2, 3, 4):
+        assert forbidden.contains_berge_cycle(Hy, L) is None
+    assert "edges" not in Hy.__dict__
+
+
 def test_graph_hosts_below_the_cut_never_build_the_adjacency_matrix(monkeypatch):
     # the oracle asks K_{2,t}, even cycles and theta of graphs with at
     # most 18 vertices thousands of times; they take the ordered search

@@ -1,7 +1,7 @@
 """The orbit route of ``verify --forbid``: walk counts on one row per
-vertex orbit of a theta or Wenger host prove a pattern absent from any
-edge-subgraph of it, and every other case takes the full deciders with
-the same payload and exit code."""
+vertex orbit of a theta, Wenger or berge3 host prove a pattern absent
+from any edge-subgraph (sub-hypergraph) of it, and every other case
+takes the full deciders with the same payload and exit code."""
 
 from __future__ import annotations
 
@@ -50,6 +50,18 @@ def verify(tmp_path, graph_doc, patterns, name="g"):
     return code, json.loads(out.read_text(encoding="utf-8")) if out.exists() else None
 
 
+def least_of_each_component(n, gens):
+    """The least vertex of each connected component of the graph that
+    joins every vertex v to its images g[v], ascending."""
+    links = sparse.coo_matrix((np.ones(len(gens) * n), (np.tile(np.arange(n), len(gens)),
+                                                         np.concatenate(gens))), shape=(n, n))
+    _, label = csgraph.connected_components(links, directed=False)
+    first = {}
+    for v, c in enumerate(label.tolist()):
+        first.setdefault(c, v)
+    return sorted(first.values())
+
+
 def payload_bytes(report):
     doc = dict(report)
     doc.pop("provenance")
@@ -69,19 +81,13 @@ def test_orbit_rows_agree_with_every_row(family, args):
     reps = structures.orbit_representatives(H, gens, family)
     q = args[-1]
     assert len(reps) == (2 * q if family == "theta" else q + 1)
-    links = sparse.coo_matrix((np.ones(len(gens) * H.n), (np.tile(np.arange(H.n), len(gens)),
-                                                           np.concatenate(gens))), shape=(H.n, H.n))
-    _, label = csgraph.connected_components(links, directed=False)
-    first = {}
-    for v, c in enumerate(label.tolist()):
-        first.setdefault(c, v)
-    assert reps.tolist() == sorted(first.values())
+    assert reps.tolist() == least_of_each_component(H.n, gens)
     A, every = H.csr, np.arange(H.n)
     for spec in PATTERNS:
         k, threshold = forbidden.orbit_test(spec)
         want = forbidden._walk_counts_reach(A, every, k, threshold)
         assert forbidden._walk_counts_reach(A, reps, k, threshold) == want
-        assert forbidden.rows_prove_absent(A, reps, (k, threshold)) == (want is None)
+        assert forbidden.rows_prove_absent(H, reps, (k, threshold)) == (want is None)
 
 
 def test_orbit_tests_of_each_pattern():
@@ -90,7 +96,9 @@ def test_orbit_tests_of_each_pattern():
     assert forbidden.orbit_test("K_{2,3}") == (2, 3)
     assert forbidden.orbit_test("theta_{2,5}") == (5, 2)
     assert forbidden.orbit_test("theta_{3,4}") == (4, 3)
-    for spec in ("C_5", "K_{3,3}", "K_{1,4}", "theta_{3,5}", "bergeC_2"):
+    assert forbidden.orbit_test("bergeC_2") == (2, 2)
+    assert forbidden.orbit_test("bergeC_4") == (4, 2)
+    for spec in ("C_5", "K_{3,3}", "K_{1,4}", "theta_{3,5}"):
         assert forbidden.orbit_test(spec) is None
 
 
@@ -136,7 +144,7 @@ def test_payload_is_the_same_with_the_orbit_route_off(tmp_path, monkeypatch):
         assert cli.main(["construct", *construct, "--out", str(g), "--partition", str(p)]) == 0
         for route in ("on", "off"):
             if route == "off":
-                monkeypatch.setattr(cli, "_recipe_host", lambda G, provenance: None)
+                monkeypatch.setattr(constructions, "recipe_host", lambda params, G: None)
             out = tmp_path / f"{family}_{route}.json"
             argv = ["verify", "--graph", str(g), "--partition", str(p), "--out", str(out)]
             for spec in patterns:
@@ -163,7 +171,7 @@ def test_verify_without_forbid_never_builds_the_host(tmp_path, monkeypatch):
     def refuse(*args):
         raise AssertionError("host built")
 
-    monkeypatch.setattr(cli, "wenger_host", refuse)
+    monkeypatch.setattr(constructions, "wenger_host", refuse)
     out = tmp_path / "r.json"
     for forbid in ([], ["C_5"]):
         argv = ["verify", "--graph", str(g), "--partition", str(p), "--out", str(out)]
@@ -215,10 +223,12 @@ def _with_outside_edge(doc, params):
     _with_params(M=10 ** 30),
     _with_params(family="hexagon"),
     _with_params(family="theta"),
+    _with_params(family="berge3"),
     _with_params(q=5),
     _with_outside_edge,
 ], ids=["missing", "array", "string", "params-array", "string-q", "bool-q", "negative-q",
-        "bool-M", "huge-M", "unknown-family", "wrong-family", "wrong-count", "edge-outside-host"])
+        "bool-M", "huge-M", "unknown-family", "wrong-family", "hypergraph-family", "wrong-count",
+    "edge-outside-host"])
 def test_hostile_recipes_take_the_full_route(tmp_path, monkeypatch, mutate):
     # the recipe's vertex count never matches here, or the graph leaves
     # the host, so the builders must not run or their host must be refused
@@ -228,8 +238,8 @@ def test_hostile_recipes_take_the_full_route(tmp_path, monkeypatch, mutate):
     if mutate is not _with_outside_edge:
         def refuse(*args):
             raise AssertionError("host built")
-        monkeypatch.setattr(cli, "wenger_host", refuse)
-        monkeypatch.setattr(cli, "theta_host", refuse)
+        for build in ("wenger_host", "theta_host", "berge3_host"):
+            monkeypatch.setattr(constructions, build, refuse)
     code, report = verify(tmp_path, doc, patterns)
     assert set(report["provenance"]["paths"].values()) == {"full"}
     doc.pop("provenance", None)
@@ -265,8 +275,174 @@ def test_corrupt_generator_is_refused_by_name(tmp_path, monkeypatch, capsys, cor
         corrupt(gens)
         return H, gens
 
-    monkeypatch.setattr(cli, "wenger_host", corrupted)
+    monkeypatch.setattr(constructions, "wenger_host", corrupted)
     code, report = verify(tmp_path, doc, ["C_6"])
     assert code == 1 and report is None
     err = capsys.readouterr().err
     assert err.startswith("internal failure: ") and f"wenger generator {index} " in err
+
+
+# ------------------------------------------------------------------ berge3
+
+BERGE_QS = (5, 7, 9, 11, 13, 25, 27)
+BERGE_PATTERNS = ["bergeC_2", "bergeC_3", "bergeC_4"]
+
+
+def berge_doc(G, q):
+    return dict(G.to_json_dict(), provenance={"params": {"family": "berge3", "q": q}})
+
+
+def swap_first_two(gens, index):
+    # vertices 0 and 1 are (0, 1) and (0, 2): (0, 1) and (b1, -1) are
+    # joined by an edge, (0, 2) and (b1, -1) are not, so the swap breaks
+    # the edge relation and g composed with it is no automorphism
+    gens = [g.copy() for g in gens]
+    gens[index][[0, 1]] = gens[index][[1, 0]]
+    return gens
+
+
+def assert_full_route_matches_check_pattern(code, report, G, patterns):
+    want = [check_pattern(G, spec) for spec in patterns]
+    assert [f["witness"] for f in report["forbidden"]] == want
+    assert set(report["provenance"]["paths"].values()) == {"full"}
+    assert code == (4 if any(want) else 0)
+    return want
+
+
+def test_edge_codes_number_sorted_rows_and_refuse_overflow():
+    rows = np.array([[0, 1, 2], [0, 2, 3], [1, 2, 3]])
+    assert structures.edge_codes(rows, 4).tolist() == [6, 11, 27]
+    assert structures.edge_codes(rows[:, 1:], 4).tolist() == [6, 11, 11]
+    structures.edge_codes(rows, 2 ** 21 - 1)
+    with pytest.raises(ValueError, match="overflow"):
+        structures.edge_codes(rows, 2 ** 21)
+
+
+@pytest.mark.parametrize("q", BERGE_QS)
+def test_berge3_orbit_rows_agree_with_every_row(q):
+    # the translations and the scaling are automorphisms, their orbits
+    # are the two square classes of x2 - x1^2/2, and the two
+    # representatives' rows of the incidence matrix give the kernel's
+    # answer on every vertex row, the least j included
+    H, gens = constructions.berge3_host(q)
+    reps = structures.orbit_representatives(H, gens, "berge3")
+    assert len(reps) == 2
+    assert reps.tolist() == least_of_each_component(H.n, gens)
+    every = np.arange(H.n)
+    for spec in BERGE_PATTERNS:
+        k, threshold = forbidden.orbit_test(spec)
+        want = forbidden._walk_counts_reach(H.incidence, every, k, threshold)
+        assert forbidden._walk_counts_reach(H.incidence, reps, k, threshold) == want
+        assert forbidden.rows_prove_absent(H, reps, (k, threshold)) == (want is None)
+        assert (forbidden.contains_berge_cycle(H, k) is None) == (want is None)
+
+
+@pytest.mark.parametrize("q", BERGE_QS)
+def test_berge3_corrupt_generator_is_refused_by_name(tmp_path, monkeypatch, capsys, q):
+    H, gens = constructions.berge3_host(q)
+    for index in range(len(gens)):
+        with pytest.raises(RuntimeError, match=f"^berge3 generator {index} "):
+            structures.orbit_representatives(H, swap_first_two(gens, index), "berge3")
+    build = constructions.berge3_host
+
+    def corrupted(q):
+        H, gens = build(q)
+        return H, swap_first_two(gens, 0)
+
+    monkeypatch.setattr(constructions, "berge3_host", corrupted)
+    code, report = verify(tmp_path, berge_doc(H, q), ["bergeC_3"])
+    assert code == 1 and report is None
+    err = capsys.readouterr().err
+    assert err.startswith("internal failure: ") and "berge3 generator 0 " in err
+
+
+@pytest.mark.parametrize("q", BERGE_QS)
+def test_berge3_verify_on_sub_hypergraphs_matches_check_pattern(tmp_path, q):
+    # the host and seeded sub-hypergraphs of it take the orbit route,
+    # and each verdict is check_pattern(G)'s: berge3(q) is Berge-free
+    rng = random.Random(q)
+    H = constructions.build_berge3(q)[0]
+    for share in (1.0, 0.9, 0.5):
+        keep = np.sort(rng.sample(range(len(H.edge_array)), int(share * len(H.edge_array))))
+        G = LabeledHypergraph(3, H.vertices, H.edge_array[keep])
+        code, report = verify(tmp_path, berge_doc(G, q), BERGE_PATTERNS)
+        assert report["provenance"]["paths"] == {spec: "orbit" for spec in BERGE_PATTERNS}
+        assert [f["witness"] for f in report["forbidden"]] == [check_pattern(G, s) for s in BERGE_PATTERNS]
+        assert code == 0
+
+
+@pytest.mark.parametrize("q", (7, 13))
+def test_berge3_foreign_triples_take_the_full_route(tmp_path, q):
+    # a triple inside part 0, which no host edge meets twice, and one
+    # that shares two vertices with a host edge, a Berge 2-cycle
+    H = constructions.build_berge3(q)[0]
+    a, b, c = H.edge_array[random.Random(q).randrange(len(H.edge_array))].tolist()
+    hits = []
+    for triple in ((0, 1, 2), (a, b, next(v for v in range(H.n) if v not in (a, b, c)))):
+        G = LabeledHypergraph(3, H.vertices, [*H.edge_array.tolist(), triple])
+        code, report = verify(tmp_path, berge_doc(G, q), BERGE_PATTERNS)
+        want = assert_full_route_matches_check_pattern(code, report, G, BERGE_PATTERNS)
+        hits.append([w is not None for w in want])
+    assert hits[1][0]
+
+
+@pytest.mark.parametrize("q, n", [(7, 30), (5, 42), (6, 30), (8, 56), (4, 12)],
+                         ids=["wrong-q", "wrong-q-below", "not-a-prime-power", "even", "even-small"])
+def test_berge3_misfit_recipes_take_the_full_route(tmp_path, monkeypatch, q, n):
+    # a recipe whose q(q - 1) is not the vertex count never builds the
+    # host; one that fits names a q the builder refuses
+    refused = q * (q - 1) == n
+    if not refused:
+        def refuse(*args):
+            raise AssertionError("host built")
+        monkeypatch.setattr(constructions, "berge3_host", refuse)
+    rng = random.Random(n)
+    edges = {tuple(sorted(rng.sample(range(n), 3))) for _ in range(n)}
+    G = LabeledHypergraph(3, [f"v{i}" for i in range(n)], sorted(edges))
+    code, report = verify(tmp_path, berge_doc(G, q), BERGE_PATTERNS)
+    assert_full_route_matches_check_pattern(code, report, G, BERGE_PATTERNS)
+    if refused:
+        with pytest.raises(ValueError):
+            constructions.berge3_host(q)
+
+
+def test_berge3_payload_is_the_same_with_the_orbit_route_off(tmp_path, monkeypatch):
+    g, p = tmp_path / "berge3.json", tmp_path / "berge3_parts.json"
+    assert cli.main(["construct", "berge3", "--q", "25", "--out", str(g), "--partition", str(p)]) == 0
+    runs = {}
+    for route in ("on", "off"):
+        if route == "off":
+            monkeypatch.setattr(constructions, "recipe_host", lambda params, G: None)
+        out = tmp_path / f"berge3_{route}.json"
+        argv = ["verify", "--graph", str(g), "--partition", str(p), "--out", str(out)]
+        for spec in BERGE_PATTERNS:
+            argv += ["--forbid", spec]
+        runs[route] = (cli.main(argv), json.loads(out.read_text(encoding="utf-8")))
+        monkeypatch.undo()
+    (code_on, on), (code_off, off) = runs["on"], runs["off"]
+    assert code_on == code_off == 0
+    assert payload_bytes(on) == payload_bytes(off)
+    assert on["provenance"]["payload_sha256"] == off["provenance"]["payload_sha256"]
+    assert on["provenance"]["paths"] == {spec: "orbit" for spec in BERGE_PATTERNS}
+    assert off["provenance"]["paths"] == {spec: "full" for spec in BERGE_PATTERNS}
+
+
+def test_verify_never_builds_a_host_for_patterns_off_the_orbit_route(tmp_path, monkeypatch):
+    # no pattern, or only patterns of the other uniformity, which
+    # check_pattern refuses with exit 2: no host is built for either
+    def refuse(*args):
+        raise AssertionError("host built")
+
+    for family, construct, patterns in (
+            ("berge3", ["berge3", "--q", "5"], ["C_6", "K_{2,2}", "theta_{3,4}"]),
+            ("wenger", ["wenger", "--M", "2", "--q", "3"], BERGE_PATTERNS)):
+        g, p = tmp_path / f"{family}.json", tmp_path / f"{family}_parts.json"
+        assert cli.main(["construct", *construct, "--out", str(g), "--partition", str(p)]) == 0
+        monkeypatch.setattr(constructions, f"{family}_host", refuse)
+        out = tmp_path / f"{family}_report.json"
+        argv = ["verify", "--graph", str(g), "--partition", str(p), "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["provenance"]["paths"] == {}
+        for spec in patterns:
+            assert cli.main([*argv, "--forbid", spec]) == 2
+        monkeypatch.undo()
