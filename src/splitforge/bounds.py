@@ -104,6 +104,16 @@ def _least_k(required: Fraction, r: int, env: TuranEnvelope) -> int:
     return hi
 
 
+def _check_feasible(bits: int, r: int, env: TuranEnvelope) -> None:
+    """Refuse a count of at least 2**bits that exceeds the ceiling
+    C * (r*k)**e even at k = 2**60, where `_least_k` gives up, before the
+    count is formed: C < 2**b for b the bit length of C's numerator, and
+    r*k < 2**(r.bit_length() + 60)."""
+    if bits - env.C.numerator.bit_length() >= (r.bit_length() + 60) * env.e:
+        raise ValueError(
+            f"no feasible k below 2^60: the count is at least 2^{bits}; check the envelope")
+
+
 def _check_r_m(r: int, m: int, env: TuranEnvelope) -> None:
     if not isinstance(r, int) or not isinstance(m, int):
         raise ValueError("r and m must be integers")
@@ -134,8 +144,16 @@ def min_k_lower(r: int, m: int, env: TuranEnvelope) -> int:
     -------
     int
         Smallest k with ``C(r, m) <= C * (r*k)**e``.
+
+    Raises
+    ------
+    ValueError
+        For invalid r, m, and when no k up to 2**60 is feasible; with
+        j = min(m, r - m), C(r, m) >= 2**j, so a j that alone rules out
+        every such k is refused before the binomial is formed.
     """
     _check_r_m(r, m, env)
+    _check_feasible(min(m, r - m), r, env)
     return _least_k(Fraction(math.comb(r, m)), r, env)
 
 
@@ -143,9 +161,13 @@ def min_k_lower_relaxed(r: int, m: int, env: TuranEnvelope) -> int:
     """Same threshold computed from the weaker count (r-m)^m / m!.
 
     This is the closed-form relaxation of the binomial; it never exceeds
-    C(r, m), so the result is at most ``min_k_lower(r, m, env)``.
+    C(r, m), so the result is at most ``min_k_lower(r, m, env)``.  For
+    r >= 2m the count is at least m^m / m! >= 2^(m-1), and an m that
+    alone rules out every k up to 2**60 is refused before the power and
+    the factorial are formed.
     """
     _check_r_m(r, m, env)
+    _check_feasible(m - 1 if r >= 2 * m else 0, r, env)
     return _least_k(Fraction((r - m) ** m, math.factorial(m)), r, env)
 
 
@@ -170,6 +192,13 @@ def berge_path_k_lb(r: int, m: int, t: int) -> Fraction:
     -------
     Fraction
         Exact rational bound.
+
+    Raises
+    ------
+    ValueError
+        For invalid parameters, and when ((r-1)/(t-1))^(m-1), a lower
+        bound on the result, reaches 2**1025, beyond the float range;
+        that is checked before the binomials are formed.
     """
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
@@ -177,6 +206,10 @@ def berge_path_k_lb(r: int, m: int, t: int) -> Fraction:
         raise ValueError(f"need t >= m, got t={t}, m={m}")
     if r <= t:
         raise ValueError(f"need r > t, got r={r}, t={t}")
+    lg = math.log2(r - 1) - math.log2(t - 1)
+    if lg > 0 and m - 1 >= 1025 / lg:
+        raise ValueError(
+            f"the bound for r={r}, m={m}, t={t} is at least 2^1025, beyond the float range")
     return Fraction(math.comb(r - 1, m - 1), math.comb(t - 1, m - 1))
 
 

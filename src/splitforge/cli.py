@@ -22,11 +22,12 @@ Wenger host that the graph is an edge-subgraph of, and for a Berge
 cycle bergeC_l when it names a berge3 host that the hypergraph is a
 sub-hypergraph of (`constructions.recipe_host`): walk counts on one row
 per vertex orbit of the host's automorphism group, of its adjacency or
-vertex-edge incidence matrix, prove the pattern absent (see
-`forbidden.orbit_test`).  Every hit, and every recipe that is missing or
-does not fit, goes to the full deciders, so the payload is the same
-either way; a generator that is not an automorphism of its host is an
-internal failure.
+vertex-edge incidence matrix, prove the pattern absent, by the
+deciders' own proof (`forbidden.rows_prove_absent`) run on those rows
+only.  Every hit, and every recipe that is missing or does not fit,
+goes to the full deciders, so the payload is the same either way; a
+generator that is not an automorphism of its host is an internal
+failure.
 
 Exit codes: 0 success (including an "exhausted" oracle verdict), 1
 unexpected internal failure, 2 invalid parameters or unreadable input,
@@ -164,6 +165,15 @@ def _ints(text: str) -> list:
         raise ValueError(f"expected comma-separated integers, got {text!r}")
 
 
+def _float(value) -> float:
+    """`value` as a float; a value beyond the float range is refused."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(
+            "the bound is beyond the float range (about 1.8e308) of value_float") from None
+
+
 def _frac_str(value) -> str:
     f = Fraction(value)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
@@ -236,22 +246,18 @@ def _cmd_verify(args, run) -> int:
     P = _load(args.partition, run.inputs, SplitPartition)
     run.params = {"forbid": list(args.forbid or [])}
     patterns = [parse_pattern(text) for text in args.forbid or []]
-    # a pattern of the other uniformity goes to check_pattern, which refuses it
-    tests = [orbit_test(pat) if (pat.kind == "berge_cycle") == (G.m > 2) else None
-             for pat in patterns]
     report = verify_rk(G, P)
     rep = report.to_json_dict()
     rep.pop("wall_time", None)  # belongs in provenance, not the payload
     provenance = doc.get("provenance")
     params = provenance.get("params") if type(provenance) is dict else None
-    host = constructions.recipe_host(params, G) if any(tests) else None
-    findings, paths = [], {}
-    for pat, test in zip(patterns, tests):
-        if host is not None and test is not None and rows_prove_absent(*host, test):
-            witness, paths[pat.spec_string()] = None, "orbit"
-        else:
-            witness, paths[pat.spec_string()] = check_pattern(G, pat), "full"
-        findings.append({"pattern": pat.spec_string(), "witness": witness})
+    # no host for patterns of the other uniformity: check_pattern refuses them
+    host = constructions.recipe_host(params, G) if any(
+        orbit_test(pat) and (pat.kind == "berge_cycle") == (G.m > 2) for pat in patterns) else None
+    orbit = [host is not None and rows_prove_absent(*host, pat) for pat in patterns]
+    paths = {pat.spec_string(): "orbit" if o else "full" for pat, o in zip(patterns, orbit)}
+    findings = [{"pattern": pat.spec_string(), "witness": None if o else check_pattern(G, pat)}
+                for pat, o in zip(patterns, orbit)]
     split_ok = report.completeness_ok and report.independence_ok
     found = any(f["witness"] is not None for f in findings)
     payload = {"report": rep, "forbidden": findings, "ok": split_ok and not found}
@@ -322,7 +328,7 @@ def _cmd_bound(args, run) -> int:
         payload = {
             "quantity": "berge-path-k-lb",
             "value": _frac_str(v),
-            "value_float": float(v),
+            "value_float": _float(v),
             "formula_ref": "lb.berge-path-replication",
         }
     elif args.tree:
@@ -331,7 +337,7 @@ def _cmd_bound(args, run) -> int:
         payload = {
             "quantity": "tree-bound",
             "value": _frac_str(v),
-            "value_float": float(v),
+            "value_float": _float(v),
             "formula_ref": "lb.tree-ratio",
         }
     elif args.admissible:

@@ -415,12 +415,13 @@ def partition_norm_quotient(
 
 
 def _wenger(M: int, q: int):
-    """Labels and (E, 2) edge array of the Wenger graph W_M(q), unvalidated."""
+    """F_q's `_tables`, and the labels and (E, 2) edge array of the
+    Wenger graph W_M(q), unvalidated."""
     if M < 1:
         raise ValueError("M must be at least 1")
     pp = _prime_power(q)
     _check_size(f"wenger W_{M}({q})", q, M + 2)
-    add, mul, neg = _tables(gf.make_field(*pp))
+    add, mul, neg = tables = _tables(gf.make_field(*pp))
     pts = list(product(range(q), repeat=M + 1))
     nside = len(pts)
 
@@ -433,7 +434,7 @@ def _wenger(M: int, q: int):
     for j in range(1, M + 1):
         l = add[mul[l, p[0]], neg[p[j]]]
         rank = rank * q + l
-    return labels, np.column_stack([np.arange(len(l)) // q, nside + rank])
+    return tables, labels, np.column_stack([np.arange(len(l)) // q, nside + rank])
 
 
 def build_wenger(M: int, q: int) -> LabeledHypergraph:
@@ -445,7 +446,7 @@ def build_wenger(M: int, q: int) -> LabeledHypergraph:
     Labels are ``P:<c1>,...,<c(M+1)>`` and ``L:...`` with coordinates in
     the integer encoding of F_q.
     """
-    return LabeledHypergraph(2, *_wenger(M, q))
+    return LabeledHypergraph(2, *_wenger(M, q)[1:])
 
 
 def wenger_host(M: int, q: int):
@@ -459,8 +460,8 @@ def wenger_host(M: int, q: int):
     transitive on the rest, so the vertex orbits are the q point classes
     of p_1 and the lines: q + 1 orbits.
     """
-    H = build_wenger(M, q)
-    add, mul, neg = _tables(gf.make_field(*_prime_power(q)))
+    (add, mul, neg), labels, edges = _wenger(M, q)
+    H = LabeledHypergraph(2, labels, edges)
 
     def shift(j):  # 0-based coordinate j >= 1
         def move(pt, ln, a):
@@ -493,7 +494,7 @@ def partition_wenger(M: int, q: int, seed: int | None = None):
     """
     if M not in _WENGER_FIXED:
         raise ValueError("partitioned variant needs M in {2, 4}")
-    labels, edges = _wenger(M, q)
+    _, labels, edges = _wenger(M, q)
     n = len(labels)
     fixed_p, fixed_l = _WENGER_FIXED[M]
     parts = _merge_groups(product(range(q), repeat=M + 1), n // 2,
@@ -521,6 +522,30 @@ def _subfield_split(F) -> list:
     return [split[x] for x in range(F.q)]
 
 
+def _theta(q: int):
+    """F_q, its `_tables`, and the labels and (E, 2) edge array of the
+    unsplit theta graph, unvalidated."""
+    p, s = _odd_prime_power(q)
+    if s % 2 == 1:
+        raise ValueError(f"q={q} must be an even power")
+    _check_size(f"theta q={q}", q, 5)
+    F = gf.make_field(p, s)
+    add, mul, neg = tables = _tables(F)
+    n4 = q ** 4
+
+    coords = list(product(range(q), repeat=4))
+    labels = ["P:" + ",".join(map(str, tp)) for tp in coords]
+    labels += ["L:" + ",".join(map(str, tp)) for tp in coords]
+
+    v1, w1, v2, v3, v4 = np.indices((q,) * 5).reshape(5, -1)
+    w2 = add[mul[v1, w1], neg[v2]]
+    w3 = add[mul[mul[v1, v1], w1], neg[v4]]
+    w4 = add[mul[v1, mul[w1, w1]], neg[v3]]
+    edges = np.column_stack([((v1 * q + v2) * q + v3) * q + v4,
+                             n4 + ((w1 * q + w2) * q + w3) * q + w4])
+    return F, tables, labels, edges
+
+
 def build_theta(q: int, reduce_parts: bool = True):
     """Four-coordinate bipartite graph over an even-power field.
 
@@ -536,33 +561,15 @@ def build_theta(q: int, reduce_parts: bool = True):
     deleted.  With ``reduce_parts=False`` the graph is exactly q-regular
     but parts keep one internal edge each.
     """
-    p, s = _odd_prime_power(q)
-    if s % 2 == 1:
-        raise ValueError(f"q={q} must be an even power")
-    _check_size(f"theta q={q}", q, 5)
-    F = gf.make_field(p, s)
-    add, mul, neg = _tables(F)
-    root = p ** (s // 2)
+    F, _, labels, edges = _theta(q)
     n4 = q ** 4
-
-    coords = list(product(range(q), repeat=4))
-    labels = ["P:" + ",".join(map(str, tp)) for tp in coords]
-    labels += ["L:" + ",".join(map(str, tp)) for tp in coords]
-
-    v1, w1, v2, v3, v4 = np.indices((q,) * 5).reshape(5, -1)
-    w2 = add[mul[v1, w1], neg[v2]]
-    w3 = add[mul[mul[v1, v1], w1], neg[v4]]
-    w4 = add[mul[v1, mul[w1, w1]], neg[v3]]
-    edges = np.column_stack([((v1 * q + v2) * q + v3) * q + v4,
-                             n4 + ((w1 * q + w2) * q + w3) * q + w4])
-
     ab = _subfield_split(F)
-    parts = _merge_groups(coords, n4, lambda c: (c[0], ab[c[2]][1], c[3]),
+    parts = _merge_groups(product(range(q), repeat=4), n4, lambda c: (c[0], ab[c[2]][1], c[3]),
                           lambda c: (c[0], c[1], ab[c[3]][0]))
     if reduce_parts:
         edges = _drop_internal(edges, parts, 2 * n4)
     G = LabeledHypergraph(2, labels, edges)
-    P = SplitPartition(parts, 2 * q * root)
+    P = SplitPartition(parts, 2 * q * F.p ** (F.n // 2))
     return G, P
 
 
@@ -576,8 +583,8 @@ def theta_host(q: int):
     w1 and are transitive on the rest, so the vertex orbits are the q
     point classes of v1 and the q line classes of w1: 2q orbits.
     """
-    H = build_theta(q, reduce_parts=False)[0]
-    add, _, neg = _tables(gf.make_field(*_prime_power(q)))
+    _, (add, _, neg), labels, edges = _theta(q)
+    H = LabeledHypergraph(2, labels, edges)
 
     def move(v, w):
         def apply(pt, ln, a):
@@ -593,13 +600,30 @@ def theta_host(q: int):
 # ------------------------------------------------------------------------
 
 
-def _berge3_vertices(q: int, mul, inv2: int):
-    """Coordinates x1 and x2 of the points of F_q^2 off the parabola
-    x2 = x1^2 / 2, in vertex order (row-major), and the q x q array that
-    maps each point off the parabola to its vertex index."""
+def _berge3(q: int):
+    """berge3(q), the field F_q it is built over, F's `_tables`, and the
+    coordinates x1 and x2 of its vertices, the points of F_q^2 off the
+    parabola x2 = x1^2 / 2 in row-major order, with the q x q array that
+    maps each of those points to its vertex index."""
+    p, s = _odd_prime_power(q)
+    _check_comb(f"berge3 q={q}", q, 3)
+    F = gf.make_field(p, s)
+    add, mul, neg = tables = _tables(F)
+    inv2 = F.inv(2)
+
+    # row x1 of vidx holds the q - 1 consecutive indices of part x1
     x1, x2 = np.indices((q, q))
     off = x2 != mul[inv2, mul[x1, x1]]
-    return x1[off], x2[off], (np.cumsum(off) - 1).reshape(q, q)
+    x1, x2, vidx = x1[off], x2[off], (np.cumsum(off) - 1).reshape(q, q)
+    labels = [f"B:{a},{b}" for a, b in zip(x1.tolist(), x2.tolist())]
+
+    a1, b1, c1 = np.array(list(combinations(range(q), 3))).T
+    ab, bc, ca = mul[a1, b1], mul[b1, c1], mul[c1, a1]
+    a2 = mul[inv2, add[add[ab, ca], neg[bc]]]
+    b2 = add[ab, neg[a2]]
+    c2 = add[ca, neg[a2]]
+    edges = np.column_stack([vidx[a1, a2], vidx[b1, b2], vidx[c1, c2]])
+    return LabeledHypergraph(3, labels, edges), F, tables, (x1, x2, vidx)
 
 
 def build_berge3(q: int):
@@ -610,24 +634,7 @@ def build_berge3(q: int):
     cyclic mates.  Parts collect the q - 1 vertices sharing a first
     coordinate, so the split has q parts of size q - 1.
     """
-    p, s = _odd_prime_power(q)
-    _check_comb(f"berge3 q={q}", q, 3)
-    F = gf.make_field(p, s)
-    add, mul, neg = _tables(F)
-    inv2 = F.inv(2)
-
-    # row x1 of vidx holds the q - 1 consecutive indices of part x1
-    x1, x2, vidx = _berge3_vertices(q, mul, inv2)
-    labels = [f"B:{a},{b}" for a, b in zip(x1.tolist(), x2.tolist())]
-
-    a1, b1, c1 = np.array(list(combinations(range(q), 3))).T
-    ab, bc, ca = mul[a1, b1], mul[b1, c1], mul[c1, a1]
-    a2 = mul[inv2, add[add[ab, ca], neg[bc]]]
-    b2 = add[ab, neg[a2]]
-    c2 = add[ca, neg[a2]]
-    edges = np.column_stack([vidx[a1, a2], vidx[b1, b2], vidx[c1, c2]])
-
-    G = LabeledHypergraph(3, labels, edges)
+    G = _berge3(q)[0]
     P = SplitPartition(np.arange(q * (q - 1)).reshape(q, q - 1).tolist(), q - 1)
     return G, P
 
@@ -644,14 +651,10 @@ def berge3_host(q: int):
     the q vertices of each d; the scaling multiplies d by theta^2, so the
     vertex orbits are the two square classes of d: 2 orbits.
     """
-    H = build_berge3(q)[0]
-    p, s = _odd_prime_power(q)
-    F = gf.make_field(p, s)
-    add, mul, _ = _tables(F)
+    H, F, (add, mul, _), (x1, x2, vidx) = _berge3(q)
     inv2, t = F.inv(2), F.theta
-    x1, x2, vidx = _berge3_vertices(q, mul, inv2)
     gens = [vidx[add[x1, c], add[add[x2, mul[c, x1]], mul[inv2, mul[c, c]]]]
-            for c in (p ** i for i in range(s))]
+            for c in (F.p ** i for i in range(F.n))]
     return H, gens + [vidx[mul[t, x1], mul[mul[t, t], x2]]]
 
 

@@ -40,13 +40,8 @@ _BERGE_RE = re.compile(r"^bergeC_(\d+)$")
 
 _EXPLICIT_MAX_VERTICES = 10
 
-# rows of walk counts `_walk_blocks` holds at once; every entry counts
-# walks, so the int64 arithmetic is exact while the counts stay small:
-# the theta filter's sums are at most D**4 for maximum degree D and it
-# runs only when that is below 2**63, and `_walk_counts_reach` stops one step
-# past the first block whose off-diagonal counts reach its threshold, so
-# every entry it forms is at most about D * D * threshold; on the
-# incidence matrix of an m-uniform host D is max(vertex degree, m)
+# rows of walk counts `_walk_blocks` holds at once; its int64 counts are
+# exact under `_counts_exact`
 _ROWS = 256
 
 # edges (hyperedges for Berge cycles) from which `contains_kst` (s = 2),
@@ -246,6 +241,18 @@ def _walk_counts_reach(A, rows, k: int, threshold: int):
                  if np.any((walks.data >= threshold) & (walks.indices != row_of))), None)
 
 
+def _counts_exact(A) -> bool:
+    """True when the int64 walk counts of `_walk_blocks` on the 0/1
+    matrix A are exact: its maximum degree D has D**4 < 2**63 (on the
+    incidence matrix of an m-uniform host D is max(vertex degree, m)).
+    Every count of at most 4 steps, and every partial sum of
+    `contains_theta`'s pair filter, is then at most D**4 in absolute
+    value; `_walk_counts_reach` stops one step past the first block
+    whose off-diagonal counts reach its threshold, so every longer count
+    it forms is at most about D * D * threshold."""
+    return int(np.diff(A.indptr).max()) ** 4 < 2 ** 63
+
+
 def _pack_disjoint(paths, K: int):
     """Pick K of the given u-v paths with pairwise disjoint interiors.
 
@@ -284,15 +291,14 @@ def _pack_from(items, K, i, acc, used):
 def contains_kst(G: LabeledHypergraph, s: int, t: int):
     """Find a K_{s,t} subgraph (s hub vertices totally joined to t others).
 
-    For s = 2 on hosts of `_KERNEL_EDGES` edges or more, the codegrees,
-    the off-diagonal entries of A^2, are first computed exactly in int64
-    row blocks by `_walk_counts_reach`; when all are below t the host is
-    free and None is returned at once. Otherwise, and on smaller hosts,
-    the ordered search decides and gives the witness: a codegree counter
-    scans vertices in ascending order and reports the first hub pair
-    whose common neighbourhood reaches size t. For other s, hub sets
-    are explored in ascending lexicographic order with intersection
-    pruning.
+    For s = 2 on hosts of `_KERNEL_EDGES` edges or more, the codegrees
+    are first put to the walk count test of `orbit_test` by
+    `rows_prove_absent`; when it proves the host free None is returned
+    at once. Otherwise, and on smaller hosts, the ordered search decides
+    and gives the witness: a codegree counter scans vertices in
+    ascending order and reports the first hub pair whose common
+    neighbourhood reaches size t. For other s, hub sets are explored in
+    ascending lexicographic order with intersection pruning.
 
     Returns a witness whose vertex list is the s hubs followed by the
     t leaves, or None.
@@ -303,7 +309,7 @@ def contains_kst(G: LabeledHypergraph, s: int, t: int):
     pat = "K_{%d,%d}" % (s, t)
 
     if s == 2:
-        if len(G.edge_array) >= _KERNEL_EDGES and _walk_counts_reach(G.csr, np.arange(G.n), 2, t) is None:
+        if len(G.edge_array) >= _KERNEL_EDGES and rows_prove_absent(G, np.arange(G.n), pat):
             return None
         found = _codegree_scan(G.adj, t)
     else:
@@ -396,22 +402,19 @@ def contains_cycle(G: LabeledHypergraph, length: int):
     vertex list is the cycle in traversal order, oriented so that its
     second entry is smaller than its last.
 
-    On hosts of `_KERNEL_EDGES` edges or more, an even length 2k >= 6 is
-    first put to the non-backtracking walk counts of
-    `_walk_counts_reach`: a C_{2k} joins each pair of its opposite
-    vertices by two paths of k edges, so it puts a count of at least 2
-    off the diagonal of A_k, and when no count up to A_k reaches 2 the
-    host is free and None is returned at once. Otherwise the ordered
-    search decides and gives the witness; smaller hosts, lengths up to 5
-    and odd lengths never touch `G.csr`.
+    On hosts of `_KERNEL_EDGES` edges or more, an even length >= 6 is
+    first put to the walk count test of `orbit_test` by
+    `rows_prove_absent`; when it proves the host free None is returned
+    at once. Otherwise the ordered search decides and gives the witness;
+    smaller hosts, lengths up to 5 and odd lengths never touch `G.csr`.
     """
     _require_graph(G)
     if length < 3:
         raise ValueError(f"cycle length must be >= 3, got {length}")
     if length > G.n:
         return None
-    if length % 2 == 0 and length >= 6 and len(G.edge_array) >= _KERNEL_EDGES and \
-            _walk_counts_reach(G.csr, np.arange(G.n), length // 2, 2) is None:
+    if length >= 6 and len(G.edge_array) >= _KERNEL_EDGES and \
+            rows_prove_absent(G, np.arange(G.n), "C_%d" % length):
         return None
     for cyc in _cycles(G.adj, length):
         return _finish_cycle(G, "C_{%d}" % length, cyc)
@@ -476,10 +479,9 @@ def contains_theta(G: LabeledHypergraph, K: int, length: int):
     with A_length[u, v] >= K in the walk counts of `_walk_blocks` are
     tried: every path is a non-backtracking walk (the counts are exact
     for length <= 3, and for length 4 on bipartite hosts), so the
-    filter never changes the witness. Every sum it forms, partial sums
-    included, is at most D**4 in absolute value for maximum degree D;
-    when D**4 >= 2**63, for length >= 5, or on smaller hosts, every
-    root is searched (`_theta_generic`).
+    filter never changes the witness. For length >= 5, on smaller hosts,
+    and where `_counts_exact` fails, every root is searched
+    (`_theta_generic`).
     """
     _require_graph(G)
     if K < 2 or length < 2:
@@ -490,8 +492,7 @@ def contains_theta(G: LabeledHypergraph, K: int, length: int):
         if w is None:
             return None
         return {"pattern": pat, "vertices": w["vertices"], "edges": w["edges"]}
-    if length > 4 or len(G.edge_array) < _KERNEL_EDGES or \
-            int(np.diff(G.csr.indptr).max()) ** 4 >= 2 ** 63:
+    if length > 4 or len(G.edge_array) < _KERNEL_EDGES or not _counts_exact(G.csr):
         return _theta_generic(G, K, length, pat)
     root = None
     for j, row_of, walks in _walk_blocks(G.csr, np.arange(G.n), length):
@@ -537,14 +538,11 @@ def contains_berge_cycle(Hy: LabeledHypergraph, length: int):
     consecutive pairs {v_i, v_{i+1}}.
 
     A Berge l-cycle is exactly a cycle of 2l nodes in the vertex-edge
-    incidence graph, vertex v as node v and edge i as node n + i.  Such a
-    cycle passes through a vertex node, and the node opposite it is
-    joined to it by two paths of l edges, so it puts a count of at least
-    2 into that vertex's row of the non-backtracking walk counts A_l.  On
-    hosts of `_KERNEL_EDGES` hyperedges or more, `_walk_counts_reach`
-    first scans only the n vertex rows of `Hy.incidence` up to A_l; when
-    no count reaches 2 the host is free and None is returned at once
-    (for l = 2, A_2 on vertex rows is the pair codegree, so that test is
+    incidence graph, vertex v as node v and edge i as node n + i.  On
+    hosts of `_KERNEL_EDGES` hyperedges or more, `rows_prove_absent`
+    first puts the n vertex rows of `Hy.incidence` to the walk count
+    test of `orbit_test`; when it proves the host free None is returned
+    at once (for l = 2 the test reads the pair codegrees, so it is
     exact).  Smaller hosts, and every hit, go to the ordered search,
     which alone picks the witness: the first cycle `_cycles` yields on
     the incidence graph's ascending neighbour tuples, oriented as
@@ -560,7 +558,7 @@ def contains_berge_cycle(Hy: LabeledHypergraph, length: int):
     if Hy.m < 3:
         raise ValueError("Berge cycle detection expects a hypergraph with m >= 3")
     if len(Hy.edge_array) >= _KERNEL_EDGES and \
-            _walk_counts_reach(Hy.incidence, np.arange(Hy.n), length, 2) is None:
+            rows_prove_absent(Hy, np.arange(Hy.n), "bergeC_%d" % length):
         return None
     return _berge_search(Hy, length)
 
@@ -694,11 +692,13 @@ def check_pattern(G: LabeledHypergraph, pattern):
 
 
 def orbit_test(pattern):
-    """The walk counts that prove `pattern` absent from one row per
-    vertex orbit: (k, threshold) when every copy of the pattern, at each
-    of its vertices u (for K_{2,t}, at each hub; for a theta, at each
-    end), puts an off-diagonal count of at least `threshold` into row u
-    of the non-backtracking walk counts A_k; None for other patterns.
+    """The walk counts that prove `pattern` absent, from every row in the
+    deciders and from one row per vertex orbit in `verify`'s orbit route
+    (`rows_prove_absent` runs them): (k, threshold) when every copy of
+    the pattern, at each of its vertices u (for K_{2,t}, at each hub;
+    for a theta, at each end), puts an off-diagonal count of at least
+    `threshold` into row u of the non-backtracking walk counts A_k; None
+    for other patterns.
 
     - C_{2k}, k >= 2, and theta_{2,k}: A_k, threshold 2 (u and the vertex
       opposite it are joined by two paths of k edges);
@@ -730,14 +730,20 @@ def orbit_test(pattern):
     return None
 
 
-def rows_prove_absent(H: LabeledHypergraph, rows, test) -> bool:
-    """True when no walk count of `orbit_test`'s (k, threshold) reaches
-    the threshold in the rows `rows` (an int64 index array of vertices)
-    of H's adjacency matrix (``csr``, m = 2) or vertex-edge incidence
-    matrix (``incidence``, m >= 3), for any j up to k; False on a hit,
-    or when the maximum degree D has D**4 >= 2**63 (`contains_theta`'s
-    guard)."""
-    k, threshold = test
+def rows_prove_absent(H: LabeledHypergraph, rows, pattern) -> bool:
+    """True when the walk counts of `orbit_test` prove `pattern` (a
+    ForbiddenPattern or pattern string) absent from H: for its
+    (k, threshold), no off-diagonal count of A_j, j up to k, in the rows
+    `rows` (an int64 index array of vertices) of H's adjacency matrix
+    (``csr``, m = 2) or vertex-edge incidence matrix (``incidence``,
+    m >= 3) reaches the threshold.  The deciders pass every vertex and
+    `verify`'s orbit route one vertex per orbit.  False on a hit, for a
+    pattern with no orbit test or of the other uniformity (a Berge cycle
+    on a graph, a graph pattern on a hypergraph), and where
+    `_counts_exact` fails."""
+    pattern = parse_pattern(pattern) if isinstance(pattern, str) else pattern
+    test = orbit_test(pattern)
+    if test is None or (pattern.kind == "berge_cycle") != (H.m > 2):
+        return False
     A = H.csr if H.m == 2 else H.incidence
-    return int(np.diff(A.indptr).max()) ** 4 < 2 ** 63 and \
-        _walk_counts_reach(A, rows, k, threshold) is None
+    return _counts_exact(A) and _walk_counts_reach(A, rows, *test) is None

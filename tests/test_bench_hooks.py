@@ -45,3 +45,14 @@ def test_tracer_times_the_neighbour_build_and_uninstalls():
     assert metrics["spectral.spectrum_calls"] >= 1
     assert spectral.greedy_split is greedy
     assert LabeledHypergraph.__dict__["adj"].func is adj
+
+
+def test_every_function_the_tracer_names_resolves():
+    # the tracer reads these names as strings; one that no longer names a
+    # package function would leave its per-layer metric at zero, silently
+    tracer = load_tracer()
+    names = [*tracer.DECIDERS, *tracer.CONSTRUCTION_TOTALS,
+             *(f"{layer}.{attr}" for layer, attrs in tracer.PRIVATE.items() for attr in attrs)]
+    for name in names:
+        layer, attr = name.split(".")
+        assert callable(getattr(importlib.import_module(f"splitforge.{layer}"), attr, None)), name

@@ -320,6 +320,14 @@ def test_bound_admissible(capsys):
 @pytest.mark.parametrize("argv", [
     ["--admissible", "--d", str(10**20)],
     ["--lower", "--r", "10000000000", "--m", "3", "--C", "1", "--e", "101/100"],
+    # bounds beyond the float range, and counts too large for any k below
+    # 2^60, are refused before their binomials or powers are formed
+    ["--berge-path", "--r", "3000", "--m", "1500", "--t", "1500"],
+    ["--berge-path", "--r", "200000", "--m", "100000", "--t", "100000"],
+    ["--tree", "--r", str(10**309), "--t", "2"],
+    ["--tree", "--r", str(2**1024 + 1), "--t", "2"],  # formed, then too large for a float
+    ["--lower", "--r", "1000000", "--m", "500000", "--C", "1", "--e", "2"],
+    ["--lower", "--r", "10000000", "--m", "5000000", "--C", "1", "--e", "2"],
 ])
 def test_bound_out_of_range_exits_2_fast(argv, capsys):
     start = time.perf_counter()

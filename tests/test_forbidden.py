@@ -488,6 +488,30 @@ def test_walk_kernel_hosts_agree_with_networkx(monkeypatch):
             assert (forbidden.contains_kst(G, 2, 3) is not None) == (codegree >= 3)
 
 
+def test_deciders_above_the_cut_consult_the_one_proof(monkeypatch):
+    # K_{2,t}, even cycles from 6 and Berge cycles ask `rows_prove_absent`
+    # once, on every vertex row, the same proof the orbit route runs
+    proof, calls = forbidden.rows_prove_absent, []
+
+    def spy(H, rows, pattern):
+        calls.append((pattern, rows.tolist() == list(range(H.n))))
+        return proof(H, rows, pattern)
+
+    monkeypatch.setattr(forbidden, "rows_prove_absent", spy)
+    G = constructions.build_wenger(2, 5)  # 625 edges
+    Hy = constructions.build_berge3(17)[0]  # 680 edges
+    assert min(len(G.edge_array), len(Hy.edge_array)) >= forbidden._KERNEL_EDGES
+    for decide, spec in ((lambda: forbidden.contains_kst(G, 2, 2), "K_{2,2}"),
+                         (lambda: forbidden.contains_kst(G, 2, 3), "K_{2,3}"),
+                         (lambda: forbidden.contains_cycle(G, 6), "C_6"),
+                         (lambda: forbidden.contains_cycle(G, 8), "C_8"),
+                         *((lambda L=L: forbidden.contains_berge_cycle(Hy, L), f"bergeC_{L}")
+                           for L in (2, 3, 4))):
+        calls.clear()
+        decide()
+        assert calls == [(spec, True)]
+
+
 def test_free_hosts_decided_without_neighbour_lists():
     # the kernel alone proves these splits free: the ordered search, and
     # with it the neighbour tuples, never runs

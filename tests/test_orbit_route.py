@@ -87,7 +87,17 @@ def test_orbit_rows_agree_with_every_row(family, args):
         k, threshold = forbidden.orbit_test(spec)
         want = forbidden._walk_counts_reach(A, every, k, threshold)
         assert forbidden._walk_counts_reach(A, reps, k, threshold) == want
-        assert forbidden.rows_prove_absent(H, reps, (k, threshold)) == (want is None)
+        assert forbidden.rows_prove_absent(H, reps, spec) == (want is None)
+
+
+@pytest.mark.parametrize("host, args", [("wenger_host", (2, 3)), ("theta_host", (9,)),
+                                        ("berge3_host", (7,))])
+def test_each_host_builds_its_field_tables_once(monkeypatch, host, args):
+    # the host and its generators share the builder's tables
+    tables, calls = constructions._tables, []
+    monkeypatch.setattr(constructions, "_tables", lambda F: calls.append(F.q) or tables(F))
+    getattr(constructions, host)(*args)
+    assert calls == [args[-1]]
 
 
 def test_orbit_tests_of_each_pattern():
@@ -100,6 +110,13 @@ def test_orbit_tests_of_each_pattern():
     assert forbidden.orbit_test("bergeC_4") == (4, 2)
     for spec in ("C_5", "K_{3,3}", "K_{1,4}", "theta_{3,5}"):
         assert forbidden.orbit_test(spec) is None
+    # no orbit test, or a pattern of the other uniformity: no proof, and
+    # no error before the decider refuses it; W_1(3) has no codegree 2 and
+    # berge3(5) no Berge 3-cycle, so a test run on the wrong matrix would
+    # say True
+    G, Hy = constructions.build_wenger(1, 3), constructions.build_berge3(5)[0]
+    for H, spec in ((G, "C_5"), (G, "K_{3,3}"), (G, "bergeC_2"), (Hy, "C_6")):
+        assert forbidden.rows_prove_absent(H, np.arange(H.n), spec) is False
 
 
 @pytest.mark.parametrize("family, args", HOSTS)
@@ -333,7 +350,7 @@ def test_berge3_orbit_rows_agree_with_every_row(q):
         k, threshold = forbidden.orbit_test(spec)
         want = forbidden._walk_counts_reach(H.incidence, every, k, threshold)
         assert forbidden._walk_counts_reach(H.incidence, reps, k, threshold) == want
-        assert forbidden.rows_prove_absent(H, reps, (k, threshold)) == (want is None)
+        assert forbidden.rows_prove_absent(H, reps, spec) == (want is None)
         assert (forbidden.contains_berge_cycle(H, k) is None) == (want is None)
 
 
