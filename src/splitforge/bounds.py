@@ -164,10 +164,14 @@ def min_k_lower_relaxed(r: int, m: int, env: TuranEnvelope) -> int:
     C(r, m), so the result is at most ``min_k_lower(r, m, env)``.  For
     r >= 2m the count is at least m^m / m! >= 2^(m-1), and an m that
     alone rules out every k up to 2**60 is refused before the power and
-    the factorial are formed.
+    the factorial are formed.  Since the count never exceeds C(r, m),
+    a binomial that already fits the ceiling at k = 1 gives 1 without
+    them either.
     """
     _check_r_m(r, m, env)
     _check_feasible(m - 1 if r >= 2 * m else 0, r, env)
+    if _ceiling_holds(Fraction(math.comb(r, m)), env, r):
+        return 1
     return _least_k(Fraction((r - m) ** m, math.factorial(m)), r, env)
 
 

@@ -11,12 +11,16 @@ The search grows one host per level, `_PatternState`, and asks it at
 each placement only whether the new edge closes a forbidden copy: the
 host before the edge is free and every pattern is monotone, so a new
 copy uses the new edge.  Cycles on graphs and Berge cycles on
-hypergraphs are decided incrementally, from the neighbour lists and the
-covered pairs; any other pattern, or one whose kind does not fit m,
-takes the named fallback, which builds the host and runs the
-full decider (`check_pattern`), so its errors and messages are the
-deciders' own.  A found certificate is rechecked with `verify_rk` and
-the full deciders.
+hypergraphs are decided incrementally: a Berge 2-cycle from the covered
+pairs, any other cycle through the new edge as a path between two of its
+vertices, which `_reaches` looks for in the neighbour lists with a stack
+search that stops at the first one.  Any other pattern, or one whose
+kind does not fit m, takes the named fallback, which builds the host and
+runs the full decider (`check_pattern`), so its errors and messages are the
+deciders' own.  The placements a part tuple offers depend only on how
+many vertices its parts have used, so each level tables them
+(`_placements`) once per such count and reads them at every node.  A
+found certificate is rechecked with `verify_rk` and the full deciders.
 
 The feasibility envelope is deliberately small (r <= 6, k <= 3, m in
 {2, 3}); beyond it the node budget cuts the search off with an explicit
@@ -29,7 +33,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .forbidden import ForbiddenPattern, _paths_by_end, check_pattern
+from .forbidden import ForbiddenPattern, check_pattern
 from .structures import (
     BudgetExceededError,
     LabeledHypergraph,
@@ -200,7 +204,7 @@ class _PatternState:
         if pat.kind == "cycle":
             # a C_L through uv is uv plus a u-v path of L - 1 edges
             u, v = edge
-            return v in _paths_by_end(nb, u, pat.params[0] - 1, -1)
+            return _reaches(nb, u, pat.params[0] - 1, (v,))
         # a Berge l-cycle through the edge is a 2l-cycle of the incidence
         # graph through its node: two of its vertices a, b and an a-b
         # path of 2l - 2 edges among the placed edges; for l = 2 the path
@@ -208,11 +212,59 @@ class _PatternState:
         if pat.params[0] == 2:
             return any(self.covered.get(pair) for pair in itertools.combinations(edge, 2))
         length = 2 * pat.params[0] - 2
-        for i, a in enumerate(edge[:-1]):
-            ends = _paths_by_end(nb, a, length, -1)
-            if any(b in ends for b in edge[i + 1:]):
-                return True
-        return False
+        return any(_reaches(nb, a, length, edge[i + 1:]) for i, a in enumerate(edge[:-1]))
+
+
+def _reaches(adj, root: int, length: int, targets) -> bool:
+    """Whether a simple path of exactly `length` >= 1 edges runs from
+    `root` to a vertex of `targets`; `adj` holds each node's neighbours.
+
+    A stack of neighbour iterators walks the paths depth first and
+    returns at the first hit.  The last edge is never walked: from each
+    path one edge short, a target t is reached when t is a neighbour of
+    the path's last vertex and not on the path, one membership test per
+    target instead of a loop over the last vertex's neighbours.
+    """
+    if length == 1:
+        nbrs = adj[root]
+        return any(t in nbrs and t != root for t in targets)
+    depth = length - 1  # vertices on a path one edge short, root excluded
+    path = [root]
+    stack = [iter(adj[root])]
+    while stack:
+        for y in stack[-1]:
+            if y in path:
+                continue
+            if len(path) < depth:
+                path.append(y)
+                stack.append(iter(adj[y]))
+                break
+            nbrs = adj[y]
+            for t in targets:
+                if t in nbrs and t != y and t not in path:
+                    return True
+        else:
+            stack.pop()
+            path.pop()
+    return False
+
+
+def _placements(parts: tuple, used: tuple, k: int) -> list:
+    """The placements one part tuple offers when its parts have used
+    ``used`` vertices: (edge, parts the edge opens) pairs in the
+    lexicographic order of the vertex choices.
+
+    Part p offers its used vertices and, while it has one, the least
+    unused one (vertex used[p]); choosing that vertex opens it.  The
+    list is keyed by ``used``, not by the offered ranges, since used[p]
+    = k - 1 and used[p] = k offer the same vertices but only the first
+    opens one.
+    """
+    return [
+        (tuple(p * k + v for p, v in zip(parts, combo)),
+         tuple(p for p, v, u in zip(parts, combo, used) if v == u))
+        for combo in itertools.product(*(range(min(u + 1, k)) for u in used))
+    ]
 
 
 def _search_k(query: OracleQuery, k: int, routes, counter: List[int]):
@@ -223,40 +275,45 @@ def _search_k(query: OracleQuery, k: int, routes, counter: List[int]):
     # interchangeable under relabeling within their part, so only the
     # least unused one is offered, and backtracking frees them in LIFO order
     state = _PatternState(m, flat, routes)
-    G = _assign(query, k, part_tuples, state, [0] * r, counter, 0)
+    tables: List[Dict[tuple, list]] = [{} for _ in part_tuples]
+    G = _assign(query, k, part_tuples, tables, state, [0] * r, counter, 0)
     if G is None:
         return None
     P = SplitPartition([range(i * k, (i + 1) * k) for i in range(r)], declared_k=k)
     return G, P
 
 
-def _assign(query, k, part_tuples, state, used, counter, idx):
+def _assign(query, k, part_tuples, tables, state, used, counter, idx):
     """Place one edge for each part tuple from idx on, growing `state`;
-    the finished pattern-free host, or None when no placement works."""
+    the finished pattern-free host, or None when no placement works.
+    ``tables[idx]`` caches `_placements` of part tuple idx by its parts'
+    ``used`` counts."""
     if idx == len(part_tuples):
         return LabeledHypergraph(query.m, state.labels, state.edges)
     parts = part_tuples[idx]
-    for combo in itertools.product(*(range(min(used[p] + 1, k)) for p in parts)):
+    key = tuple(used[p] for p in parts)
+    placements = tables[idx].get(key)
+    if placements is None:
+        placements = tables[idx][key] = _placements(parts, key, k)
+    for edge, opens in placements:
         counter[0] += 1
         if counter[0] > query.budget:
             raise BudgetExceededError(
                 f"unknown within budget: {query.budget} edge placements "
                 f"exhausted at r={query.r}, m={query.m}, k={k}"
             )
-        edge = tuple(p * k + v for p, v in zip(parts, combo))
         # patterns are monotone under edge addition, so a hit here
         # rules out the entire subtree
         if state.closes(edge):
             continue
-        marks = [p for p, v in zip(parts, combo) if v == used[p]]
-        for p in marks:
+        for p in opens:
             used[p] += 1
         state.add(edge)
-        witness = _assign(query, k, part_tuples, state, used, counter, idx + 1)
+        witness = _assign(query, k, part_tuples, tables, state, used, counter, idx + 1)
         if witness is not None:
             return witness
         state.pop()
-        for p in marks:
+        for p in opens:
             used[p] -= 1
     return None
 

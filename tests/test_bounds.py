@@ -114,6 +114,22 @@ def test_min_k_lower_relaxed_variant():
         assert min_k_lower_relaxed(r, m, env) <= min_k_lower(r, m, env)
 
 
+def test_min_k_lower_relaxed_shortcut_keeps_the_value():
+    # answering 1 from the binomial must agree with the relaxed count
+    # itself, which the shortcut no longer forms in those cases
+    rng = random.Random(4242)
+    ones = 0
+    for _ in range(60):
+        m = rng.choice([2, 3])
+        r = rng.randrange(m + 1, 60)
+        env = envelope(rng.choice([Fraction(1, 3), 1, 2, 5]),
+                       rng.choice([f for f in (Fraction(4, 3), Fraction(3, 2), 2, 3) if f <= m]), m=m)
+        relaxed = bounds._least_k(Fraction((r - m) ** m, math.factorial(m)), r, env)
+        assert min_k_lower_relaxed(r, m, env) == relaxed
+        ones += relaxed == 1 and min_k_lower(r, m, env) == 1
+    assert ones
+
+
 def test_min_k_lower_postcondition_exact():
     # Returned k satisfies the ceiling inequality and k-1 violates it.
     rng = random.Random(5151)

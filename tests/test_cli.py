@@ -337,6 +337,18 @@ def test_bound_out_of_range_exits_2_fast(argv, capsys):
     assert err.startswith("invalid parameters or input") and "Traceback" not in err
 
 
+def test_bound_lower_relaxed_of_one_is_fast(capsys):
+    # C(r, m) = r fits the ceiling at k = 1, so the relaxed count
+    # 1^m / m! (with m! of millions of digits) is never formed
+    start = time.perf_counter()
+    assert cli.main(["bound", "--lower", "--r", "1000001", "--m", "1000000", "--C", "1", "--e", "2"]) == 0
+    assert time.perf_counter() - start < 1.0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["value"], doc["relaxed"]["value"]) == ("1", "1")
+    assert doc["provenance"]["payload_sha256"] == \
+        "ccbeac857a9658add972cf8f64ce16d40dd2c1a370154fc4d52fddb9a7c41766"
+
+
 def test_bound_k2d_and_table(capsys):
     assert cli.main(["bound", "--k2d", "--d", "12"]) == 0
     doc = json.loads(capsys.readouterr().out)

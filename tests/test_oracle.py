@@ -7,8 +7,16 @@ from fractions import Fraction
 import pytest
 
 from splitforge.bounds import TuranEnvelope, min_k_lower
-from splitforge.forbidden import ForbiddenPattern, check_pattern, contains_cycle, parse_pattern
-from splitforge.oracle import OracleQuery, OracleResult, _PatternState, _route, exact_f
+from splitforge.forbidden import ForbiddenPattern, _paths_by_end, check_pattern, contains_cycle, parse_pattern
+from splitforge.oracle import (
+    OracleQuery,
+    OracleResult,
+    _PatternState,
+    _placements,
+    _reaches,
+    _route,
+    exact_f,
+)
 from splitforge.structures import (
     BudgetExceededError,
     LabeledHypergraph,
@@ -215,3 +223,48 @@ def test_incremental_state_agrees_with_the_full_deciders(m, spec):
     for _ in range(12):
         seen += _state_cross_check(rng, m, pattern, rng.randrange(6, 13), 60)
     assert set(seen) == {True, False}
+
+
+def _random_neighbour_lists(rng, n, m, p):
+    """Ascending neighbour lists of a random graph on n vertices (m = 2),
+    or the vertex-edge incidence lists of a random m-uniform hypergraph
+    laid out as `_PatternState.nb` lays them out (m >= 3)."""
+    edges = [e for e in itertools.combinations(range(n), m) if rng.random() < p]
+    rng.shuffle(edges)
+    state = _PatternState(m, range(n), [])
+    for e in edges:
+        state.add(e)
+    return state.nb
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_reaches_agrees_with_the_bucketed_paths(m):
+    # `_paths_by_end` lists every path, so it is the test oracle for the
+    # early-exit query on every length and target set
+    rng = random.Random(f"reaches:{m}")
+    seen = set()
+    for _ in range(40):
+        n = rng.randrange(3, 10)
+        nb = _random_neighbour_lists(rng, n, m, rng.choice([0.15, 0.3, 0.5]))
+        for length in range(1, 7):
+            root = rng.randrange(len(nb))
+            ends = _paths_by_end(nb, root, length, -1)
+            for targets in (tuple(rng.sample(range(len(nb)), rng.randrange(1, 4))), (root,)):
+                want = any(t in ends for t in targets)
+                assert _reaches(nb, root, length, targets) == want, (nb, root, length, targets)
+                seen.add(want)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_placement_tables_keep_the_product_order(m, k):
+    # every `used` state a part tuple can meet, against the product the
+    # search used to rebuild at each node
+    parts = tuple(range(1, 2 * m, 2))
+    for used in itertools.product(range(k + 1), repeat=m):
+        old = []
+        for combo in itertools.product(*(range(min(u + 1, k)) for u in used)):
+            edge = tuple(p * k + v for p, v in zip(parts, combo))
+            old.append((edge, tuple(p for p, v, u in zip(parts, combo, used) if v == u)))
+        assert _placements(parts, used, k) == old
