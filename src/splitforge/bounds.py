@@ -77,12 +77,26 @@ class TuranEnvelope:
 
 
 def _ceiling_holds(required: Fraction, env: TuranEnvelope, n_vertices: int) -> bool:
-    # required <= C * n^e with fractional e, decided exactly by raising
-    # both positive sides to the denominator of e.
+    """Whether required <= C * n**e, decided exactly.
+
+    With ratio = a/b = required / C and e = en/ed, the question is
+    ed * log2(ratio) <= en * log2(n).  `math.log2` of an int x >= 1 is
+    within x's log2 * 2**-52 + 2**-50 of the truth (the int is rounded
+    to 53 bits, then the exponent added), and the products and the
+    difference add a few more roundings of that size, so when the two
+    sides differ by more than `slack`, 2**-40 times the sum of what each
+    log contributes, the floats decide.  Within it both positive sides
+    are raised to ed, exactly.
+    """
     ratio = required / env.C
     if ratio <= 0:
         return True
     en, ed = env.e.numerator, env.e.denominator
+    la, lb, ln = (math.log2(x) for x in (ratio.numerator, ratio.denominator, n_vertices))
+    gap = en * ln - ed * (la - lb)
+    slack = 2.0 ** -40 * (ed * (la + lb + 2) + en * (ln + 1))
+    if abs(gap) > slack:
+        return gap > 0
     return ratio**ed <= Fraction(n_vertices) ** en
 
 

@@ -115,7 +115,7 @@ def _emit(payload: dict, manifest: dict, out: str | None) -> None:
         _write_atomic(out, text)
 
 
-def _load_doc(path: str, inputs: dict, cls):
+def _load(path: str, inputs: dict, cls):
     """Read a JSON document as `cls` and record its digest in `inputs`;
     returns the object and the parsed document."""
     raw = Path(path).read_bytes()
@@ -125,11 +125,6 @@ def _load_doc(path: str, inputs: dict, cls):
         return cls.from_json_dict(doc), doc
     except ValueError as exc:  # also bad UTF-8 and bad JSON
         raise ValueError(f"{path}: {exc}") from None
-
-
-def _load(path: str, inputs: dict, cls):
-    """Read a JSON document as `cls` and record its digest in `inputs`."""
-    return _load_doc(path, inputs, cls)[0]
 
 
 class _Run:
@@ -242,8 +237,8 @@ def _cmd_construct(args, run) -> int:
 
 
 def _cmd_verify(args, run) -> int:
-    G, doc = _load_doc(args.graph, run.inputs, LabeledHypergraph)
-    P = _load(args.partition, run.inputs, SplitPartition)
+    G, doc = _load(args.graph, run.inputs, LabeledHypergraph)
+    P, _ = _load(args.partition, run.inputs, SplitPartition)
     run.params = {"forbid": list(args.forbid or [])}
     patterns = [parse_pattern(text) for text in args.forbid or []]
     report = verify_rk(G, P)
@@ -273,7 +268,7 @@ def _cmd_verify(args, run) -> int:
 
 
 def _cmd_spectrum(args, run) -> int:
-    G = _load(args.graph, run.inputs, LabeledHypergraph)
+    G, _ = _load(args.graph, run.inputs, LabeledHypergraph)
     s = spectrum(G)
     payload = dict(asdict(s), rho1=s.rho1, rho2=s.rho2, rho_n=s.rho_n)
     if s.eigenvalues is None:
@@ -285,7 +280,7 @@ def _cmd_spectrum(args, run) -> int:
 
 
 def _cmd_mixing(args, run) -> int:
-    G = _load(args.graph, run.inputs, LabeledHypergraph)
+    G, _ = _load(args.graph, run.inputs, LabeledHypergraph)
     U = _ints(args.U)
     W = _ints(args.W)
     run.params = {"U": U, "W": W, "mode": args.mode}
@@ -416,7 +411,7 @@ def _cmd_oracle(args, run) -> int:
 
 
 def _cmd_partition_greedy(args, run) -> int:
-    G = _load(args.graph, run.inputs, LabeledHypergraph)
+    G, _ = _load(args.graph, run.inputs, LabeledHypergraph)
     H = parse_pattern(args.forbid)
     sizes = {}
     if args.seed_size is not None:

@@ -16,8 +16,8 @@ with vertices given as integer indices into the host graph. Witnesses
 are re-checked edge by edge against the host before being returned;
 `None` means the pattern is absent, never "gave up". On hosts of
 `_KERNEL_EDGES` edges or more, exact int64 walk counts on the adjacency
-or incidence matrix may prove a pattern absent or skip pairs that cannot
-hold it; they never pick a witness.
+or incidence matrix may prove a pattern absent; they never pick a
+witness.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ _ROWS = 256
 #   W_1(8) (512) 1.27 / 2.76; on edge samples of W_2(5) up to 320 edges
 #   the search leads;
 # - C_6: W_2(4) 2.27 / 1.71 ms, W_2(5) (625) 3.14 / 6.04;
-# - theta_{3,4}: BFS balls of theta(9) 3.0 / 12.8 ms at 135 edges, its
-#   sparse edge samples 4.1 / 2.2 ms at 600.
+# - theta_{3,4}: BFS balls of theta(9) 1.5 / 7.1 ms at 135 edges, its
+#   sparse edge samples (vertices renumbered) 3.9 / 1.8 ms at 600.
 # A host that holds the pattern pays the kernel on top of the search.
 _KERNEL_EDGES = 256
 
@@ -202,20 +202,18 @@ def _paths_by_end(adj, root: int, length: int, floor: int) -> dict:
 
 
 def _walk_blocks(A, rows, k: int):
-    """Yield (j, row_of, walks) for j = 2..k in each block of `_ROWS`
-    rows of the int64 index array `rows` of the symmetric 0/1 int64 CSR
-    matrix A: `walks` holds those rows of the non-backtracking walk
-    counts A_j in int64 CSR and `row_of` the host row of each of its
-    entries.
+    """Yield (row_of, walks) for each block of `_ROWS` rows of the int64
+    index array `rows` of the symmetric 0/1 int64 CSR matrix A: `walks`
+    holds those rows of the non-backtracking walk counts A_k in int64
+    CSR and `row_of` the host row of each of its entries.
 
     The counts follow A_1 = A, A_2 = A^2 - D and
     A_j = A_{j-1} A - A_{j-2} (D - I), with D the degree matrix of A,
     the last as one product of the block pair [A_{j-1} A_{j-2}] with
     the stacked [A; I - D], so no full product is formed.  A block's
     rows of A_j need only the same rows of A_{j-1} and A_{j-2}, so any
-    set of rows can be scanned alone.  Blocks go in the order of `rows`
-    and j ascends within a block; a block's A_j is formed only when the
-    consumer asks for it.
+    set of rows can be scanned alone.  Blocks go in the order of `rows`,
+    and a block is formed only when the consumer asks for it.
     """
     deg = np.diff(A.indptr)
     if k > 2:
@@ -225,32 +223,36 @@ def _walk_blocks(A, rows, k: int):
         older = A[block]
         D = sparse.csr_matrix((deg[block], block, np.arange(len(block) + 1)), shape=older.shape)
         walks = older @ A - D
-        for j in range(2, k + 1):
-            if j > 2:
-                older, walks = walks, sparse.hstack([walks, older], format="csr") @ step
-            yield j, np.repeat(block, np.diff(walks.indptr)), walks
+        for _ in range(k - 2):
+            older, walks = walks, sparse.hstack([walks, older], format="csr") @ step
+        yield np.repeat(block, np.diff(walks.indptr)), walks
 
 
-def _walk_counts_reach(A, rows, k: int, threshold: int):
-    """Least j in 2..k at which an off-diagonal non-backtracking walk
-    count A_j[u, w], u != w, u in the int64 index array `rows`, reaches
-    `threshold`; None if none does.  The blocks of `_walk_blocks` go in
-    order, so the search stops in the first block where some entry
-    reaches the threshold."""
-    return next((j for j, row_of, walks in _walk_blocks(A, rows, k)
-                 if np.any((walks.data >= threshold) & (walks.indices != row_of))), None)
+def _walk_counts_reach(A, rows, k: int, threshold: int) -> bool:
+    """Whether an off-diagonal non-backtracking walk count A_k[u, w],
+    u != w, u in the int64 index array `rows`, reaches `threshold`.  The
+    blocks of `_walk_blocks` go in order, and the scan stops at the first
+    block where some entry reaches it."""
+    return any(np.any((walks.data >= threshold) & (walks.indices != row_of))
+               for row_of, walks in _walk_blocks(A, rows, k))
 
 
-def _counts_exact(A) -> bool:
-    """True when the int64 walk counts of `_walk_blocks` on the 0/1
-    matrix A are exact: its maximum degree D has D**4 < 2**63 (on the
+def _counts_exact(A, k: int) -> bool:
+    """True when the int64 counts `_walk_blocks` forms for A_k on the 0/1
+    matrix A are exact: its maximum degree D has D**k < 2**63 (on the
     incidence matrix of an m-uniform host D is max(vertex degree, m)).
-    Every count of at most 4 steps, and every partial sum of
-    `contains_theta`'s pair filter, is then at most D**4 in absolute
-    value; `_walk_counts_reach` stops one step past the first block
-    whose off-diagonal counts reach its threshold, so every longer count
-    it forms is at most about D * D * threshold."""
-    return int(np.diff(A.indptr).max()) ** 4 < 2 ** 63
+
+    Row u of A_j (j <= k) counts the non-backtracking walks of j steps
+    out of u, at most D * (D - 1)**(j - 1) <= D**j in all.  A_2's entries
+    are sums of at most D ones, less the degree.  For j >= 3 the entry
+    A_j[u, w] is summed from the terms A_{j-1}[u, t] over the neighbours
+    t of w, whose total is at most row u's sum of A_{j-1}, so at most
+    D**(j - 1), and the one term A_{j-2}[u, w] * (1 - deg w), at most
+    D**(j - 2) * D in absolute value.  So every product and every partial
+    sum the recurrence forms lies within 2 * D**(j - 1) <= D**k for D >= 2
+    (and within 2 for D <= 1), below 2**63.
+    """
+    return int(np.diff(A.indptr).max()) ** k < 2 ** 63
 
 
 def _pack_disjoint(paths, K: int):
@@ -472,16 +474,14 @@ def contains_theta(G: LabeledHypergraph, K: int, length: int):
     `length` edges between two common endpoints.
 
     K = 2 delegates to `contains_cycle` (the pattern is a 2*length
-    cycle). Otherwise pairs u < v go in row-major order, with one
-    `_paths_by_end` search per root u, and the first pair whose u-v
-    paths hold K with disjoint interiors gives the witness. For
-    length <= 4 on hosts of `_KERNEL_EDGES` edges or more, only pairs
-    with A_length[u, v] >= K in the walk counts of `_walk_blocks` are
-    tried: every path is a non-backtracking walk (the counts are exact
-    for length <= 3, and for length 4 on bipartite hosts), so the
-    filter never changes the witness. For length >= 5, on smaller hosts,
-    and where `_counts_exact` fails, every root is searched
-    (`_theta_generic`).
+    cycle). For length <= 4 on hosts of `_KERNEL_EDGES` edges or more,
+    the pattern is first put to the walk count test of `orbit_test` by
+    `rows_prove_absent`; when it proves the host free None is returned
+    at once. Otherwise, and for length >= 5 and on smaller hosts, the
+    ordered search (`_theta_generic`) decides and gives the witness:
+    pairs u < v go in row-major order, with one `_paths_by_end` search
+    per root u, and the first pair whose u-v paths hold K with disjoint
+    interiors is returned.
     """
     _require_graph(G)
     if K < 2 or length < 2:
@@ -492,20 +492,9 @@ def contains_theta(G: LabeledHypergraph, K: int, length: int):
         if w is None:
             return None
         return {"pattern": pat, "vertices": w["vertices"], "edges": w["edges"]}
-    if length > 4 or len(G.edge_array) < _KERNEL_EDGES or not _counts_exact(G.csr):
-        return _theta_generic(G, K, length, pat)
-    root = None
-    for j, row_of, walks in _walk_blocks(G.csr, np.arange(G.n), length):
-        if j < length:
-            continue
-        keep = (walks.data >= K) & (walks.indices > row_of)
-        for u, v in sorted(zip(row_of[keep].tolist(), walks.indices[keep].tolist())):
-            if u != root:
-                root, buckets = u, _paths_by_end(G.adj, u, length, -1)
-            chosen = _pack_disjoint(buckets.get(v, []), K)
-            if chosen is not None:
-                return _theta_witness(G, pat, u, v, chosen)
-    return None
+    if len(G.edge_array) >= _KERNEL_EDGES and rows_prove_absent(G, np.arange(G.n), pat):
+        return None
+    return _theta_generic(G, K, length, pat)
 
 
 def _theta_generic(G, K, length, pat):
@@ -694,11 +683,12 @@ def check_pattern(G: LabeledHypergraph, pattern):
 def orbit_test(pattern):
     """The walk counts that prove `pattern` absent, from every row in the
     deciders and from one row per vertex orbit in `verify`'s orbit route
-    (`rows_prove_absent` runs them): (k, threshold) when every copy of
-    the pattern, at each of its vertices u (for K_{2,t}, at each hub;
-    for a theta, at each end), puts an off-diagonal count of at least
-    `threshold` into row u of the non-backtracking walk counts A_k; None
-    for other patterns.
+    (`rows_prove_absent` runs them on A_k alone): (k, threshold) when
+    every copy of the pattern, at each of its vertices u (for K_{2,t}, at
+    each hub; for a theta, at each end), puts an off-diagonal count of at
+    least `threshold` into row u of the non-backtracking walk counts A_k,
+    since distinct paths of k edges are distinct such walks; None for
+    other patterns.
 
     - C_{2k}, k >= 2, and theta_{2,k}: A_k, threshold 2 (u and the vertex
       opposite it are joined by two paths of k edges);
@@ -707,12 +697,13 @@ def orbit_test(pattern):
     - bergeC_l: A_l of the vertex-edge incidence graph, threshold 2 (the
       cycle is a C_{2l} there, through each of its core vertices).
 
-    An automorphism s keeps the counts, A_j[s u, s w] = A_j[u, w], and
+    An automorphism s keeps the counts, A_k[s u, s w] = A_k[u, w], and
     maps a copy at u to a copy at s u, so a host whose orbit
-    representatives' rows stay below the threshold holds no copy, and
-    neither does any edge-subgraph of it.  A vertex permutation that
-    maps a hypergraph's edges to edges moves the incidence graph's edge
-    nodes with them, so one vertex row per orbit serves Berge cycles too.
+    representatives' rows of A_k stay below the threshold holds no
+    copy, and neither does any edge-subgraph of it.  A vertex
+    permutation that maps a hypergraph's edges to edges moves the
+    incidence graph's edge nodes with them, so one vertex row per orbit
+    serves Berge cycles too.
     """
     if isinstance(pattern, str):
         pattern = parse_pattern(pattern)
@@ -733,17 +724,17 @@ def orbit_test(pattern):
 def rows_prove_absent(H: LabeledHypergraph, rows, pattern) -> bool:
     """True when the walk counts of `orbit_test` prove `pattern` (a
     ForbiddenPattern or pattern string) absent from H: for its
-    (k, threshold), no off-diagonal count of A_j, j up to k, in the rows
-    `rows` (an int64 index array of vertices) of H's adjacency matrix
-    (``csr``, m = 2) or vertex-edge incidence matrix (``incidence``,
-    m >= 3) reaches the threshold.  The deciders pass every vertex and
-    `verify`'s orbit route one vertex per orbit.  False on a hit, for a
-    pattern with no orbit test or of the other uniformity (a Berge cycle
-    on a graph, a graph pattern on a hypergraph), and where
-    `_counts_exact` fails."""
+    (k, threshold), no off-diagonal count of A_k in the rows `rows` (an
+    int64 index array of vertices) of H's adjacency matrix (``csr``,
+    m = 2) or vertex-edge incidence matrix (``incidence``, m >= 3)
+    reaches the threshold.  The deciders pass every vertex and `verify`'s
+    orbit route one vertex per orbit.  False on a hit, for a pattern with
+    no orbit test or of the other uniformity (a Berge cycle on a graph, a
+    graph pattern on a hypergraph), and where `_counts_exact` fails for
+    A_k."""
     pattern = parse_pattern(pattern) if isinstance(pattern, str) else pattern
     test = orbit_test(pattern)
     if test is None or (pattern.kind == "berge_cycle") != (H.m > 2):
         return False
     A = H.csr if H.m == 2 else H.incidence
-    return _counts_exact(A) and _walk_counts_reach(A, rows, *test) is None
+    return _counts_exact(A, test[0]) and not _walk_counts_reach(A, rows, *test)

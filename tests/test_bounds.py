@@ -355,6 +355,51 @@ def test_least_k_without_a_feasible_k_is_a_value_error():
         min_k_lower(10**10, 3, envelope(1, "101/100", m=3))
 
 
+def test_ceiling_holds_matches_the_exact_comparison():
+    # seeded envelopes with denominators up to 1000: the log2 comparison
+    # never changes a verdict of the exact power comparison, on random
+    # counts and at exact equalities C * 3**en = required on n = 3**ed
+    # vertices (rounded logs) and a hair to either side of them, which
+    # it must leave to the powers
+    rng = random.Random(6317)
+    verdicts = Counter()
+    cases = []
+    for _ in range(150):
+        m = rng.randrange(2, 5)
+        ed = rng.randrange(1, 1001)
+        env = envelope(Fraction(rng.randrange(1, 40), rng.randrange(1, 40)),
+                       Fraction(rng.randrange(ed + 1, m * ed + 1), ed), m=m)
+        cases.append(("random", env, Fraction(rng.randrange(1, 10 ** rng.randrange(1, 60))),
+                      rng.randrange(m + 1, 10 ** 6)))
+    for e in ("3/2", "8/7", "53/40", "401/300", "1001/1000"):
+        env = envelope(Fraction(rng.randrange(1, 40), rng.randrange(1, 40)), e)
+        en, ed = env.e.numerator, env.e.denominator
+        exact = env.C * 3 ** en
+        cases += [("equal", env, exact, 3 ** ed), ("near", env, exact + Fraction(1, 10 ** 9), 3 ** ed),
+                  ("near", env, exact, 3 ** ed - 1)]
+    for kind, env, required, n_vertices in cases:
+        want = edge_ceiling_ok(required, env, n_vertices)
+        assert bounds._ceiling_holds(required, env, n_vertices) is want
+        verdicts[kind, want] += 1
+    assert verdicts == {("equal", True): 5, ("near", False): 10,
+                        ("random", True): verdicts["random", True],
+                        ("random", False): verdicts["random", False]}
+    assert min(verdicts["random", True], verdicts["random", False]) > 25
+
+
+def test_large_denominator_envelope_is_fast_and_exact():
+    # (r k)**(64537/1000) against C(2000, 1000): the exact powers at each
+    # doubling and bisection step took seconds; the log2 comparison
+    # answers at once, and the exact check confirms k and k - 1
+    env = envelope(1, "64537/1000", m=1000)
+    start = time.perf_counter()
+    k = min_k_lower(2000, 1000, env)
+    assert time.perf_counter() - start < 1.0
+    required = Fraction(math.comb(2000, 1000))
+    assert edge_ceiling_ok(required, env, 2000 * k)
+    assert not edge_ceiling_ok(required, env, 2000 * (k - 1))
+
+
 # ---------------------------------------------------------------------------
 # k2d_upper_coeff and small_d_table
 

@@ -328,6 +328,8 @@ def test_bound_admissible(capsys):
     ["--tree", "--r", str(2**1024 + 1), "--t", "2"],  # formed, then too large for a float
     ["--lower", "--r", "1000000", "--m", "500000", "--C", "1", "--e", "2"],
     ["--lower", "--r", "10000000", "--m", "5000000", "--C", "1", "--e", "2"],
+    # no k below 2^60 fits, found by log2 comparisons, not powers of the count
+    ["--lower", "--r", "100000", "--m", "50000", "--C", "1", "--e", "1000001/1000"],
 ])
 def test_bound_out_of_range_exits_2_fast(argv, capsys):
     start = time.perf_counter()

@@ -365,24 +365,18 @@ def naive_nb_walks(G, u, j):
     return counts
 
 
-def first_reach(walks, n, rows, k, threshold):
-    # `_walk_counts_reach` from enumerated walks: the first block of
-    # `rows` of the n rows, then the least j, with an off-diagonal count
-    # reaching the threshold
-    for lo in range(0, n, rows):
-        block = range(lo, min(lo + rows, n))
-        want = next((j for j in range(2, k + 1) if any(
-            c >= threshold for u in block
-            for w, c in walks[u, j].items() if w != u)), None)
-        if want is not None:
-            return want
-    return None
+def reaches_at_k(walks, n, k, threshold):
+    # `_walk_counts_reach` from enumerated walks: whether an off-diagonal
+    # count of A_k alone, in any of the n rows, reaches the threshold
+    return any(c >= threshold for u in range(n)
+               for w, c in walks[u, k].items() if w != u)
 
 
 @pytest.mark.parametrize("rows", [256, 3])
 def test_walk_counts_reach_matches_enumerated_walks(monkeypatch, rows):
-    # the kernel's answer, block by block, from walks enumerated one by
-    # one; three-row blocks make every host span several blocks
+    # the kernel's answer from walks enumerated one by one; three-row
+    # blocks make every host span several blocks; a count of a shorter
+    # walk that reaches the threshold, with A_k's below it, is no hit
     monkeypatch.setattr(forbidden, "_ROWS", rows)
     rng = random.Random(7)
     answers = set()
@@ -390,10 +384,34 @@ def test_walk_counts_reach_matches_enumerated_walks(monkeypatch, rows):
         G = random_graph(rng, rng.randrange(2, 13), rng.choice((0.15, 0.3, 0.5)))
         walks = {(u, j): naive_nb_walks(G, u, j) for u in range(G.n) for j in (2, 3, 4)}
         for k, threshold in ((2, 1), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3), (4, 5)):
-            want = first_reach(walks, G.n, rows, k, threshold)
-            assert forbidden._walk_counts_reach(G.csr, np.arange(G.n), k, threshold) == want
-            answers.add(want)
-    assert answers == {None, 2, 3, 4}
+            want = reaches_at_k(walks, G.n, k, threshold)
+            assert forbidden._walk_counts_reach(G.csr, np.arange(G.n), k, threshold) is want
+            shorter = any(reaches_at_k(walks, G.n, j, threshold) for j in range(2, k))
+            answers.add((want, shorter))
+    assert answers == {(want, shorter) for want in (True, False) for shorter in (True, False)}
+
+
+def test_walk_counts_exact_up_to_the_kth_power_bound():
+    # K_{234,234} has D = 234, D**8 < 2**63 <= D**9; a row of its A_8
+    # sums to 234 * 233**7, within 7% of 2**63, and every count matches
+    # the Python-int counts of the three classes (u itself, its own
+    # side, the other side)
+    D, k = 234, 8
+    G = complete_bipartite(D, D)
+    assert forbidden._counts_exact(G.csr, k) and not forbidden._counts_exact(G.csr, k + 1)
+    classes = [(1, 0, 0), (0, 0, 1), (0, D, 0)]  # (a, b, c) of A_0, A_1, A_2
+    for _ in range(3, k + 1):
+        (a2, b2, c2), (a1, b1, c1) = classes[-2:]
+        classes.append((D * c1 - (D - 1) * a2, D * c1 - (D - 1) * b2,
+                        a1 + (D - 1) * b1 - (D - 1) * c2))
+    a, b, c = classes[k]
+    assert a + (D - 1) * b + D * c == D * (D - 1) ** (k - 1) > 2 ** 63 * 0.93
+    side = np.arange(G.n) < D
+    for row_of, walks in forbidden._walk_blocks(G.csr, np.arange(G.n), k):
+        for u, row in zip(np.unique(row_of).tolist(), walks.toarray()):
+            want = np.where(side == side[u], b, c)
+            want[u] = a
+            assert row.tolist() == want.tolist()
 
 
 def within(adj, u, v, limit):
@@ -458,11 +476,11 @@ def test_walk_kernel_verdicts_match_ordered_search(monkeypatch):
                     assert got is None
                 else:
                     assert got == forbidden._finish_cycle(G, "C_{%d}" % L, ordered)
-            hit = forbidden._walk_counts_reach(G.csr, np.arange(G.n), L // 2, 2) is not None
+            hit = forbidden._walk_counts_reach(G.csr, np.arange(G.n), L // 2, 2)
             assert hit or ordered is None
             seen.add((L, hit, ordered is not None, G.colouring is not None))
         for t in (2, 3):
-            hit = forbidden._walk_counts_reach(G.csr, np.arange(G.n), 2, t) is not None
+            hit = forbidden._walk_counts_reach(G.csr, np.arange(G.n), 2, t)
             assert hit == (forbidden._codegree_scan(G.adj, t) is not None)
             seen.add((t, hit))
     assert seen >= {(L, hit, found, True) for L in (6, 8)
@@ -489,8 +507,9 @@ def test_walk_kernel_hosts_agree_with_networkx(monkeypatch):
 
 
 def test_deciders_above_the_cut_consult_the_one_proof(monkeypatch):
-    # K_{2,t}, even cycles from 6 and Berge cycles ask `rows_prove_absent`
-    # once, on every vertex row, the same proof the orbit route runs
+    # K_{2,t}, even cycles from 6, thetas of length up to 4 and Berge
+    # cycles ask `rows_prove_absent` once, on every vertex row, the same
+    # proof the orbit route runs; W_2(5) holds theta_{3,4}
     proof, calls = forbidden.rows_prove_absent, []
 
     def spy(H, rows, pattern):
@@ -505,6 +524,8 @@ def test_deciders_above_the_cut_consult_the_one_proof(monkeypatch):
                          (lambda: forbidden.contains_kst(G, 2, 3), "K_{2,3}"),
                          (lambda: forbidden.contains_cycle(G, 6), "C_6"),
                          (lambda: forbidden.contains_cycle(G, 8), "C_8"),
+                         (lambda: forbidden.contains_theta(G, 3, 4), "theta_{3,4}"),
+                         (lambda: forbidden.contains_theta(G, 3, 3), "theta_{3,3}"),
                          *((lambda L=L: forbidden.contains_berge_cycle(Hy, L), f"bergeC_{L}")
                            for L in (2, 3, 4))):
         calls.clear()
@@ -632,11 +653,12 @@ def path_counts(G, length):
 
 def test_theta_filter_keeps_the_generic_witness(monkeypatch):
     # random graphs and bipartite hosts of 6 to 22 vertices, the sides
-    # interleaved in index order; the walk-count filter skips only pairs
-    # with fewer than K paths, so contains_theta returns _theta_generic's
-    # witness, and its counts equal the path counts for length <= 3 and
-    # for length 4 on bipartite hosts; at the default cut every host here
-    # is below it and takes _theta_generic alone
+    # interleaved in index order; every pair with K paths has an A_length
+    # count of at least K, so the walk counts prove only free hosts free
+    # and contains_theta returns _theta_generic's witness; the counts
+    # equal the path counts for length <= 3 and for length 4 on
+    # bipartite hosts; at the default cut every host here is below it
+    # and takes _theta_generic alone
     rng = random.Random(7)
     seen = set()
     for i in range(60):
@@ -652,10 +674,9 @@ def test_theta_filter_keeps_the_generic_witness(monkeypatch):
         for ell in (2, 3, 4):
             paths = path_counts(G, ell)
             walks = {}
-            for j, row_of, block in forbidden._walk_blocks(G.csr, np.arange(G.n), ell):
-                if j == ell:
-                    walks.update(((int(u), int(v)), int(c)) for u, v, c in
-                                 zip(row_of, block.indices, block.data) if v > u and c)
+            for row_of, block in forbidden._walk_blocks(G.csr, np.arange(G.n), ell):
+                walks.update(((int(u), int(v)), int(c)) for u, v, c in
+                             zip(row_of, block.indices, block.data) if v > u and c)
             if ell <= 3 or G.colouring is not None:
                 assert walks == paths
             for K in (3, 4):
@@ -671,16 +692,25 @@ def test_theta_filter_keeps_the_generic_witness(monkeypatch):
 
 def test_theta4_high_degree_host_takes_exact_filter(monkeypatch):
     # a star K_{1,300} has maximum degree 300, so its 4-walk counts are
-    # far from int64's limit (D**4 < 2**63); the bipartite host must
-    # still be decided by the exact filter, never by the generic search
+    # far from int64's limit (D**4 < 2**63); the free bipartite hosts
+    # must be proved free by the walk counts, never by the generic
+    # search; with a disjoint K_{2,3}, A_2 reaches 3 and A_4 does not, so
+    # only a proof that reads A_4 alone decides it
+    star = [(0, leaf) for leaf in range(1, 301)]
+    k23 = [(301 + h, 303 + leaf) for h in range(2) for leaf in range(3)]
+    with_k23 = graph(306, star + k23)
+    every = np.arange(with_k23.n)
+    assert forbidden._walk_counts_reach(with_k23.csr, every, 2, 3)
+    assert not forbidden._walk_counts_reach(with_k23.csr, every, 4, 3)
     reference = forbidden._theta_generic
 
     def no_generic(*args):
-        raise AssertionError("bipartite length-4 query reached _theta_generic")
+        raise AssertionError("free bipartite length-4 query reached _theta_generic")
 
     monkeypatch.setattr(forbidden, "_theta_generic", no_generic)
-    star = [(0, leaf) for leaf in range(1, 301)]
     assert forbidden.contains_theta(graph(301, star), 3, 4) is None
+    assert forbidden.contains_theta(with_k23, 3, 4) is None
+    monkeypatch.setattr(forbidden, "_theta_generic", reference)
     theta = theta_graph(3, 4)
     G = graph(301 + theta.n, star + [(301 + a, 301 + b) for a, b in theta.edges])
     w = forbidden.contains_theta(G, 3, 4)
@@ -692,7 +722,7 @@ def test_theta4_high_degree_host_takes_exact_filter(monkeypatch):
 
 def test_theta4_without_candidates_builds_no_neighbour_lists():
     # every pair of C_300, and of the odd cycle C_301, has at most two
-    # non-backtracking 4-walks, so the exact filter hands no pair on and
+    # non-backtracking 4-walks, so the walk counts prove both free and
     # the path search never runs
     for G in (cycle_graph(300), cycle_graph(301)):
         assert forbidden.contains_theta(G, 3, 4) is None
@@ -781,13 +811,13 @@ def test_berge_walk_kernel_verdicts_match_ordered_search(monkeypatch, rows):
         walks = {(u, j): naive_nb_walks(inc, u, j) for u in range(Hy.n) for j in (2, 3, 4)}
         for L in (2, 3, 4):
             got = forbidden._walk_counts_reach(Hy.incidence, np.arange(Hy.n), L, 2)
-            assert got == first_reach(walks, Hy.n, rows, L, 2)
+            assert got is reaches_at_k(walks, Hy.n, L, 2)
             ordered = forbidden._berge_search(Hy, L)
-            if got is None:
+            if not got:
                 assert ordered is None and not naive_berge(Hy, L)
             if L == 2:
-                assert (got is not None) == (ordered is not None)
-            seen.add((L, got is not None, ordered is not None))
+                assert got == (ordered is not None)
+            seen.add((L, got, ordered is not None))
     assert seen == {(L, hit, found) for L in (2, 3, 4)
                     for hit, found in ((False, False), (True, False), (True, True))} - {(2, True, False)}
 
@@ -801,7 +831,7 @@ def test_berge_walk_kernel_agrees_with_networkx():
         for L in (2, 3, 4):
             want = any(len(c) == 2 * L for c in nx.simple_cycles(inc, length_bound=2 * L))
             assert (forbidden._berge_search(Hy, L) is not None) == want
-            assert want <= (forbidden._walk_counts_reach(Hy.incidence, np.arange(Hy.n), L, 2) is not None)
+            assert want <= forbidden._walk_counts_reach(Hy.incidence, np.arange(Hy.n), L, 2)
 
 
 def test_berge_cycles_are_incidence_graph_cycles(monkeypatch):
@@ -847,7 +877,7 @@ def test_berge_hits_above_the_cut_keep_the_ordered_witness():
     Hy = LabeledHypergraph(3, H.vertices, edges)
     assert len(Hy.edges) >= forbidden._KERNEL_EDGES
     for L in (2, 3, 4):
-        assert forbidden._walk_counts_reach(Hy.incidence, np.arange(Hy.n), L, 2) is not None
+        assert forbidden._walk_counts_reach(Hy.incidence, np.arange(Hy.n), L, 2)
         w = forbidden.contains_berge_cycle(Hy, L)
         assert w is not None and w == forbidden._berge_search(Hy, L)
         check_berge_witness(Hy, w, L)

@@ -76,7 +76,7 @@ def test_orbit_rows_agree_with_every_row(family, args):
     # the generators are automorphisms (orbit_representatives checks each),
     # their orbits are those of the generator graph, 2q for theta and
     # q + 1 for Wenger, and the representatives' rows give the kernel's
-    # answer on every row, the least j included
+    # answer on every row
     H, gens = host_and_gens(family, args)
     reps = structures.orbit_representatives(H, gens, family)
     q = args[-1]
@@ -86,8 +86,8 @@ def test_orbit_rows_agree_with_every_row(family, args):
     for spec in PATTERNS:
         k, threshold = forbidden.orbit_test(spec)
         want = forbidden._walk_counts_reach(A, every, k, threshold)
-        assert forbidden._walk_counts_reach(A, reps, k, threshold) == want
-        assert forbidden.rows_prove_absent(H, reps, spec) == (want is None)
+        assert forbidden._walk_counts_reach(A, reps, k, threshold) is want
+        assert forbidden.rows_prove_absent(H, reps, spec) is not want
 
 
 @pytest.mark.parametrize("host, args", [("wenger_host", (2, 3)), ("theta_host", (9,)),
@@ -340,7 +340,7 @@ def test_berge3_orbit_rows_agree_with_every_row(q):
     # the translations and the scaling are automorphisms, their orbits
     # are the two square classes of x2 - x1^2/2, and the two
     # representatives' rows of the incidence matrix give the kernel's
-    # answer on every vertex row, the least j included
+    # answer on every vertex row
     H, gens = constructions.berge3_host(q)
     reps = structures.orbit_representatives(H, gens, "berge3")
     assert len(reps) == 2
@@ -349,9 +349,9 @@ def test_berge3_orbit_rows_agree_with_every_row(q):
     for spec in BERGE_PATTERNS:
         k, threshold = forbidden.orbit_test(spec)
         want = forbidden._walk_counts_reach(H.incidence, every, k, threshold)
-        assert forbidden._walk_counts_reach(H.incidence, reps, k, threshold) == want
-        assert forbidden.rows_prove_absent(H, reps, spec) == (want is None)
-        assert (forbidden.contains_berge_cycle(H, k) is None) == (want is None)
+        assert forbidden._walk_counts_reach(H.incidence, reps, k, threshold) is want
+        assert forbidden.rows_prove_absent(H, reps, spec) is not want
+        assert (forbidden.contains_berge_cycle(H, k) is None) is not want
 
 
 @pytest.mark.parametrize("q", BERGE_QS)
