@@ -24,8 +24,11 @@ from splitforge.structures import LabeledHypergraph
 # even-characteristic Wenger splits, theta with its internal edges kept
 # and a greedy norm-quotient patch against K_{3,3}, two norm-quotient
 # splits over a proper subgroup (d > 1), the PG(2,4) and AG(2,4) designs,
-# berge3 over GF(27), W_2(8) and a t = 4 norm-quotient split, with their
-# payload sha256 for the graph and the partition document
+# berge3 over GF(27), W_2(8), a t = 4 norm-quotient split, an unseeded
+# norm-quotient split (psi takes the first a group labels), a greedy
+# norm-quotient patch over GF(25), a seeded W_4(3) and the trivial design
+# all-3-subsets(6,3), with their payload sha256 for the graph and the
+# partition document
 RECIPES = {
     "w2_3": (["wenger", "--M", "2", "--q", "3"],
             "e17cb8b592d24909c6cf79bb1d80dab8512929693ab38a8f3bfe4094f6b12914",
@@ -109,6 +112,21 @@ RECIPES = {
                  "--h", "2", "--a", "2", "--seed", "1"],
             "48c82ddf9c2decc9255d3276d201023fc1b1bcf082658806e2c79d34c3a4bf19",
             "44b9f05fb71993ed5b6db0d78749930dd51b77f6b6c1ea8f60e151422698c9ed"),
+    "nq_9_noseed": (["norm-quotient", "--q", "9", "--t", "2", "--d", "1",
+                     "--h", "4", "--a", "2"],
+            "769e6cf867f43825aeee8b0f64f4f0b196a4939773281bd2159b9be57340125e",
+            "72aef8d3e60b9deea5ccdd92dda082b980d9e20867e8d534c9e3cd8144b6968b"),
+    "nq_25_greedy": (["norm-quotient", "--q", "25", "--t", "2", "--d", "1",
+                      "--h", "6", "--a", "4", "--seed", "7",
+                      "--patch-strategy", "greedy_reuse"],
+            "f1fb14e970753ae63ef807aa385575c63a412971a0121bfddc4f29c47a5867f6",
+            "3ab3361a407efddd1b65442906e2f4879fdd34f76b225f78f7665232282fb0ff"),
+    "w4_3_seed5": (["wenger", "--M", "4", "--q", "3", "--seed", "5"],
+            "d5c7efe2cba1070da105ab5f9d5e6c7c87e17230edda8d03254e1dc7f4d527dd",
+            "78e444f1a30111ed4e871edba7c16d818901dde19483b5bc30d126cf9de776af"),
+    "all3_6": (["design", "--id", "all-3-subsets(6,3)"],
+            "f2c3f9c0b8ca40fecf37fbd57958938296d95a6123ca074d8009ca0f7b9fb42b",
+            "5609a919d7592abe8e4e0bfc17ffe2de88616740b5c746357e6ebe584a55075c"),
 }
 
 WITNESS_DIGEST = "5321f9bc661eb76aa5b717716224319bd5f985a62de51b62b6cd96a66a721576"
