@@ -223,8 +223,6 @@ def _construct_payloads(args):
 def _cmd_construct(args, run) -> int:
     params, G, P, extra = _construct_payloads(args)
     run.params = params
-    if args.partition and P is None:
-        raise ValueError(f"family {args.family} did not produce a partition")
     _emit(G.to_json_dict(), run.manifest(), args.out)
     if args.partition:
         payload = P.to_json_dict()
@@ -242,8 +240,6 @@ def _cmd_verify(args, run) -> int:
     run.params = {"forbid": list(args.forbid or [])}
     patterns = [parse_pattern(text) for text in args.forbid or []]
     report = verify_rk(G, P)
-    rep = report.to_json_dict()
-    rep.pop("wall_time", None)  # belongs in provenance, not the payload
     provenance = doc.get("provenance")
     params = provenance.get("params") if type(provenance) is dict else None
     # no host for patterns of the other uniformity: check_pattern refuses them
@@ -255,7 +251,7 @@ def _cmd_verify(args, run) -> int:
                 for pat, o in zip(patterns, orbit)]
     split_ok = report.completeness_ok and report.independence_ok
     found = any(f["witness"] is not None for f in findings)
-    payload = {"report": rep, "forbidden": findings, "ok": split_ok and not found}
+    payload = {"report": report.to_json_dict(), "forbidden": findings, "ok": split_ok and not found}
     _emit(payload, dict(run.manifest(), paths=paths), args.out)
     if not split_ok:
         return 3

@@ -28,15 +28,14 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass
 from itertools import chain, combinations, product
-from operator import itemgetter
 
 import numpy as np
 
 from . import forbidden
 from . import gf
-from .structures import LabeledHypergraph, SplitPartition, edge_codes, orbit_representatives, part_map
+from .structures import LabeledHypergraph, SplitPartition, edge_codes, orbit_representatives
 
 _PATCH_STRATEGIES = ("matching", "greedy_reuse")
 
@@ -57,15 +56,15 @@ class PatchStats:
     """
 
     strategy: str
-    deficient_pairs: int = 0
-    patched_pairs: int = 0
-    reused_pairs: int = 0
-    skipped_merged_pairs: int = 0
-    fresh_vertices: int = 0
-    patch_edges: int = 0
-    internal_edges_deleted: int = 0
-    max_patch_per_part: int = 0
-    warnings: list = dc_field(default_factory=list)
+    deficient_pairs: int
+    patched_pairs: int
+    reused_pairs: int
+    skipped_merged_pairs: int
+    fresh_vertices: int
+    patch_edges: int
+    internal_edges_deleted: int
+    max_patch_per_part: int
+    warnings: list
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -119,27 +118,32 @@ def _tables(F):
     return add, mul, np.array([F.neg(a) for a in els], dtype=np.int64)
 
 
-def _merge_groups(coords, off: int, key_p, key_l, seed: int | None = None) -> list:
-    """Parts of a point/line graph: point i and line off + i carry the
-    coordinates coords[i]; points are grouped by key_p, lines by key_l,
-    and the i-th point group merges with the i-th line group, both in
-    sorted key order, into part i.  ``seed`` shuffles the line keys."""
-    groups_p: dict = {}
-    groups_l: dict = {}
-    for idx, tp in enumerate(coords):
-        groups_p.setdefault(key_p(tp), []).append(idx)
-        groups_l.setdefault(key_l(tp), []).append(off + idx)
-    keys_l = sorted(groups_l)
+def _merge_groups(key_p, key_l, seed: int | None = None):
+    """The part of every vertex of a point/line graph, points first, as
+    an int64 array: points are grouped by their int keys key_p, lines by
+    key_l, and the i-th point group merges with the i-th line group, both
+    in ascending key order, into part i.  ``seed`` shuffles the line
+    groups."""
+    part_p = np.unique(key_p, return_inverse=True)[1]
+    keys_l, part_l = np.unique(key_l, return_inverse=True)
     if seed is not None:
-        random.Random(seed).shuffle(keys_l)
-    return [groups_p[kp] + groups_l[kl] for kp, kl in zip(sorted(groups_p), keys_l)]
+        order = list(range(len(keys_l)))
+        random.Random(seed).shuffle(order)
+        part_l = np.argsort(order)[part_l]
+    return np.concatenate([part_p, part_l])
 
 
-def _drop_internal(edges, parts, n: int):
+def _parts(part) -> list:
+    """The vertex lists, each ascending, of the parts 0, 1, ... that the
+    vertex-to-part array ``part`` names."""
+    order = np.argsort(part, kind="stable")
+    return [p.tolist() for p in np.split(order, np.flatnonzero(np.diff(part[order])) + 1)]
+
+
+def _drop_internal(edges, part):
     """The rows of the (E, 2) edge array, in order, whose two ends lie in
-    different parts; a vertex outside every part is a part of its own."""
-    ends = part_map(parts, n)[edges]
-    return edges[ends[:, 0] != ends[:, 1]]
+    different parts of the vertex-to-part array ``part``."""
+    return edges[part[edges[:, 0]] != part[edges[:, 1]]]
 
 
 def _translations(q: int, dim: int, moves) -> list:
@@ -169,8 +173,8 @@ def _translations(q: int, dim: int, moves) -> list:
 
 
 def _norm_quotient(q: int, t: int, d: int):
-    """Source field, coset count Q, labels and (E, 2) edge array of the
-    norm-quotient graph, unvalidated.
+    """The source field's negation vector, the coset count Q, and the
+    labels and (E, 2) edge array of the norm-quotient graph, unvalidated.
 
     The coset of N(z) is read from the source field's log table: with
     e = (q^(t-1) - 1)/(q - 1), N(z) = z^e, and under the embedding
@@ -195,13 +199,14 @@ def _norm_quotient(q: int, t: int, d: int):
     off = nside * Q
 
     # (x, y) row-major over the pairs with z = x + y != 0 (log[0] is None), then i
-    z = _tables(source)[0].ravel()
+    add, _, neg = _tables(source)
+    z = add.ravel()
     x, y = np.divmod(np.flatnonzero(z), nside)
     c = np.array([0, *source.log[1:]])[z[z != 0]] % Q
     i = np.arange(Q)
     pts = x[:, None] * Q + i
     lines = off + y[:, None] * Q + (c[:, None] - i) % Q
-    return source, Q, labels, np.stack([pts, lines], axis=-1).reshape(-1, 2)
+    return neg, Q, labels, np.stack([pts, lines], axis=-1).reshape(-1, 2)
 
 
 def build_norm_quotient(q: int, t: int, d: int = 1) -> LabeledHypergraph:
@@ -233,6 +238,45 @@ def _patch_graph_free(adj, u: int, v: int, t: int, count: int) -> bool:
     edges = [(index[x], index[y]) for x in near for y in adj[x] if x < y and y in index]
     local = LabeledHypergraph(2, near, edges + [(index[u], index[v])])
     return forbidden.contains_kst(local, t, count) is None
+
+
+def _patch_greedy(pairs, r: int, n0: int, t: int, count: int):
+    """One patch edge for each part pair of the (P, 2) array ``pairs``,
+    in order, that no earlier patch edge joins: between earlier patch
+    vertices of the two parts when the patch graph stays K_{t,count}-free,
+    else with one or two fresh ends.  Returns the (E, 2) patch edges and
+    the part of each fresh vertex n0, n0 + 1, ... in the order made."""
+    pool: list = [[] for _ in range(r)]  # patch vertices per part
+    adj: dict = {}  # patch vertex -> its patch neighbours
+    fresh: list = []
+    edges: list = []
+    covered: set = set()
+
+    def vertex(u, part: int) -> int:
+        if u is None:  # a fresh vertex in `part`
+            u = n0 + len(fresh)
+            fresh.append(part)
+            pool[part].append(u)
+            adj[u] = set()
+        return u
+
+    for pa, pb in pairs.tolist():
+        key = (min(pa, pb), max(pa, pb))
+        if key in covered:
+            continue
+        covered.add(key)
+        # existing patch vertices first, then one fresh end, then a fresh
+        # edge; an edge with a fresh end leaves that end at degree one and
+        # never closes a K_{t,count} (t >= 2, count >= 2: every vertex of
+        # one has degree >= 2), so it commits unchecked
+        cands = chain(product(pool[pa], pool[pb]), product(pool[pa], [None]), product([None], pool[pb]))
+        u, v = next(((u, v) for u, v in cands
+                     if u is None or v is None or _patch_graph_free(adj, u, v, t, count)), (None, None))
+        u, v = vertex(u, pa), vertex(v, pb)
+        edges.append((u, v))
+        adj[u].add(v)
+        adj[v].add(u)
+    return np.array(edges, dtype=np.int64).reshape(-1, 2), np.array(fresh, dtype=np.int64)
 
 
 def partition_norm_quotient(
@@ -268,7 +312,7 @@ def partition_norm_quotient(
     """
     if patch_strategy not in _PATCH_STRATEGIES:
         raise ValueError(f"unknown patch strategy {patch_strategy!r}")
-    source, Q, labels0, edges0 = _norm_quotient(q, t, d)
+    neg, Q, labels0, edges0 = _norm_quotient(q, t, d)
     if h < 1 or a < 1 or h * a != Q:
         raise ValueError(f"need h*a == (q-1)/d = {Q}, got {h}*{a}")
     if a > h:
@@ -281,131 +325,63 @@ def partition_norm_quotient(
             "this family is only established for even powers"
         )
 
-    nside = source.q
-    off = nside * Q
+    nside = len(neg)
+    r = nside * a
 
     # H is the order-h subgroup of Z_Q, the multiples of a, and A = [0, a)
     # a transversal: every index is uniquely eta + alpha, eta in H, alpha in A
     H_reps = range(0, Q, a)
-    if seed is None:
-        chosen = H_reps[:a]
-    else:
-        chosen = random.Random(seed).sample(H_reps, a)
-    # eta of a merged P-group -> alpha; the part over (element, alpha) is
-    # element * a + alpha
-    eta_alpha = dict(zip(chosen, range(a)))
-    r = nside * a
+    chosen = H_reps[:a] if seed is None else random.Random(seed).sample(H_reps, a)
+    # alpha of each index's merged P-group, -1 when the group is dropped;
+    # the part over (element, alpha) is element * a + alpha
+    alpha = np.full(h, -1, dtype=np.int64)
+    alpha[np.array(chosen) // a] = np.arange(a)
+    alpha = alpha[np.arange(Q) // a]
+    elem = np.arange(nside)[:, None] * a
+    part = np.concatenate([np.where(alpha >= 0, elem + alpha, -1).ravel(),
+                           (elem + np.arange(Q) % a).ravel()])
+    keep = part >= 0  # every L vertex, and the P vertices of merged groups
+    new_index = np.where(keep, np.cumsum(keep) - 1, -1)
+    labels = [labels0[v] for v in np.flatnonzero(keep).tolist()]
+    part = part[keep]
+    n0 = len(labels)
 
-    new_index = np.full(2 * off, -1, dtype=np.int64)  # -1: dropped P vertex
-    labels: list = []
-    part_vertices: list = [[] for _ in range(r)]
-    for x in range(nside):
-        for i in range(Q):
-            eta = i - i % a
-            if eta not in eta_alpha:
-                continue
-            new_index[x * Q + i] = len(labels)
-            part_vertices[x * a + eta_alpha[eta]].append(len(labels))
-            labels.append(labels0[x * Q + i])
-    for y in range(nside):
-        for j in range(Q):
-            new_index[off + y * Q + j] = len(labels)
-            part_vertices[y * a + j % a].append(len(labels))
-            labels.append(labels0[off + y * Q + j])
-
-    stats = PatchStats(strategy=patch_strategy, warnings=warnings)
     kept = new_index[edges0]
     kept = kept[kept[:, 0] >= 0]
-    edges = _drop_internal(kept, part_vertices, len(labels)).tolist()
-    stats.internal_edges_deleted = len(kept) - len(edges)
+    edges = _drop_internal(kept, part)
 
-    # deficient part pairs: kept P-group over x against L-group over -x
-    pair_list = []
-    for x in range(nside):
-        negx = source.neg(x)
-        for al in range(a):
-            for al2 in range(a):
-                stats.deficient_pairs += 1
-                pa = x * a + al
-                pb = negx * a + al2
-                if pa == pb:
-                    stats.skipped_merged_pairs += 1
-                    continue
-                pair_list.append((pa, pb))
-
-    t_count = math.factorial(t - 1) * d ** (t - 1) + 1
-    patch_count = [0] * r
-
-    def patch_matching() -> None:
-        for (pa, pb) in pair_list:
-            u = len(labels)
-            labels.append(f"patch:{stats.patched_pairs}:P")
-            v = len(labels)
-            labels.append(f"patch:{stats.patched_pairs}:L")
-            edges.append((u, v))
-            part_vertices[pa].append(u)
-            part_vertices[pb].append(v)
-            patch_count[pa] += 1
-            patch_count[pb] += 1
-            stats.patched_pairs += 1
-            stats.fresh_vertices += 2
-            stats.patch_edges += 1
-
-    def patch_greedy() -> None:
-        pool: list = [[] for _ in range(r)]  # patch vertices per part
-        adj: dict = {}  # patch vertex -> its patch neighbours
-        covered: set = set()
-
-        def fresh_vertex(part: int) -> int:
-            u = len(labels)
-            labels.append(f"patch:{stats.fresh_vertices}")
-            part_vertices[part].append(u)
-            pool[part].append(u)
-            patch_count[part] += 1
-            adj[u] = set()
-            stats.fresh_vertices += 1
-            return u
-
-        def try_commit(u, v, pa, pb) -> bool:
-            # u or v None asks for a fresh vertex on that side
-            if u is not None and v is not None and not _patch_graph_free(adj, u, v, t, t_count):
-                return False
-            gu = fresh_vertex(pa) if u is None else u
-            gv = fresh_vertex(pb) if v is None else v
-            edges.append((gu, gv))
-            adj[gu].add(gv)
-            adj[gv].add(gu)
-            stats.patched_pairs += 1
-            stats.patch_edges += 1
-            return True
-
-        for (pa, pb) in pair_list:
-            key = (min(pa, pb), max(pa, pb))
-            if key in covered:
-                stats.reused_pairs += 1
-                continue
-            # existing patch vertices first, then one fresh end, then a
-            # fresh edge; an edge with a fresh end leaves that end at
-            # degree one and never closes a K_{t,t_count} (t >= 2,
-            # t_count >= 2: every vertex of one has degree >= 2), so it
-            # commits unchecked and the last candidate always commits
-            cands = chain(product(pool[pa], pool[pb]), product(pool[pa], [None]),
-                          product([None], pool[pb]), [(None, None)])
-            if not any(try_commit(u, v, pa, pb) for u, v in cands):
-                raise RuntimeError(
-                    f"internal error: greedy patching could not certify pair {key}"
-                )
-            covered.add(key)
+    # deficient part pairs, in (x, alpha, alpha') order: the kept P-group
+    # over x against the L-group over -x; the pairs inside one part are skipped
+    al = np.arange(a)
+    pairs = np.stack(np.broadcast_arrays(elem[:, :, None] + al[:, None],
+                                         neg[:, None, None] * a + al), axis=-1).reshape(-1, 2)
+    deficient = len(pairs)
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
 
     if patch_strategy == "matching":
-        patch_matching()
+        patch = np.arange(n0, n0 + pairs.size).reshape(-1, 2)
+        fresh = pairs.ravel()
+        labels += [f"patch:{i}:{side}" for i in range(len(pairs)) for side in "PL"]
     else:
-        patch_greedy()
+        t_count = math.factorial(t - 1) * d ** (t - 1) + 1
+        patch, fresh = _patch_greedy(pairs, r, n0, t, t_count)
+        labels += [f"patch:{i}" for i in range(len(fresh))]
 
-    stats.max_patch_per_part = max(patch_count) if patch_count else 0
-    G = LabeledHypergraph(2, labels, edges)
-    k_eff = max(len(part) for part in part_vertices)
-    P = SplitPartition(part_vertices, k_eff)
+    part = np.concatenate([part, fresh])
+    stats = PatchStats(
+        strategy=patch_strategy,
+        deficient_pairs=deficient,
+        patched_pairs=len(patch),
+        reused_pairs=len(pairs) - len(patch),
+        skipped_merged_pairs=deficient - len(pairs),
+        fresh_vertices=len(fresh),
+        patch_edges=len(patch),
+        internal_edges_deleted=len(kept) - len(edges),
+        max_patch_per_part=int(np.bincount(fresh, minlength=r).max()),
+        warnings=warnings,
+    )
+    G = LabeledHypergraph(2, labels, np.concatenate([edges, patch]))
+    P = SplitPartition(_parts(part), int(np.bincount(part).max()))
     return G, P, stats
 
 
@@ -495,12 +471,12 @@ def partition_wenger(M: int, q: int, seed: int | None = None):
     if M not in _WENGER_FIXED:
         raise ValueError("partitioned variant needs M in {2, 4}")
     _, labels, edges = _wenger(M, q)
-    n = len(labels)
-    fixed_p, fixed_l = _WENGER_FIXED[M]
-    parts = _merge_groups(product(range(q), repeat=M + 1), n // 2,
-                          itemgetter(*fixed_p), itemgetter(*fixed_l), seed)
-    G2 = LabeledHypergraph(2, labels, _drop_internal(edges, parts, n))
-    P = SplitPartition(parts, 2 * q ** (M // 2))
+    coords = np.indices((q,) * (M + 1)).reshape(M + 1, -1)
+    key_p, key_l = (np.ravel_multi_index(coords[list(fixed)], (q,) * len(fixed))
+                    for fixed in _WENGER_FIXED[M])
+    part = _merge_groups(key_p, key_l, seed)
+    G2 = LabeledHypergraph(2, labels, _drop_internal(edges, part))
+    P = SplitPartition(_parts(part), 2 * q ** (M // 2))
     return G2, P
 
 
@@ -562,14 +538,14 @@ def build_theta(q: int, reduce_parts: bool = True):
     but parts keep one internal edge each.
     """
     F, _, labels, edges = _theta(q)
-    n4 = q ** 4
-    ab = _subfield_split(F)
-    parts = _merge_groups(product(range(q), repeat=4), n4, lambda c: (c[0], ab[c[2]][1], c[3]),
-                          lambda c: (c[0], c[1], ab[c[3]][0]))
+    A, B = np.array(_subfield_split(F)).T
+    c = np.indices((q,) * 4).reshape(4, -1)
+    part = _merge_groups(np.ravel_multi_index((c[0], B[c[2]], c[3]), (q,) * 3),
+                         np.ravel_multi_index((c[0], c[1], A[c[3]]), (q,) * 3))
     if reduce_parts:
-        edges = _drop_internal(edges, parts, 2 * n4)
+        edges = _drop_internal(edges, part)
     G = LabeledHypergraph(2, labels, edges)
-    P = SplitPartition(parts, 2 * q * F.p ** (F.n // 2))
+    P = SplitPartition(_parts(part), 2 * q * F.p ** (F.n // 2))
     return G, P
 
 
@@ -812,21 +788,13 @@ def build_design_split(design: DesignInstance, m: int):
     component at most once."""
     if m != design.m:
         raise ValueError(f"design covers {design.m}-subsets, requested m={m}")
-    labels = []
-    vidx: dict = {}
-    parts: list = [[] for _ in range(design.r)]
-    for j, block in enumerate(design.blocks):
-        for pt in block:
-            vidx[(pt, j)] = len(labels)
-            parts[pt].append(len(labels))
-            labels.append(f"D:{pt},b{j}")
-    edges = []
-    for j, block in enumerate(design.blocks):
-        for sub in combinations(block, m):
-            edges.append(tuple(vidx[(pt, j)] for pt in sub))
-    G = LabeledHypergraph(m, labels, edges)
-    k = math.comb(design.r - 1, m - 1) // math.comb(design.t - 1, m - 1)
-    P = SplitPartition(parts, k)
+    # vertex j t + i is the i-th point of block j
+    blocks, t = np.array(design.blocks), design.t
+    labels = [f"D:{pt},b{j}" for j, block in enumerate(design.blocks) for pt in block]
+    edges = (np.arange(len(blocks)) * t)[:, None, None] + np.array(list(combinations(range(t), m)))
+    G = LabeledHypergraph(m, labels, edges.reshape(-1, m))
+    k = math.comb(design.r - 1, m - 1) // math.comb(t - 1, m - 1)
+    P = SplitPartition(_parts(blocks.ravel()), k)
     return G, P
 
 

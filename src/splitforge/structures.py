@@ -10,7 +10,6 @@ parts there is an edge meeting each chosen part in exactly one vertex.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -274,7 +273,6 @@ class VerificationReport:
     missing_tuples: list
     independence_ok: bool
     forbidden_witness: dict | None = None
-    wall_time: float = 0.0
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -310,7 +308,6 @@ def verify_rk(G: LabeledHypergraph, P: SplitPartition) -> VerificationReport:
         uncovered part m-subsets, and the independence flag (no edge
         entirely inside one part).
     """
-    t0 = time.monotonic()
     r, m = P.r, G.m
     rows = np.sort(part_map(P.parts, G.n)[G.edge_array], axis=1)
     independent = not (rows[:, 0] == rows[:, -1]).any()
@@ -329,7 +326,6 @@ def verify_rk(G: LabeledHypergraph, P: SplitPartition) -> VerificationReport:
         completeness_ok=not missing,
         missing_tuples=missing,
         independence_ok=independent,
-        wall_time=time.monotonic() - t0,
     )
 
 
