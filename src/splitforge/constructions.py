@@ -341,20 +341,20 @@ def partition_norm_quotient(
     part = np.concatenate([np.where(alpha >= 0, elem + alpha, -1).ravel(),
                            (elem + np.arange(Q) % a).ravel()])
     keep = part >= 0  # every L vertex, and the P vertices of merged groups
-    new_index = np.where(keep, np.cumsum(keep) - 1, -1)
     labels = [labels0[v] for v in np.flatnonzero(keep).tolist()]
     part = part[keep]
     n0 = len(labels)
 
-    kept = new_index[edges0]
-    kept = kept[kept[:, 0] >= 0]
+    # the edges from kept P vertices, in the kept vertices' new indices
+    kept = (np.cumsum(keep) - 1)[edges0[keep[edges0[:, 0]]]]
     edges = _drop_internal(kept, part)
 
     # deficient part pairs, in (x, alpha, alpha') order: the kept P-group
     # over x against the L-group over -x; the pairs inside one part are skipped
     al = np.arange(a)
-    pairs = np.stack(np.broadcast_arrays(elem[:, :, None] + al[:, None],
-                                         neg[:, None, None] * a + al), axis=-1).reshape(-1, 2)
+    pa = (elem + al)[:, :, None]
+    pb = (neg[:, None] * a + al)[:, None, :]
+    pairs = np.stack(np.broadcast_arrays(pa, pb), axis=-1).reshape(-1, 2)
     deficient = len(pairs)
     pairs = pairs[pairs[:, 0] != pairs[:, 1]]
 
