@@ -363,6 +363,36 @@ def test_bound_k2d_and_table(capsys):
     assert doc["value"]["14"] == 0.93
 
 
+@pytest.mark.parametrize("argv, digest, params", [
+    (["--lower", "--r", "100", "--m", "2"],
+     "20b172d903f36a740ce84e84359582acb9f20caf7ee1141e1de2c09c03c4f743",
+     {"r": 100, "m": 2, "C": "1", "e": "3/2"}),
+    (["--lower", "--r", "1000001", "--m", "1000000", "--C", "1", "--e", "2"],
+     "ccbeac857a9658add972cf8f64ce16d40dd2c1a370154fc4d52fddb9a7c41766",
+     {"r": 1000001, "m": 1000000, "C": "1", "e": "2"}),
+    (["--berge-path", "--r", "7", "--m", "2", "--t", "3"],
+     "77bf158495a338877c89661aa05d260ea711abcc07af1afe019f61339ff33261",
+     {"r": 7, "m": 2, "t": 3}),
+    (["--tree", "--r", "8", "--t", "3"],
+     "2bb219966cd2d556e1286c0fd3ac0125adb3e081aa1cf7ab1ff41343dd257bc1",
+     {"r": 8, "t": 3}),
+    (["--admissible", "--d", "12", "--max-primes", "3"],
+     "285135caee2feab090dbfa9adcc7bd1cc066ad7e961104c068b6ce3231cb3bdd",
+     {"d": 12, "max_primes": 3}),
+    (["--k2d", "--d", "12"],
+     "a0065beb3224b66e5166ccaed1afc211ab413cd3e1c23fd86bd1b0118925f8d3",
+     {"d": 12}),
+    (["--table"],
+     "620504b3a9bb4f1a9e290768636dc1c37c2b140bdf06793cf24c12293775055b",
+     {}),
+], ids=["lower", "lower-relaxed-of-one", "berge-path", "tree", "admissible", "k2d", "table"])
+def test_bound_payload_and_params_frozen(argv, digest, params, capsys):
+    assert cli.main(["bound", *argv]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["provenance"]["payload_sha256"] == digest
+    assert doc["provenance"]["params"] == params
+
+
 # ---------------------------------------------------------------------------
 # oracle
 
@@ -453,6 +483,21 @@ def test_partition_greedy_round_trip(tmp_path):
     assert "provenance" in lines[-1]
     for rec in lines[:-1]:
         assert {"iter", "max_s", "added"} <= set(rec)
+
+
+@pytest.mark.parametrize("flags, sizes", [
+    (["--seed-size", "1", "--target-s", "2", "--max-iters", "3"],
+     {"seed_size": 1, "target_s": 2, "max_iters": 3}),
+    ([], {}),
+], ids=["all-sizes", "no-sizes"])
+def test_partition_greedy_records_its_sizes(tmp_path, flags, sizes):
+    g = tmp_path / "w13.json"
+    assert cli.main(["construct", "wenger", "--M", "1", "--q", "3", "--out", str(g)]) == 0
+    p = tmp_path / "p.json"
+    assert cli.main(["partition-greedy", "--graph", str(g), "--m", "3", "--forbid", "K_{2,2}",
+                     "--seed", "5", *flags, "--out-graph", str(tmp_path / "g2.json"),
+                     "--out-partition", str(p)]) == 0
+    assert load(p)["provenance"]["params"]["sizes"] == sizes
 
 
 def test_partition_greedy_seed_size_zero_exits_2(tmp_path, capsys):
