@@ -12,7 +12,8 @@ placements took, "incremental" or "fallback", and a verify run's
 a spectrum run's "paths" names the solver, "dense-svd" (bipartite),
 "dense-eigh" or "iterative".
 A document written to a file replaces the old file only once it is
-complete.
+complete; two output flags of one command that name the same file are
+refused before any work starts.
 Repeated runs with the same parameters and seed produce byte-identical
 payloads; only the manifest's wall time may differ.
 
@@ -153,6 +154,17 @@ class _Run:
         }
 
 
+def _distinct_outputs(args, *dests) -> None:
+    """Refuse two output flags that name one file, before any work starts:
+    the later document would replace the earlier one."""
+    named: dict = {}
+    for dest in (d for d in dests if getattr(args, d) is not None):
+        flag, path = "--" + dest.replace("_", "-"), Path(getattr(args, dest)).resolve()
+        if path in named:
+            raise ValueError(f"{named[path]} and {flag} name the same file {str(path)!r}")
+        named[path] = flag
+
+
 def _ints(text: str) -> list:
     try:
         return [int(x) for x in text.split(",") if x != ""]
@@ -221,6 +233,7 @@ def _construct_payloads(args):
 
 
 def _cmd_construct(args, run) -> int:
+    _distinct_outputs(args, "out", "partition")
     params, G, P, extra = _construct_payloads(args)
     run.params = params
     _emit(G.to_json_dict(), run.manifest(), args.out)
@@ -289,81 +302,47 @@ def _cmd_mixing(args, run) -> int:
 # -- bound -------------------------------------------------------------------
 
 
-# the flags each calculator reads; argparse cannot require them per mode
-_BOUND_FLAGS = {
-    "lower": ("r", "m"), "berge_path": ("r", "m", "t"), "tree": ("r", "t"),
-    "admissible": ("d",), "k2d": ("d",), "table": (),
+# each calculator's flags (argparse cannot require them per mode), quantity
+# and formula reference
+_BOUNDS = {
+    "lower": (("r", "m"), "min-k-lower", "lb.exact-binomial"),
+    "berge_path": (("r", "m", "t"), "berge-path-k-lb", "lb.berge-path-replication"),
+    "tree": (("r", "t"), "tree-bound", "lb.tree-ratio"),
+    "admissible": (("d",), "admissible-pair", "ub.admissible-pair"),
+    "k2d": (("d",), "k2d-upper-coeff", "ub.k2d-coefficient"),
+    "table": ((), "small-d-table", "ub.small-d-table"),
 }
 
 
 def _cmd_bound(args, run) -> int:
-    mode = next(k for k in _BOUND_FLAGS if getattr(args, k))
-    missing = [f"--{f}" for f in _BOUND_FLAGS[mode] if getattr(args, f) is None]
+    mode = next(k for k in _BOUNDS if getattr(args, k))
+    flags, quantity, formula_ref = _BOUNDS[mode]
+    missing = [f"--{f}" for f in flags if getattr(args, f) is None]
     if missing:
         raise ValueError(f"bound --{mode.replace('_', '-')} needs {', '.join(missing)}")
-    if args.lower:
+    run.params = {f: getattr(args, f) for f in flags}
+    if mode == "lower":
         env = TuranEnvelope(C=args.C, e=args.e, m=args.m)
         exact = min_k_lower(args.r, args.m, env)
         relaxed = min_k_lower_relaxed(args.r, args.m, env)
-        run.params = {"r": args.r, "m": args.m, "C": _frac_str(env.C), "e": _frac_str(env.e)}
-        payload = {
-            "quantity": "min-k-lower",
-            "value": str(exact),
-            "value_float": float(exact),
-            "formula_ref": "lb.exact-binomial",
-            "relaxed": {"value": str(relaxed), "formula_ref": "lb.relaxed-power"},
-        }
-    elif args.berge_path:
-        v = berge_path_k_lb(args.r, args.m, args.t)
-        run.params = {"r": args.r, "m": args.m, "t": args.t}
-        payload = {
-            "quantity": "berge-path-k-lb",
-            "value": _frac_str(v),
-            "value_float": _float(v),
-            "formula_ref": "lb.berge-path-replication",
-        }
-    elif args.tree:
-        v = tree_bound(args.r, args.t)
-        run.params = {"r": args.r, "t": args.t}
-        payload = {
-            "quantity": "tree-bound",
-            "value": _frac_str(v),
-            "value_float": _float(v),
-            "formula_ref": "lb.tree-ratio",
-        }
-    elif args.admissible:
-        pair = admissible_pair_for(args.d, max_primes=args.max_primes)
-        run.params = {"d": args.d, "max_primes": args.max_primes}
-        payload = {
-            "quantity": "admissible-pair",
-            "value": _frac_str(pair.coefficient),
-            "value_float": float(pair.coefficient),
-            "formula_ref": "ub.admissible-pair",
-            "d1": pair.d1,
-            "d2": pair.d2,
-            "x0": pair.x0,
-            "modulus": pair.modulus,
-            "primes": list(pair.primes),
-            "patterns": list(pair.patterns),
-            "r_values": list(pair.r_values),
-        }
-    elif args.k2d:
+        run.params.update(C=_frac_str(env.C), e=_frac_str(env.e))
+        payload = {"value": str(exact), "value_float": float(exact),
+                   "relaxed": {"value": str(relaxed), "formula_ref": "lb.relaxed-power"}}
+    elif mode == "admissible":
+        # the pair's fields, its coefficient as the value
+        payload = asdict(admissible_pair_for(args.d, max_primes=args.max_primes))
+        run.params["max_primes"] = args.max_primes
+        c = payload.pop("coefficient")
+        payload.update(value=_frac_str(c), value_float=float(c))
+    elif mode == "k2d":
         v = k2d_upper_coeff(args.d)
-        run.params = {"d": args.d}
-        payload = {
-            "quantity": "k2d-upper-coeff",
-            "value": repr(v),
-            "value_float": v,
-            "formula_ref": "ub.k2d-coefficient",
-        }
-    else:  # table
-        table = small_d_table()
-        run.params = {}
-        payload = {
-            "quantity": "small-d-table",
-            "value": {str(k): v for k, v in sorted(table.items())},
-            "formula_ref": "ub.small-d-table",
-        }
+        payload = {"value": repr(v), "value_float": v}
+    elif mode == "table":
+        payload = {"value": {str(k): v for k, v in sorted(small_d_table().items())}}
+    else:  # berge_path, tree
+        v = berge_path_k_lb(args.r, args.m, args.t) if args.berge_path else tree_bound(args.r, args.t)
+        payload = {"value": _frac_str(v), "value_float": _float(v)}
+    payload.update(quantity=quantity, formula_ref=formula_ref)
     _emit(payload, run.manifest(), args.out)
     return 0
 
@@ -372,6 +351,7 @@ def _cmd_bound(args, run) -> int:
 
 
 def _cmd_oracle(args, run) -> int:
+    _distinct_outputs(args, "out", "cert_graph", "cert_partition")
     patterns = tuple(parse_pattern(p) for p in args.forbid)
     run.params = {
         "r": args.r, "m": args.m, "k_max": args.k_max,
@@ -407,15 +387,11 @@ def _cmd_oracle(args, run) -> int:
 
 
 def _cmd_partition_greedy(args, run) -> int:
+    _distinct_outputs(args, "out_graph", "out_partition", "trace")
     G, _ = _load(args.graph, run.inputs, LabeledHypergraph)
     H = parse_pattern(args.forbid)
-    sizes = {}
-    if args.seed_size is not None:
-        sizes["seed_size"] = args.seed_size
-    if args.target_s is not None:
-        sizes["target_s"] = args.target_s
-    if args.max_iters is not None:
-        sizes["max_iters"] = args.max_iters
+    sizes = {k: getattr(args, k) for k in ("seed_size", "target_s", "max_iters")
+             if getattr(args, k) is not None}
     run.params = {"m": args.m, "forbid": H.spec_string(), "sizes": sizes}
     try:
         G2, P, trace = greedy_split(G, args.m, H, sizes=sizes or None, seed=args.seed)
@@ -436,11 +412,6 @@ def _cmd_partition_greedy(args, run) -> int:
 
 
 # -- parser ------------------------------------------------------------------
-
-
-def _add_threads(p) -> None:
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads to record (default 1); never affects results")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -482,7 +453,6 @@ def _build_parser() -> argparse.ArgumentParser:
         f.add_argument("--out", required=True, help="graph JSON path")
         f.add_argument("--partition", default=None, help="partition JSON path")
         f.add_argument("--seed", type=int, default=None)
-        _add_threads(f)
         f.set_defaults(handler=_cmd_construct)
 
     pv = sub.add_parser("verify", allow_abbrev=False, help="certify a split and check patterns")
@@ -490,14 +460,10 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--partition", required=True)
     pv.add_argument("--forbid", action="append", default=None,
                     help="pattern like C_6, K_{2,2}, theta_{3,4}, bergeC_2; repeatable")
-    pv.add_argument("--out", default=None)
-    _add_threads(pv)
     pv.set_defaults(handler=_cmd_verify)
 
     ps = sub.add_parser("spectrum", allow_abbrev=False, help="adjacency spectrum of a regular graph")
     ps.add_argument("--graph", required=True)
-    ps.add_argument("--out", default=None)
-    _add_threads(ps)
     ps.set_defaults(handler=_cmd_spectrum)
 
     pm = sub.add_parser("mixing", allow_abbrev=False, help="edge-distribution check between two sets")
@@ -505,8 +471,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--U", required=True, help="comma-separated vertex indices")
     pm.add_argument("--W", required=True, help="comma-separated vertex indices")
     pm.add_argument("--mode", choices=["general", "bipartite"], default="general")
-    pm.add_argument("--out", default=None)
-    _add_threads(pm)
     pm.set_defaults(handler=_cmd_mixing)
 
     pb = sub.add_parser("bound", allow_abbrev=False, help="lower/upper bound calculators")
@@ -524,8 +488,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--C", default="1")
     pb.add_argument("--e", default="1.5")
     pb.add_argument("--max-primes", type=int, default=4)
-    pb.add_argument("--out", default=None)
-    _add_threads(pb)
     pb.set_defaults(handler=_cmd_bound)
 
     po = sub.add_parser("oracle", allow_abbrev=False, help="exact threshold on tiny instances")
@@ -534,10 +496,8 @@ def _build_parser() -> argparse.ArgumentParser:
     po.add_argument("--k-max", type=int, required=True)
     po.add_argument("--forbid", action="append", required=True)
     po.add_argument("--budget", type=int, default=2_000_000)
-    po.add_argument("--out", default=None)
     po.add_argument("--cert-graph", default=None)
     po.add_argument("--cert-partition", default=None)
-    _add_threads(po)
     po.set_defaults(handler=_cmd_oracle)
 
     pg = sub.add_parser("partition-greedy", allow_abbrev=False,
@@ -552,9 +512,13 @@ def _build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--out-graph", required=True)
     pg.add_argument("--out-partition", required=True)
     pg.add_argument("--trace", default=None, help="iteration records as JSON lines")
-    _add_threads(pg)
     pg.set_defaults(handler=_cmd_partition_greedy)
 
+    for p in (pv, ps, pm, pb, po):
+        p.add_argument("--out", default=None)
+    for p in (*fam.choices.values(), pv, ps, pm, pb, po, pg):
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker threads to record (default 1); never affects results")
     return top
 
 

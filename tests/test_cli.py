@@ -618,6 +618,43 @@ def test_failed_trace_write_keeps_the_old_trace(tmp_path, monkeypatch, capsys):
     assert not list(tmp_path.glob("*.tmp"))
 
 
+_OUTPUT_FLAGS = {
+    "construct": ("--out", "--partition"),
+    "oracle": ("--out", "--cert-graph", "--cert-partition"),
+    "partition-greedy": ("--out-graph", "--out-partition", "--trace"),
+}
+
+
+@pytest.mark.parametrize("command, first, second", [
+    ("construct", "--out", "--partition"),
+    ("oracle", "--out", "--cert-graph"),
+    ("oracle", "--cert-graph", "--cert-partition"),
+    ("partition-greedy", "--out-graph", "--out-partition"),
+    ("partition-greedy", "--out-graph", "--trace"),
+    ("partition-greedy", "--out-partition", "--trace"),
+])
+def test_two_outputs_on_one_path_exit_2(tmp_path, capsys, command, first, second):
+    g = tmp_path / "w13.json"
+    assert cli.main(["construct", "wenger", "--M", "1", "--q", "3", "--out", str(g)]) == 0
+    argv = {
+        "construct": ["construct", "wenger", "--M", "1", "--q", "3"],
+        # this query finds a certificate, so every output would be written
+        "oracle": ["oracle", "--r", "4", "--m", "2", "--k-max", "3", "--forbid", "C_4"],
+        "partition-greedy": ["partition-greedy", "--graph", str(g), "--m", "3",
+                             "--forbid", "K_{2,2}", "--seed", "5", "--seed-size", "1"],
+    }[command]
+    x = tmp_path / "x.json"
+    x.write_bytes(b"old bytes")
+    paths = {flag: str(tmp_path / f"out{i}.json") for i, flag in enumerate(_OUTPUT_FLAGS[command])}
+    paths[first], paths[second] = str(x), f"{tmp_path}/./x.json"  # one file, two spellings
+    capsys.readouterr()
+    assert cli.main([*argv, *(a for item in paths.items() for a in item)]) == 2
+    err = capsys.readouterr().err
+    assert f"{first} and {second} name the same file" in err and "Traceback" not in err
+    assert x.read_bytes() == b"old bytes"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["w13.json", "x.json"]
+
+
 def test_threads_do_not_change_payload(tmp_path):
     docs = []
     for threads, name in [("1", "a"), ("4", "b")]:
