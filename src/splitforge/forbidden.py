@@ -311,7 +311,7 @@ def contains_kst(G: LabeledHypergraph, s: int, t: int):
     pat = "K_{%d,%d}" % (s, t)
 
     if s == 2:
-        if len(G.edge_array) >= _KERNEL_EDGES and rows_prove_absent(G, np.arange(G.n), pat):
+        if _proved_absent(G, pat):
             return None
         found = _codegree_scan(G.adj, t)
     else:
@@ -415,8 +415,7 @@ def contains_cycle(G: LabeledHypergraph, length: int):
         raise ValueError(f"cycle length must be >= 3, got {length}")
     if length > G.n:
         return None
-    if length >= 6 and len(G.edge_array) >= _KERNEL_EDGES and \
-            rows_prove_absent(G, np.arange(G.n), "C_%d" % length):
+    if length >= 6 and _proved_absent(G, "C_%d" % length):
         return None
     for cyc in _cycles(G.adj, length):
         return _finish_cycle(G, "C_{%d}" % length, cyc)
@@ -492,7 +491,7 @@ def contains_theta(G: LabeledHypergraph, K: int, length: int):
         if w is None:
             return None
         return {"pattern": pat, "vertices": w["vertices"], "edges": w["edges"]}
-    if len(G.edge_array) >= _KERNEL_EDGES and rows_prove_absent(G, np.arange(G.n), pat):
+    if _proved_absent(G, pat):
         return None
     return _theta_generic(G, K, length, pat)
 
@@ -546,8 +545,7 @@ def contains_berge_cycle(Hy: LabeledHypergraph, length: int):
         raise ValueError(f"Berge cycle length must be 2, 3 or 4, got {length}")
     if Hy.m < 3:
         raise ValueError("Berge cycle detection expects a hypergraph with m >= 3")
-    if len(Hy.edge_array) >= _KERNEL_EDGES and \
-            rows_prove_absent(Hy, np.arange(Hy.n), "bergeC_%d" % length):
+    if _proved_absent(Hy, "bergeC_%d" % length):
         return None
     return _berge_search(Hy, length)
 
@@ -738,3 +736,10 @@ def rows_prove_absent(H: LabeledHypergraph, rows, pattern) -> bool:
         return False
     A = H.csr if H.m == 2 else H.incidence
     return _counts_exact(A, test[0]) and not _walk_counts_reach(A, rows, *test)
+
+
+def _proved_absent(H: LabeledHypergraph, pattern) -> bool:
+    """The deciders' gate: True when H has `_KERNEL_EDGES` edges or more
+    and `rows_prove_absent` proves `pattern` absent on every row.
+    Smaller hosts, and every False, go to the ordered search."""
+    return len(H.edge_array) >= _KERNEL_EDGES and rows_prove_absent(H, np.arange(H.n), pattern)

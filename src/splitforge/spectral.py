@@ -452,7 +452,7 @@ def greedy_split(G: LabeledHypergraph, m: int, H, sizes=None, seed=None):
     # ---- step 4: fresh degree-one patch vertices
     labels = list(G.vertices)
     existing = set(labels)
-    edges = G.edge_array.tolist()
+    patch = []
     counter = 0
     for i in range(m):
         for j in range(i + 1, m):
@@ -466,11 +466,12 @@ def greedy_split(G: LabeledHypergraph, m: int, H, sizes=None, seed=None):
             existing.add(label)
             fresh = len(labels)
             labels.append(label)
-            edges.append((w, fresh))
+            patch.append((w, fresh))
             parts[i].append(fresh)
             covered[i][j] = covered[j][i] = True
             trace.patches.append({"pair": [i, j], "vertex": fresh, "attached_to": w})
 
+    edges = np.concatenate([G.edge_array, np.array(patch, dtype=np.int64).reshape(-1, 2)])
     G2 = LabeledHypergraph(2, labels, edges)
     P = SplitPartition(parts, max(len(part) for part in parts))
     trace.final_part_sizes = [len(part) for part in parts]
