@@ -242,6 +242,91 @@ def test_pattern_spec_string_round_trip():
     assert parse_pattern("C_6").spec_string() == "C_{6}"
 
 
+@pytest.mark.parametrize("spellings, kind, params, spec", [
+    (("C_6", "C_{6}"), "cycle", (6,), "C_{6}"),
+    (("C_3", "C_{3}"), "cycle", (3,), "C_{3}"),
+    (("K_{3,2}", "K_{2,3}"), "complete_bipartite", (2, 3), "K_{2,3}"),
+    (("K_{1,1}",), "complete_bipartite", (1, 1), "K_{1,1}"),
+    (("theta_{3,4}",), "theta", (3, 4), "theta_{3,4}"),
+    (("theta_{2,2}",), "theta", (2, 2), "theta_{2,2}"),
+    (("bergeC_2",), "berge_cycle", (2,), "bergeC_2"),
+    (("bergeC_4",), "berge_cycle", (4,), "bergeC_4"),
+])
+def test_every_spelling_gives_one_pattern(spellings, kind, params, spec):
+    want = ForbiddenPattern(kind, params)
+    for text in spellings + (spec,):
+        pat = parse_pattern(text)
+        assert pat == want and pat.spec_string() == spec
+
+
+@pytest.mark.parametrize("text", [
+    "C_2", "C_{2}", "C_{6", "C_6}", "C6", "c_6", " C_6", "C_6 ", "C_-6",
+    "K_{0,2}", "K_{2, 2}", "K_2,2", "K_{2,2,2}", "theta_{1,4}", "theta_{3,1}",
+    "theta_3,4", "bergeC_1", "bergeC_5", "bergeC_{2}", "Q_3", "explicit", "",
+])
+def test_parse_pattern_refusals(text):
+    with pytest.raises(ValueError):
+        parse_pattern(text)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("bogus", ()), ("complete_bipartite", (3, 2)), ("complete_bipartite", (0, 2)),
+    ("complete_bipartite", (2,)), ("cycle", (2,)), ("cycle", ()), ("theta", (1, 4)),
+    ("theta", (3,)), ("berge_cycle", (5,)), ("explicit", ()),
+])
+def test_pattern_refuses_bad_parameters(kind, params):
+    with pytest.raises(ValueError):
+        ForbiddenPattern(kind, params)
+
+
+@pytest.mark.parametrize("call", [
+    lambda G: forbidden.contains_kst(G, 0, 2),
+    lambda G: forbidden.contains_kst(G, 3, 2),
+    lambda G: forbidden.contains_cycle(G, 2),
+    lambda G: forbidden.contains_cycle(G, 0),
+    lambda G: forbidden.contains_theta(G, 1, 4),
+    lambda G: forbidden.contains_theta(G, 3, 1),
+    lambda G: forbidden.contains_theta(G, 2, 1),
+    lambda G: forbidden.contains_explicit(G, []),
+    lambda G: forbidden.contains_explicit(G, [(i, i + 1) for i in range(10)]),
+    lambda G: forbidden.contains_explicit(G, [(0, 0)]),
+    lambda G: forbidden.contains_explicit(G, [(0, 1, 2)]),
+])
+def test_graph_deciders_refuse_bad_parameters(call):
+    with pytest.raises(ValueError):
+        call(cycle_graph(6))
+
+
+@pytest.mark.parametrize("length", [0, 1, 5, 6])
+def test_berge_decider_refuses_bad_lengths(length):
+    with pytest.raises(ValueError):
+        forbidden.contains_berge_cycle(fano_plane(), length)
+
+
+@pytest.mark.parametrize("call", [
+    lambda G: forbidden.contains_kst(G, 2, 2),
+    lambda G: forbidden.contains_kst(G, 3, 3),
+    lambda G: forbidden.contains_cycle(G, 4),
+    lambda G: forbidden.contains_theta(G, 3, 2),
+    lambda G: forbidden.contains_theta(G, 2, 3),
+    lambda G: forbidden.girth(G),
+])
+def test_graph_deciders_refuse_hypergraph_hosts(call):
+    with pytest.raises(ValueError, match="^this decider needs a 2-uniform graph, got m=3$"):
+        call(fano_plane())
+
+
+@pytest.mark.parametrize("length", [2, 3, 4])
+def test_berge_decider_refuses_graph_hosts(length):
+    with pytest.raises(ValueError, match="^Berge cycle detection expects a hypergraph with m >= 3$"):
+        forbidden.contains_berge_cycle(cycle_graph(6), length)
+
+
+def test_explicit_decider_refuses_edges_of_another_arity():
+    with pytest.raises(ValueError):
+        forbidden.contains_explicit(fano_plane(), [(0, 1), (1, 2)])
+
+
 # ---------------------------------------------------------------- K_{s,t}
 
 
