@@ -257,7 +257,7 @@ def _cmd_verify(args, run) -> int:
     params = provenance.get("params") if type(provenance) is dict else None
     # no host for patterns of the other uniformity: check_pattern refuses them
     host = constructions.recipe_host(params, G) if any(
-        orbit_test(pat) and (pat.kind == "berge_cycle") == (G.m > 2) for pat in patterns) else None
+        orbit_test(pat) and pat.fits(G.m) for pat in patterns) else None
     orbit = [host is not None and rows_prove_absent(*host, pat) for pat in patterns]
     paths = {pat.spec_string(): "orbit" if o else "full" for pat, o in zip(patterns, orbit)}
     findings = [{"pattern": pat.spec_string(), "witness": None if o else check_pattern(G, pat)}

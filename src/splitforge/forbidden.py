@@ -5,7 +5,14 @@ length (plus girth), theta graphs (two endpoints joined by K internally
 disjoint paths of equal length), short Berge cycles in uniform
 hypergraphs, and arbitrary explicit patterns on at most 10 vertices.
 A Berge l-cycle is a cycle of 2l nodes in the vertex-edge incidence
-graph; lengths 3 and 4 are searched there by the graph cycles' enumerator.
+graph; lengths 2 to 4 are searched there by the graph cycles' enumerator.
+
+Each fact about a pattern is stated once, in `ForbiddenPattern`: its
+parameter rules, its spelling (the spec format, and the regex
+`parse_pattern` reads it with) and the hosts it fits.  `parse_pattern`
+is the one place a pattern string becomes a pattern.  Every decider
+builds its pattern on entry, refuses a host the pattern does not fit,
+and hands that one object to the walk-count gate and to the witness.
 
 All deciders are exact and deterministic. When a copy of the pattern
 exists, the first witness in the documented search order is returned as
@@ -31,12 +38,16 @@ from scipy import sparse
 
 from .structures import LabeledHypergraph
 
-_KINDS = ("complete_bipartite", "cycle", "theta", "berge_cycle", "explicit")
-
-_KST_RE = re.compile(r"^K_\{(\d+),(\d+)\}$")
-_CYCLE_RE = re.compile(r"^C_(?:\{(\d+)\}|(\d+))$")
-_THETA_RE = re.compile(r"^theta_\{(\d+),(\d+)\}$")
-_BERGE_RE = re.compile(r"^bergeC_(\d+)$")
+# the spec format of each kind, and for the named kinds the regex that
+# `parse_pattern` reads it with (cycles also as C_6); explicit patterns are
+# built from their edges, never parsed
+_SPELLINGS = {
+    "complete_bipartite": ("K_{%d,%d}", re.compile(r"K_\{(\d+),(\d+)\}$")),
+    "cycle": ("C_{%d}", re.compile(r"C_(?:\{(\d+)\}|(\d+))$")),
+    "theta": ("theta_{%d,%d}", re.compile(r"theta_\{(\d+),(\d+)\}$")),
+    "berge_cycle": ("bergeC_%d", re.compile(r"bergeC_(\d+)$")),
+    "explicit": ("explicit", None),
+}
 
 _EXPLICIT_MAX_VERTICES = 10
 
@@ -69,6 +80,10 @@ _KERNEL_EDGES = 256
 class ForbiddenPattern:
     """A forbidden pattern, either named or given as an explicit edge list.
 
+    Its parameter rules are checked on construction; `spec_string`
+    and `parse_pattern` read its spelling from `_SPELLINGS`; `fits`
+    says which hosts can hold it and `check_host` refuses the others.
+
     Parameters
     ----------
     kind:
@@ -86,7 +101,7 @@ class ForbiddenPattern:
     edges: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _SPELLINGS:
             raise ValueError(f"unknown pattern kind {self.kind!r}")
         p = self.params
         if self.kind == "complete_bipartite":
@@ -102,58 +117,64 @@ class ForbiddenPattern:
             if len(p) != 1 or p[0] not in (2, 3, 4):
                 raise ValueError(f"Berge cycle length must be 2, 3 or 4, got {p}")
         else:
+            if p:
+                raise ValueError(f"explicit patterns take no parameters, got {p}")
+            for e in self.edges:
+                if len(set(e)) != len(e):
+                    raise ValueError(f"pattern edge {e} repeats a vertex")
             if not self.edges:
                 raise ValueError("explicit pattern needs a nonempty edge list")
-            verts = {v for e in self.edges for v in e}
-            if len(verts) > _EXPLICIT_MAX_VERTICES:
+            if len({v for e in self.edges for v in e}) > _EXPLICIT_MAX_VERTICES:
                 raise ValueError(
                     f"explicit patterns are limited to {_EXPLICIT_MAX_VERTICES} vertices"
                 )
 
     def spec_string(self) -> str:
-        if self.kind == "complete_bipartite":
-            return "K_{%d,%d}" % self.params
-        if self.kind == "cycle":
-            return "C_{%d}" % self.params
-        if self.kind == "theta":
-            return "theta_{%d,%d}" % self.params
+        return _SPELLINGS[self.kind][0] % self.params
+
+    def fits(self, m: int) -> bool:
+        """Whether an m-uniform host can hold the pattern: a Berge cycle
+        needs a hypergraph (m >= 3), an explicit pattern a host of its
+        edges' arity, and every other pattern a graph (m = 2)."""
+        if self.kind == "explicit":
+            return all(len(e) == m for e in self.edges)
+        return (self.kind == "berge_cycle") == (m > 2)
+
+    def check_host(self, m: int) -> None:
+        """Raise ValueError unless the pattern `fits` an m-uniform host."""
+        if self.fits(m):
+            return
         if self.kind == "berge_cycle":
-            return "bergeC_%d" % self.params
-        return "explicit"
+            raise ValueError("Berge cycle detection expects a hypergraph with m >= 3")
+        if self.kind == "explicit":
+            e = next(e for e in self.edges if len(e) != m)
+            raise ValueError(f"pattern edge {e} has arity {len(e)}, host is {m}-uniform")
+        raise ValueError(f"this decider needs a 2-uniform graph, got m={m}")
 
 
-def parse_pattern(text: str) -> ForbiddenPattern:
+def parse_pattern(text) -> ForbiddenPattern:
     """Parse a pattern string such as ``K_{2,2}``, ``C_6``, ``C_{10}``,
-    ``theta_{3,4}`` or ``bergeC_2``.
+    ``theta_{3,4}`` or ``bergeC_2``; a ForbiddenPattern is returned as
+    it is, so every caller that takes either coerces here.
 
     K_(s,t) parameters are normalised so that s <= t.
     """
-    m = _KST_RE.match(text)
-    if m:
-        s, t = sorted((int(m.group(1)), int(m.group(2))))
-        return ForbiddenPattern("complete_bipartite", (s, t))
-    m = _CYCLE_RE.match(text)
-    if m:
-        length = int(m.group(1) or m.group(2))
-        return ForbiddenPattern("cycle", (length,))
-    m = _THETA_RE.match(text)
-    if m:
-        return ForbiddenPattern("theta", (int(m.group(1)), int(m.group(2))))
-    m = _BERGE_RE.match(text)
-    if m:
-        return ForbiddenPattern("berge_cycle", (int(m.group(1)),))
+    if isinstance(text, ForbiddenPattern):
+        return text
+    for kind, (_, spelling) in _SPELLINGS.items():
+        m = spelling and spelling.match(text)
+        if m:
+            params = tuple(int(g) for g in m.groups() if g is not None)
+            if kind == "complete_bipartite":
+                params = tuple(sorted(params))
+            return ForbiddenPattern(kind, params)
     raise ValueError(f"unrecognised pattern string {text!r}")
 
 
 # --------------------------------------------------------------- helpers
 
 
-def _require_graph(G: LabeledHypergraph):
-    if G.m != 2:
-        raise ValueError(f"this decider needs a 2-uniform graph, got m={G.m}")
-
-
-def _emit(G: LabeledHypergraph, pattern: str, vertices, edges) -> dict:
+def _emit(G: LabeledHypergraph, pat: ForbiddenPattern, vertices, edges) -> dict:
     # final gate: every witness edge must exist in the host
     for e in edges:
         if tuple(sorted(e)) not in G.edge_set:
@@ -161,7 +182,7 @@ def _emit(G: LabeledHypergraph, pattern: str, vertices, edges) -> dict:
                 f"internal error: witness edge {tuple(e)} not present in host"
             )
     return {
-        "pattern": pattern,
+        "pattern": pat.spec_string(),
         "vertices": [int(v) for v in vertices],
         "edges": [sorted(int(v) for v in e) for e in edges],
     }
@@ -305,11 +326,8 @@ def contains_kst(G: LabeledHypergraph, s: int, t: int):
     Returns a witness whose vertex list is the s hubs followed by the
     t leaves, or None.
     """
-    _require_graph(G)
-    if not (1 <= s <= t):
-        raise ValueError(f"need 1 <= s <= t, got ({s}, {t})")
-    pat = "K_{%d,%d}" % (s, t)
-
+    pat = ForbiddenPattern("complete_bipartite", (s, t))
+    pat.check_host(G.m)
     if s == 2:
         if _proved_absent(G, pat):
             return None
@@ -363,7 +381,8 @@ def _kst_hubs(adj, cand, s, t, start, hubs, common):
 
 def _cycles(adj, length: int):
     """Yield every cycle with `length` vertices exactly once, as a vertex
-    list starting at its minimum vertex.
+    list starting at its minimum vertex and oriented so that its second
+    vertex is smaller than its last.
 
     `adj` holds each vertex's neighbours in ascending order: a graph's
     `G.adj`, or the incidence graph `_berge_search` builds, where a root
@@ -372,6 +391,10 @@ def _cycles(adj, length: int):
     assembled from two half-paths out of it that meet in the middle (for
     odd lengths the halves are joined across an edge), ordered by the
     far end (the smaller one for odd lengths), then by the half-paths.
+    An even cycle comes out oriented: the paths of a bucket are in
+    lexicographic order and their interiors are disjoint, so the first
+    path's second vertex is the smaller.  An odd one is flipped where
+    the second half-path starts lower.
     """
     half = length // 2
     for root in range(len(adj)):
@@ -393,7 +416,8 @@ def _cycles(adj, length: int):
                         tail1 = set(p1[1:])
                         for p2 in buckets[y]:
                             if tail1.isdisjoint(p2[1:]):
-                                yield list(p1) + list(reversed(p2[1:]))
+                                a, b = (p1, p2) if p1[1] < p2[1] else (p2, p1)
+                                yield list(a) + list(reversed(b[1:]))
 
 
 def contains_cycle(G: LabeledHypergraph, length: int):
@@ -410,23 +434,15 @@ def contains_cycle(G: LabeledHypergraph, length: int):
     at once. Otherwise the ordered search decides and gives the witness;
     smaller hosts, lengths up to 5 and odd lengths never touch `G.csr`.
     """
-    _require_graph(G)
-    if length < 3:
-        raise ValueError(f"cycle length must be >= 3, got {length}")
+    pat = ForbiddenPattern("cycle", (length,))
+    pat.check_host(G.m)
     if length > G.n:
         return None
-    if length >= 6 and _proved_absent(G, "C_%d" % length):
+    if length >= 6 and _proved_absent(G, pat):
         return None
     for cyc in _cycles(G.adj, length):
-        return _finish_cycle(G, "C_{%d}" % length, cyc)
+        return _emit(G, pat, cyc, list(zip(cyc, cyc[1:] + cyc[:1])))
     return None
-
-
-def _finish_cycle(G, pat, cyc):
-    if cyc[1] > cyc[-1]:
-        cyc = [cyc[0]] + cyc[1:][::-1]
-    edges = [(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))]
-    return _emit(G, pat, cyc, edges)
 
 
 def girth(G: LabeledHypergraph):
@@ -436,7 +452,7 @@ def girth(G: LabeledHypergraph):
     from root r closes a cycle of length dist(u) + dist(w) + 1, and the
     minimum of these estimates over all roots is exact.
     """
-    _require_graph(G)
+    ForbiddenPattern("cycle", (3,)).check_host(G.m)
     best = math.inf
     adj = G.adj
     for root in range(G.n):
@@ -482,21 +498,18 @@ def contains_theta(G: LabeledHypergraph, K: int, length: int):
     per root u, and the first pair whose u-v paths hold K with disjoint
     interiors is returned.
     """
-    _require_graph(G)
-    if K < 2 or length < 2:
-        raise ValueError(f"theta needs K >= 2 and length >= 2, got ({K}, {length})")
-    pat = "theta_{%d,%d}" % (K, length)
+    pat = ForbiddenPattern("theta", (K, length))
+    pat.check_host(G.m)
     if K == 2:
         w = contains_cycle(G, 2 * length)
-        if w is None:
-            return None
-        return {"pattern": pat, "vertices": w["vertices"], "edges": w["edges"]}
+        return None if w is None else dict(w, pattern=pat.spec_string())
     if _proved_absent(G, pat):
         return None
-    return _theta_generic(G, K, length, pat)
+    return _theta_generic(G, pat)
 
 
-def _theta_generic(G, K, length, pat):
+def _theta_generic(G, pat):
+    K, length = pat.params
     for u in range(G.n):
         buckets = _paths_by_end(G.adj, u, length, -1)
         for v in sorted(buckets):
@@ -541,23 +554,19 @@ def contains_berge_cycle(Hy: LabeledHypergraph, length: int):
     back.  For length 2 that is the lexicographically least vertex pair
     covered twice, with its two least hyperedges.
     """
-    if length not in (2, 3, 4):
-        raise ValueError(f"Berge cycle length must be 2, 3 or 4, got {length}")
-    if Hy.m < 3:
-        raise ValueError("Berge cycle detection expects a hypergraph with m >= 3")
-    if _proved_absent(Hy, "bergeC_%d" % length):
+    pat = ForbiddenPattern("berge_cycle", (length,))
+    pat.check_host(Hy.m)
+    if _proved_absent(Hy, pat):
         return None
-    return _berge_search(Hy, length)
+    return _berge_search(Hy, pat)
 
 
-def _berge_search(Hy, length):
+def _berge_search(Hy, pat):
     n = Hy.n
     nbrs = tuple(tuple(n + i for i in inc) for inc in Hy.incident) + \
         tuple(map(tuple, Hy.edge_array.tolist()))
-    for cyc in _cycles(nbrs, 2 * length):
-        if cyc[1] > cyc[-1]:
-            cyc = [cyc[0]] + cyc[1:][::-1]
-        return _emit(Hy, "bergeC_%d" % length, cyc[0::2], [nbrs[i] for i in cyc[1::2]])
+    for cyc in _cycles(nbrs, 2 * pat.params[0]):
+        return _emit(Hy, pat, cyc[0::2], [nbrs[i] for i in cyc[1::2]])
     return None
 
 
@@ -573,23 +582,10 @@ def contains_explicit(G: LabeledHypergraph, pattern_edges):
     pattern vertex, candidates tried in ascending host order with a
     degree cutoff.
     """
-    edges = []
-    for e in pattern_edges:
-        t = tuple(sorted(e))
-        if len(set(t)) != len(t):
-            raise ValueError(f"pattern edge {e} repeats a vertex")
-        if len(t) != G.m:
-            raise ValueError(
-                f"pattern edge {e} has arity {len(t)}, host is {G.m}-uniform"
-            )
-        edges.append(t)
-    if not edges:
-        raise ValueError("explicit pattern needs a nonempty edge list")
+    pat = ForbiddenPattern("explicit", (), tuple(tuple(sorted(e)) for e in pattern_edges))
+    pat.check_host(G.m)
+    edges = pat.edges
     pverts = sorted({v for e in edges for v in e})
-    if len(pverts) > _EXPLICIT_MAX_VERTICES:
-        raise ValueError(
-            f"explicit patterns are limited to {_EXPLICIT_MAX_VERTICES} vertices"
-        )
 
     pdeg = {v: 0 for v in pverts}
     for e in edges:
@@ -629,7 +625,7 @@ def contains_explicit(G: LabeledHypergraph, pattern_edges):
     if not _embed(G, order, pdeg, checks, phi, set(), 0):
         return None
     mapped = [tuple(sorted(phi[x] for x in e)) for e in edges]
-    return _emit(G, "explicit", [phi[v] for v in pverts], mapped)
+    return _emit(G, pat, [phi[v] for v in pverts], mapped)
 
 
 def _embed(G, order, pdeg, checks, phi, used, i):
@@ -657,13 +653,10 @@ def _embed(G, order, pdeg, checks, phi, used, i):
 
 
 def check_pattern(G: LabeledHypergraph, pattern):
-    """Dispatch a ForbiddenPattern (or pattern string) to its decider.
-
-    Berge patterns need a hypergraph with m >= 3; all other patterns
-    need a 2-uniform host.
+    """Dispatch a ForbiddenPattern (or pattern string) to its decider,
+    which refuses a host the pattern does not fit (`ForbiddenPattern.fits`).
     """
-    if isinstance(pattern, str):
-        pattern = parse_pattern(pattern)
+    pattern = parse_pattern(pattern)
     if pattern.kind == "complete_bipartite":
         return contains_kst(G, *pattern.params)
     if pattern.kind == "cycle":
@@ -703,8 +696,7 @@ def orbit_test(pattern):
     incidence graph's edge nodes with them, so one vertex row per orbit
     serves Berge cycles too.
     """
-    if isinstance(pattern, str):
-        pattern = parse_pattern(pattern)
+    pattern = parse_pattern(pattern)
     kind, p = pattern.kind, pattern.params
     if kind == "cycle" and p[0] % 2 == 0:
         return p[0] // 2, 2
@@ -727,19 +719,19 @@ def rows_prove_absent(H: LabeledHypergraph, rows, pattern) -> bool:
     m = 2) or vertex-edge incidence matrix (``incidence``, m >= 3)
     reaches the threshold.  The deciders pass every vertex and `verify`'s
     orbit route one vertex per orbit.  False on a hit, for a pattern with
-    no orbit test or of the other uniformity (a Berge cycle on a graph, a
+    no orbit test or that does not fit H (a Berge cycle on a graph, a
     graph pattern on a hypergraph), and where `_counts_exact` fails for
     A_k."""
-    pattern = parse_pattern(pattern) if isinstance(pattern, str) else pattern
+    pattern = parse_pattern(pattern)
     test = orbit_test(pattern)
-    if test is None or (pattern.kind == "berge_cycle") != (H.m > 2):
+    if test is None or not pattern.fits(H.m):
         return False
     A = H.csr if H.m == 2 else H.incidence
     return _counts_exact(A, test[0]) and not _walk_counts_reach(A, rows, *test)
 
 
-def _proved_absent(H: LabeledHypergraph, pattern) -> bool:
+def _proved_absent(H: LabeledHypergraph, pat: ForbiddenPattern) -> bool:
     """The deciders' gate: True when H has `_KERNEL_EDGES` edges or more
-    and `rows_prove_absent` proves `pattern` absent on every row.
-    Smaller hosts, and every False, go to the ordered search."""
-    return len(H.edge_array) >= _KERNEL_EDGES and rows_prove_absent(H, np.arange(H.n), pattern)
+    and `rows_prove_absent` proves `pat` absent on every row.  Smaller
+    hosts, and every False, go to the ordered search."""
+    return len(H.edge_array) >= _KERNEL_EDGES and rows_prove_absent(H, np.arange(H.n), pat)

@@ -123,10 +123,7 @@ def _route(pattern: ForbiddenPattern, m: int) -> str:
     """"incremental" when `_PatternState` decides the pattern on an
     m-uniform host by itself, else "fallback" (a fresh host and the full
     decider, whose errors and messages the search then raises)."""
-    kind = pattern.kind
-    if m == 2 and kind == "cycle" or m >= 3 and kind == "berge_cycle":
-        return "incremental"
-    return "fallback"
+    return "incremental" if pattern.kind in ("cycle", "berge_cycle") and pattern.fits(m) else "fallback"
 
 
 class _PatternState:

@@ -238,18 +238,13 @@ class GreedySplitTrace:
 
 
 def _pattern_for_split(H) -> "forbidden.ForbiddenPattern":
-    pattern = forbidden.parse_pattern(H) if isinstance(H, str) else H
-    kind = pattern.kind
-    if kind == "berge_cycle":
+    pattern = forbidden.parse_pattern(H)
+    if not pattern.fits(2):
         raise ValueError("Berge patterns describe hypergraph hosts, not graphs")
-    if kind == "complete_bipartite" and pattern.params[0] < 2:
+    if pattern.kind == "complete_bipartite" and pattern.params[0] < 2:
         raise ValueError("pattern has degree-1 vertices")
-    if kind == "explicit":
-        deg: Counter = Counter()
-        for e in pattern.edges:
-            deg.update(e)
-        if deg and min(deg.values()) < 2:
-            raise ValueError("pattern has degree-1 vertices")
+    if pattern.kind == "explicit" and min(Counter(v for e in pattern.edges for v in e).values()) < 2:
+        raise ValueError("pattern has degree-1 vertices")
     return pattern
 
 
@@ -274,7 +269,7 @@ def greedy_split(G: LabeledHypergraph, m: int, H, sizes=None, seed=None):
     BudgetExceededError when the seed search stops undecided after
     100000 nodes.
     """
-    pattern = _pattern_for_split(H)
+    _pattern_for_split(H)
     d = _require_regular(G)
     n = G.n
     if m < 2:
@@ -382,11 +377,7 @@ def greedy_split(G: LabeledHypergraph, m: int, H, sizes=None, seed=None):
             f"(pool size {len(seed_pool)})"
         )
 
-    covered = [[False] * m for _ in range(m)]
-
-    def s_of(i: int) -> int:
-        row = covered[i]
-        return sum(1 for j in range(m) if j != i and not row[j])
+    lacking = [set(range(m)) - {i} for i in range(m)]  # per part, the parts it has no edge to
 
     def add_vertex(v: int, i: int) -> None:
         placed[v] = i
@@ -395,7 +386,8 @@ def greedy_split(G: LabeledHypergraph, m: int, H, sizes=None, seed=None):
         for w in adj[v]:
             j = placed[w]
             if j is not None and j != i:
-                covered[i][j] = covered[j][i] = True
+                lacking[i].discard(j)
+                lacking[j].discard(i)
 
     # zone[i] already holds the seeds' balls; placing them flags the
     # part pairs their edges cover
@@ -406,7 +398,7 @@ def greedy_split(G: LabeledHypergraph, m: int, H, sizes=None, seed=None):
     # ---- step 3: greedy growth
     it_count = 0
     while it_count < max_iters:
-        s_list = [s_of(i) for i in range(m)]
+        s_list = [len(lack) for lack in lacking]
         if all(s < target_s for s in s_list):
             break
         record = {
@@ -416,19 +408,15 @@ def greedy_split(G: LabeledHypergraph, m: int, H, sizes=None, seed=None):
             "added": [],
         }
         for i in range(m):
-            if s_of(i) < target_s:
-                continue
-            lacking = {j for j in range(m) if j != i and not covered[i][j]}
-            if not lacking:
+            lack = lacking[i]
+            if len(lack) < target_s or not lack:
                 continue
             best_hits = 0
             best: list = []
             for v in grow_pool:
                 if placed[v] is not None or zone[i] >> v & 1:
                     continue
-                hits = len(
-                    {placed[w] for w in adj[v] if placed[w] is not None} & lacking
-                )
+                hits = len({placed[w] for w in adj[v] if placed[w] is not None} & lack)
                 if hits > best_hits:
                     best_hits = hits
                     best = [v]
@@ -456,19 +444,18 @@ def greedy_split(G: LabeledHypergraph, m: int, H, sizes=None, seed=None):
     counter = 0
     for i in range(m):
         for j in range(i + 1, m):
-            if covered[i][j]:
+            if j not in lacking[i]:
                 continue
-            # attach to the least original vertex of the higher part
-            w = min(v for v in parts[j] if v < n)
+            # attach to the least vertex of the higher part: patch vertices
+            # join only parts up to i, so all of part j's are original
+            w = min(parts[j])
             while f"aug:{counter}" in existing:
                 counter += 1
-            label = f"aug:{counter}"
-            existing.add(label)
             fresh = len(labels)
-            labels.append(label)
+            labels.append(f"aug:{counter}")
+            counter += 1
             patch.append((w, fresh))
             parts[i].append(fresh)
-            covered[i][j] = covered[j][i] = True
             trace.patches.append({"pair": [i, j], "vertex": fresh, "attached_to": w})
 
     edges = np.concatenate([G.edge_array, np.array(patch, dtype=np.int64).reshape(-1, 2)])

@@ -257,6 +257,7 @@ def test_every_spelling_gives_one_pattern(spellings, kind, params, spec):
     for text in spellings + (spec,):
         pat = parse_pattern(text)
         assert pat == want and pat.spec_string() == spec
+    assert parse_pattern(want) is want
 
 
 @pytest.mark.parametrize("text", [
@@ -423,6 +424,22 @@ def test_cycles_enumerates_each_cycle_once(n):
         assert len(cycles) == math.comb(n, L) * math.factorial(L - 1) // 2
 
 
+def test_cycles_come_out_oriented():
+    # each cycle starts at its minimum vertex and goes on to the smaller
+    # of that vertex's two cycle neighbours, at odd lengths too; the
+    # incidence graphs are the ones the Berge search enumerates
+    rng = random.Random(41)
+    adjs = [random_graph(rng, rng.randrange(5, 12), 0.4).adj for _ in range(20)]
+    adjs += [incidence_graph(Hy).adj for Hy in berge_kernel_hosts()[:20]]
+    seen = set()
+    for adj in adjs:
+        for L in range(3, 9):
+            for cyc in forbidden._cycles(adj, L):
+                assert cyc[0] == min(cyc) and cyc[1] < cyc[-1]
+                seen.add(L)
+    assert seen == set(range(3, 9))
+
+
 def test_cycle_agrees_with_kst_on_c4():
     rng = random.Random(99)
     for _ in range(200):
@@ -560,7 +577,8 @@ def test_walk_kernel_verdicts_match_ordered_search(monkeypatch):
                 if ordered is None:
                     assert got is None
                 else:
-                    assert got == forbidden._finish_cycle(G, "C_{%d}" % L, ordered)
+                    assert got == forbidden._emit(G, parse_pattern("C_%d" % L), ordered,
+                                                  list(zip(ordered, ordered[1:] + ordered[:1])))
             hit = forbidden._walk_counts_reach(G.csr, np.arange(G.n), L // 2, 2)
             assert hit or ordered is None
             seen.add((L, hit, ordered is not None, G.colouring is not None))
@@ -615,7 +633,7 @@ def test_deciders_above_the_cut_consult_the_one_proof(monkeypatch):
                            for L in (2, 3, 4))):
         calls.clear()
         decide()
-        assert calls == [(spec, True)]
+        assert calls == [(parse_pattern(spec), True)]
 
 
 def test_free_hosts_decided_without_neighbour_lists():
@@ -767,7 +785,7 @@ def test_theta_filter_keeps_the_generic_witness(monkeypatch):
             for K in (3, 4):
                 assert {p for p, c in paths.items() if c >= K} <= \
                     {p for p, c in walks.items() if c >= K}
-                want = forbidden._theta_generic(G, K, ell, "theta_{%d,%d}" % (K, ell))
+                want = forbidden._theta_generic(G, parse_pattern("theta_{%d,%d}" % (K, ell)))
                 for _ in both_sides_of_the_cut(monkeypatch):
                     assert forbidden.contains_theta(G, K, ell) == want
                 seen.add((K, ell, want is None))
@@ -801,7 +819,7 @@ def test_theta4_high_degree_host_takes_exact_filter(monkeypatch):
     w = forbidden.contains_theta(G, 3, 4)
     assert w is not None
     check_theta_witness(G, w, 3, 4)
-    assert w == reference(G, 3, 4, "theta_{3,4}")
+    assert w == reference(G, parse_pattern("theta_{3,4}"))
     assert w["vertices"][:2] == [301, 302]
 
 
@@ -897,7 +915,7 @@ def test_berge_walk_kernel_verdicts_match_ordered_search(monkeypatch, rows):
         for L in (2, 3, 4):
             got = forbidden._walk_counts_reach(Hy.incidence, np.arange(Hy.n), L, 2)
             assert got is reaches_at_k(walks, Hy.n, L, 2)
-            ordered = forbidden._berge_search(Hy, L)
+            ordered = forbidden._berge_search(Hy, parse_pattern(f"bergeC_{L}"))
             if not got:
                 assert ordered is None and not naive_berge(Hy, L)
             if L == 2:
@@ -915,7 +933,7 @@ def test_berge_walk_kernel_agrees_with_networkx():
         inc.add_edges_from((v, Hy.n + i) for i, e in enumerate(Hy.edges) for v in e)
         for L in (2, 3, 4):
             want = any(len(c) == 2 * L for c in nx.simple_cycles(inc, length_bound=2 * L))
-            assert (forbidden._berge_search(Hy, L) is not None) == want
+            assert (forbidden._berge_search(Hy, parse_pattern(f"bergeC_{L}")) is not None) == want
             assert want <= forbidden._walk_counts_reach(Hy.incidence, np.arange(Hy.n), L, 2)
 
 
@@ -964,7 +982,7 @@ def test_berge_hits_above_the_cut_keep_the_ordered_witness():
     for L in (2, 3, 4):
         assert forbidden._walk_counts_reach(Hy.incidence, np.arange(Hy.n), L, 2)
         w = forbidden.contains_berge_cycle(Hy, L)
-        assert w is not None and w == forbidden._berge_search(Hy, L)
+        assert w is not None and w == forbidden._berge_search(Hy, parse_pattern(f"bergeC_{L}"))
         check_berge_witness(Hy, w, L)
 
 

@@ -14,8 +14,8 @@ import pytest
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from splitforge import cli, constructions, forbidden, structures
-from splitforge.forbidden import check_pattern
+from splitforge import cli, constructions, forbidden, oracle, structures
+from splitforge.forbidden import ForbiddenPattern, check_pattern, parse_pattern
 from splitforge.structures import LabeledHypergraph
 
 HOSTS = [("wenger", (M, q)) for M in (1, 2) for q in (3, 4, 5, 7)] + [("theta", (9,))]
@@ -463,3 +463,66 @@ def test_verify_never_builds_a_host_for_patterns_off_the_orbit_route(tmp_path, m
         for spec in patterns:
             assert cli.main([*argv, "--forbid", spec]) == 2
         monkeypatch.undo()
+
+
+FIT_SPECS = ["K_{2,2}", "K_{3,3}", "C_5", "C_6", "theta_{2,3}", "theta_{3,4}", "theta_{3,5}",
+             "bergeC_2", "bergeC_3", "bergeC_4"]
+MISFIT_MESSAGES = {2: "Berge cycle detection expects a hypergraph with m >= 3",
+                   3: "this decider needs a 2-uniform graph, got m=3"}
+
+
+def test_fits_agrees_with_every_host_check():
+    # a path and a linear hyperpath hold no cycle and no Berge cycle, and
+    # every walk count on them is at most 1, so the walk counts prove
+    # each pattern with an orbit test absent exactly where it fits
+    forests = {2: LabeledHypergraph(2, list("abcdef"), [(i, i + 1) for i in range(5)]),
+               3: LabeledHypergraph(3, list("abcde"), [(0, 1, 2), (2, 3, 4)])}
+    patterns = [parse_pattern(spec) for spec in FIT_SPECS] + [
+        ForbiddenPattern("explicit", (), ((0, 1), (1, 2))),
+        ForbiddenPattern("explicit", (), ((0, 1, 2), (2, 3, 4)))]
+    seen = set()
+    for m, H in forests.items():
+        for pat in patterns:
+            fits = pat.fits(m)
+            seen.add((pat.kind, m, fits))
+            try:
+                check_pattern(H, pat)
+            except ValueError:
+                assert not fits
+            else:
+                assert fits
+            proved = forbidden.rows_prove_absent(H, np.arange(H.n), pat)
+            assert proved == (fits and forbidden.orbit_test(pat) is not None)
+            incremental = oracle._route(pat, m) == "incremental"
+            assert incremental == (fits and pat.kind in ("cycle", "berge_cycle"))
+    assert {(kind, fits) for kind, _, fits in seen} == {
+        (kind, fits) for kind in ("complete_bipartite", "cycle", "theta", "berge_cycle", "explicit")
+        for fits in (True, False)}
+
+
+@pytest.mark.parametrize("construct, m", [
+    (["wenger", "--M", "2", "--q", "3"], 2),
+    (["berge3", "--q", "5"], 3),
+])
+def test_verify_builds_a_host_only_for_patterns_that_fit(tmp_path, monkeypatch, capsys, construct, m):
+    g, p = tmp_path / "g.json", tmp_path / "parts.json"
+    assert cli.main(["construct", *construct, "--out", str(g), "--partition", str(p)]) == 0
+    built, recipe_host = [], constructions.recipe_host
+
+    def spy(params, G):
+        built.append(params["family"])
+        return recipe_host(params, G)
+
+    monkeypatch.setattr(constructions, "recipe_host", spy)
+    out = tmp_path / "report.json"
+    for spec in FIT_SPECS:
+        built.clear()
+        capsys.readouterr()
+        code = cli.main(["verify", "--graph", str(g), "--partition", str(p),
+                         "--forbid", spec, "--out", str(out)])
+        pat = parse_pattern(spec)
+        if pat.fits(m):
+            assert code in (0, 4) and len(built) == (forbidden.orbit_test(pat) is not None)
+        else:
+            assert code == 2 and built == []
+            assert MISFIT_MESSAGES[m] in capsys.readouterr().err
