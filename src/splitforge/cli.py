@@ -16,6 +16,12 @@ complete; two output flags of one command that name the same file are
 refused before any work starts.
 Repeated runs with the same parameters and seed produce byte-identical
 payloads; only the manifest's wall time may differ.
+A graph or partition document is read through an exact fast path when
+its bytes are exactly what `_emit` writes: numpy parses the index rows,
+json.loads the rest, and re-encoding both must give the bytes back.
+Every other document is read with json.loads, with the same objects,
+messages and exit codes; no flag or environment variable selects the
+route.
 
 verify takes the orbit route for a cycle C_{2k}, a K_{2,t} or a short
 theta when the graph document's construct recipe names a theta or
@@ -43,11 +49,15 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import asdict
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__, constructions
 from .bounds import (
@@ -87,8 +97,40 @@ _RNG_NAME = "python-random-mt19937"
 # -- JSON plumbing -----------------------------------------------------------
 
 
-def _canonical(payload: dict) -> str:
+def _canonical(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
+class _Encoded(str):
+    """JSON text that `_emit` writes as it stands."""
+
+
+def _int_rows(rows) -> str:
+    """The canonical JSON text of an array of arrays of integers, as
+    `_canonical` writes it: `rows` is an (R, w) int array or a sequence of
+    int sequences (not bools)."""
+    if isinstance(rows, np.ndarray):
+        cells = ["[" + ",".join(["%d"] * rows.shape[1]) + "]"] * len(rows)
+        values = rows.ravel().tolist()
+    else:
+        cells = ["[" + ",".join(["%d"] * len(row)) + "]" for row in rows]
+        values = list(chain.from_iterable(rows))
+    return "[" + ",".join(cells) % tuple(values) + "]"
+
+
+def _graph_payload(G: LabeledHypergraph) -> dict:
+    """`G.to_json_dict()`, its edges written straight from the edge array."""
+    return {"edges": _Encoded(_int_rows(G.edge_array)), "m": G.m, "vertices": list(G.vertices)}
+
+
+def _partition_payload(P: SplitPartition) -> dict:
+    """`P.to_json_dict()`, its parts written straight from the tuples."""
+    return {"k": P.declared_k, "parts": _Encoded(_int_rows(P.parts))}
+
+
+def _object_text(pieces: dict) -> str:
+    """The canonical JSON object of keys and their encoded values."""
+    return "{" + ",".join(_canonical(key) + ":" + pieces[key] for key in sorted(pieces)) + "}"
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -104,25 +146,97 @@ def _write_atomic(path: str, text: str) -> None:
 
 def _emit(payload: dict, manifest: dict, out: str | None) -> None:
     """Write the document in canonical form plus a newline, to stdout or
-    atomically to the file `out`."""
-    doc = dict(payload)
-    manifest = dict(manifest)
-    manifest["payload_sha256"] = hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
-    doc["provenance"] = manifest
-    text = _canonical(doc) + "\n"
+    atomically to the file `out`.  Each top-level value is encoded once
+    (`_Encoded` text as it stands); the payload text that the manifest's
+    digest is taken of and the document are joined from those pieces."""
+    pieces = {key: value if type(value) is _Encoded else _canonical(value)
+              for key, value in payload.items()}
+    digest = hashlib.sha256(_object_text(pieces).encode("utf-8")).hexdigest()
+    pieces["provenance"] = _canonical(dict(manifest, payload_sha256=digest))
+    text = _object_text(pieces) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
         _write_atomic(out, text)
 
 
+# where a document as `_emit` writes it holds its index rows: straight
+# after the brace in a graph, after "k" in a partition
+_ROWS_AT = {
+    LabeledHypergraph: ("edges", re.compile(rb'\{"edges":')),
+    SplitPartition: ("parts", re.compile(rb'\{"k":[0-9]+,"parts":')),
+}
+_SPACES = bytes.maketrans(b"[,", b"  ")
+
+
+def _read_int_rows(seg: bytes):
+    """The rows that `seg`, bytes of digits, commas and brackets ending in
+    "]", holds if it is an array of arrays of integers: their values and
+    widths, as int64 arrays.  Raises ValueError on a number of more than
+    18 digits, which np.fromstring would saturate to 2**63 - 1 without a
+    word, and on what is no such array.  Only `_int_rows` can tell
+    whether `seg` was canonical."""
+    a = np.frombuffer(seg, np.uint8)
+    if np.diff(np.flatnonzero(a - np.uint8(48) > 9), prepend=-1).max() > 19:
+        raise ValueError("a number of more than 18 digits")
+    # each "]" becomes -1, which no number in `seg` can be: the last one
+    # ends the array, each other one a row
+    v = np.fromstring(seg.replace(b"]", b" -1 ").translate(_SPACES), np.int64, sep=" ")
+    ends = np.flatnonzero(v < 0)
+    widths = np.diff(ends[:-1], prepend=-1) - 1
+    values = v[v >= 0]
+    if ends[-1] != len(v) - 1 or widths.sum() != len(values):
+        raise ValueError("not an array of arrays")
+    return values, widths
+
+
+def _read_exact(raw: bytes, cls):
+    """The `cls` document in `raw` when it is exactly as `_emit` writes
+    one, else None.  Its index rows are read by `_read_int_rows`, a graph's
+    as an int64 array and a partition's as lists of ints, and the rest by
+    json.loads; re-encoding both must give `raw` back, so json.loads would
+    have returned the same values.  Nothing here raises: any doubt is a
+    None, and the caller reads the document the general way."""
+    key, at = _ROWS_AT[cls]
+    head = at.match(raw)
+    if head is None:
+        return None
+    start = head.end()
+    end = start + 2 if raw.startswith(b"[]", start) else raw.find(b"]]", start) + 2
+    seg = raw[start:end]
+    if end < start + 2 or seg.translate(None, b"0123456789,[]"):  # no "]]", or not int rows
+        return None
+    try:
+        values, widths = _read_int_rows(seg)
+        if cls is LabeledHypergraph:
+            width = widths[0] if len(widths) else 0
+            if (widths != width).any():
+                return None
+            rows = values.reshape(len(widths), width)
+        else:
+            ends, flat = np.cumsum(widths).tolist(), values.tolist()
+            rows = [flat[a:b] for a, b in zip([0, *ends], ends)]
+        text = (raw[:start] + b"[]" + raw[end:]).decode("utf-8")
+        doc = json.loads(text)
+        if _int_rows(rows) != seg.decode("ascii") or _canonical(doc) + "\n" != text:
+            return None
+    except (ValueError, RecursionError):
+        return None
+    doc[key] = rows
+    return doc
+
+
 def _load(path: str, inputs: dict, cls):
     """Read a JSON document as `cls` and record its digest in `inputs`;
-    returns the object and the parsed document."""
+    returns the object and the parsed document.  A document exactly as
+    `_emit` writes it is read by `_read_exact`, any other by json.loads;
+    `from_json_dict` checks either."""
     raw = Path(path).read_bytes()
     inputs[path] = "sha256:" + hashlib.sha256(raw).hexdigest()
     try:
-        doc = json.loads(raw.decode("utf-8"))
+        doc = _read_exact(raw, cls)
+        if doc is None:
+            doc = json.loads(raw.decode("utf-8"))
         return cls.from_json_dict(doc), doc
     except ValueError as exc:  # also bad UTF-8 and bad JSON
         raise ValueError(f"{path}: {exc}") from None
@@ -236,9 +350,9 @@ def _cmd_construct(args, run) -> int:
     _distinct_outputs(args, "out", "partition")
     params, G, P, extra = _construct_payloads(args)
     run.params = params
-    _emit(G.to_json_dict(), run.manifest(), args.out)
+    _emit(_graph_payload(G), run.manifest(), args.out)
     if args.partition:
-        payload = P.to_json_dict()
+        payload = _partition_payload(P)
         payload.update(extra)
         _emit(payload, run.manifest(), args.partition)
     return 0
@@ -400,8 +514,8 @@ def _cmd_partition_greedy(args, run) -> int:
     except RuntimeError as exc:
         print(f"partitioning failed: {exc}", file=sys.stderr)
         return 3
-    _emit(G2.to_json_dict(), run.manifest(), args.out_graph)
-    payload = P.to_json_dict()
+    _emit(_graph_payload(G2), run.manifest(), args.out_graph)
+    payload = _partition_payload(P)
     payload["trace"] = trace.to_json_dict()
     _emit(payload, run.manifest(), args.out_partition)
     if args.trace:

@@ -42,10 +42,10 @@ from .structures import LabeledHypergraph
 # `parse_pattern` reads it with (cycles also as C_6); explicit patterns are
 # built from their edges, never parsed
 _SPELLINGS = {
-    "complete_bipartite": ("K_{%d,%d}", re.compile(r"K_\{(\d+),(\d+)\}$")),
-    "cycle": ("C_{%d}", re.compile(r"C_(?:\{(\d+)\}|(\d+))$")),
-    "theta": ("theta_{%d,%d}", re.compile(r"theta_\{(\d+),(\d+)\}$")),
-    "berge_cycle": ("bergeC_%d", re.compile(r"bergeC_(\d+)$")),
+    "complete_bipartite": ("K_{%d,%d}", re.compile(r"K_\{(\d+),(\d+)\}", re.ASCII)),
+    "cycle": ("C_{%d}", re.compile(r"C_(?:\{(\d+)\}|(\d+))", re.ASCII)),
+    "theta": ("theta_{%d,%d}", re.compile(r"theta_\{(\d+),(\d+)\}", re.ASCII)),
+    "berge_cycle": ("bergeC_%d", re.compile(r"bergeC_(\d+)", re.ASCII)),
     "explicit": ("explicit", None),
 }
 
@@ -162,7 +162,7 @@ def parse_pattern(text) -> ForbiddenPattern:
     if isinstance(text, ForbiddenPattern):
         return text
     for kind, (_, spelling) in _SPELLINGS.items():
-        m = spelling and spelling.match(text)
+        m = spelling and spelling.fullmatch(text)
         if m:
             params = tuple(int(g) for g in m.groups() if g is not None)
             if kind == "complete_bipartite":

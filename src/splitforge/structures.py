@@ -58,7 +58,10 @@ def _json_int(x, kind: str, key: str) -> None:
 
 
 def _json_index_rows(rows, kind: str, key: str) -> None:
-    """Raise unless rows is an array of arrays of integers."""
+    """Raise unless rows is an array of arrays of integers: lists, or a
+    2-D int64 array, as the CLI reads the edges of a canonical document."""
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.int64:
+        return
     if type(rows) is not list or set(map(type, rows)) - {list}:
         raise ValueError(f"{kind} field {key!r} must be an array of arrays")
     if set(map(type, chain.from_iterable(rows))) - {int}:

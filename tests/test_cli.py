@@ -185,6 +185,13 @@ def test_verify_incomplete_takes_precedence(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("spec", ["C_6\n", "C_\u0666"], ids=["newline", "arabic-indic-digit"])
+def test_verify_refuses_a_pattern_spelled_outside_ascii_exit_2(tmp_path, capsys, spec):
+    g, p = k22_files(tmp_path)
+    assert cli.main(["verify", "--graph", str(g), "--partition", str(p), "--forbid", spec]) == 2
+    assert "unrecognised pattern string" in capsys.readouterr().err
+
+
 def test_verify_clean_exit_0(tmp_path):
     g, p = k22_files(tmp_path)
     assert cli.main(["verify", "--graph", str(g), "--partition", str(p), "--forbid", "C_6"]) == 0
