@@ -16,10 +16,10 @@ complete; two output flags of one command that name the same file are
 refused before any work starts.
 Repeated runs with the same parameters and seed produce byte-identical
 payloads; only the manifest's wall time may differ.
-A graph or partition document is read through an exact fast path when
-its bytes are exactly what `_emit` writes: numpy parses the index rows,
-json.loads the rest, and re-encoding both must give the bytes back.
-Every other document is read with json.loads, with the same objects,
+A graph document is read through an exact fast path when its bytes are
+exactly what `_emit` writes: numpy parses the edge rows, json.loads the
+rest, and re-encoding both must give the bytes back.  Partitions and
+every other document are read with json.loads, with the same objects,
 messages and exit codes; no flag or environment variable selects the
 route.
 
@@ -46,15 +46,14 @@ witness when both apply.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
-import re
 import sys
 import time
 from dataclasses import asdict
 from fractions import Fraction
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -105,27 +104,16 @@ class _Encoded(str):
     """JSON text that `_emit` writes as it stands."""
 
 
-def _int_rows(rows) -> str:
-    """The canonical JSON text of an array of arrays of integers, as
-    `_canonical` writes it: `rows` is an (R, w) int array or a sequence of
-    int sequences (not bools)."""
-    if isinstance(rows, np.ndarray):
-        cells = ["[" + ",".join(["%d"] * rows.shape[1]) + "]"] * len(rows)
-        values = rows.ravel().tolist()
-    else:
-        cells = ["[" + ",".join(["%d"] * len(row)) + "]" for row in rows]
-        values = list(chain.from_iterable(rows))
-    return "[" + ",".join(cells) % tuple(values) + "]"
+def _int_rows(rows: np.ndarray) -> str:
+    """The canonical JSON text of an (R, w) int array, as `_canonical`
+    writes its lists."""
+    row = "[" + ",".join(["%d"] * rows.shape[1]) + "]"
+    return "[" + ",".join([row] * len(rows)) % tuple(rows.ravel().tolist()) + "]"
 
 
 def _graph_payload(G: LabeledHypergraph) -> dict:
     """`G.to_json_dict()`, its edges written straight from the edge array."""
     return {"edges": _Encoded(_int_rows(G.edge_array)), "m": G.m, "vertices": list(G.vertices)}
-
-
-def _partition_payload(P: SplitPartition) -> dict:
-    """`P.to_json_dict()`, its parts written straight from the tuples."""
-    return {"k": P.declared_k, "parts": _Encoded(_int_rows(P.parts))}
 
 
 def _object_text(pieces: dict) -> str:
@@ -160,81 +148,50 @@ def _emit(payload: dict, manifest: dict, out: str | None) -> None:
         _write_atomic(out, text)
 
 
-# where a document as `_emit` writes it holds its index rows: straight
-# after the brace in a graph, after "k" in a partition
-_ROWS_AT = {
-    LabeledHypergraph: ("edges", re.compile(rb'\{"edges":')),
-    SplitPartition: ("parts", re.compile(rb'\{"k":[0-9]+,"parts":')),
-}
-_SPACES = bytes.maketrans(b"[,", b"  ")
+# a graph document as `_emit` writes it: its edge rows straight after
+# the brace, then "m"
+_EDGES_AT, _M_AT = b'{"edges":', b',"m":'
+_SPACES = bytes.maketrans(b"[],", b"   ")
 
 
-def _read_int_rows(seg: bytes):
-    """The rows that `seg`, bytes of digits, commas and brackets ending in
-    "]", holds if it is an array of arrays of integers: their values and
-    widths, as int64 arrays.  Raises ValueError on a number of more than
-    18 digits, which np.fromstring would saturate to 2**63 - 1 without a
-    word, and on what is no such array.  Only `_int_rows` can tell
-    whether `seg` was canonical."""
-    a = np.frombuffer(seg, np.uint8)
-    if np.diff(np.flatnonzero(a - np.uint8(48) > 9), prepend=-1).max() > 19:
-        raise ValueError("a number of more than 18 digits")
-    # each "]" becomes -1, which no number in `seg` can be: the last one
-    # ends the array, each other one a row
-    v = np.fromstring(seg.replace(b"]", b" -1 ").translate(_SPACES), np.int64, sep=" ")
-    ends = np.flatnonzero(v < 0)
-    widths = np.diff(ends[:-1], prepend=-1) - 1
-    values = v[v >= 0]
-    if ends[-1] != len(v) - 1 or widths.sum() != len(values):
-        raise ValueError("not an array of arrays")
-    return values, widths
-
-
-def _read_exact(raw: bytes, cls):
-    """The `cls` document in `raw` when it is exactly as `_emit` writes
-    one, else None.  Its index rows are read by `_read_int_rows`, a graph's
-    as an int64 array and a partition's as lists of ints, and the rest by
-    json.loads; re-encoding both must give `raw` back, so json.loads would
-    have returned the same values.  Nothing here raises: any doubt is a
-    None, and the caller reads the document the general way."""
-    key, at = _ROWS_AT[cls]
-    head = at.match(raw)
-    if head is None:
-        return None
-    start = head.end()
-    end = start + 2 if raw.startswith(b"[]", start) else raw.find(b"]]", start) + 2
+def _read_exact(raw: bytes):
+    """The graph document in `raw` when it is exactly as `_emit` writes
+    one, else None.  One np.fromstring call reads the edge rows as an
+    (E, m) int64 array, m read by json.loads with the rest; re-encoding
+    both must give `raw` back, so json.loads would have returned the same
+    values: a number np.fromstring saturated, a leading zero, `[[]]`
+    (read as [0]) and a ragged or wrong-width row all re-encode to other
+    bytes.  Nothing here raises: any doubt is a None, and the caller reads
+    the document the general way."""
+    start, end = len(_EDGES_AT), raw.find(_M_AT)
     seg = raw[start:end]
-    if end < start + 2 or seg.translate(None, b"0123456789,[]"):  # no "]]", or not int rows
+    if not raw.startswith(_EDGES_AT) or end < start or seg.translate(None, b"0123456789,[]"):
         return None
     try:
-        values, widths = _read_int_rows(seg)
-        if cls is LabeledHypergraph:
-            width = widths[0] if len(widths) else 0
-            if (widths != width).any():
-                return None
-            rows = values.reshape(len(widths), width)
-        else:
-            ends, flat = np.cumsum(widths).tolist(), values.tolist()
-            rows = [flat[a:b] for a, b in zip([0, *ends], ends)]
         text = (raw[:start] + b"[]" + raw[end:]).decode("utf-8")
         doc = json.loads(text)
+        values, m = np.fromstring(seg.translate(_SPACES), np.int64, sep=" "), doc["m"]
+        # m at most the value count, so a huge m builds no huge row template
+        if type(m) is not int or not 0 < m <= len(values):
+            return None
+        rows = values.reshape(-1, m)
         if _int_rows(rows) != seg.decode("ascii") or _canonical(doc) + "\n" != text:
             return None
     except (ValueError, RecursionError):
         return None
-    doc[key] = rows
+    doc["edges"] = rows
     return doc
 
 
 def _load(path: str, inputs: dict, cls):
     """Read a JSON document as `cls` and record its digest in `inputs`;
-    returns the object and the parsed document.  A document exactly as
-    `_emit` writes it is read by `_read_exact`, any other by json.loads;
-    `from_json_dict` checks either."""
+    returns the object and the parsed document.  A graph document exactly
+    as `_emit` writes it is read by `_read_exact`, any other document by
+    json.loads; `from_json_dict` checks either."""
     raw = Path(path).read_bytes()
     inputs[path] = "sha256:" + hashlib.sha256(raw).hexdigest()
     try:
-        doc = _read_exact(raw, cls)
+        doc = _read_exact(raw)
         if doc is None:
             doc = json.loads(raw.decode("utf-8"))
         return cls.from_json_dict(doc), doc
@@ -352,9 +309,7 @@ def _cmd_construct(args, run) -> int:
     run.params = params
     _emit(_graph_payload(G), run.manifest(), args.out)
     if args.partition:
-        payload = _partition_payload(P)
-        payload.update(extra)
-        _emit(payload, run.manifest(), args.partition)
+        _emit(dict(P.to_json_dict(), **extra), run.manifest(), args.partition)
     return 0
 
 
@@ -364,8 +319,8 @@ def _cmd_construct(args, run) -> int:
 def _cmd_verify(args, run) -> int:
     G, doc = _load(args.graph, run.inputs, LabeledHypergraph)
     P, _ = _load(args.partition, run.inputs, SplitPartition)
-    run.params = {"forbid": list(args.forbid or [])}
     patterns = [parse_pattern(text) for text in args.forbid or []]
+    run.params = {"forbid": [pat.spec_string() for pat in patterns]}
     report = verify_rk(G, P)
     provenance = doc.get("provenance")
     params = provenance.get("params") if type(provenance) is dict else None
@@ -515,9 +470,7 @@ def _cmd_partition_greedy(args, run) -> int:
         print(f"partitioning failed: {exc}", file=sys.stderr)
         return 3
     _emit(_graph_payload(G2), run.manifest(), args.out_graph)
-    payload = _partition_payload(P)
-    payload["trace"] = trace.to_json_dict()
-    _emit(payload, run.manifest(), args.out_partition)
+    _emit(dict(P.to_json_dict(), trace=trace.to_json_dict()), run.manifest(), args.out_partition)
     if args.trace:
         recs = [*trace.iteration_records(), {"provenance": run.manifest()}]
         _write_atomic(args.trace, "".join(
@@ -528,6 +481,7 @@ def _cmd_partition_greedy(args, run) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="splitforge", allow_abbrev=False, description=__doc__)
     sub = top.add_subparsers(dest="cmd", required=True)

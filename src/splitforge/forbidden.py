@@ -42,10 +42,10 @@ from .structures import LabeledHypergraph
 # `parse_pattern` reads it with (cycles also as C_6); explicit patterns are
 # built from their edges, never parsed
 _SPELLINGS = {
-    "complete_bipartite": ("K_{%d,%d}", re.compile(r"K_\{(\d+),(\d+)\}", re.ASCII)),
-    "cycle": ("C_{%d}", re.compile(r"C_(?:\{(\d+)\}|(\d+))", re.ASCII)),
-    "theta": ("theta_{%d,%d}", re.compile(r"theta_\{(\d+),(\d+)\}", re.ASCII)),
-    "berge_cycle": ("bergeC_%d", re.compile(r"bergeC_(\d+)", re.ASCII)),
+    "complete_bipartite": ("K_{%d,%d}", re.compile(r"K_\{([1-9]\d*),([1-9]\d*)\}", re.ASCII)),
+    "cycle": ("C_{%d}", re.compile(r"C_(?:\{([1-9]\d*)\}|([1-9]\d*))", re.ASCII)),
+    "theta": ("theta_{%d,%d}", re.compile(r"theta_\{([1-9]\d*),([1-9]\d*)\}", re.ASCII)),
+    "berge_cycle": ("bergeC_%d", re.compile(r"bergeC_([1-9]\d*)", re.ASCII)),
     "explicit": ("explicit", None),
 }
 

@@ -197,6 +197,34 @@ def test_verify_clean_exit_0(tmp_path):
     assert cli.main(["verify", "--graph", str(g), "--partition", str(p), "--forbid", "C_6"]) == 0
 
 
+def verify_manifest(capsys, g, p, *forbid):
+    """verify's output manifest, argv and wall time dropped."""
+    capsys.readouterr()
+    argv = ["verify", "--graph", str(g), "--partition", str(p)]
+    for spec in forbid:
+        argv += ["--forbid", spec]
+    assert cli.main(argv) in (0, 4)
+    manifest = json.loads(capsys.readouterr().out)["provenance"]
+    for key in ("argv", "wall_time_ms"):
+        manifest.pop(key)
+    return manifest
+
+
+def test_verify_calls_in_one_process_share_no_forbid_list(tmp_path, capsys):
+    # the parser is built once per process: a later call must not see an
+    # earlier call's --forbid values
+    g, p = k22_files(tmp_path)
+    assert verify_manifest(capsys, g, p, "C_4")["params"]["forbid"] == ["C_{4}"]
+    assert verify_manifest(capsys, g, p)["params"]["forbid"] == []
+
+
+def test_verify_records_one_spelling_per_pattern(tmp_path, capsys):
+    g, p = k22_files(tmp_path)
+    manifest = verify_manifest(capsys, g, p, "C_6")
+    assert manifest == verify_manifest(capsys, g, p, "C_{6}")
+    assert manifest["params"]["forbid"] == ["C_{6}"]
+
+
 # ---------------------------------------------------------------------------
 # spectrum / mixing
 

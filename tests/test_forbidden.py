@@ -264,7 +264,7 @@ def test_every_spelling_gives_one_pattern(spellings, kind, params, spec):
     "C_2", "C_{2}", "C_{6", "C_6}", "C6", "c_6", " C_6", "C_6 ", "C_-6",
     "K_{0,2}", "K_{2, 2}", "K_2,2", "K_{2,2,2}", "theta_{1,4}", "theta_{3,1}",
     "theta_3,4", "bergeC_1", "bergeC_5", "bergeC_{2}", "Q_3", "explicit", "",
-    "C_6\n", "C_\u0666",
+    "C_6\n", "C_\u0666", "C_0006", "C_{06}", "K_{02,2}", "theta_{3,04}", "bergeC_02",
 ])
 def test_parse_pattern_refusals(text):
     with pytest.raises(ValueError):
