@@ -255,6 +255,36 @@ def test_mutated_documents_give_the_same_result_on_both_routes(tmp_path, capsys,
     assert True in taken and False in taken
 
 
+@pytest.mark.parametrize("seg, outcome", [
+    (b"[[" + str(2 ** 70).encode() + b"]]", "refused"), (b"[[1" + b"0" * 18 + b"]]", "refused"),
+    (b"[[" + b"9" * 18 + b"]]", "read"), (b"[[]]", "read"), (b"[]", "read"),
+    (b"[[0,1],[],[2]]", "read"), (b"[[1],2]", "refused"), (b"[1]]", "declined"),
+    (b"[[1]]]", "declined"), (b"[[0,01]]", "declined"), (b"]", "declined"),
+])
+def test_rows_reader_refuses_reads_or_is_declined(tmp_path, capsys, monkeypatch, seg, outcome):
+    # `seg` as the edge rows of the K_{2,2} document.  The outcome is what a
+    # rows-only reader gives: "read" and "refused" rows are JSON, which
+    # json.loads reads; "declined" rows are not, and `_read_exact` declines
+    # them too.  Whatever `_read_exact` takes is json.loads's value, and
+    # both routes give verify the same exit code, stderr and payload.
+    g, p = k22_documents(tmp_path)
+    raw = g.read_bytes()
+    start = raw.index(b'"edges":') + len(b'"edges":')
+    raw = raw[:start] + seg + raw[raw.index(b',"m":', start):]
+    doc = cli._read_exact(raw)
+    if outcome == "declined":
+        with pytest.raises(ValueError):
+            json.loads(raw)
+        assert doc is None
+    elif doc is not None:
+        assert dict(doc, edges=doc["edges"].tolist()) == json.loads(raw)
+    else:
+        assert json.loads(raw)["edges"] == json.loads(seg)
+    g.write_bytes(raw)
+    exact = run_verify(capsys, g, p, True, monkeypatch, "C_4")
+    assert exact == run_verify(capsys, g, p, False, monkeypatch, "C_4")
+
+
 def graph_text(m: int, edges) -> bytes:
     G = LabeledHypergraph(m, [f"v{i}" for i in range(max(map(max, edges)) + 1)], edges)
     return json_writer(G.to_json_dict(), MANIFEST).encode()
