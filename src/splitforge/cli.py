@@ -496,10 +496,12 @@ def _build_parser() -> argparse.ArgumentParser:
     f.add_argument("--h", type=int, default=None, help="subgroup block count for the partition")
     f.add_argument("--a", type=int, default=None, help="parts per point/line class")
     f.add_argument("--patch-strategy", choices=["matching", "greedy_reuse"], default="matching")
+    f.add_argument("--seed", type=int, default=None, help="seeds the partition's random choices")
 
     f = fam.add_parser("wenger", allow_abbrev=False)
     f.add_argument("--M", type=int, required=True)
     f.add_argument("--q", type=int, required=True)
+    f.add_argument("--seed", type=int, default=None, help="seeds the partition's random choices")
 
     f = fam.add_parser("theta", allow_abbrev=False)
     f.add_argument("--q", type=int, required=True)
@@ -520,7 +522,6 @@ def _build_parser() -> argparse.ArgumentParser:
     for f in fam.choices.values():
         f.add_argument("--out", required=True, help="graph JSON path")
         f.add_argument("--partition", default=None, help="partition JSON path")
-        f.add_argument("--seed", type=int, default=None)
         f.set_defaults(handler=_cmd_construct)
 
     pv = sub.add_parser("verify", allow_abbrev=False, help="certify a split and check patterns")

@@ -175,9 +175,12 @@ def parse_pattern(text) -> ForbiddenPattern:
 
 
 def _emit(G: LabeledHypergraph, pat: ForbiddenPattern, vertices, edges) -> dict:
-    # final gate: every witness edge must exist in the host
+    # final gate: every witness edge, sorted, must be a row of the host's
+    # edge array; only the rows that start at its least vertex can be
+    E = G.edge_array
     for e in edges:
-        if tuple(sorted(e)) not in G.edge_set:
+        row = sorted(e)
+        if len(row) != G.m or not (E[E[:, 0] == row[0]] == row).all(axis=1).any():
             raise RuntimeError(
                 f"internal error: witness edge {tuple(e)} not present in host"
             )
@@ -621,19 +624,20 @@ def contains_explicit(G: LabeledHypergraph, pattern_edges):
     for e in edges:
         checks[max(rank[v] for v in e)].append(e)
 
+    es = set(map(tuple, G.edge_array.tolist()))
     phi: dict[int, int] = {}
-    if not _embed(G, order, pdeg, checks, phi, set(), 0):
+    if not _embed(G, es, order, pdeg, checks, phi, set(), 0):
         return None
     mapped = [tuple(sorted(phi[x] for x in e)) for e in edges]
     return _emit(G, pat, [phi[v] for v in pverts], mapped)
 
 
-def _embed(G, order, pdeg, checks, phi, used, i):
+def _embed(G, es, order, pdeg, checks, phi, used, i):
     """Map pattern vertices order[i:] to unused host vertices, extending
-    phi (whose images are `used`); True once every vertex is placed."""
+    phi (whose images are `used`) so that each pattern edge lands in the
+    host's edge set `es`; True once every vertex is placed."""
     if i == len(order):
         return True
-    es = G.edge_set
     pv = order[i]
     for g in range(G.n):
         if g in used or G.degree(g) < pdeg[pv]:
@@ -642,7 +646,7 @@ def _embed(G, order, pdeg, checks, phi, used, i):
         used.add(g)
         if all(
             tuple(sorted(phi[x] for x in e)) in es for e in checks[i]
-        ) and _embed(G, order, pdeg, checks, phi, used, i + 1):
+        ) and _embed(G, es, order, pdeg, checks, phi, used, i + 1):
             return True
         del phi[pv]
         used.remove(g)

@@ -10,7 +10,6 @@ parts there is an edge meeting each chosen part in exactly one vertex.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import chain, combinations, count
@@ -89,7 +88,8 @@ class LabeledHypergraph:
         Duplicate edges are rejected rather than merged, since the
         builders in this package never produce them intentionally.
         ``edge_array`` keeps a read-only int64 copy, each row sorted;
-        ``edges``, its rows as int tuples, is built on first use.
+        ``edges``, its rows as int tuples, is built on first use and
+        read by no code in this package.
     """
 
     __slots__ = ("m", "vertices", "edge_array", "__dict__", "__weakref__")
@@ -126,12 +126,7 @@ class LabeledHypergraph:
     @cached_property
     def edges(self) -> tuple:
         """The rows of ``edge_array`` as a tuple of int tuples."""
-        pool = np.arange(self.n).astype(object)  # one int object per vertex, shared by every tuple
-        return tuple(zip(*pool[self.edge_array.T].tolist()))
-
-    @cached_property
-    def edge_set(self) -> frozenset:
-        return frozenset(self.edges)
+        return tuple(map(tuple, self.edge_array.tolist()))
 
     @cached_property
     def adj(self) -> tuple:
@@ -173,27 +168,12 @@ class LabeledHypergraph:
     def colouring(self):
         """2-colouring by breadth-first search, starting each component at
         its least vertex with colour 0: a tuple of 0/1 per vertex, or None
-        when an odd cycle obstructs.  Computed once per graph, from
-        ``adj``."""
-        color = [-1] * self.n
-        adj = self.adj
-        for s in range(self.n):
-            if color[s] != -1:
-                continue
-            color[s] = 0
-            frontier = [s]
-            while frontier:
-                nxt = []
-                for u in frontier:
-                    cu = color[u]
-                    for w in adj[u]:
-                        if color[w] == -1:
-                            color[w] = 1 - cu
-                            nxt.append(w)
-                        elif color[w] == cu:
-                            return None
-                frontier = nxt
-        return tuple(color)
+        when an odd cycle obstructs (for m >= 3, whenever there is an
+        edge).  Computed once per graph, from ``adj``."""
+        colour = np.array(_bfs(self.adj)[1], dtype=np.int64) % 2
+        if (np.diff(np.sort(colour[self.edge_array]), axis=1) == 0).any():  # an edge in one colour
+            return None
+        return tuple(colour.tolist())
 
     @cached_property
     def incident(self) -> tuple:
@@ -355,20 +335,7 @@ def property_B_check(H: LabeledHypergraph, c, budget: int = 1_000_000) -> bool:
     if H.n > 24:
         raise ValueError(f"{H.n} vertices exceeds the exhaustive limit of 24")
     incident = H.incident
-    order = []
-    seen = [False] * H.n
-    for s in range(H.n):
-        if seen[s] or not incident[s]:
-            continue
-        seen[s] = True
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            order.append(u)
-            for w in H.adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
+    order = [v for v in _bfs(H.adj)[0] if incident[v]]
     counts = [[0] * len(c) for _ in range(len(H.edge_array))]
     return _colour_from(order, incident, counts, c, budget, count(1), 0)
 
@@ -402,15 +369,31 @@ def _colour_from(order, incident, counts, c, budget, nodes, pos) -> bool:
 def components(G: LabeledHypergraph) -> list:
     """Connected components (vertices share a component when they share
     an edge), as sorted index lists ordered by least vertex."""
-    from scipy.sparse import csgraph  # here, not at the top: its import takes ~0.1 s and 11 MB
-    E = G.edge_array
-    first = np.repeat(E[:, 0], G.m - 1)  # each edge links its least vertex to the others
-    links = sparse.coo_matrix((np.ones(first.size), (first, E[:, 1:].ravel())), shape=(G.n, G.n))
-    ncomp, label = csgraph.connected_components(links, directed=False)
-    groups = [[] for _ in range(ncomp)]
-    for v, c in enumerate(label.tolist()):
-        groups[c].append(v)
-    return sorted(groups, key=lambda g: g[0])
+    order, dist = _bfs(G.adj)
+    starts = [i for i, v in enumerate(order) if dist[v] == 0] + [len(order)]
+    return [sorted(order[a:b]) for a, b in zip(starts, starts[1:])]
+
+
+def _bfs(adj) -> tuple:
+    """Breadth-first search of every component from its least vertex, the
+    components taken by least vertex: the vertices in the order visited,
+    and each vertex's distance from its component's least vertex."""
+    order: list = []
+    dist = [-1] * len(adj)
+    i = 0  # order[i:] is the queue; it is empty whenever a component is done
+    for s in range(len(adj)):
+        if dist[s] >= 0:
+            continue
+        dist[s] = 0
+        order.append(s)
+        while i < len(order):
+            u = order[i]
+            i += 1
+            for w in adj[u]:
+                if dist[w] < 0:
+                    dist[w] = dist[u] + 1
+                    order.append(w)
+    return order, dist
 
 
 def edge_codes(rows, n: int) -> np.ndarray:

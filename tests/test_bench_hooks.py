@@ -14,7 +14,6 @@ from pathlib import Path
 
 import splitforge
 from splitforge import spectral
-from splitforge.constructions import build_wenger
 from splitforge.structures import LabeledHypergraph
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -35,13 +34,14 @@ def test_tracer_times_the_neighbour_build_and_uninstalls():
     rec.install(splitforge, modules)
     try:
         assert spectral.greedy_split is not greedy
-        G = build_wenger(1, 13)
+        G = modules["constructions"].build_wenger(1, 13)  # the traced builder
         spectral.spectrum(G)
         spectral.greedy_split(G, 8, "K_{2,2}", seed=42)
         metrics = rec.metrics()
     finally:
         rec.uninstall()
     assert metrics["structures.adj_s"] > 0
+    assert metrics["constructions.edges_per_s"] > 0  # the tracer counts edges on `.edges`
     assert metrics["spectral.spectrum_calls"] >= 1
     assert spectral.greedy_split is greedy
     assert LabeledHypergraph.__dict__["adj"].func is adj

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from splitforge import cli
+from splitforge import cli, forbidden
 from splitforge.structures import LabeledHypergraph, SplitPartition
 
 
@@ -159,6 +159,21 @@ def test_construct_huge_prime_q_exits_2_fast(family, tmp_path, capsys):
     assert "exceeds the field-size cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["theta", "--q", "9"],
+    ["berge3", "--q", "3"],
+    ["design", "--id", "fano"],
+    ["property-B", "--m", "2", "--c", "1,1", "--r", "2"],
+], ids=lambda argv: argv[0])
+def test_construct_seed_only_where_a_builder_reads_it(argv, tmp_path, capsys):
+    # these builders take no seed, so --seed is refused rather than recorded
+    out = str(tmp_path / "g.json")
+    assert cli.main(["construct", *argv, "--out", out, "--seed", "1"]) == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert cli.main(["construct", *argv, "--out", out]) == 0
+    assert load(Path(out))["provenance"]["seed"] is None
+
+
 # ---------------------------------------------------------------------------
 # verify exit codes
 
@@ -190,6 +205,15 @@ def test_verify_refuses_a_pattern_spelled_outside_ascii_exit_2(tmp_path, capsys,
     g, p = k22_files(tmp_path)
     assert cli.main(["verify", "--graph", str(g), "--partition", str(p), "--forbid", spec]) == 2
     assert "unrecognised pattern string" in capsys.readouterr().err
+
+
+def test_verify_witness_edge_missing_from_host_exits_1(tmp_path, capsys, monkeypatch):
+    # a cycle search that proposes the non-edge (0, 1) of K_{2,2}
+    monkeypatch.setattr(forbidden, "_cycles", lambda adj, length: iter([[0, 1, 2, 3]]))
+    g, p = k22_files(tmp_path)
+    assert cli.main(["verify", "--graph", str(g), "--partition", str(p), "--forbid", "C_4"]) == 1
+    assert capsys.readouterr().err == (
+        "internal failure: internal error: witness edge (0, 1) not present in host\n")
 
 
 def test_verify_clean_exit_0(tmp_path):
@@ -283,6 +307,13 @@ def test_mixing_bipartite_mode(tmp_path, capsys):
         cli.main(["mixing", "--graph", str(g), "--U", "0", "--W", "1", "--mode", "bipartite"])
         == 2
     )
+
+
+def test_mixing_refuses_a_set_that_is_not_integers(tmp_path, capsys):
+    g, _ = k22_files(tmp_path)
+    assert cli.main(["mixing", "--graph", str(g), "--U", "0,x", "--W", "2,3"]) == 2
+    assert capsys.readouterr().err == (
+        "invalid parameters or input: expected comma-separated integers, got '0,x'\n")
 
 
 # ---------------------------------------------------------------------------

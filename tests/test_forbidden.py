@@ -81,8 +81,13 @@ def naive_kst(G, s, t):
     return False
 
 
+def host_edges(G):
+    """The host's edges as a set of sorted vertex tuples."""
+    return set(map(tuple, G.edge_array.tolist()))
+
+
 def naive_cycle(G, L):
-    es = G.edge_set
+    es = host_edges(G)
     if L > G.n:
         return False
     for subset in itertools.combinations(range(G.n), L):
@@ -153,7 +158,7 @@ def naive_berge(Hy, length):
 
 def naive_embed(G, pattern_edges):
     pverts = sorted({v for e in pattern_edges for v in e})
-    es = G.edge_set
+    es = host_edges(G)
     for image in itertools.permutations(range(G.n), len(pverts)):
         phi = dict(zip(pverts, image))
         if all(
@@ -168,16 +173,18 @@ def naive_embed(G, pattern_edges):
 
 def check_witness_edges(G, w):
     assert set(w) == {"pattern", "vertices", "edges"}
+    es = host_edges(G)
     for e in w["edges"]:
-        assert tuple(sorted(e)) in G.edge_set
+        assert tuple(sorted(e)) in es
 
 
 def check_cycle_witness(G, w, L):
     check_witness_edges(G, w)
     cyc = w["vertices"]
     assert len(cyc) == L and len(set(cyc)) == L
+    es = host_edges(G)
     for i in range(L):
-        assert tuple(sorted((cyc[i], cyc[(i + 1) % L]))) in G.edge_set
+        assert tuple(sorted((cyc[i], cyc[(i + 1) % L]))) in es
 
 
 def check_kst_witness(G, w, s, t):
@@ -185,9 +192,10 @@ def check_kst_witness(G, w, s, t):
     hubs, leaves = w["vertices"][:s], w["vertices"][s:]
     assert len(leaves) == t
     assert len(set(hubs + leaves)) == s + t
+    es = host_edges(G)
     for h in hubs:
         for leaf in leaves:
-            assert tuple(sorted((h, leaf))) in G.edge_set
+            assert tuple(sorted((h, leaf))) in es
 
 
 def check_theta_witness(G, w, K, length):
@@ -199,7 +207,7 @@ def check_theta_witness(G, w, K, length):
     interior = w["vertices"][2:]
     assert len(interior) == K * (length - 1)
     assert len(set(w["vertices"])) == 2 + K * (length - 1)
-    es = G.edge_set
+    es = host_edges(G)
     for i in range(K):
         path = [u] + interior[i * (length - 1) : (i + 1) * (length - 1)] + [v]
         for a, b in zip(path, path[1:]):
@@ -212,8 +220,9 @@ def check_berge_witness(Hy, w, length):
     assert len(core) == length and len(set(core)) == length
     used = [tuple(sorted(e)) for e in w["edges"]]
     assert len(set(used)) == length
+    es = host_edges(Hy)
     for i, e in enumerate(used):
-        assert e in Hy.edge_set
+        assert e in es
         assert core[i] in e and core[(i + 1) % length] in e
 
 
@@ -1108,6 +1117,36 @@ def test_check_pattern_dispatch():
         forbidden.check_pattern(fano, "C_6")  # cycles need m=2
     pat = ForbiddenPattern(kind="explicit", params=(), edges=((0, 1), (1, 2)))
     assert forbidden.check_pattern(c6, pat) is not None
+
+
+@pytest.mark.parametrize("host, pattern", [
+    (lambda: complete_bipartite(2, 2), "K_{2,2}"),
+    (lambda: cycle_graph(6), "C_6"),
+    (lambda: theta_graph(3, 3), "theta_{3,3}"),
+    (lambda: LabeledHypergraph(3, "abcd", [(0, 1, 2), (0, 1, 3)]), "bergeC_2"),
+    (lambda: graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)]),
+     ForbiddenPattern("explicit", (), ((0, 1), (0, 2), (1, 2)))),
+], ids=["K22", "C6", "theta33", "bergeC2", "triangle"])
+def test_witness_gate_reads_the_edge_array_only(host, pattern):
+    # the gate compares rows of `edge_array`; the tuple view `edges` stays unbuilt
+    G = host()
+    assert forbidden.check_pattern(G, pattern) is not None
+    assert "edges" not in G.__dict__
+
+
+def test_witness_gate_refuses_an_edge_the_host_lacks(monkeypatch):
+    # a cycle search that proposes the non-edge (0, 2) of C_4
+    monkeypatch.setattr(forbidden, "_cycles", lambda adj, length: iter([[0, 2, 1, 3]]))
+    with pytest.raises(RuntimeError) as info:
+        forbidden.contains_cycle(cycle_graph(4), 4)
+    assert str(info.value) == "internal error: witness edge (0, 2) not present in host"
+    # a Berge search that proposes (0, 1, 4): vertex 0 starts two host edges, neither this one
+    Hy = LabeledHypergraph(3, "abcde", [(0, 1, 2), (0, 1, 3), (2, 3, 4)])
+    monkeypatch.setattr(forbidden, "_berge_search", lambda Hy, pat: forbidden._emit(
+        Hy, pat, [0, 1], [(0, 1, 2), (1, 0, 4)]))
+    with pytest.raises(RuntimeError) as info:
+        forbidden.contains_berge_cycle(Hy, 2)
+    assert str(info.value) == "internal error: witness edge (1, 0, 4) not present in host"
 
 
 def test_recursive_searches_leave_no_reference_cycles():

@@ -59,6 +59,8 @@ def test_query_validation():
         OracleQuery(4, 2, 2, ())
     with pytest.raises(ValueError):
         OracleQuery(4, 2, 2, "C_4")  # must be parsed patterns, not strings
+    with pytest.raises(ValueError, match="^pattern must be a ForbiddenPattern or a sequence of them$"):
+        OracleQuery(4, 2, 2, pattern=5)
 
 
 def test_query_normalises_single_pattern_to_tuple():

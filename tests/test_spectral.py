@@ -514,6 +514,13 @@ def test_greedy_split_validation():
         spectral.greedy_split(G, 9, "C_4", sizes={"seed_size": 2})  # m*seed > n/2
     with pytest.raises(ValueError):
         spectral.greedy_split(G, 3, "C_4", sizes={"seed_sise": 2})  # typo key
+    pendant = forbidden.ForbiddenPattern("explicit", (), ((0, 1), (1, 2), (2, 0), (2, 3)))
+    with pytest.raises(ValueError, match="^pattern has degree-1 vertices$"):
+        spectral.greedy_split(G, 3, pendant)  # vertex 3 has degree 1
+    with pytest.raises(ValueError, match="^need at least 2 parts$"):
+        spectral.greedy_split(G, 1, "C_4")
+    with pytest.raises(ValueError, match="^need at least 2 vertices$"):
+        spectral.greedy_split(graph(1, []), 2, "C_4")
 
 
 def test_greedy_split_determinism():

@@ -395,3 +395,8 @@ def test_csr_is_the_symmetric_adjacency():
 def test_csr_needs_a_graph():
     with pytest.raises(ValueError, match="2-uniform"):
         graph(4, [(0, 1, 2), (1, 2, 3)], m=3).csr
+
+
+def test_incidence_needs_a_hypergraph():
+    with pytest.raises(ValueError, match=r"^an incidence matrix needs m >= 3, got m=2$"):
+        graph(3, [(0, 1), (1, 2)]).incidence
