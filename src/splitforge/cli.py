@@ -16,9 +16,12 @@ complete; two output flags of one command that name the same file are
 refused before any work starts.
 Repeated runs with the same parameters and seed produce byte-identical
 payloads; only the manifest's wall time may differ.
-A graph document is read through an exact fast path when its bytes are
-exactly what `_emit` writes: numpy parses the edge rows, json.loads the
-rest, and re-encoding both must give the bytes back.  Partitions and
+A graph's edge rows are written by `_int_rows`, array code that gathers
+each value's digits in groups of four from a fixed table and cuts the
+leading zeros with one mask.  A graph document is read through an
+exact fast path when its bytes are exactly what `_emit` writes: numpy
+parses the edge rows, json.loads the rest, and re-encoding both (the
+rows by the same `_int_rows`) must give the bytes back.  Partitions and
 every other document are read with json.loads, with the same objects,
 messages and exit codes; no flag or environment variable selects the
 route.
@@ -104,11 +107,44 @@ class _Encoded(str):
     """JSON text that `_emit` writes as it stands."""
 
 
+# the digits of 0..9999 as 4-byte items, "0000" to "9999" (built in
+# uint8, so the import's peak memory grows by the table alone), and the
+# powers 10..10**18, whose count below a value is its digit count less one
+_DIGIT_GROUPS = np.ascontiguousarray(
+    np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + ord("0")).view("V4").ravel()
+_POWERS_OF_10 = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
 def _int_rows(rows: np.ndarray) -> str:
-    """The canonical JSON text of an (R, w) int array, as `_canonical`
-    writes its lists."""
-    row = "[" + ",".join(["%d"] * rows.shape[1]) + "]"
-    return "[" + ",".join([row] * len(rows)) % tuple(rows.ravel().tolist()) + "]"
+    """The canonical JSON text of an (R, w) array of nonnegative int64,
+    w >= 1, as `_canonical` writes its lists.
+
+    Each row is laid out as "[", then per value g groups of four digits
+    and a ",", then one more ","; g is the fewest groups that hold the
+    longest value, so 2**63 - 1 takes five.  The digits are gathered from
+    `_DIGIT_GROUPS`, the last value's "," becomes the row's "]", and one
+    boolean mask, gathered per value by its digit count, drops the
+    leading zeros; the last row's "," is cut."""
+    R, w = rows.shape
+    values = rows.ravel()
+    short = np.searchsorted(_POWERS_OF_10, values, side="right")  # digit count less one
+    g = int(short.max(initial=0)) // 4 + 1
+    digits, slot = 4 * g, 4 * g + 1
+    groups = np.empty((len(values), g), np.int64)  # most significant first
+    for j in range(g - 1, 0, -1):
+        values, groups[:, j] = np.divmod(values, 10000)
+    groups[:, 0] = values
+    text = np.empty((R, w * slot + 2), np.uint8)
+    cells = text[:, 1:-1].reshape(R, w, slot)  # a view: the value slots of each row
+    cells[..., :digits] = _DIGIT_GROUPS[groups].view(np.uint8).reshape(R, w, digits)
+    cells[..., digits] = ord(",")
+    text[:, 0], text[:, -2], text[:, -1] = ord("["), ord("]"), ord(",")
+    # row d of `kept` keeps the last d + 1 of the digits
+    kept = np.arange(digits) >= digits - 1 - np.arange(digits)[:, None]
+    keep = np.ones(text.shape, bool)
+    keep[:, 1:-1].reshape(R, w, slot)[..., :digits] = \
+        kept.view("V%d" % digits).ravel()[short].view(bool).reshape(R, w, digits)
+    return "[" + str(text[keep][:-1].data, "ascii") + "]"
 
 
 def _graph_payload(G: LabeledHypergraph) -> dict:

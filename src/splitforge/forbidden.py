@@ -583,7 +583,10 @@ def contains_explicit(G: LabeledHypergraph, pattern_edges):
 
     Pattern vertices are matched in BFS order from the highest-degree
     pattern vertex, candidates tried in ascending host order with a
-    degree cutoff.
+    degree cutoff: a vertex reached from a placed pattern neighbour takes
+    its candidates from the image's ``adj`` (every image of it lies
+    there), the first vertex of each pattern component from all host
+    vertices.
     """
     pat = ForbiddenPattern("explicit", (), tuple(tuple(sorted(e)) for e in pattern_edges))
     pat.check_host(G.m)
@@ -603,19 +606,19 @@ def contains_explicit(G: LabeledHypergraph, pattern_edges):
                 if a != b:
                     padj[a].add(b)
     order = []
-    placed = set()
+    parent: dict[int, int | None] = {}  # the pattern neighbour each vertex was reached from
     remaining = sorted(pverts, key=lambda v: (-pdeg[v], v))
     for start in remaining:
-        if start in placed:
+        if start in parent:
             continue
         queue = [start]
-        placed.add(start)
+        parent[start] = None
         while queue:
             x = queue.pop(0)
             order.append(x)
             for y in sorted(padj[x]):
-                if y not in placed:
-                    placed.add(y)
+                if y not in parent:
+                    parent[y] = x
                     queue.append(y)
 
     # pattern edges become checkable once their last vertex is placed
@@ -626,27 +629,30 @@ def contains_explicit(G: LabeledHypergraph, pattern_edges):
 
     es = set(map(tuple, G.edge_array.tolist()))
     phi: dict[int, int] = {}
-    if not _embed(G, es, order, pdeg, checks, phi, set(), 0):
+    if not _embed(G, es, order, [parent[v] for v in order], pdeg, checks, phi, set(), 0):
         return None
     mapped = [tuple(sorted(phi[x] for x in e)) for e in edges]
     return _emit(G, pat, [phi[v] for v in pverts], mapped)
 
 
-def _embed(G, es, order, pdeg, checks, phi, used, i):
+def _embed(G, es, order, parent, pdeg, checks, phi, used, i):
     """Map pattern vertices order[i:] to unused host vertices, extending
     phi (whose images are `used`) so that each pattern edge lands in the
-    host's edge set `es`; True once every vertex is placed."""
+    host's edge set `es`; True once every vertex is placed.  order[i]
+    takes its candidates from the host neighbours of phi[parent[i]], a
+    placed pattern neighbour, or from every host vertex when parent[i]
+    is None."""
     if i == len(order):
         return True
     pv = order[i]
-    for g in range(G.n):
+    for g in range(G.n) if parent[i] is None else G.adj[phi[parent[i]]]:
         if g in used or G.degree(g) < pdeg[pv]:
             continue
         phi[pv] = g
         used.add(g)
         if all(
             tuple(sorted(phi[x] for x in e)) in es for e in checks[i]
-        ) and _embed(G, es, order, pdeg, checks, phi, used, i + 1):
+        ) and _embed(G, es, order, parent, pdeg, checks, phi, used, i + 1):
             return True
         del phi[pv]
         used.remove(g)
@@ -721,11 +727,11 @@ def rows_prove_absent(H: LabeledHypergraph, rows, pattern) -> bool:
     (k, threshold), no off-diagonal count of A_k in the rows `rows` (an
     int64 index array of vertices) of H's adjacency matrix (``csr``,
     m = 2) or vertex-edge incidence matrix (``incidence``, m >= 3)
-    reaches the threshold.  The deciders pass every vertex and `verify`'s
-    orbit route one vertex per orbit.  False on a hit, for a pattern with
-    no orbit test or that does not fit H (a Berge cycle on a graph, a
-    graph pattern on a hypergraph), and where `_counts_exact` fails for
-    A_k."""
+    reaches the threshold.  The deciders pass every vertex on an edge and
+    `verify`'s orbit route one vertex per orbit.  False on a hit, for a
+    pattern with no orbit test or that does not fit H (a Berge cycle on a
+    graph, a graph pattern on a hypergraph), and where `_counts_exact`
+    fails for A_k."""
     pattern = parse_pattern(pattern)
     test = orbit_test(pattern)
     if test is None or not pattern.fits(H.m):
@@ -736,6 +742,10 @@ def rows_prove_absent(H: LabeledHypergraph, rows, pattern) -> bool:
 
 def _proved_absent(H: LabeledHypergraph, pat: ForbiddenPattern) -> bool:
     """The deciders' gate: True when H has `_KERNEL_EDGES` edges or more
-    and `rows_prove_absent` proves `pat` absent on every row.  Smaller
-    hosts, and every False, go to the ordered search."""
-    return len(H.edge_array) >= _KERNEL_EDGES and rows_prove_absent(H, np.arange(H.n), pat)
+    and `rows_prove_absent` proves `pat` absent on the rows of every
+    vertex that lies on an edge (an edgeless vertex's row of A_k is
+    zero, so leaving it out changes no verdict).  Smaller hosts, and
+    every False, go to the ordered search."""
+    E = H.edge_array
+    return len(E) >= _KERNEL_EDGES and rows_prove_absent(
+        H, np.flatnonzero(np.bincount(E.ravel(), minlength=H.n)), pat)

@@ -114,8 +114,9 @@ class LabeledHypergraph:
         E = np.sort(E, axis=1)
         _reject(E, (E[:, 1:] == E[:, :-1]).any(axis=1), distinct)
         _reject(E, (E[:, 0] < 0) | (E[:, -1] >= n), "edge {} references a vertex outside [0, %d)" % n)
-        S = E[np.lexsort(E.T)]  # equal rows end up adjacent
-        _reject(S[1:], (S[1:] == S[:-1]).all(axis=1), "duplicate edge {}")
+        repeats, first = _repeats(E, n)
+        if repeats:
+            raise ValueError(f"duplicate edge {first}")
         E.flags.writeable = False
         self.edge_array = E
 
@@ -295,8 +296,7 @@ def verify_rk(G: LabeledHypergraph, P: SplitPartition) -> VerificationReport:
     rows = np.sort(part_map(P.parts, G.n)[G.edge_array], axis=1)
     independent = not (rows[:, 0] == rows[:, -1]).any()
     rainbow = rows[(rows[:, 0] >= 0) & (np.diff(rows, axis=1) > 0).all(axis=1)]
-    rainbow = rainbow[np.lexsort(rainbow.T)]  # equal rows end up adjacent
-    distinct = len(rainbow) and 1 + (rainbow[1:] != rainbow[:-1]).any(axis=1).sum()
+    distinct = len(rainbow) - _repeats(rainbow, r)[0]
     k_eff = max((len(p) for p in P.parts), default=0)
     if distinct == comb(r, m):
         missing = []
@@ -396,11 +396,35 @@ def _bfs(adj) -> tuple:
     return order, dist
 
 
+def _repeats(rows, base: int) -> tuple:
+    """How many rows of the (R, m) int array `rows`, entries in [0, base),
+    equal the row before them once the rows are sorted in
+    `np.lexsort(rows.T)` order (R less that count is the number of
+    distinct rows), and the first of them as an int tuple, or None when
+    no row repeats.  The rows are sorted as `edge_codes` of the reversed
+    rows, whose last column weighs most, as in lexsort; only where base^m
+    reaches 2^63, and a code could overflow, by np.lexsort itself."""
+    m = rows.shape[1]
+    if base ** m >= 2 ** 63:
+        S = rows[np.lexsort(rows.T)]
+        same = (S[1:] == S[:-1]).all(axis=1)
+    else:
+        S = np.sort(edge_codes(rows[:, ::-1], base))
+        same = S[1:] == S[:-1]
+    count = int(np.count_nonzero(same))
+    if not count:
+        return 0, None
+    first = S[1 + int(np.argmax(same))]
+    if S.ndim == 1:  # a code: the row is its digits in base `base`, least first
+        first = first // base ** np.arange(m) % base
+    return count, tuple(first.tolist())
+
+
 def edge_codes(rows, n: int) -> np.ndarray:
-    """Each row of the (E, m) int array `rows`, ascending entries in
-    [0, n), as the int64 code sum of row[i] * n^(m-1-i), so two rows are
-    equal exactly when their codes are.  Raises ValueError when n^m
-    reaches 2^63, where a code could overflow."""
+    """Each row of the (E, m) int array `rows`, entries in [0, n), as the
+    int64 code sum of row[i] * n^(m-1-i), so two rows are equal exactly
+    when their codes are.  Raises ValueError when n^m reaches 2^63, where
+    a code could overflow."""
     m = rows.shape[1]
     if n ** m >= 2 ** 63:
         raise ValueError(f"edge codes of {m} vertices out of {n} overflow int64")

@@ -62,6 +62,21 @@ def test_int_rows_writer_matches_json(rows):
     assert cli._int_rows(rows) == cli._canonical(rows.tolist())
 
 
+def test_int_rows_writer_matches_json_on_seeded_arrays():
+    # widths 1-4, up to 200 rows, values drawn at every digit-count edge
+    # and between them, so each group count and leading-zero cut shows
+    edges = [0, 9, 10, 9999, 10000, 10 ** 8, 10 ** 12, 2 ** 63 - 1]
+    rng = np.random.default_rng(20261020)
+    for i in range(400):
+        shape = int(rng.integers(0, 201)), int(rng.integers(1, 5))
+        if i % 2:
+            rows = rng.choice(np.array(edges, np.int64), shape)
+        else:  # uniform below a random power of 10 up to 10**18, or below 2**63
+            top = 2 ** 63 - 1 if i % 10 == 0 else 10 ** int(rng.integers(1, 19))
+            rows = rng.integers(0, top, shape, dtype=np.int64, endpoint=True)
+        assert cli._int_rows(rows) == cli._canonical(rows.tolist())
+
+
 def test_emit_keeps_other_values_and_key_order(capsys):
     # "provenance" sorts between payload keys, and nested documents, floats
     # and non-ASCII text go through json.dumps

@@ -646,6 +646,45 @@ def test_deciders_above_the_cut_consult_the_one_proof(monkeypatch):
         assert calls == [(parse_pattern(spec), True)]
 
 
+def padded(rng, G):
+    """G with isolated vertices put in at random places among its own."""
+    n = G.n + rng.randrange(1, G.n + 1)
+    place = np.array(sorted(rng.sample(range(n), G.n)))
+    return LabeledHypergraph(G.m, [f"v{i}" for i in range(n)], place[G.edge_array])
+
+
+def test_proof_on_vertices_with_edges_equals_every_row(monkeypatch):
+    # an isolated vertex's row of A_k is zero, so the proof on the rows
+    # of the vertices on an edge, which the deciders' gate passes, gives
+    # the all-rows verdict, for each pattern family
+    proof, passed = forbidden.rows_prove_absent, []
+
+    def spy(H, rows, pattern):
+        passed.append(rows.tolist())
+        return proof(H, rows, pattern)
+
+    monkeypatch.setattr(forbidden, "_KERNEL_EDGES", 0)
+    monkeypatch.setattr(forbidden, "rows_prove_absent", spy)
+    rng = random.Random(20261024)
+    families = {2: ("C_6", "C_8", "K_{2,2}", "K_{2,3}", "theta_{3,4}", "theta_{2,3}"),
+                3: ("bergeC_2", "bergeC_3", "bergeC_4")}
+    seen = set()
+    for G in kernel_hosts() + berge_kernel_hosts():
+        H = padded(rng, G)
+        on_edges = np.flatnonzero(np.bincount(H.edge_array.ravel(), minlength=H.n))
+        assert len(on_edges) < H.n
+        for spec in families[min(H.m, 3)]:
+            pat = parse_pattern(spec)
+            every = proof(H, np.arange(H.n), pat)
+            assert proof(H, on_edges, pat) == every
+            passed.clear()
+            assert forbidden._proved_absent(H, pat) == every
+            assert passed == [on_edges.tolist()]
+            seen.add((pat.kind, every))
+    assert seen == {(kind, v) for kind in ("cycle", "complete_bipartite", "theta", "berge_cycle")
+                    for v in (True, False)}
+
+
 def test_free_hosts_decided_without_neighbour_lists():
     # the kernel alone proves these splits free: the ordered search, and
     # with it the neighbour tuples, never runs
@@ -1064,6 +1103,73 @@ def test_explicit_matches_naive():
         for pat in patterns:
             got = forbidden.contains_explicit(G, pat)
             assert (got is not None) == naive_embed(G, pat)
+
+
+def scan_embed(G, es, order, parent, pdeg, checks, phi, used, i):
+    """`forbidden._embed` with every host vertex, ascending, as the
+    candidates of every pattern vertex, as it searched before candidates
+    came from a placed neighbour's ``adj``.  The reference for that cut."""
+    if i == len(order):
+        return True
+    pv = order[i]
+    for g in range(G.n):
+        if g in used or G.degree(g) < pdeg[pv]:
+            continue
+        phi[pv] = g
+        used.add(g)
+        if all(
+            tuple(sorted(phi[x] for x in e)) in es for e in checks[i]
+        ) and scan_embed(G, es, order, parent, pdeg, checks, phi, used, i + 1):
+            return True
+        del phi[pv]
+        used.remove(g)
+    return False
+
+
+# connected and disconnected patterns of each uniformity
+EXPLICIT_PATTERNS = {
+    2: [[(0, 1), (1, 2), (2, 3)], [(0, 1), (1, 2), (2, 0)], [(0, 1), (1, 2), (2, 3), (3, 0)],
+        [(0, 1), (0, 2), (0, 3), (3, 4)], [(0, 1), (2, 3)], [(0, 1), (1, 2), (2, 0), (3, 4)],
+        [(5, 6), (0, 1), (1, 2), (2, 3), (3, 0)]],
+    3: [[(0, 1, 2), (2, 3, 4)], [(0, 1, 2), (0, 1, 3)], [(0, 1, 2), (2, 3, 4), (4, 5, 0)],
+        [(0, 1, 2), (3, 4, 5)], [(0, 1, 2), (0, 1, 3), (4, 5, 6)]],
+    4: [[(0, 1, 2, 3), (3, 4, 5, 6)], [(0, 1, 2, 3), (0, 1, 2, 4)], [(0, 1, 2, 3), (4, 5, 6, 7)]],
+}
+
+
+def explicit_hosts():
+    # seeded random graphs and 3-uniform hypergraphs, then the frozen
+    # witness records' hosts of up to 60 vertices
+    from test_frozen_outputs import _bipartite_hosts, _random_hypergraph
+    rng = random.Random(20261023)
+    for _ in range(25):
+        yield random_graph(rng, rng.randrange(4, 30), rng.choice((0.08, 0.15, 0.3)))
+        n = rng.randrange(5, 20)
+        pool = list(itertools.combinations(range(n), 3))
+        yield LabeledHypergraph(3, [f"v{i}" for i in range(n)], rng.sample(pool, rng.randrange(1, 2 * n)))
+    yield from (G for G in _bipartite_hosts(random.Random(20231018)) if G.n <= 60)
+    rng = random.Random(20230831)
+    for _ in range(40):
+        m = rng.choice((3, 4))
+        yield _random_hypergraph(rng, m, rng.randrange(m + 2, 13))
+
+
+def test_explicit_witnesses_match_a_scan_of_every_vertex(monkeypatch):
+    # taking candidates from a placed neighbour's adj leaves out only
+    # vertices that no embedding can use there, so the first embedding
+    # found, and its witness, stay the same
+    found = {}
+    for G in explicit_hosts():
+        for pat in EXPLICIT_PATTERNS[G.m]:
+            got = forbidden.contains_explicit(G, pat)
+            with monkeypatch.context() as patch:
+                patch.setattr(forbidden, "_embed", scan_embed)
+                assert forbidden.contains_explicit(G, pat) == got
+            connected = len(structures.components(LabeledHypergraph(
+                G.m, range(1 + max(map(max, pat))), pat))) == 1
+            found.setdefault((G.m, connected), set()).add(got is not None)
+    assert all(verdicts == {True, False} for verdicts in found.values())
+    assert set(found) == {(m, c) for m in (2, 3, 4) for c in (True, False)}
 
 
 def test_theta_and_explicit_agree_with_networkx_vf2():

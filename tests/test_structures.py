@@ -20,6 +20,7 @@ from splitforge.structures import (
     BudgetExceededError,
     LabeledHypergraph,
     SplitPartition,
+    VerificationReport,
 )
 
 
@@ -150,6 +151,43 @@ def test_verify_matches_naive_on_random_instances(m):
         assert rep.completeness_ok == (not rep.missing_tuples)
         assert rep.independence_ok == naive_independent(G, parts)
         assert rep.k_effective == max(map(len, parts))
+
+
+def set_report(G, P):
+    """verify_rk's report from sets of part tuples, edge by edge."""
+    part = {v: i for i, p in enumerate(P.parts) for v in p}
+    covered, independent = set(), True
+    for e in G.edge_array.tolist():
+        hit = [part.get(v) for v in e]
+        if None not in hit and len(set(hit)) == G.m:
+            covered.add(tuple(sorted(hit)))
+        if None not in hit and len(set(hit)) == 1:
+            independent = False
+    missing = [c for c in itertools.combinations(range(P.r), G.m) if c not in covered]
+    return VerificationReport(r=P.r, k_effective=max(map(len, P.parts), default=0),
+                              completeness_ok=not missing, missing_tuples=missing,
+                              independence_ok=independent)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_verify_report_matches_sets_of_tuples(m):
+    # parts that leave some vertices out and keep some edges inside, on
+    # hosts from nearly complete to sparse, so reports both complete and
+    # not, independent and not
+    rng = random.Random(20261020 + m)
+    seen = set()
+    for _ in range(60):
+        n = rng.randrange(m + 2, 40)
+        pool = list(itertools.combinations(range(n), m))
+        G = graph(n, rng.sample(pool, rng.randrange(1, min(len(pool), 6 * n) + 1)), m=m)
+        r = rng.randrange(m, 7)
+        where = [rng.randrange(-1, r) if rng.random() < 0.3 else v % r for v in range(n)]
+        parts = [tuple(v for v in range(n) if where[v] == i) for i in range(r)]
+        P = SplitPartition(parts, declared_k=max(1, max(map(len, parts))))
+        report = structures.verify_rk(G, P)
+        assert report == set_report(G, P)
+        seen.add((report.completeness_ok, report.independence_ok, -1 in where))
+    assert {(c, i, True) for c in (True, False) for i in (True, False)} <= seen
 
 
 def test_verify_rejects_foreign_partition():
@@ -400,3 +438,70 @@ def test_csr_needs_a_graph():
 def test_incidence_needs_a_hypergraph():
     with pytest.raises(ValueError, match=r"^an incidence matrix needs m >= 3, got m=2$"):
         graph(3, [(0, 1), (1, 2)]).incidence
+
+
+# ------------------------------------------------------ one code per row
+
+
+def lexsort_duplicate(edges):
+    """The constructor's "duplicate edge" message as its lexsort route
+    made it, before rows were compared as int64 codes: the sorted rows in
+    np.lexsort order, the first that equals the row before named; None
+    when no row repeats.  The reference for `structures._repeats`."""
+    S = np.sort(np.array(edges, dtype=np.int64).reshape(len(edges), -1), axis=1)
+    S = S[np.lexsort(S.T)]
+    same = (S[1:] == S[:-1]).all(axis=1)
+    return f"duplicate edge {tuple(S[1:][same][0].tolist())}" if same.any() else None
+
+
+def constructor_message(n, m, edges):
+    try:
+        LabeledHypergraph(m, [f"v{i}" for i in range(n)], edges)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def with_duplicates(rng, n, m, count, copies):
+    """`count` random m-subsets of range(n), then `copies` of them again,
+    each in a shuffled vertex order and at a random place."""
+    edges = [rng.sample(range(n), m) for _ in range(count)]
+    for _ in range(copies):
+        edges.insert(rng.randrange(len(edges) + 1), rng.sample(rng.choice(edges), m))
+    return edges
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_duplicate_edge_named_as_by_lexsort(m):
+    # small n repeats rows by chance, often several different ones, so
+    # which repeat is named first matters
+    rng = random.Random(20261021 + m)
+    seen = set()
+    for _ in range(80):
+        n = rng.choice((rng.randrange(m + 1, 10), rng.randrange(10, 300)))
+        edges = with_duplicates(rng, n, m, rng.randrange(1, 60), rng.choice((0, 0, 1, 4)))
+        want = lexsort_duplicate(edges)
+        assert constructor_message(n, m, edges) == want
+        assert constructor_message(n, m, np.array(edges)) == want
+        distinct = len({tuple(sorted(e)) for e in edges})
+        rows = np.sort(np.array(edges), axis=1)
+        assert structures._repeats(rows, n)[0] == len(edges) - distinct
+        seen.add((want is None, distinct < len(edges) - 1))
+    assert seen == {(True, False), (False, False), (False, True)}
+
+
+def test_duplicate_edge_named_where_codes_would_overflow():
+    # n^m >= 2^63, so `_repeats` sorts the rows by np.lexsort itself
+    n, m = 60_000, 4
+    assert n ** m >= 2 ** 63
+    rng = random.Random(20261022)
+    free = with_duplicates(rng, n, m, 400, 0)
+    assert lexsort_duplicate(free) is None and constructor_message(n, m, free) is None
+    # (1, 2, 3, 4) is the first repeat in lexsort order, where the last
+    # vertex weighs most; by the first vertex (0, 1, 2, n - 1) would be
+    edges = free + [[n - 1, 0, 2, 1], [1, 2, 3, 4], [0, 1, 2, n - 1], [4, 3, 2, 1]]
+    edges += with_duplicates(rng, n, m, 100, 3)
+    assert lexsort_duplicate(edges) == "duplicate edge (1, 2, 3, 4)"
+    assert constructor_message(n, m, edges) == "duplicate edge (1, 2, 3, 4)"
+    rows = np.sort(np.array(edges), axis=1)
+    assert structures._repeats(rows, n) == (5, (1, 2, 3, 4))
