@@ -90,6 +90,7 @@ from .structures import (
     BudgetExceededError,
     LabeledHypergraph,
     SplitPartition,
+    _int_rows,
     verify_rk,
 )
 
@@ -105,46 +106,6 @@ def _canonical(payload) -> str:
 
 class _Encoded(str):
     """JSON text that `_emit` writes as it stands."""
-
-
-# the digits of 0..9999 as 4-byte items, "0000" to "9999" (built in
-# uint8, so the import's peak memory grows by the table alone), and the
-# powers 10..10**18, whose count below a value is its digit count less one
-_DIGIT_GROUPS = np.ascontiguousarray(
-    np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + ord("0")).view("V4").ravel()
-_POWERS_OF_10 = 10 ** np.arange(1, 19, dtype=np.int64)
-
-
-def _int_rows(rows: np.ndarray) -> str:
-    """The canonical JSON text of an (R, w) array of nonnegative int64,
-    w >= 1, as `_canonical` writes its lists.
-
-    Each row is laid out as "[", then per value g groups of four digits
-    and a ",", then one more ","; g is the fewest groups that hold the
-    longest value, so 2**63 - 1 takes five.  The digits are gathered from
-    `_DIGIT_GROUPS`, the last value's "," becomes the row's "]", and one
-    boolean mask, gathered per value by its digit count, drops the
-    leading zeros; the last row's "," is cut."""
-    R, w = rows.shape
-    values = rows.ravel()
-    short = np.searchsorted(_POWERS_OF_10, values, side="right")  # digit count less one
-    g = int(short.max(initial=0)) // 4 + 1
-    digits, slot = 4 * g, 4 * g + 1
-    groups = np.empty((len(values), g), np.int64)  # most significant first
-    for j in range(g - 1, 0, -1):
-        values, groups[:, j] = np.divmod(values, 10000)
-    groups[:, 0] = values
-    text = np.empty((R, w * slot + 2), np.uint8)
-    cells = text[:, 1:-1].reshape(R, w, slot)  # a view: the value slots of each row
-    cells[..., :digits] = _DIGIT_GROUPS[groups].view(np.uint8).reshape(R, w, digits)
-    cells[..., digits] = ord(",")
-    text[:, 0], text[:, -2], text[:, -1] = ord("["), ord("]"), ord(",")
-    # row d of `kept` keeps the last d + 1 of the digits
-    kept = np.arange(digits) >= digits - 1 - np.arange(digits)[:, None]
-    keep = np.ones(text.shape, bool)
-    keep[:, 1:-1].reshape(R, w, slot)[..., :digits] = \
-        kept.view("V%d" % digits).ravel()[short].view(bool).reshape(R, w, digits)
-    return "[" + str(text[keep][:-1].data, "ascii") + "]"
 
 
 def _graph_payload(G: LabeledHypergraph) -> dict:

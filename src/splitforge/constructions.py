@@ -35,7 +35,7 @@ import numpy as np
 
 from . import forbidden
 from . import gf
-from .structures import LabeledHypergraph, SplitPartition, edge_codes, orbit_representatives
+from .structures import LabeledHypergraph, SplitPartition, _int_rows, edge_codes, orbit_representatives
 
 _PATCH_STRATEGIES = ("matching", "greedy_reuse")
 
@@ -116,6 +116,13 @@ def _tables(F):
     add = np.array([[F.add(a, b) for b in els] for a in els], dtype=np.int64)
     mul = np.array([[F.mul(a, b) for b in els] for a in els], dtype=np.int64)
     return add, mul, np.array([F.neg(a) for a in els], dtype=np.int64)
+
+
+def _coordinates(rows) -> list:
+    """The text "c1,...,cw" of each row of the (R, w) array of nonnegative
+    int64 coordinates, R >= 1, in order: `_int_rows` writes every row at
+    once, and its text is split between the rows once."""
+    return _int_rows(rows)[2:-2].split("],[")
 
 
 def _merge_groups(key_p, key_l, seed: int | None = None):
@@ -398,11 +405,10 @@ def _wenger(M: int, q: int):
     pp = _prime_power(q)
     _check_size(f"wenger W_{M}({q})", q, M + 2)
     add, mul, neg = tables = _tables(gf.make_field(*pp))
-    pts = list(product(range(q), repeat=M + 1))
-    nside = len(pts)
+    nside = q ** (M + 1)
 
-    labels = ["P:" + ",".join(map(str, tp)) for tp in pts]
-    labels += ["L:" + ",".join(map(str, tp)) for tp in pts]
+    pts = _coordinates(np.indices((q,) * (M + 1)).reshape(M + 1, -1).T)
+    labels = ["P:" + c for c in pts] + ["L:" + c for c in pts]
     # one row per (point, l_1) pair in index order; the chain
     # l_{j+1} = l_j p_1 - p_{j+1} builds the line's index digit by digit
     *p, l = np.indices((q,) * (M + 2)).reshape(M + 2, -1)
@@ -509,9 +515,8 @@ def _theta(q: int):
     add, mul, neg = tables = _tables(F)
     n4 = q ** 4
 
-    coords = list(product(range(q), repeat=4))
-    labels = ["P:" + ",".join(map(str, tp)) for tp in coords]
-    labels += ["L:" + ",".join(map(str, tp)) for tp in coords]
+    coords = _coordinates(np.indices((q,) * 4).reshape(4, -1).T)
+    labels = ["P:" + c for c in coords] + ["L:" + c for c in coords]
 
     v1, w1, v2, v3, v4 = np.indices((q,) * 5).reshape(5, -1)
     w2 = add[mul[v1, w1], neg[v2]]
@@ -591,9 +596,14 @@ def _berge3(q: int):
     x1, x2 = np.indices((q, q))
     off = x2 != mul[inv2, mul[x1, x1]]
     x1, x2, vidx = x1[off], x2[off], (np.cumsum(off) - 1).reshape(q, q)
-    labels = [f"B:{a},{b}" for a, b in zip(x1.tolist(), x2.tolist())]
+    labels = ["B:" + c for c in _coordinates(np.column_stack([x1, x2]))]
 
-    a1, b1, c1 = np.array(list(combinations(range(q), 3))).T
+    # the triples a1 < b1 < c1 in combinations order: for each a1, the
+    # pairs b1 < c1 of np.triu_indices from the first with b1 > a1 on
+    b, c = np.triu_indices(q, 1)
+    first = np.searchsorted(b, np.arange(1, q + 1))
+    a1 = np.repeat(np.arange(q), len(b) - first)
+    b1, c1 = (np.concatenate([col[i:] for i in first.tolist()]) for col in (b, c))
     ab, bc, ca = mul[a1, b1], mul[b1, c1], mul[c1, a1]
     a2 = mul[inv2, add[add[ab, ca], neg[bc]]]
     b2 = add[ab, neg[a2]]
@@ -650,7 +660,8 @@ def recipe_host(params, G: LabeledHypergraph):
     Nothing in the recipe is trusted: its uniformity and vertex count
     must equal G's before anything is built, the family's own builder
     rebuilds the host (and refuses parameters it cannot build), and every
-    edge of G must be an edge of the host, compared on `edge_codes`.  A
+    edge of G must be an edge of the host: G's `edge_codes` are looked up
+    among the host's, sorted once, which the generator check shares.  A
     generator that is not an automorphism of its host raises
     RuntimeError (see `orbit_representatives`).
     """
@@ -674,10 +685,14 @@ def recipe_host(params, G: LabeledHypergraph):
         return None
     try:
         H, gens = build()
-        inside = np.isin(edge_codes(G.edge_array, n), edge_codes(H.edge_array, n), assume_unique=True)
+        codes, wanted = np.sort(edge_codes(H.edge_array, n)), edge_codes(G.edge_array, n)
     except ValueError:  # q is not a prime power the family accepts, or the codes overflow
         return None
-    return (H, orbit_representatives(H, gens, family)) if inside.all() else None
+    # where each of G's codes would go among the host's; -1 past the last, never a code
+    at = np.searchsorted(codes, wanted)
+    if not np.array_equal(np.append(codes, -1)[at], wanted):
+        return None
+    return H, orbit_representatives(H, gens, family, codes)
 
 
 # ------------------------------------------------------------------------

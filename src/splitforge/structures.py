@@ -6,6 +6,9 @@ indices, not labels, are the API currency.  A SplitPartition carries r
 pairwise-disjoint parts plus the declared part size cap, and verify_rk
 certifies whether the pair is rainbow complete: for every m-subset of
 parts there is an edge meeting each chosen part in exactly one vertex.
+The array passes over edge rows live here: `_sort_rows`, `edge_codes`,
+and `_int_rows`, the digit writer that the CLI's graph documents and the
+builders' coordinate labels share.
 """
 
 from __future__ import annotations
@@ -107,11 +110,11 @@ class LabeledHypergraph:
             width = np.fromiter(map(len, edges), np.int64, len(edges))
         distinct = "edge {} does not have %d distinct vertices" % m
         _reject(edges, width != m, distinct)
-        try:  # a copy: changing the caller's array later leaves the graph as it is
-            E = np.array(edges, dtype=np.int64).reshape(len(edges), m)
+        try:
+            E = np.asarray(edges, dtype=np.int64).reshape(len(edges), m)
         except OverflowError:  # an index of 2**63 or more, which the range check names
             E = np.array(edges, dtype=object).reshape(len(edges), m)
-        E = np.sort(E, axis=1)
+        E = _sort_rows(E)  # a new array: changing the caller's later leaves the graph as it is
         _reject(E, (E[:, 1:] == E[:, :-1]).any(axis=1), distinct)
         _reject(E, (E[:, 0] < 0) | (E[:, -1] >= n), "edge {} references a vertex outside [0, %d)" % n)
         repeats, first = _repeats(E, n)
@@ -172,7 +175,7 @@ class LabeledHypergraph:
         when an odd cycle obstructs (for m >= 3, whenever there is an
         edge).  Computed once per graph, from ``adj``."""
         colour = np.array(_bfs(self.adj)[1], dtype=np.int64) % 2
-        if (np.diff(np.sort(colour[self.edge_array]), axis=1) == 0).any():  # an edge in one colour
+        if (np.diff(_sort_rows(colour[self.edge_array]), axis=1) == 0).any():  # an edge in one colour
             return None
         return tuple(colour.tolist())
 
@@ -293,7 +296,7 @@ def verify_rk(G: LabeledHypergraph, P: SplitPartition) -> VerificationReport:
         entirely inside one part).
     """
     r, m = P.r, G.m
-    rows = np.sort(part_map(P.parts, G.n)[G.edge_array], axis=1)
+    rows = _sort_rows(part_map(P.parts, G.n)[G.edge_array])
     independent = not (rows[:, 0] == rows[:, -1]).any()
     rainbow = rows[(rows[:, 0] >= 0) & (np.diff(rows, axis=1) > 0).all(axis=1)]
     distinct = len(rainbow) - _repeats(rainbow, r)[0]
@@ -431,29 +434,33 @@ def edge_codes(rows, n: int) -> np.ndarray:
     return rows @ n ** np.arange(m - 1, -1, -1, dtype=np.int64)
 
 
-def orbit_representatives(G: LabeledHypergraph, gens, name: str) -> np.ndarray:
+def orbit_representatives(G: LabeledHypergraph, gens, name: str, codes=None) -> np.ndarray:
     """The least vertex of each orbit of the group that the vertex
     permutations `gens` (int arrays g, vertex v to g[v]) generate on the
     hypergraph G, ascending.
 
     Each generator is first checked to be a permutation of the n
-    vertices that maps G's edge set onto itself, on the `edge_codes` of
-    the sorted image rows; a RuntimeError names the first that is not by
-    `name` and its index, and no orbit is formed.  The orbits come from
-    min-label propagation: every vertex keeps the least label among
-    itself and its images, then looks its label's label up, until
-    nothing changes.
+    vertices (every entry in [0, n), each value once) that maps G's edge
+    set onto itself: the sorted `edge_codes` of its image rows must equal
+    G's, which `codes` gives when the caller has them.  A RuntimeError
+    names the first that is not by `name` and its index, and no orbit is
+    formed.  The orbits come from min-label propagation: every vertex
+    keeps the least label among itself and its images, then looks its
+    label's label up, until nothing changes.
     """
     n = G.n
     E = G.edge_array
-    codes = edge_codes(E, n)
+    if codes is None:
+        codes = np.sort(edge_codes(E, n))
     gens = [np.asarray(g) for g in gens]
     for i, g in enumerate(gens):
         if g.shape != (n,) or g.dtype.kind not in "iu" or \
-                not np.array_equal(np.sort(g), np.arange(n)):
+                (n and (g.min() < 0 or g.max() >= n)) or \
+                not (np.bincount(g.astype(np.intp, copy=False), minlength=n) == 1).all():
             raise RuntimeError(f"{name} generator {i} is not a permutation of the {n} vertices")
-        # g is a permutation, so mapping the edges into the edges maps them onto them
-        if not np.isin(edge_codes(np.sort(g[E], axis=1), n), codes, assume_unique=True).all():
+        # a permutation maps distinct rows to distinct rows, so equal code
+        # lists mean it maps the edges onto the edges
+        if not np.array_equal(np.sort(edge_codes(_sort_rows(g[E]), n)), codes):
             raise RuntimeError(f"{name} generator {i} does not map the host's edges to edges")
     label = np.arange(n)
     while True:
@@ -464,3 +471,57 @@ def orbit_representatives(G: LabeledHypergraph, gens, name: str) -> np.ndarray:
         if np.array_equal(new, label):
             return np.flatnonzero(label == np.arange(n))
         label = new
+
+
+def _sort_rows(E) -> np.ndarray:
+    """A new array of the rows of the (R, m) array E, m >= 1, each sorted
+    ascending, as `np.sort(E, axis=1)` gives them.  The rows are sorted
+    together by compare-exchange of whole columns (np.minimum and
+    np.maximum, m(m - 1)/2 exchanges in bubble-sort order), so object
+    arrays of Python ints sort too."""
+    cols = [E[:, j] for j in range(E.shape[1])]
+    for top in range(len(cols) - 1, 0, -1):
+        for j in range(top):
+            a, b = cols[j], cols[j + 1]
+            cols[j], cols[j + 1] = np.minimum(a, b), np.maximum(a, b)
+    return np.stack(cols, axis=1)
+
+
+# the digits of 0..9999 as 4-byte items, "0000" to "9999" (built in
+# uint8, so the import's peak memory grows by the table alone), and the
+# powers 10..10**18, whose count below a value is its digit count less one
+_DIGIT_GROUPS = np.ascontiguousarray(
+    np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + ord("0")).view("V4").ravel()
+_POWERS_OF_10 = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
+def _int_rows(rows: np.ndarray) -> str:
+    """The canonical JSON text of an (R, w) array of nonnegative int64,
+    w >= 1, as `json.dumps` with separators (",", ":") writes its lists.
+
+    Each row is laid out as "[", then per value g groups of four digits
+    and a ",", then one more ","; g is the fewest groups that hold the
+    longest value, so 2**63 - 1 takes five.  The digits are gathered from
+    `_DIGIT_GROUPS`, the last value's "," becomes the row's "]", and one
+    boolean mask, gathered per value by its digit count, drops the
+    leading zeros; the last row's "," is cut."""
+    R, w = rows.shape
+    values = rows.ravel()
+    short = np.searchsorted(_POWERS_OF_10, values, side="right")  # digit count less one
+    g = int(short.max(initial=0)) // 4 + 1
+    digits, slot = 4 * g, 4 * g + 1
+    groups = np.empty((len(values), g), np.int64)  # most significant first
+    for j in range(g - 1, 0, -1):
+        values, groups[:, j] = np.divmod(values, 10000)
+    groups[:, 0] = values
+    text = np.empty((R, w * slot + 2), np.uint8)
+    cells = text[:, 1:-1].reshape(R, w, slot)  # a view: the value slots of each row
+    cells[..., :digits] = _DIGIT_GROUPS[groups].view(np.uint8).reshape(R, w, digits)
+    cells[..., digits] = ord(",")
+    text[:, 0], text[:, -2], text[:, -1] = ord("["), ord("]"), ord(",")
+    # row d of `kept` keeps the last d + 1 of the digits
+    kept = np.arange(digits) >= digits - 1 - np.arange(digits)[:, None]
+    keep = np.ones(text.shape, bool)
+    keep[:, 1:-1].reshape(R, w, slot)[..., :digits] = \
+        kept.view("V%d" % digits).ravel()[short].view(bool).reshape(R, w, digits)
+    return "[" + str(text[keep][:-1].data, "ascii") + "]"

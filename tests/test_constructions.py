@@ -16,6 +16,7 @@ import time
 from itertools import combinations, product
 from math import comb
 
+import numpy as np
 import pytest
 
 from splitforge import constructions as cons
@@ -450,6 +451,55 @@ def test_berge3_validation():
     for bad in (4, 8, 2, 6):
         with pytest.raises(ValueError):
             cons.build_berge3(bad)
+
+
+BERGE_QS = (5, 7, 9, 11, 13, 25, 27)  # the berge3 hosts of the orbit-route tests
+
+
+def berge3_labels(q):
+    """berge3(q)'s labels as an f-string per point of F_q^2 off the
+    parabola x2 = x1^2 / 2, in row-major order."""
+    F = field(q)
+    half = F.inv(2)
+    return [f"B:{a},{b}" for a in range(q) for b in range(q) if b != F.mul(half, F.mul(a, a))]
+
+
+@pytest.mark.parametrize("q", (*BERGE_QS, 49))
+def test_berge3_labels_and_triples_in_combinations_order(q):
+    # part x1 holds the q - 1 consecutive vertices with first coordinate
+    # x1, so edge i's parts are the i-th triple of combinations(range(q), 3)
+    G, _ = cons.build_berge3(q)
+    assert list(G.vertices) == berge3_labels(q)
+    assert (G.edge_array // (q - 1)).tolist() == list(map(list, combinations(range(q), 3)))
+
+
+# ---------------------------------------------------------- labels as text
+
+
+def coordinate_labels(prefixes, q, dim):
+    """The labels of the points and lines over F_q^dim as the builders
+    wrote them one vertex at a time: each prefix, then the coordinates
+    joined by commas, in product order."""
+    return [p + ",".join(map(str, tp)) for p in prefixes for tp in product(range(q), repeat=dim)]
+
+
+# W_4(16) and W_4(27) are above the size ceiling, so no builder makes them
+@pytest.mark.parametrize("M, q", [(M, q) for M in (1, 2, 4) for q in (2, 3, 5, 16, 27)
+                                  if q ** (M + 2) <= cons._MAX_EDGES])
+def test_wenger_labels_match_per_vertex_strings(M, q):
+    assert list(cons.build_wenger(M, q).vertices) == coordinate_labels(("P:", "L:"), q, M + 1)
+
+
+def test_theta_labels_match_per_vertex_strings():
+    want = coordinate_labels(("P:", "L:"), 9, 4)
+    assert list(cons.build_theta(9)[0].vertices) == want
+    assert list(cons.theta_host(9)[0].vertices) == want
+
+
+def test_coordinate_text_alone():
+    rows = np.indices((25,) * 4).reshape(4, -1).T
+    assert cons._coordinates(rows) == coordinate_labels(("",), 25, 4)
+    assert cons._coordinates(np.array([[10 ** 12, 0, 7]])) == ["1000000000000,0,7"]
 
 
 # ----------------------------------------------------------------- designs

@@ -278,9 +278,40 @@ def test_recipes_the_builder_refuses_take_the_full_route(tmp_path, family, q, di
         host_and_gens(family, (q,) if family == "theta" else (dim - 1, q))
 
 
+def _entry_below_range(gens):
+    gens[0][3] = -1
+
+
+def _entry_at_n(gens):
+    gens[1][5] = len(gens[1])
+
+
+def _float_entries(gens):
+    gens[2] = gens[2].astype(float)
+
+
+def _one_entry_short(gens):
+    gens[0] = gens[0][:-1]
+
+
+def _entry_repeated(gens):
+    gens[2][4] = gens[2][7]
+
+
+# generators that are no permutation of the 54 vertices: each must be
+# refused as one, by name, and none may raise a ValueError or IndexError
+# from the bincount or the gather
+NO_PERMUTATIONS = (_entry_below_range, _entry_at_n, _float_entries, _one_entry_short, _entry_repeated)
+
+
 @pytest.mark.parametrize("corrupt, index", [
     (lambda gens: gens[2].__setitem__(0, gens[2][1]), 2),  # not a permutation
     (lambda gens: gens[1].__setitem__([0, 1], gens[1][[1, 0]]), 1),  # not an automorphism
+    (_entry_below_range, 0),
+    (_entry_at_n, 1),
+    (_float_entries, 2),
+    (_one_entry_short, 0),
+    (_entry_repeated, 2),
 ])
 def test_corrupt_generator_is_refused_by_name(tmp_path, monkeypatch, capsys, corrupt, index):
     doc, params = _w23()
@@ -297,6 +328,42 @@ def test_corrupt_generator_is_refused_by_name(tmp_path, monkeypatch, capsys, cor
     assert code == 1 and report is None
     err = capsys.readouterr().err
     assert err.startswith("internal failure: ") and f"wenger generator {index} " in err
+    if corrupt in NO_PERMUTATIONS:
+        assert err == f"internal failure: wenger generator {index} is not a permutation of the 54 vertices\n"
+
+
+def test_unsigned_generators_are_permutations_too():
+    H, gens = constructions.wenger_host(2, 3)
+    want = structures.orbit_representatives(H, gens, "wenger")
+    unsigned = [g.astype(np.uint64) for g in gens]
+    assert np.array_equal(structures.orbit_representatives(H, unsigned, "wenger"), want)
+
+
+def _w23_host_codes():
+    H = constructions.wenger_host(2, 3)[0]
+    return H, structures.edge_codes(H.edge_array, H.n)
+
+
+@pytest.mark.parametrize("foreign, side", [((52, 53), "above"), ((0, 1), "below")])
+def test_foreign_edge_past_either_end_of_the_host_codes_is_refused(foreign, side):
+    # a line-line edge codes above every host edge, a point-point edge
+    # with vertex 0 below; both must miss the searchsorted lookup
+    H, codes = _w23_host_codes()
+    code = int(structures.edge_codes(np.array([foreign]), H.n)[0])
+    assert code > codes.max() if side == "above" else code < codes.min()
+    params = {"family": "wenger", "M": 2, "q": 3}
+    assert constructions.recipe_host(params, H) is not None
+    for keep in (len(H.edge_array), 10, 0):
+        G = LabeledHypergraph(2, H.vertices, [*H.edge_array[:keep].tolist(), foreign])
+        assert constructions.recipe_host(params, G) is None
+
+
+def test_edgeless_graph_gets_the_host_back():
+    H, _ = _w23_host_codes()
+    G = LabeledHypergraph(2, [f"v{i}" for i in range(H.n)], [])
+    host, reps = constructions.recipe_host({"family": "wenger", "M": 2, "q": 3}, G)
+    assert np.array_equal(host.edge_array, H.edge_array) and host.vertices == H.vertices
+    assert reps.tolist() == least_of_each_component(H.n, constructions.wenger_host(2, 3)[1])
 
 
 # ------------------------------------------------------------------ berge3

@@ -505,3 +505,53 @@ def test_duplicate_edge_named_where_codes_would_overflow():
     assert constructor_message(n, m, edges) == "duplicate edge (1, 2, 3, 4)"
     rows = np.sort(np.array(edges), axis=1)
     assert structures._repeats(rows, n) == (5, (1, 2, 3, 4))
+
+
+# ------------------------------------------------------------- row sort
+
+
+def test_sort_rows_matches_np_sort_on_seeded_arrays():
+    # small value ranges repeat entries within a row, so ties are sorted too
+    rng = np.random.default_rng(20261023)
+    widths = set()
+    for _ in range(300):
+        R, m = int(rng.integers(0, 201)), int(rng.integers(1, 6))
+        high = int(rng.choice([2, 5, 1000, 2 ** 62]))
+        E = rng.integers(-high, high, size=(R, m), dtype=np.int64)
+        got = structures._sort_rows(E)
+        assert got.dtype == np.int64 and got.shape == (R, m)
+        assert np.array_equal(got, np.sort(E, axis=1))
+        widths.add(m)
+    assert widths == {1, 2, 3, 4, 5}
+    E = np.array([[3, 1, 2]])
+    assert structures._sort_rows(E) is not E and E.tolist() == [[3, 1, 2]]
+
+
+def test_sort_rows_sorts_the_object_rows_the_constructor_builds():
+    # an index of 2**63 or more makes the constructor hold its rows as
+    # Python ints in an object array
+    edges = [(2 ** 63, 0), (5, 2 ** 70, 1), (3, 2, 1)]
+    for rows in ([edges[0], (1, 0)], [edges[1], (0, 1, 2)], [(2 ** 64, 7, 2 ** 63, 1)]):
+        E = np.array(rows, dtype=object).reshape(len(rows), -1)
+        got = structures._sort_rows(E)
+        assert got.dtype == object and got.tolist() == np.sort(E, axis=1).tolist()
+    assert structures._sort_rows(np.array([edges[2]], dtype=object)).tolist() == [[1, 2, 3]]
+
+
+@pytest.mark.parametrize("m, edges, message", [
+    (2, [(0, 2 ** 63)], "edge (0, 9223372036854775808) references a vertex outside [0, 4)"),
+    (2, [(2 ** 63, 0)], "edge (0, 9223372036854775808) references a vertex outside [0, 4)"),
+    (3, [(1, 2 ** 70, 0)], f"edge (0, 1, {2 ** 70}) references a vertex outside [0, 4)"),
+    (2, [(0, 1), (3, -1)], "edge (-1, 3) references a vertex outside [0, 4)"),
+    (3, [(0, 1, 2), (2, 3, 9)], "edge (2, 3, 9) references a vertex outside [0, 4)"),
+    (3, [(0, 1, 2), (3, 1, 3)], "edge (1, 3, 3) does not have 3 distinct vertices"),
+    (2, [(2, 2)], "edge (2, 2) does not have 2 distinct vertices"),
+    (3, [(2 ** 63, 1, 1)], "edge (1, 1, 9223372036854775808) does not have 3 distinct vertices"),
+    (3, [(0, 1, 2), (1, 2, 3), (2, 1, 0)], "duplicate edge (0, 1, 2)"),
+    (2, [(3, 0), (1, 2), (0, 3)], "duplicate edge (0, 3)"),
+], ids=["over-2**63", "over-2**63-first", "over-2**70", "negative", "past-n", "repeat",
+        "loop", "repeat-and-over", "duplicate-3", "duplicate-2"])
+def test_constructor_messages_read_as_before(m, edges, message):
+    assert constructor_message(4, m, edges) == message
+    if max(map(max, edges)) < 2 ** 63:
+        assert constructor_message(4, m, np.array(edges)) == message
