@@ -26,18 +26,18 @@ every other document are read with json.loads, with the same objects,
 messages and exit codes; no flag or environment variable selects the
 route.
 
-verify takes the orbit route for a cycle C_{2k}, a K_{2,t} or a short
-theta when the graph document's construct recipe names a theta or
-Wenger host that the graph is an edge-subgraph of, and for a Berge
-cycle bergeC_l when it names a berge3 host that the hypergraph is a
-sub-hypergraph of (`constructions.recipe_host`): walk counts on one row
-per vertex orbit of the host's automorphism group, of its adjacency or
-vertex-edge incidence matrix, prove the pattern absent, by the
-deciders' own proof (`forbidden.rows_prove_absent`) run on those rows
-only.  Every hit, and every recipe that is missing or does not fit,
-goes to the full deciders, so the payload is the same either way; a
-generator that is not an automorphism of its host is an internal
-failure.
+verify takes the orbit route for a pattern with a walk test
+(`ForbiddenPattern.walk_test`: C_{2k}, K_{2,t}, a short theta, or a
+Berge cycle bergeC_l) when the graph document's construct recipe names
+a host the graph is an edge-subgraph (sub-hypergraph) of: theta or
+Wenger for the graph patterns, berge3 for Berge cycles
+(`constructions.recipe_host`).  The deciders' own proof
+(`forbidden.rows_prove_absent`), run on one row per vertex orbit of the
+host's automorphism group, of its adjacency or vertex-edge incidence
+matrix, proves the pattern absent.  Every hit, and every recipe that is
+missing or does not fit, goes to the full deciders, so the payload is
+the same either way; a generator that is not an automorphism of its
+host is an internal failure.
 
 Exit codes: 0 success (including an "exhausted" oracle verdict), 1
 unexpected internal failure, 2 invalid parameters or unreadable input,
@@ -83,7 +83,7 @@ from .constructions import (
     partition_norm_quotient,
     partition_wenger,
 )
-from .forbidden import check_pattern, orbit_test, parse_pattern, rows_prove_absent
+from .forbidden import check_pattern, parse_pattern, rows_prove_absent
 from .oracle import OracleQuery, exact_f
 from .spectral import greedy_split, mixing_check, spectrum
 from .structures import (
@@ -323,7 +323,7 @@ def _cmd_verify(args, run) -> int:
     params = provenance.get("params") if type(provenance) is dict else None
     # no host for patterns of the other uniformity: check_pattern refuses them
     host = constructions.recipe_host(params, G) if any(
-        orbit_test(pat) and pat.fits(G.m) for pat in patterns) else None
+        pat.walk_test and pat.fits(G.m) for pat in patterns) else None
     orbit = [host is not None and rows_prove_absent(*host, pat) for pat in patterns]
     paths = {pat.spec_string(): "orbit" if o else "full" for pat, o in zip(patterns, orbit)}
     findings = [{"pattern": pat.spec_string(), "witness": None if o else check_pattern(G, pat)}

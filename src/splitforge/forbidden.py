@@ -21,10 +21,16 @@ exists, the first witness in the documented search order is returned as
 
 with vertices given as integer indices into the host graph. Witnesses
 are re-checked edge by edge against the host before being returned;
-`None` means the pattern is absent, never "gave up". On hosts of
-`_KERNEL_EDGES` edges or more, exact int64 walk counts on the adjacency
-or incidence matrix may prove a pattern absent; they never pick a
-witness.
+`None` means the pattern is absent, never "gave up".
+
+The four named-pattern deciders share one gate, `_proved_absent`, which
+each asks right after `check_host`: on a host of `_KERNEL_EDGES` edges
+(hyperedges) or more, a pattern whose `ForbiddenPattern.walk_test` is
+not None has its exact int64 walk counts formed on the adjacency or
+incidence matrix, and when they prove it absent the decider returns
+None at once.  Smaller hosts, patterns without a walk test and every
+host the counts do not clear take the ordered search, which alone picks
+the witness.
 """
 
 from __future__ import annotations
@@ -55,12 +61,11 @@ _EXPLICIT_MAX_VERTICES = 10
 # exact under `_counts_exact`
 _ROWS = 256
 
-# edges (hyperedges for Berge cycles) from which `contains_kst` (s = 2),
-# `contains_cycle` (even lengths >= 6), `contains_theta` (length <= 4)
-# and `contains_berge_cycle` run the walk counts before the ordered
-# search; smaller hosts, the oracle's (at most 20 edges) among them, take
-# the search alone, with the same verdict and witness.  Kernel against
-# search on free hosts, a fresh host per call (2-core VM, best of 7):
+# edges (hyperedges for Berge cycles) from which `_proved_absent` runs
+# the walk counts before the ordered search; smaller hosts, the oracle's
+# (at most 20 edges) among them, take the search alone, with the same
+# verdict and witness.  Kernel against search on free hosts, a fresh
+# host per call (2-core VM, best of 7):
 # - berge3(q): lengths 3 and 4 cross near q = 11 (165 edges, 2.44 / 2.28
 #   and 2.92 / 3.94 ms) and at q = 13 (286) take 2.6 / 4.8 and
 #   3.6 / 8.3 ms; length 2, the same incidence search, crosses between
@@ -69,6 +74,8 @@ _ROWS = 256
 # - K_{2,2}: W_1(5) (125 edges) 0.81 / 0.39 ms, W_2(4) (256) 0.82 / 0.92,
 #   W_1(8) (512) 1.27 / 2.76; on edge samples of W_2(5) up to 320 edges
 #   the search leads;
+# - C_4, the same A_2 proof (best of 9): W_2(4) 0.39 / 0.33 ms, W_1(8) 0.43 / 0.87,
+#   W_2(5) (625) 0.41 / 0.81, the W_2(13) split (28392) 11 / 73;
 # - C_6: W_2(4) 2.27 / 1.71 ms, W_2(5) (625) 3.14 / 6.04;
 # - theta_{3,4}: BFS balls of theta(9) 1.5 / 7.1 ms at 135 edges, its
 #   sparse edge samples (vertices renumbered) 3.9 / 1.8 ms at 600.
@@ -150,6 +157,46 @@ class ForbiddenPattern:
             e = next(e for e in self.edges if len(e) != m)
             raise ValueError(f"pattern edge {e} has arity {len(e)}, host is {m}-uniform")
         raise ValueError(f"this decider needs a 2-uniform graph, got m={m}")
+
+    @property
+    def walk_test(self):
+        """The walk counts that prove the pattern absent, from every row
+        in the deciders and from one row per vertex orbit in `verify`'s
+        orbit route (`rows_prove_absent` runs them on A_k alone):
+        (k, threshold) when every copy of the pattern, at each of its
+        vertices u (for K_{2,t}, at each hub; for a theta, at each end),
+        puts an off-diagonal count of at least `threshold` into row u of
+        the non-backtracking walk counts A_k, since distinct paths of k
+        edges are distinct such walks; None for other patterns.
+
+        - C_{2k}, k >= 2, and theta_{2,k}: A_k, threshold 2 (u and the
+          vertex opposite it are joined by two paths of k edges);
+        - K_{2,t}: A_2, threshold t (the two hubs' codegree);
+        - theta_{K,l}, K >= 3, l <= 4: A_l, threshold K;
+        - bergeC_l: A_l of the vertex-edge incidence graph, threshold 2
+          (the cycle is a C_{2l} there, through each of its core
+          vertices).
+
+        An automorphism s keeps the counts, A_k[s u, s w] = A_k[u, w],
+        and maps a copy at u to a copy at s u, so a host whose orbit
+        representatives' rows of A_k stay below the threshold holds no
+        copy, and neither does any edge-subgraph of it.  A vertex
+        permutation that maps a hypergraph's edges to edges moves the
+        incidence graph's edge nodes with them, so one vertex row per
+        orbit serves Berge cycles too.
+        """
+        kind, p = self.kind, self.params
+        if kind == "cycle" and p[0] % 2 == 0:
+            return p[0] // 2, 2
+        if kind == "complete_bipartite" and p[0] == 2:
+            return 2, p[1]
+        if kind == "theta" and p[0] == 2:
+            return p[1], 2
+        if kind == "theta" and p[1] <= 4:
+            return p[1], p[0]
+        if kind == "berge_cycle":
+            return p[0], 2
+        return None
 
 
 def parse_pattern(text) -> ForbiddenPattern:
@@ -317,11 +364,7 @@ def _pack_from(items, K, i, acc, used):
 def contains_kst(G: LabeledHypergraph, s: int, t: int):
     """Find a K_{s,t} subgraph (s hub vertices totally joined to t others).
 
-    For s = 2 on hosts of `_KERNEL_EDGES` edges or more, the codegrees
-    are first put to the walk count test of `orbit_test` by
-    `rows_prove_absent`; when it proves the host free None is returned
-    at once. Otherwise, and on smaller hosts, the ordered search decides
-    and gives the witness: a codegree counter scans vertices in
+    Past the gate, for s = 2 a codegree counter scans vertices in
     ascending order and reports the first hub pair whose common
     neighbourhood reaches size t. For other s, hub sets are explored in
     ascending lexicographic order with intersection pruning.
@@ -331,9 +374,9 @@ def contains_kst(G: LabeledHypergraph, s: int, t: int):
     """
     pat = ForbiddenPattern("complete_bipartite", (s, t))
     pat.check_host(G.m)
+    if _proved_absent(G, pat):
+        return None
     if s == 2:
-        if _proved_absent(G, pat):
-            return None
         found = _codegree_scan(G.adj, t)
     else:
         adj = G.adj
@@ -429,22 +472,21 @@ def contains_cycle(G: LabeledHypergraph, length: int):
     Returns the first cycle `_cycles` yields: roots in ascending order,
     and for root r only cycles whose minimum vertex is r. The returned
     vertex list is the cycle in traversal order, oriented so that its
-    second entry is smaller than its last.
-
-    On hosts of `_KERNEL_EDGES` edges or more, an even length >= 6 is
-    first put to the walk count test of `orbit_test` by
-    `rows_prove_absent`; when it proves the host free None is returned
-    at once. Otherwise the ordered search decides and gives the witness;
-    smaller hosts, lengths up to 5 and odd lengths never touch `G.csr`.
+    second entry is smaller than its last.  Past the gate, the ordered
+    search decides and gives the witness.
     """
     pat = ForbiddenPattern("cycle", (length,))
     pat.check_host(G.m)
-    if length > G.n:
+    if _proved_absent(G, pat):
         return None
-    if length >= 6 and _proved_absent(G, pat):
-        return None
-    for cyc in _cycles(G.adj, length):
-        return _emit(G, pat, cyc, list(zip(cyc, cyc[1:] + cyc[:1])))
+    return _cycle_witness(G, pat, length)
+
+
+def _cycle_witness(G, pat, length):
+    # the first cycle `_cycles` yields, as the witness of `pat`
+    if length <= G.n:
+        for cyc in _cycles(G.adj, length):
+            return _emit(G, pat, cyc, list(zip(cyc, cyc[1:] + cyc[:1])))
     return None
 
 
@@ -491,23 +533,19 @@ def contains_theta(G: LabeledHypergraph, K: int, length: int):
     """Find a theta graph: K internally disjoint paths of exactly
     `length` edges between two common endpoints.
 
-    K = 2 delegates to `contains_cycle` (the pattern is a 2*length
-    cycle). For length <= 4 on hosts of `_KERNEL_EDGES` edges or more,
-    the pattern is first put to the walk count test of `orbit_test` by
-    `rows_prove_absent`; when it proves the host free None is returned
-    at once. Otherwise, and for length >= 5 and on smaller hosts, the
-    ordered search (`_theta_generic`) decides and gives the witness:
-    pairs u < v go in row-major order, with one `_paths_by_end` search
-    per root u, and the first pair whose u-v paths hold K with disjoint
-    interiors is returned.
+    Past the gate, K = 2 takes `contains_cycle`'s search (the pattern
+    is a 2*length cycle).  Otherwise the ordered search
+    (`_theta_generic`) decides and gives the witness: pairs u < v go in
+    row-major order, with one `_paths_by_end` search per root u, and the
+    first pair whose u-v paths hold K with disjoint interiors is
+    returned.
     """
     pat = ForbiddenPattern("theta", (K, length))
     pat.check_host(G.m)
-    if K == 2:
-        w = contains_cycle(G, 2 * length)
-        return None if w is None else dict(w, pattern=pat.spec_string())
     if _proved_absent(G, pat):
         return None
+    if K == 2:
+        return _cycle_witness(G, pat, 2 * length)
     return _theta_generic(G, pat)
 
 
@@ -542,13 +580,9 @@ def contains_berge_cycle(Hy: LabeledHypergraph, length: int):
     consecutive pairs {v_i, v_{i+1}}.
 
     A Berge l-cycle is exactly a cycle of 2l nodes in the vertex-edge
-    incidence graph, vertex v as node v and edge i as node n + i.  On
-    hosts of `_KERNEL_EDGES` hyperedges or more, `rows_prove_absent`
-    first puts the n vertex rows of `Hy.incidence` to the walk count
-    test of `orbit_test`; when it proves the host free None is returned
-    at once (for l = 2 the test reads the pair codegrees, so it is
-    exact).  Smaller hosts, and every hit, go to the ordered search,
-    which alone picks the witness: the first cycle `_cycles` yields on
+    incidence graph, vertex v as node v and edge i as node n + i; the
+    gate reads the vertex rows of `Hy.incidence`.  Past it, the ordered
+    search picks the witness: the first cycle `_cycles` yields on
     the incidence graph's ascending neighbour tuples, oriented as
     `contains_cycle` orients its witness (the hyperedge after v_1 has a
     smaller index than the one before it).  Its vertex nodes are the
@@ -681,59 +715,19 @@ def check_pattern(G: LabeledHypergraph, pattern):
 # ------------------------------------------------------------ orbit rows
 
 
-def orbit_test(pattern):
-    """The walk counts that prove `pattern` absent, from every row in the
-    deciders and from one row per vertex orbit in `verify`'s orbit route
-    (`rows_prove_absent` runs them on A_k alone): (k, threshold) when
-    every copy of the pattern, at each of its vertices u (for K_{2,t}, at
-    each hub; for a theta, at each end), puts an off-diagonal count of at
-    least `threshold` into row u of the non-backtracking walk counts A_k,
-    since distinct paths of k edges are distinct such walks; None for
-    other patterns.
-
-    - C_{2k}, k >= 2, and theta_{2,k}: A_k, threshold 2 (u and the vertex
-      opposite it are joined by two paths of k edges);
-    - K_{2,t}: A_2, threshold t (the two hubs' codegree);
-    - theta_{K,l}, K >= 3, l <= 4: A_l, threshold K;
-    - bergeC_l: A_l of the vertex-edge incidence graph, threshold 2 (the
-      cycle is a C_{2l} there, through each of its core vertices).
-
-    An automorphism s keeps the counts, A_k[s u, s w] = A_k[u, w], and
-    maps a copy at u to a copy at s u, so a host whose orbit
-    representatives' rows of A_k stay below the threshold holds no
-    copy, and neither does any edge-subgraph of it.  A vertex
-    permutation that maps a hypergraph's edges to edges moves the
-    incidence graph's edge nodes with them, so one vertex row per orbit
-    serves Berge cycles too.
-    """
-    pattern = parse_pattern(pattern)
-    kind, p = pattern.kind, pattern.params
-    if kind == "cycle" and p[0] % 2 == 0:
-        return p[0] // 2, 2
-    if kind == "complete_bipartite" and p[0] == 2:
-        return 2, p[1]
-    if kind == "theta" and p[0] == 2:
-        return p[1], 2
-    if kind == "theta" and p[1] <= 4:
-        return p[1], p[0]
-    if kind == "berge_cycle":
-        return p[0], 2
-    return None
-
-
 def rows_prove_absent(H: LabeledHypergraph, rows, pattern) -> bool:
-    """True when the walk counts of `orbit_test` prove `pattern` (a
-    ForbiddenPattern or pattern string) absent from H: for its
-    (k, threshold), no off-diagonal count of A_k in the rows `rows` (an
-    int64 index array of vertices) of H's adjacency matrix (``csr``,
+    """True when the walk counts of `ForbiddenPattern.walk_test` prove
+    `pattern` (a ForbiddenPattern or pattern string) absent from H: for
+    its (k, threshold), no off-diagonal count of A_k in the rows `rows`
+    (an int64 index array of vertices) of H's adjacency matrix (``csr``,
     m = 2) or vertex-edge incidence matrix (``incidence``, m >= 3)
     reaches the threshold.  The deciders pass every vertex on an edge and
     `verify`'s orbit route one vertex per orbit.  False on a hit, for a
-    pattern with no orbit test or that does not fit H (a Berge cycle on a
+    pattern with no walk test or that does not fit H (a Berge cycle on a
     graph, a graph pattern on a hypergraph), and where `_counts_exact`
     fails for A_k."""
     pattern = parse_pattern(pattern)
-    test = orbit_test(pattern)
+    test = pattern.walk_test
     if test is None or not pattern.fits(H.m):
         return False
     A = H.csr if H.m == 2 else H.incidence
@@ -741,11 +735,11 @@ def rows_prove_absent(H: LabeledHypergraph, rows, pattern) -> bool:
 
 
 def _proved_absent(H: LabeledHypergraph, pat: ForbiddenPattern) -> bool:
-    """The deciders' gate: True when H has `_KERNEL_EDGES` edges or more
-    and `rows_prove_absent` proves `pat` absent on the rows of every
-    vertex that lies on an edge (an edgeless vertex's row of A_k is
-    zero, so leaving it out changes no verdict).  Smaller hosts, and
-    every False, go to the ordered search."""
+    """The deciders' one gate: True when H has `_KERNEL_EDGES` edges or
+    more, `pat` has a `walk_test`, and `rows_prove_absent` proves `pat`
+    absent on the rows of every vertex that lies on an edge (an edgeless
+    vertex's row of A_k is zero, so leaving it out changes no verdict).
+    The first two are checked before any row array is formed."""
     E = H.edge_array
-    return len(E) >= _KERNEL_EDGES and rows_prove_absent(
+    return len(E) >= _KERNEL_EDGES and pat.walk_test is not None and rows_prove_absent(
         H, np.flatnonzero(np.bincount(E.ravel(), minlength=H.n)), pat)

@@ -18,9 +18,9 @@ search that stops at the first one.  Any other pattern, or one whose
 kind does not fit m, takes the named fallback, which builds the host and
 runs the full decider (`check_pattern`), so its errors and messages are the
 deciders' own.  The placements a part tuple offers depend only on how
-many vertices its parts have used, so each level tables them
-(`_placements`) once per such count and reads them at every node.  A
-found certificate is rechecked with `verify_rk` and the full deciders.
+many vertices its parts have used and on k, so `_placements` is
+memoised on those and each list is formed once.  A found certificate
+is rechecked with `verify_rk` and the full deciders.
 
 The feasibility envelope is deliberately small (r <= 6, k <= 3, m in
 {2, 3}); beyond it the node budget cuts the search off with an explicit
@@ -29,6 +29,7 @@ failure rather than an unreliable verdict.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -246,6 +247,7 @@ def _reaches(adj, root: int, length: int, targets) -> bool:
     return False
 
 
+@functools.lru_cache(maxsize=None)
 def _placements(parts: tuple, used: tuple, k: int) -> list:
     """The placements one part tuple offers when its parts have used
     ``used`` vertices: (edge, parts the edge opens) pairs in the
@@ -255,7 +257,8 @@ def _placements(parts: tuple, used: tuple, k: int) -> list:
     unused one (vertex used[p]); choosing that vertex opens it.  The
     list is keyed by ``used``, not by the offered ranges, since used[p]
     = k - 1 and used[p] = k offer the same vertices but only the first
-    opens one.
+    opens one.  Memoised, so callers only read the list; the r <= 6,
+    k <= 3 envelope bounds the keys to a few thousand.
     """
     return [
         (tuple(p * k + v for p, v in zip(parts, combo)),
@@ -272,27 +275,20 @@ def _search_k(query: OracleQuery, k: int, routes, counter: List[int]):
     # interchangeable under relabeling within their part, so only the
     # least unused one is offered, and backtracking frees them in LIFO order
     state = _PatternState(m, flat, routes)
-    tables: List[Dict[tuple, list]] = [{} for _ in part_tuples]
-    G = _assign(query, k, part_tuples, tables, state, [0] * r, counter, 0)
+    G = _assign(query, k, part_tuples, state, [0] * r, counter, 0)
     if G is None:
         return None
     P = SplitPartition([range(i * k, (i + 1) * k) for i in range(r)], declared_k=k)
     return G, P
 
 
-def _assign(query, k, part_tuples, tables, state, used, counter, idx):
+def _assign(query, k, part_tuples, state, used, counter, idx):
     """Place one edge for each part tuple from idx on, growing `state`;
-    the finished pattern-free host, or None when no placement works.
-    ``tables[idx]`` caches `_placements` of part tuple idx by its parts'
-    ``used`` counts."""
+    the finished pattern-free host, or None when no placement works."""
     if idx == len(part_tuples):
         return LabeledHypergraph(query.m, state.labels, state.edges)
     parts = part_tuples[idx]
-    key = tuple(used[p] for p in parts)
-    placements = tables[idx].get(key)
-    if placements is None:
-        placements = tables[idx][key] = _placements(parts, key, k)
-    for edge, opens in placements:
+    for edge, opens in _placements(parts, tuple([used[p] for p in parts]), k):
         counter[0] += 1
         if counter[0] > query.budget:
             raise BudgetExceededError(
@@ -306,7 +302,7 @@ def _assign(query, k, part_tuples, tables, state, used, counter, idx):
         for p in opens:
             used[p] += 1
         state.add(edge)
-        witness = _assign(query, k, part_tuples, tables, state, used, counter, idx + 1)
+        witness = _assign(query, k, part_tuples, state, used, counter, idx + 1)
         if witness is not None:
             return witness
         state.pop()

@@ -200,6 +200,25 @@ def test_verify_incomplete_takes_precedence(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("parts, k, message", [
+    ([[-1, 0], [2, 3]], 2, "negative vertex index -1"),
+    ([[0, 1], [1, 2, 3]], 3, "vertex 1 appears in two parts"),
+    ([[0, 1, 2], [3]], 2, "part of size 3 exceeds declared k=2"),
+], ids=["negative", "repeated", "oversized"])
+def test_verify_bad_partition_document_exits_2_with_its_path(tmp_path, capsys, parts, k, message):
+    g, _ = k22_files(tmp_path)
+    p = write_json(tmp_path / "bad_parts.json", {"k": k, "parts": parts})
+    assert cli.main(["verify", "--graph", str(g), "--partition", str(p)]) == 2
+    assert f"invalid parameters or input: {p}: {message}\n" in capsys.readouterr().err
+
+
+def test_verify_partition_past_the_graph_exits_2(tmp_path, capsys):
+    g, _ = k22_files(tmp_path)
+    p = write_json(tmp_path / "far_parts.json", {"k": 2, "parts": [[0, 1], [2, 2 ** 70]]})
+    assert cli.main(["verify", "--graph", str(g), "--partition", str(p)]) == 2
+    assert f"partition references vertex {2 ** 70}, graph has 4" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("spec", ["C_6\n", "C_\u0666"], ids=["newline", "arabic-indic-digit"])
 def test_verify_refuses_a_pattern_spelled_outside_ascii_exit_2(tmp_path, capsys, spec):
     g, p = k22_files(tmp_path)

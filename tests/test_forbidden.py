@@ -620,9 +620,9 @@ def test_walk_kernel_hosts_agree_with_networkx(monkeypatch):
 
 
 def test_deciders_above_the_cut_consult_the_one_proof(monkeypatch):
-    # K_{2,t}, even cycles from 6, thetas of length up to 4 and Berge
-    # cycles ask `rows_prove_absent` once, on every vertex row, the same
-    # proof the orbit route runs; W_2(5) holds theta_{3,4}
+    # K_{2,t}, even cycles, thetas of length up to 4 and Berge cycles ask
+    # `rows_prove_absent` once, on every vertex row, the same proof the
+    # orbit route runs; W_2(5) holds theta_{3,4}
     proof, calls = forbidden.rows_prove_absent, []
 
     def spy(H, rows, pattern):
@@ -635,6 +635,7 @@ def test_deciders_above_the_cut_consult_the_one_proof(monkeypatch):
     assert min(len(G.edge_array), len(Hy.edge_array)) >= forbidden._KERNEL_EDGES
     for decide, spec in ((lambda: forbidden.contains_kst(G, 2, 2), "K_{2,2}"),
                          (lambda: forbidden.contains_kst(G, 2, 3), "K_{2,3}"),
+                         (lambda: forbidden.contains_cycle(G, 4), "C_4"),
                          (lambda: forbidden.contains_cycle(G, 6), "C_6"),
                          (lambda: forbidden.contains_cycle(G, 8), "C_8"),
                          (lambda: forbidden.contains_theta(G, 3, 4), "theta_{3,4}"),
@@ -689,7 +690,7 @@ def test_free_hosts_decided_without_neighbour_lists():
     # the kernel alone proves these splits free: the ordered search, and
     # with it the neighbour tuples, never runs
     G = constructions.partition_wenger(2, 5)[0]
-    assert forbidden.contains_cycle(G, 6) is None
+    assert forbidden.contains_cycle(G, 4) is None and forbidden.contains_cycle(G, 6) is None
     assert "csr" in G.__dict__ and "adj" not in G.__dict__
     G = constructions.partition_norm_quotient(9, 2, 1, 4, 2, seed=7)[0]
     assert forbidden.contains_kst(G, 2, 2) is None
@@ -703,12 +704,103 @@ def test_free_hosts_decided_without_neighbour_lists():
     assert "incidence" in Hy.__dict__ and "adj" not in Hy.__dict__
 
 
-@pytest.mark.parametrize("L", [4, 5])
+@pytest.mark.parametrize("L", [5])
 def test_short_cycles_never_build_the_adjacency_matrix(L):
     # the oracle's tiny hosts ask for C_3..C_5 tens of thousands of times
     G = constructions.partition_wenger(2, 5)[0]
     assert forbidden.contains_cycle(G, L) is None
     assert "csr" not in G.__dict__ and "colouring" not in G.__dict__
+
+
+GATE_SPECS = [f"C_{L}" for L in range(3, 9)] + [
+    "K_{1,3}", "K_{2,2}", "K_{2,3}", "K_{3,3}", "theta_{2,3}", "theta_{3,4}", "theta_{3,5}",
+    "bergeC_2", "bergeC_3", "bergeC_4"]
+
+
+@pytest.mark.parametrize("spec", GATE_SPECS)
+def test_walk_counts_run_exactly_for_patterns_with_a_walk_test(monkeypatch, spec):
+    # above the cut the kernel runs once, on A_k of its walk test, for a
+    # pattern that has one, and no pattern without one builds `csr` or
+    # `incidence`; below the cut no decider builds either
+    kernel, runs = forbidden._walk_blocks, []
+    monkeypatch.setattr(forbidden, "_walk_blocks",
+                        lambda A, rows, k: runs.append(k) or kernel(A, rows, k))
+    pat = parse_pattern(spec)
+    if pat.fits(2):
+        above, below = constructions.partition_wenger(2, 5)[0], constructions.build_wenger(1, 4)
+    else:
+        above, below = constructions.build_berge3(17)[0], constructions.build_berge3(7)[0]
+    assert len(above.edge_array) >= forbidden._KERNEL_EDGES > len(below.edge_array)
+    matrix = "csr" if above.m == 2 else "incidence"
+    forbidden.check_pattern(above, pat)
+    if pat.walk_test is None:
+        assert runs == [] and matrix not in above.__dict__
+    else:
+        assert runs == [pat.walk_test[0]] and matrix in above.__dict__
+    runs.clear()
+    forbidden.check_pattern(below, pat)
+    assert runs == [] and not {"csr", "incidence"} & below.__dict__.keys()
+
+
+def c4_hosts():
+    # seeded graphs of 256 edges or more, bipartite and not: C_4-free
+    # ones (an edge is kept only if it closes no cycle of 4 or fewer
+    # edges), the same with a planted C_4, and dense ones; then the
+    # builders' hosts, free or not
+    rng = random.Random(20261021)
+    hosts = []
+    for bipartite in (True, False):
+        for _ in range(3):
+            n = rng.randrange(110, 140)
+            side = [rng.random() < 0.5 for _ in range(n)]
+            adj = {v: set() for v in range(n)}
+            edges = []
+            while len(edges) < 280:
+                u, v = rng.sample(range(n), 2)
+                if (bipartite and side[u] == side[v]) or within(adj, u, v, 3):
+                    continue
+                adj[u].add(v)
+                adj[v].add(u)
+                edges.append((u, v))
+            hosts.append(graph(n, edges))
+            if bipartite:
+                a, c = rng.sample([v for v in range(n) if side[v]], 2)
+                b, d = rng.sample([v for v in range(n) if not side[v]], 2)
+            else:
+                a, b, c, d = rng.sample(range(n), 4)
+            planted = {tuple(sorted(e)) for e in edges + [(a, b), (b, c), (c, d), (d, a)]}
+            hosts.append(graph(n, sorted(planted)))
+        n = rng.randrange(60, 70)
+        if bipartite:
+            hosts.append(graph(n, [(u, v) for u in range(n // 2) for v in range(n // 2, n)
+                                   if rng.random() < 0.3]))
+        else:
+            hosts.append(random_graph(rng, n, 0.15))
+    hosts += [constructions.partition_wenger(2, 5)[0], constructions.build_wenger(1, 8),
+              constructions.build_wenger(2, 4),
+              constructions.partition_norm_quotient(9, 2, 1, 4, 2, seed=7)[0],
+              constructions.partition_norm_quotient(7, 3, 1, 3, 2, seed=3)[0]]
+    return hosts
+
+
+def test_c4_takes_the_walk_counts_and_keeps_the_ordered_witness():
+    # C_4 and K_{2,2} share the A_2 proof above the cut; C_4's verdict
+    # and witness are the ordered search's, and it is absent exactly
+    # where K_{2,2} is
+    C4 = parse_pattern("C_4")
+    seen = set()
+    for G in c4_hosts():
+        assert len(G.edge_array) >= forbidden._KERNEL_EDGES
+        got = forbidden.contains_cycle(G, 4)
+        assert "csr" in G.__dict__
+        ordered = next(forbidden._cycles(G.adj, 4), None)
+        if ordered is None:
+            assert got is None
+        else:
+            assert got == forbidden._emit(G, C4, ordered, list(zip(ordered, ordered[1:] + ordered[:1])))
+        assert (got is None) == (forbidden.contains_kst(G, 2, 2) is None)
+        seen.add((got is None, G.colouring is not None))
+    assert seen == {(free, bip) for free in (True, False) for bip in (True, False)}
 
 
 def test_girth():

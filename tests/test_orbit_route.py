@@ -84,7 +84,7 @@ def test_orbit_rows_agree_with_every_row(family, args):
     assert reps.tolist() == least_of_each_component(H.n, gens)
     A, every = H.csr, np.arange(H.n)
     for spec in PATTERNS:
-        k, threshold = forbidden.orbit_test(spec)
+        k, threshold = parse_pattern(spec).walk_test
         want = forbidden._walk_counts_reach(A, every, k, threshold)
         assert forbidden._walk_counts_reach(A, reps, k, threshold) is want
         assert forbidden.rows_prove_absent(H, reps, spec) is not want
@@ -101,16 +101,16 @@ def test_each_host_builds_its_field_tables_once(monkeypatch, host, args):
 
 
 def test_orbit_tests_of_each_pattern():
-    assert forbidden.orbit_test("C_6") == (3, 2)
-    assert forbidden.orbit_test("C_4") == (2, 2)
-    assert forbidden.orbit_test("K_{2,3}") == (2, 3)
-    assert forbidden.orbit_test("theta_{2,5}") == (5, 2)
-    assert forbidden.orbit_test("theta_{3,4}") == (4, 3)
-    assert forbidden.orbit_test("bergeC_2") == (2, 2)
-    assert forbidden.orbit_test("bergeC_4") == (4, 2)
+    assert parse_pattern("C_6").walk_test == (3, 2)
+    assert parse_pattern("C_4").walk_test == (2, 2)
+    assert parse_pattern("K_{2,3}").walk_test == (2, 3)
+    assert parse_pattern("theta_{2,5}").walk_test == (5, 2)
+    assert parse_pattern("theta_{3,4}").walk_test == (4, 3)
+    assert parse_pattern("bergeC_2").walk_test == (2, 2)
+    assert parse_pattern("bergeC_4").walk_test == (4, 2)
     for spec in ("C_5", "K_{3,3}", "K_{1,4}", "theta_{3,5}"):
-        assert forbidden.orbit_test(spec) is None
-    # no orbit test, or a pattern of the other uniformity: no proof, and
+        assert parse_pattern(spec).walk_test is None
+    # no walk test, or a pattern of the other uniformity: no proof, and
     # no error before the decider refuses it; W_1(3) has no codegree 2 and
     # berge3(5) no Berge 3-cycle, so a test run on the wrong matrix would
     # say True
@@ -414,7 +414,7 @@ def test_berge3_orbit_rows_agree_with_every_row(q):
     assert reps.tolist() == least_of_each_component(H.n, gens)
     every = np.arange(H.n)
     for spec in BERGE_PATTERNS:
-        k, threshold = forbidden.orbit_test(spec)
+        k, threshold = parse_pattern(spec).walk_test
         want = forbidden._walk_counts_reach(H.incidence, every, k, threshold)
         assert forbidden._walk_counts_reach(H.incidence, reps, k, threshold) is want
         assert forbidden.rows_prove_absent(H, reps, spec) is not want
@@ -541,7 +541,7 @@ MISFIT_MESSAGES = {2: "Berge cycle detection expects a hypergraph with m >= 3",
 def test_fits_agrees_with_every_host_check():
     # a path and a linear hyperpath hold no cycle and no Berge cycle, and
     # every walk count on them is at most 1, so the walk counts prove
-    # each pattern with an orbit test absent exactly where it fits
+    # each pattern with a walk test absent exactly where it fits
     forests = {2: LabeledHypergraph(2, list("abcdef"), [(i, i + 1) for i in range(5)]),
                3: LabeledHypergraph(3, list("abcde"), [(0, 1, 2), (2, 3, 4)])}
     patterns = [parse_pattern(spec) for spec in FIT_SPECS] + [
@@ -559,7 +559,7 @@ def test_fits_agrees_with_every_host_check():
             else:
                 assert fits
             proved = forbidden.rows_prove_absent(H, np.arange(H.n), pat)
-            assert proved == (fits and forbidden.orbit_test(pat) is not None)
+            assert proved == (fits and pat.walk_test is not None)
             incremental = oracle._route(pat, m) == "incremental"
             assert incremental == (fits and pat.kind in ("cycle", "berge_cycle"))
     assert {(kind, fits) for kind, _, fits in seen} == {
@@ -589,7 +589,7 @@ def test_verify_builds_a_host_only_for_patterns_that_fit(tmp_path, monkeypatch, 
                          "--forbid", spec, "--out", str(out)])
         pat = parse_pattern(spec)
         if pat.fits(m):
-            assert code in (0, 4) and len(built) == (forbidden.orbit_test(pat) is not None)
+            assert code in (0, 4) and len(built) == (pat.walk_test is not None)
         else:
             assert code == 2 and built == []
             assert MISFIT_MESSAGES[m] in capsys.readouterr().err

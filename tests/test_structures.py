@@ -234,12 +234,29 @@ def test_array_readers_never_build_edge_tuples():
 
 
 def test_partition_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^vertex 1 appears in two parts$"):
         SplitPartition([(0, 1), (1, 2)], declared_k=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^part of size 3 exceeds declared k=2$"):
         SplitPartition([(0, 1, 2)], declared_k=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^negative vertex index -1$"):
         SplitPartition([(-1,)], declared_k=1)
+    # several faults: the first failing part wins, and within a part its
+    # vertices, least first, are checked before its size
+    for parts, k, message in (
+        ([(0, 1, 2), (-1,)], 2, "part of size 3 exceeds declared k=2"),
+        ([(0, 1), (5, 1, 2)], 2, "vertex 1 appears in two parts"),
+        ([(5, -2, 0, -7)], 1, "negative vertex index -7"),
+        ([(3,), (4, -1, 3)], 3, "negative vertex index -1"),
+        ([(2, 2)], 1, "vertex 2 appears in two parts"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SplitPartition(parts, declared_k=k)
+    # an index past the graph is named by verify_rk, however large
+    G = graph(3, [(0, 1)])
+    for big in (3, 2 ** 63, 2 ** 70):
+        P = SplitPartition([(0,), (1, big)], declared_k=2)
+        with pytest.raises(ValueError, match=f"^partition references vertex {big}, graph has 3$"):
+            structures.verify_rk(G, P)
     P = SplitPartition([(2, 0), (1,)], declared_k=2)
     assert P.parts == ((0, 2), (1,))
     assert P.r == 2
