@@ -136,6 +136,10 @@ WITNESS_DIGEST = "5321f9bc661eb76aa5b717716224319bd5f985a62de51b62b6cd96a66a7215
 BERGE2_WITNESS_DIGEST = "fb1bc1cb5c02012cbc2a4403ee62a87162b9e0622e0bafe890e9d072bc7a8e93"
 BERGE34_WITNESS_DIGEST = "0db295604d448a56395c5cbb9135c96a7554f58e2d584551923e4e67dea6b230"
 
+# sha256 of `contains_explicit` on seeded random graphs and 3- and 4-uniform
+# hypergraphs, each against its uniformity's `_EXPLICIT_PATTERNS`
+EXPLICIT_WITNESS_DIGEST = "4be2e02cf77f0f39bdf206d1e25f88099d040405839bf9ee48fff81818978216"
+
 BIPARTITE_WITNESS_DIGEST = "c2266c6039202edb9bfe82c9f08c73e861a192e9444de5b31d34a572a68ba4a3"
 
 # re-recorded when dense bipartite spectra moved to the singular values of
@@ -277,6 +281,39 @@ def test_berge_witnesses_frozen():
     for lengths, digest in (((2,), BERGE2_WITNESS_DIGEST), ((3, 4), BERGE34_WITNESS_DIGEST)):
         blob = json.dumps([r for r in record if r[0] in lengths], sort_keys=True).encode("utf-8")
         assert hashlib.sha256(blob).hexdigest() == digest, lengths
+
+
+# explicit patterns per uniformity: connected, disconnected, and labelled
+# from above 0, for `_explicit_record`
+_EXPLICIT_PATTERNS = {
+    2: [[(0, 1), (1, 2), (2, 3)], [(0, 1), (1, 2), (2, 0)], [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)],
+        [(0, 1), (0, 2), (0, 3), (3, 4)], [(0, 1), (2, 3)], [(0, 1), (1, 2), (2, 0), (3, 4)],
+        [(5, 6), (0, 1), (1, 2), (2, 3), (3, 0)], [(7, 5), (5, 6), (6, 8)]],
+    3: [[(0, 1, 2), (2, 3, 4)], [(0, 1, 2), (0, 1, 3)], [(0, 1, 2), (2, 3, 4), (4, 5, 0)],
+        [(0, 1, 2), (3, 4, 5)], [(0, 1, 2), (0, 1, 3), (4, 5, 6)], [(5, 6, 7), (7, 8, 9)]],
+    4: [[(0, 1, 2, 3), (3, 4, 5, 6)], [(0, 1, 2, 3), (0, 1, 2, 4)], [(0, 1, 2, 3), (4, 5, 6, 7)],
+        [(3, 4, 5, 6), (6, 7, 8, 9), (3, 4, 8, 9)]],
+}
+
+
+def _explicit_record() -> list:
+    rng = random.Random(20261021)
+    hosts = [_random_graph(rng, rng.randrange(4, 31), rng.choice((0.1, 0.2, 0.35)))
+             for _ in range(40)]
+    for _ in range(40):
+        m = rng.choice((3, 4))
+        hosts.append(_random_hypergraph(rng, m, rng.randrange(m + 2, 14)))
+    return [[G.m, i, forbidden.contains_explicit(G, pat)]
+            for G in hosts for i, pat in enumerate(_EXPLICIT_PATTERNS[G.m])]
+
+
+def test_explicit_witnesses_frozen():
+    record = _explicit_record()
+    for m in (2, 3, 4):
+        verdicts = {r[-1] is None for r in record if r[0] == m}
+        assert verdicts == {True, False}, m
+    blob = json.dumps(record, sort_keys=True).encode("utf-8")
+    assert hashlib.sha256(blob).hexdigest() == EXPLICIT_WITNESS_DIGEST
 
 
 def _greedy_record():
