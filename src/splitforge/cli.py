@@ -192,7 +192,7 @@ def _load(path: str, inputs: dict, cls):
         if doc is None:
             doc = json.loads(raw.decode("utf-8"))
         return cls.from_json_dict(doc), doc
-    except ValueError as exc:  # also bad UTF-8 and bad JSON
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, bad and too deeply nested JSON
         raise ValueError(f"{path}: {exc}") from None
 
 

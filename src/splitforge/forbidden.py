@@ -35,6 +35,7 @@ the witness.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .structures import LabeledHypergraph
+from .structures import LabeledHypergraph, _bfs
 
 # the spec format of each kind, and for the named kinds the regex that
 # `parse_pattern` reads it with (cycles also as C_6); explicit patterns are
@@ -126,9 +127,14 @@ class ForbiddenPattern:
         else:
             if p:
                 raise ValueError(f"explicit patterns take no parameters, got {p}")
+            rows = set()
             for e in self.edges:
+                row = tuple(sorted(e))
                 if len(set(e)) != len(e):
                     raise ValueError(f"pattern edge {e} repeats a vertex")
+                if row in rows:
+                    raise ValueError(f"pattern edge {e} appears twice")
+                rows.add(row)
             if not self.edges:
                 raise ValueError("explicit pattern needs a nonempty edge list")
             if len({v for e in self.edges for v in e}) > _EXPLICIT_MAX_VERTICES:
@@ -613,60 +619,48 @@ def _berge_search(Hy, pat):
 def contains_explicit(G: LabeledHypergraph, pattern_edges):
     """Find an injective embedding of an explicit pattern (subgraph
     containment, not induced). Patterns are limited to 10 vertices;
-    edge arity must match the host.
+    edge arity must match the host, and an edge listed twice is refused.
 
-    Pattern vertices are matched in BFS order from the highest-degree
-    pattern vertex, candidates tried in ascending host order with a
+    Pattern vertices are matched in the order of `_explicit_plan`, built
+    once per pattern, candidates tried in ascending host order with a
     degree cutoff: a vertex reached from a placed pattern neighbour takes
     its candidates from the image's ``adj`` (every image of it lies
     there), the first vertex of each pattern component from all host
     vertices.
     """
-    pat = ForbiddenPattern("explicit", (), tuple(tuple(sorted(e)) for e in pattern_edges))
+    pat = ForbiddenPattern("explicit", (), tuple(map(tuple, pattern_edges)))
     pat.check_host(G.m)
-    edges = pat.edges
-    pverts = sorted({v for e in edges for v in e})
-
-    pdeg = {v: 0 for v in pverts}
-    for e in edges:
-        for v in e:
-            pdeg[v] += 1
-
-    # BFS order over the pattern, restarting per component
-    padj: dict[int, set[int]] = {v: set() for v in pverts}
-    for e in edges:
-        for a in e:
-            for b in e:
-                if a != b:
-                    padj[a].add(b)
-    order = []
-    parent: dict[int, int | None] = {}  # the pattern neighbour each vertex was reached from
-    remaining = sorted(pverts, key=lambda v: (-pdeg[v], v))
-    for start in remaining:
-        if start in parent:
-            continue
-        queue = [start]
-        parent[start] = None
-        while queue:
-            x = queue.pop(0)
-            order.append(x)
-            for y in sorted(padj[x]):
-                if y not in parent:
-                    parent[y] = x
-                    queue.append(y)
-
-    # pattern edges become checkable once their last vertex is placed
-    rank = {v: i for i, v in enumerate(order)}
-    checks: list[list[tuple]] = [[] for _ in order]
-    for e in edges:
-        checks[max(rank[v] for v in e)].append(e)
-
+    rows, order, parent, deg, checks = _explicit_plan(pat.edges)
     es = set(map(tuple, G.edge_array.tolist()))
     phi: dict[int, int] = {}
-    if not _embed(G, es, order, [parent[v] for v in order], pdeg, checks, phi, set(), 0):
+    if not _embed(G, es, order, parent, deg, checks, phi, set(), 0):
         return None
-    mapped = [tuple(sorted(phi[x] for x in e)) for e in edges]
-    return _emit(G, pat, [phi[v] for v in pverts], mapped)
+    return _emit(G, pat, [phi[v] for v in range(len(deg))], [[phi[x] for x in e] for e in rows])
+
+
+@functools.lru_cache(maxsize=None)
+def _explicit_plan(edges: tuple) -> tuple:
+    """The search plan of the explicit pattern `edges`, its vertex labels
+    renumbered 0..k-1 in ascending order: its edges as sorted rows, the
+    match order, for each vertex in it a pattern neighbour one BFS level
+    up (None at a component's first vertex), each vertex's degree, and
+    the edges checkable once order[i] is placed.
+
+    The pattern is a LabeledHypergraph, and the order is `_bfs` of its
+    ``adj``, each component rooted at its highest-degree (then least)
+    vertex.  Memoised, so callers only read it.
+    """
+    labels = sorted({v for e in edges for v in e})
+    P = LabeledHypergraph(len(edges[0]), labels, [[labels.index(v) for v in e] for e in edges])
+    deg = tuple(map(P.degree, range(P.n)))
+    order, dist = _bfs(P.adj, sorted(range(P.n), key=lambda v: (-deg[v], v)))
+    rank = {v: i for i, v in enumerate(order)}
+    parent = tuple(None if dist[v] == 0 else next(u for u in P.adj[v] if dist[u] < dist[v])
+                   for v in order)
+    # pattern edges become checkable once their last vertex is placed
+    rows = tuple(map(tuple, P.edge_array.tolist()))
+    checks = tuple(tuple(e for e in rows if max(map(rank.get, e)) == i) for i in range(P.n))
+    return rows, tuple(order), parent, deg, checks
 
 
 def _embed(G, es, order, parent, pdeg, checks, phi, used, i):

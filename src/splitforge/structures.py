@@ -377,14 +377,15 @@ def components(G: LabeledHypergraph) -> list:
     return [sorted(order[a:b]) for a, b in zip(starts, starts[1:])]
 
 
-def _bfs(adj) -> tuple:
-    """Breadth-first search of every component from its least vertex, the
-    components taken by least vertex: the vertices in the order visited,
-    and each vertex's distance from its component's least vertex."""
+def _bfs(adj, roots=None) -> tuple:
+    """Breadth-first search of every component from its first vertex in
+    `roots` (all vertices; ascending when None), the components taken in
+    that order: the vertices in the order visited, and each vertex's
+    distance from its component's root."""
     order: list = []
     dist = [-1] * len(adj)
     i = 0  # order[i:] is the queue; it is empty whenever a component is done
-    for s in range(len(adj)):
+    for s in range(len(adj)) if roots is None else roots:
         if dist[s] >= 0:
             continue
         dist[s] = 0

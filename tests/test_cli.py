@@ -840,3 +840,37 @@ def test_missing_key_exits_2_but_internal_key_error_does_not(tmp_path, monkeypat
     g, p = k22_files(tmp_path)
     with pytest.raises(KeyError):
         cli.main(["verify", "--graph", str(g), "--partition", str(p)])
+
+
+_NESTED = "[" * 100_000 + "]" * 100_000  # past json's recursion limit
+
+
+@pytest.mark.parametrize("command, nested, outputs", [
+    ("verify", "graph", ["--out"]),
+    ("verify", "partition", ["--out"]),
+    ("spectrum", "graph", ["--out"]),
+    ("mixing", "graph", ["--out"]),
+    ("partition-greedy", "graph", ["--out-graph", "--out-partition"]),
+])
+def test_deeply_nested_document_exits_2_with_its_path(tmp_path, capsys, command, nested, outputs):
+    # json.loads raises RecursionError (a RuntimeError, exit 1) on such a
+    # document; the loader names the file and exits 2 like any bad document
+    g, p = k22_files(tmp_path)
+    bad = tmp_path / "nested.json"
+    if nested == "graph":  # the canonical layout, so the exact reader sees it first
+        bad.write_text('{"edges":' + _NESTED + ',"m":2,"vertices":["a0","a1","b0","b1"]}\n')
+        g = bad
+    else:
+        bad.write_text('{"k":2,"parts":' + _NESTED + "}")
+        p = bad
+    args = {"verify": ["--graph", str(g), "--partition", str(p)],
+            "spectrum": ["--graph", str(g)],
+            "mixing": ["--graph", str(g), "--U", "0,1", "--W", "2,3"],
+            "partition-greedy": ["--graph", str(g), "--m", "2", "--forbid", "K_{2,2}"]}[command]
+    for i, flag in enumerate(outputs):
+        args += [flag, str(tmp_path / f"out{i}.json")]
+    assert cli.main([command, *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid parameters or input: {bad}: maximum recursion depth exceeded")
+    assert sorted(q.name for q in tmp_path.iterdir()) == sorted(
+        ["k22.json", "k22_parts.json", "nested.json"])

@@ -11,6 +11,7 @@ import gc
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -1181,6 +1182,25 @@ def test_explicit_embedding():
     assert forbidden.contains_explicit(k4_minus, k4) is None
     with pytest.raises(ValueError):
         forbidden.contains_explicit(tri, [(i, i + 1) for i in range(10)])
+
+
+@pytest.mark.parametrize("edges, named", [
+    (((0, 1), (1, 2), (2, 0), (1, 0)), "(1, 0)"),
+    (((0, 1), (0, 1)), "(0, 1)"),
+    (((0, 1, 2), (2, 3, 4), (4, 3, 2)), "(4, 3, 2)"),
+], ids=["triangle-and-reversed-edge", "doubled-edge", "loose-path-and-reordered-edge"])
+def test_explicit_pattern_refuses_a_repeated_edge(edges, named):
+    # counted twice, a repeated edge would double its vertices' pattern
+    # degree, and the degree cutoff would prune every host vertex: the
+    # first pattern would read absent from a triangle, the third from the
+    # loose path
+    message = re.escape(f"pattern edge {named} appears twice")
+    with pytest.raises(ValueError, match=message):
+        ForbiddenPattern("explicit", (), edges)
+    host = cycle_graph(3) if len(edges[0]) == 2 else LabeledHypergraph(
+        3, "abcde", [(0, 1, 2), (2, 3, 4)])
+    with pytest.raises(ValueError, match=message):
+        forbidden.contains_explicit(host, edges)
 
 
 def test_explicit_matches_naive():

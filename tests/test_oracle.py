@@ -178,6 +178,11 @@ def test_result_names_each_pattern_path():
     assert res.paths == {"bergeC_3": "incremental", "explicit": "fallback"}
 
 
+def test_a_pattern_with_a_repeated_edge_cannot_start_a_query():
+    with pytest.raises(ValueError, match=r"^pattern edge \(1, 0\) appears twice$"):
+        OracleQuery(4, 2, 3, (ForbiddenPattern("explicit", (), ((0, 1), (1, 2), (2, 0), (1, 0))),))
+
+
 def _state_cross_check(rng, m, pattern, n, steps):
     """Random add/pop sequences on n vertices: whenever the placed host
     is free, `closes` must agree with the full decider on the host plus

@@ -523,6 +523,13 @@ def test_greedy_split_validation():
         spectral.greedy_split(graph(1, []), 2, "C_4")
 
 
+def test_greedy_split_cannot_take_a_pattern_with_a_repeated_edge():
+    # counted with its repeat, ((0, 1), (0, 1)) would pass the degree-1 check
+    with pytest.raises(ValueError, match=r"^pattern edge \(0, 1\) appears twice$"):
+        spectral.greedy_split(build_wenger(1, 3), 3,
+                              forbidden.ForbiddenPattern("explicit", (), ((0, 1), (0, 1))))
+
+
 def test_greedy_split_determinism():
     G = build_wenger(1, 5)
     runs = [

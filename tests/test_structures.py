@@ -327,6 +327,41 @@ def test_components_hypergraph_connectivity():
     assert max(map(len, comps)) == 5
 
 
+def queue_bfs(adj, roots):
+    """Reference breadth-first search: a FIFO queue per component, each
+    started at the next unvisited vertex of `roots`."""
+    order, dist = [], [-1] * len(adj)
+    for s in roots:
+        if dist[s] >= 0:
+            continue
+        dist[s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            order.append(u)
+            for w in adj[u]:
+                if dist[w] < 0:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+    return order, dist
+
+
+def test_bfs_follows_the_given_root_order():
+    rng = random.Random(20261021)
+    isolated = 0
+    for _ in range(80):
+        n = rng.randrange(2, 25)
+        m = rng.choice((2, 2, 3))
+        edges = {tuple(sorted(rng.sample(range(n), m))) for _ in range(rng.randrange(n + 1))
+                 } if n >= m else set()
+        G = graph(n, sorted(edges), m)
+        isolated += G.adj.count(())
+        roots = rng.sample(range(n), n)
+        assert structures._bfs(G.adj, roots) == queue_bfs(G.adj, roots)
+        assert structures._bfs(G.adj) == queue_bfs(G.adj, range(n))
+    assert isolated > 0
+
+
 # -------------------------------------------------------- property B
 
 
