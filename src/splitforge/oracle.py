@@ -10,17 +10,29 @@ equivalent to feasibility with a minimal assignment.
 The search grows one host per level, `_PatternState`, and asks it at
 each placement only whether the new edge closes a forbidden copy: the
 host before the edge is free and every pattern is monotone, so a new
-copy uses the new edge.  Cycles on graphs and Berge cycles on
-hypergraphs are decided incrementally: a Berge 2-cycle from the covered
-pairs, any other cycle through the new edge as a path between two of its
-vertices, which `_reaches` looks for in the neighbour lists with a stack
-search that stops at the first one.  Any other pattern, or one whose
-kind does not fit m, takes the named fallback, which builds the host and
-runs the full decider (`check_pattern`), so its errors and messages are the
-deciders' own.  The placements a part tuple offers depend only on how
-many vertices its parts have used and on k, so `_placements` is
-memoised on those and each list is formed once.  A found certificate
-is rechecked with `verify_rk` and the full deciders.
+copy uses the new edge.  The state picks each pattern's rule once, when
+the level starts, and binds the rules into one `closes(edge)` callable
+that asks them in the query's order; no placement looks at a pattern's
+kind again.  The rule table holds four rules:
+
+* a cycle on a graph: the new edge uv and a u-v path of L - 1 edges,
+  which `_reaches` looks for in the neighbour lists with a stack search
+  that stops at the first one;
+* a Berge 2-cycle on a hypergraph: a pair of the new edge's vertices
+  that a placed edge already covers;
+* any other Berge cycle: the same path query on the vertex-edge
+  incidence lists, between two of the new edge's vertices;
+* the named fallback, for any other pattern or one whose kind does not
+  fit m: a fresh host and the full decider (`check_pattern`), so its
+  errors and messages are the deciders' own.  A run of consecutive
+  fallback patterns shares one host.
+
+The placements a part tuple offers depend only on how many vertices its
+parts have used and on k, so `_placements` is memoised on those and each
+list is formed once; each edge's vertex pairs, which the covered-pair
+counts and the Berge 2-cycle rule read, are memoised the same way
+(`_pairs`).  A found certificate is rechecked with `verify_rk` and the
+full deciders.
 
 The feasibility envelope is deliberately small (r <= 6, k <= 3, m in
 {2, 3}); beyond it the node budget cuts the search off with an explicit
@@ -72,11 +84,12 @@ class OracleQuery:
     budget: int = 2_000_000
 
     def __post_init__(self) -> None:
-        if self.m not in (2, 3):
+        # `type(x) is not int` also refuses bool, which would pass as 0 or 1
+        if type(self.m) is not int or self.m not in (2, 3):
             raise ValueError(f"uniformity m must be 2 or 3, got {self.m!r}")
-        if not isinstance(self.r, int) or not (self.m <= self.r <= 6):
+        if type(self.r) is not int or not (self.m <= self.r <= 6):
             raise ValueError(f"r must be an integer with m <= r <= 6, got {self.r!r}")
-        if not isinstance(self.k_max, int) or not (1 <= self.k_max <= 3):
+        if type(self.k_max) is not int or not (1 <= self.k_max <= 3):
             raise ValueError(f"k_max must lie in 1..3, got {self.k_max!r}")
         pats = self.pattern
         if isinstance(pats, ForbiddenPattern):
@@ -89,7 +102,7 @@ class OracleQuery:
         if not pats or not all(isinstance(p, ForbiddenPattern) for p in pats):
             raise ValueError("pattern must be one or more ForbiddenPattern instances")
         object.__setattr__(self, "pattern", pats)
-        if not isinstance(self.budget, int) or self.budget < 1:
+        if type(self.budget) is not int or self.budget < 1:
             raise ValueError(f"budget must be a positive integer, got {self.budget!r}")
 
 
@@ -129,7 +142,8 @@ def _route(pattern: ForbiddenPattern, m: int) -> str:
 
 class _PatternState:
     """The host of one level's search, grown and shrunk one edge at a
-    time, that tells whether the next edge would close a forbidden copy.
+    time, with the level's rule table: `closes(edge)` tells whether the
+    next edge would close a forbidden copy.
 
     ``nb`` holds one neighbour list per node: vertex v is node v, and on
     m >= 3 hosts the i-th placed edge is node n + i, so the lists are the
@@ -137,11 +151,15 @@ class _PatternState:
     are popped in the reverse order of their adding, so every list grows
     and shrinks at its end.
 
-    `closes` is exact only while the host is free of every pattern, as
-    it is at each node of the search: patterns are monotone, so a new
-    copy uses the new edge, and each incremental rule looks for one
-    through it.  ``routes`` pairs each pattern with its `_route`; a
-    "fallback" one is decided on a fresh host.
+    The table is built here, once per level: ``routes`` pairs each
+    pattern with its `_route`; `_rule` turns each incremental pattern,
+    and `_fallback` each run of consecutive fallback patterns, into one
+    callable over the state's lists, with the pattern's kind and length
+    read once.  `closes` asks the rules in the query's order, so a
+    fallback raises exactly where the full deciders would.  It is exact
+    only while the host is free of every pattern, as it is at each node
+    of the search: patterns are monotone, so a new copy uses the new
+    edge, and each incremental rule looks for one through it.
     """
 
     def __init__(self, m: int, labels, routes: List[Tuple[ForbiddenPattern, str]]):
@@ -150,7 +168,65 @@ class _PatternState:
         self.edges: List[tuple] = []
         self.nb: List[list] = [[] for _ in labels]
         self.covered: Dict[tuple, int] = {}  # placed edges over each vertex pair (m >= 3)
-        self.tests = [(pat, route == "incremental") for pat, route in routes]
+        rules = []
+        for route, run in itertools.groupby(routes, key=lambda pr: pr[1]):
+            pats = [pat for pat, _ in run]
+            if route == "fallback":
+                rules.append(self._fallback(pats))
+            else:
+                rules.extend(self._rule(pat) for pat in pats)
+        if len(rules) == 1:  # one frame fewer per placement
+            self.closes = rules[0]
+        else:
+            def closes(edge: tuple) -> bool:
+                for rule in rules:
+                    if rule(edge):
+                        return True
+                return False
+            self.closes = closes
+
+    def _fallback(self, pats: List[ForbiddenPattern]):
+        """The rule of a run of fallback patterns: one fresh host with
+        `edge` (sorted, not yet placed) and the full decider for each."""
+        m, labels, edges = self.m, self.labels, self.edges
+
+        def fallback(edge: tuple) -> bool:
+            host = LabeledHypergraph(m, labels, edges + [edge])
+            return any(check_pattern(host, pat) is not None for pat in pats)
+        return fallback
+
+    def _rule(self, pat: ForbiddenPattern):
+        """The incremental rule of `pat`: whether the free host plus
+        `edge` (sorted, not yet placed) holds a copy through `edge`."""
+        nb = self.nb
+        if pat.kind == "cycle":
+            # a C_L through uv is uv plus a u-v path of L - 1 edges
+            length = pat.params[0] - 1
+
+            def cycle(edge: tuple) -> bool:
+                return _reaches(nb, edge[0], length, (edge[1],))
+            return cycle
+        # a Berge l-cycle through the edge is a 2l-cycle of the incidence
+        # graph through its node: two of its vertices a, b and an a-b
+        # path of 2l - 2 edges among the placed edges; for l = 2 the path
+        # is one placed edge that already covers the pair a, b
+        if pat.params[0] == 2:
+            covered = self.covered.get
+
+            def berge2(edge: tuple) -> bool:
+                for pair in _pairs(edge):
+                    if covered(pair):
+                        return True
+                return False
+            return berge2
+        length = 2 * pat.params[0] - 2
+
+        def berge(edge: tuple) -> bool:
+            for i in range(len(edge) - 1):
+                if _reaches(nb, edge[i], length, edge[i + 1:]):
+                    return True
+            return False
+        return berge
 
     def add(self, edge: tuple) -> None:
         self.edges.append(edge)
@@ -164,7 +240,7 @@ class _PatternState:
                 nb[v].append(len(nb))
             nb.append(list(edge))
             cov = self.covered
-            for pair in itertools.combinations(edge, 2):
+            for pair in _pairs(edge):
                 cov[pair] = cov.get(pair, 0) + 1
 
     def pop(self) -> None:
@@ -178,39 +254,18 @@ class _PatternState:
             nb.pop()
             for v in edge:
                 nb[v].pop()
-            for pair in itertools.combinations(edge, 2):
-                self.covered[pair] -= 1
+            cov = self.covered
+            for pair in _pairs(edge):
+                cov[pair] -= 1
 
-    def closes(self, edge: tuple) -> bool:
-        """Whether the free host plus `edge` (sorted, not yet placed)
-        holds a forbidden pattern; patterns go in the query's order, so
-        a fallback raises exactly where the full deciders would."""
-        host = None
-        for pat, incremental in self.tests:
-            if incremental:
-                hit = self._closes(pat, edge)
-            else:
-                if host is None:
-                    host = LabeledHypergraph(self.m, self.labels, self.edges + [edge])
-                hit = check_pattern(host, pat) is not None
-            if hit:
-                return True
-        return False
 
-    def _closes(self, pat: ForbiddenPattern, edge: tuple) -> bool:
-        nb = self.nb
-        if pat.kind == "cycle":
-            # a C_L through uv is uv plus a u-v path of L - 1 edges
-            u, v = edge
-            return _reaches(nb, u, pat.params[0] - 1, (v,))
-        # a Berge l-cycle through the edge is a 2l-cycle of the incidence
-        # graph through its node: two of its vertices a, b and an a-b
-        # path of 2l - 2 edges among the placed edges; for l = 2 the path
-        # is one placed edge that already covers the pair a, b
-        if pat.params[0] == 2:
-            return any(self.covered.get(pair) for pair in itertools.combinations(edge, 2))
-        length = 2 * pat.params[0] - 2
-        return any(_reaches(nb, a, length, edge[i + 1:]) for i, a in enumerate(edge[:-1]))
+@functools.lru_cache(maxsize=None)
+def _pairs(edge: tuple) -> tuple:
+    """The vertex pairs of `edge` in `itertools.combinations` order,
+    formed once per edge: memoised as `_placements` is, and read by
+    `_PatternState.add`, `pop` and the Berge 2-cycle rule.  The oracle's
+    hosts have at most 18 vertices, so the keys are a few hundred edges."""
+    return tuple(itertools.combinations(edge, 2))
 
 
 def _reaches(adj, root: int, length: int, targets) -> bool:
@@ -288,16 +343,17 @@ def _assign(query, k, part_tuples, state, used, counter, idx):
     if idx == len(part_tuples):
         return LabeledHypergraph(query.m, state.labels, state.edges)
     parts = part_tuples[idx]
+    closes, budget = state.closes, query.budget
     for edge, opens in _placements(parts, tuple([used[p] for p in parts]), k):
         counter[0] += 1
-        if counter[0] > query.budget:
+        if counter[0] > budget:
             raise BudgetExceededError(
-                f"unknown within budget: {query.budget} edge placements "
+                f"unknown within budget: {budget} edge placements "
                 f"exhausted at r={query.r}, m={query.m}, k={k}"
             )
         # patterns are monotone under edge addition, so a hit here
         # rules out the entire subtree
-        if state.closes(edge):
+        if closes(edge):
             continue
         for p in opens:
             used[p] += 1
@@ -318,9 +374,10 @@ def exact_f(query: OracleQuery) -> OracleResult:
     groups of k vertices and only minimal assignments (one cross-part
     edge per m-tuple of parts) are enumerated, with within-part vertex
     interchangeability pruning.  Every placement asks the level's
-    `_PatternState` whether the edge closes a forbidden copy: an
-    incremental rule for the kinds it knows, the named fallback (a fresh
-    host and `check_pattern`) for the rest.  The found certificate is
+    `_PatternState` whether the edge closes a forbidden copy, through the
+    rule table the state built when the level started: an incremental
+    rule for the kinds it knows, the named fallback (a fresh host and
+    `check_pattern`) for the rest.  The found certificate is
     rechecked with `verify_rk` and the full deciders.
 
     Parameters

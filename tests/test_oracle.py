@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from splitforge import oracle
 from splitforge.bounds import TuranEnvelope, min_k_lower
 from splitforge.forbidden import ForbiddenPattern, _paths_by_end, check_pattern, contains_cycle, parse_pattern
 from splitforge.oracle import (
@@ -61,6 +63,20 @@ def test_query_validation():
         OracleQuery(4, 2, 2, "C_4")  # must be parsed patterns, not strings
     with pytest.raises(ValueError, match="^pattern must be a ForbiddenPattern or a sequence of them$"):
         OracleQuery(4, 2, 2, pattern=5)
+
+    # bool is an int subclass, so True would pass as k_max = 1 or budget
+    # = 1; floats are refused too, with the same messages
+    for kwargs, message in [
+        ({"k_max": True}, "k_max must lie in 1..3, got True"),
+        ({"budget": True}, "budget must be a positive integer, got True"),
+        ({"budget": False}, "budget must be a positive integer, got False"),
+        ({"m": 2.0}, "uniformity m must be 2 or 3, got 2.0"),
+        ({"r": 4.0}, "r must be an integer with m <= r <= 6, got 4.0"),
+        ({"k_max": 2.0}, "k_max must lie in 1..3, got 2.0"),
+        ({"budget": 10.0}, "budget must be a positive integer, got 10.0"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            OracleQuery(**{"r": 4, "m": 2, "k_max": 2, "pattern": C4, **kwargs})
 
 
 def test_query_normalises_single_pattern_to_tuple():
@@ -183,12 +199,17 @@ def test_a_pattern_with_a_repeated_edge_cannot_start_a_query():
         OracleQuery(4, 2, 3, (ForbiddenPattern("explicit", (), ((0, 1), (1, 2), (2, 0), (1, 0))),))
 
 
-def _state_cross_check(rng, m, pattern, n, steps):
+def _state_cross_check(monkeypatch, rng, m, patterns, n, steps):
     """Random add/pop sequences on n vertices: whenever the placed host
-    is free, `closes` must agree with the full decider on the host plus
-    the edge.  Returns the verdicts compared."""
+    is free, `closes` must agree with the full deciders on the host plus
+    the edge, and must hand the full decider (through
+    `oracle.check_pattern`, counted here) exactly the fallback patterns
+    that come before the first pattern the edge closes, in query order.
+    Returns the verdicts compared."""
     labels = [f"v{i}" for i in range(n)]
-    routes = [(pattern, _route(pattern, m))]
+    routes = [(pat, _route(pat, m)) for pat in patterns]
+    asked = []
+    monkeypatch.setattr(oracle, "check_pattern", lambda G, pat: asked.append(pat) or check_pattern(G, pat))
     state = _PatternState(m, labels, routes)
     pool = list(itertools.combinations(range(n), m))
     free = [True]  # whether each prefix of the placed edges is free
@@ -199,9 +220,14 @@ def _state_cross_check(rng, m, pattern, n, steps):
             free.pop()
             continue
         edge = rng.choice([e for e in pool if e not in state.edges])
-        full = check_pattern(LabeledHypergraph(m, labels, state.edges + [edge]), pattern) is not None
+        host = LabeledHypergraph(m, labels, state.edges + [edge])
+        hits = [check_pattern(host, pat) is not None for pat in patterns]
+        full = any(hits)
         if free[-1]:
-            assert state.closes(edge) == full, (pattern, state.edges, edge)
+            asked.clear()
+            assert state.closes(edge) == full, (patterns, state.edges, edge)
+            first = hits.index(True) + 1 if full else len(patterns)
+            assert asked == [pat for pat, route in routes[:first] if route == "fallback"]
             seen.append(full)
         if full and rng.random() < 0.8:
             continue
@@ -221,15 +247,77 @@ def _state_cross_check(rng, m, pattern, n, steps):
     (3, "bergeC_2"), (3, "bergeC_3"), (3, "bergeC_4"),
     (4, "bergeC_2"), (4, "bergeC_3"), (4, "bergeC_4"),
 ])
-def test_incremental_state_agrees_with_the_full_deciders(m, spec):
+def test_incremental_state_agrees_with_the_full_deciders(monkeypatch, m, spec):
     # the full deciders are the test oracle for every incremental rule
     rng = random.Random(f"{m}:{spec}")
     pattern = parse_pattern(spec)
     assert _route(pattern, m) == "incremental"
     seen = []
     for _ in range(12):
-        seen += _state_cross_check(rng, m, pattern, rng.randrange(6, 13), 60)
+        seen += _state_cross_check(monkeypatch, rng, m, (pattern,), rng.randrange(6, 13), 60)
     assert set(seen) == {True, False}
+
+
+@pytest.mark.parametrize("m, specs", [
+    (2, ("C_3", "C_5")),
+    (2, ("C_4", "theta_{3,2}")),  # the fallback second
+    (2, ("theta_{3,2}", "C_4")),  # the fallback first
+    (3, ("bergeC_2", "bergeC_3")),
+])
+def test_rule_table_agrees_with_the_full_deciders_on_several_patterns(monkeypatch, m, specs):
+    # the composed `closes` equals any(check_pattern(host + edge, p)) and
+    # asks the rules in the query's order
+    rng = random.Random(f"{m}:{specs}")
+    patterns = tuple(parse_pattern(spec) for spec in specs)
+    seen = []
+    for _ in range(12):
+        seen += _state_cross_check(monkeypatch, rng, m, patterns, rng.randrange(6, 13), 60)
+    assert set(seen) == {True, False}
+
+
+def _count_full_decider_calls(monkeypatch):
+    """Route `oracle.check_pattern` through a recorder of (host, pattern)."""
+    calls = []
+
+    def counted(G, pat):
+        calls.append((G, pat))
+        return check_pattern(G, pat)
+    monkeypatch.setattr(oracle, "check_pattern", counted)
+    return calls
+
+
+@pytest.mark.parametrize("r, m, k_max, spec, status", [
+    (5, 2, 3, "C_4", "found"),
+    (6, 3, 2, "bergeC_2", "exhausted"),
+])
+def test_incremental_search_never_calls_the_full_decider(monkeypatch, r, m, k_max, spec, status):
+    calls = _count_full_decider_calls(monkeypatch)
+    pattern = parse_pattern(spec)
+    res = exact_f(OracleQuery(r, m, k_max, pattern))
+    assert res.status == status
+    # the certificate's recheck in `_patterns_absent` is the only call
+    assert calls == ([(res.graph, pattern)] if status == "found" else [])
+
+
+def test_fallback_is_asked_only_where_the_cycle_rule_did_not_close(monkeypatch):
+    theta = parse_pattern("theta_{3,2}")
+    calls = _count_full_decider_calls(monkeypatch)
+    reached = []
+
+    def counted_reaches(*args):
+        reached.append(_reaches(*args))
+        return reached[-1]
+    monkeypatch.setattr(oracle, "_reaches", counted_reaches)
+    res = exact_f(OracleQuery(5, 2, 3, (C3, theta)))
+    assert (res.status, res.value, res.nodes_total) == ("found", 2, 22)
+    # the recheck asks both patterns of the certificate last
+    search, recheck = calls[:-2], calls[-2:]
+    assert recheck == [(res.graph, C3), (res.graph, theta)]
+    # C_3's rule makes one path query per placement; the fallback comes
+    # second and runs exactly where that query found no triangle
+    assert len(reached) == res.nodes_total
+    assert len(search) == reached.count(False) > 0
+    assert all(pat is theta and contains_cycle(G, 3) is None for G, pat in search)
 
 
 def _random_neighbour_lists(rng, n, m, p):
