@@ -369,10 +369,16 @@ def test_iterative_extremes_frozen(M, q):
 
 
 # exact_f queries: the six of the oracle-sweep benchmark, then cheap ones
-# that reach the fallback (K_{s,t}, theta, an explicit pattern: K_4 less
-# an edge), Berge 4-cycles and mixed families; each maps (r, m, k_max, patterns)
+# on every other kind of pattern (K_{s,t}, theta, and explicit patterns:
+# K_4 less an edge, the path P_4, a loose 3-uniform path, two disjoint
+# edges, and a triangle plus a disjoint edge whose labels do not start at
+# 0), Berge 4-cycles and mixed families; each maps (r, m, k_max, patterns)
 # to (status, value, per_k_nodes, nodes_total, certificate sha256)
 _DIAMOND = forbidden.ForbiddenPattern("explicit", (), ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2)))
+_P4 = forbidden.ForbiddenPattern("explicit", (), ((0, 1), (1, 2), (2, 3)))
+_LOOSE3 = forbidden.ForbiddenPattern("explicit", (), ((0, 1, 2), (2, 3, 4)))
+_2K2 = forbidden.ForbiddenPattern("explicit", (), ((0, 1), (2, 3)))
+_TRI_PEND = forbidden.ForbiddenPattern("explicit", (), ((5, 7), (7, 9), (9, 5), (1, 2)))
 ORACLE_RECORD = {
     "cycles345_r6": ((6, 2, 3, ("C_3", "C_4", "C_5")), ("found", 2, {1: 6, 2: 6572}, 6578,
                      "23c46f7111cb994abf747b9b4c4760d4b83afcb078510883585d0cfccdd7b9d8")),
@@ -401,6 +407,12 @@ ORACLE_RECORD = {
                   "1090e8705c8d2ed3285546207007d1badff715bdeb3a4f1bb1dda8eb3969bd23")),
     "C3_theta32_r5": ((5, 2, 3, ("C_3", "theta_{3,2}")), ("found", 2, {1: 5, 2: 17}, 22,
                       "7ac6f296cf7bc1c80483e54f33de52617b1d9326d94e6ba0829e21cfa9cff17f")),
+    "P4_r5": ((5, 2, 3, (_P4,)), ("found", 3, {1: 5, 2: 231, 3: 43}, 279,
+              "0ce363e7c2b19f33f2071b0b6430c19b1251ee120b6c9b17a0ea9c923ea3d776")),
+    "loose3_r5": ((5, 3, 2, (_LOOSE3,)), ("exhausted", None, {1: 4, 2: 149}, 153, None)),
+    "2K2_r4": ((4, 2, 3, (_2K2,)), ("exhausted", None, {1: 4, 2: 9, 3: 9}, 22, None)),
+    "tri_pend_r5": ((5, 2, 3, (_TRI_PEND,)), ("found", 2, {1: 8, 2: 60}, 68,
+                    "4a778a6bcc73d6709ab9a3121010fd096f18591fd063b47991b72af95a4efcd6")),
 }
 
 
