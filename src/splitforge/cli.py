@@ -7,7 +7,7 @@ top level of the document and a run manifest sits next to them under
 count, tool version, input digests, a sha256 of the canonical payload
 (the document minus the provenance key) and the wall time; an oracle
 run's manifest also has "paths", which names the check each pattern's
-placements took, "incremental" or "fallback", and a verify run's
+placements took, "incremental" for every pattern, and a verify run's
 "paths" names the route each --forbid pattern took, "orbit" or "full";
 a spectrum run's "paths" names the solver, "dense-svd" (bipartite),
 "dense-eigh" or "iterative".

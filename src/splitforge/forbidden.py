@@ -31,11 +31,17 @@ incidence matrix, and when they prove it absent the decider returns
 None at once.  Smaller hosts, patterns without a walk test and every
 host the counts do not clear take the ordered search, which alone picks
 the witness.
+
+Explicit patterns have one embedding search, `_embed`, which reads a
+host as neighbour lists, a degree lookup and an edge set:
+`contains_explicit` runs it on a `LabeledHypergraph`, and the oracle,
+through `_holds_through`, on its growing host, anchored on a new edge.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -202,6 +208,25 @@ class ForbiddenPattern:
             return p[1], p[0]
         if kind == "berge_cycle":
             return p[0], 2
+        return None
+
+    @property
+    def edge_list(self):
+        """The pattern's edges as vertex tuples, for the kinds whose copy
+        is one fixed (hyper)graph that the oracle embeds edge by edge: an
+        explicit pattern's own edges; K_{s,t} with hubs 0..s-1 joined to
+        leaves s..s+t-1; theta_{K,l} with ends 0 and 1, path j running
+        0, 2 + j(l-1), .., 1 + (j+1)(l-1), 1.  None for a cycle or a
+        Berge cycle, which the oracle decides by its path rules."""
+        kind, p = self.kind, self.params
+        if kind == "explicit":
+            return tuple(map(tuple, self.edges))
+        if kind == "complete_bipartite":
+            return tuple((h, p[0] + x) for h in range(p[0]) for x in range(p[1]))
+        if kind == "theta":
+            K, step = p[0], p[1] - 1
+            paths = ([0, *range(2 + j * step, 2 + (j + 1) * step), 1] for j in range(K))
+            return tuple(e for path in paths for e in zip(path, path[1:]))
         return None
 
 
@@ -633,54 +658,86 @@ def contains_explicit(G: LabeledHypergraph, pattern_edges):
     rows, order, parent, deg, checks = _explicit_plan(pat.edges)
     es = set(map(tuple, G.edge_array.tolist()))
     phi: dict[int, int] = {}
-    if not _embed(G, es, order, parent, deg, checks, phi, set(), 0):
+    if not _embed(G.adj, G.degree, es, order, parent, deg, checks, phi, set(), 0):
         return None
     return _emit(G, pat, [phi[v] for v in range(len(deg))], [[phi[x] for x in e] for e in rows])
 
 
+def _holds_through(pattern_edges: tuple, edge: tuple, adj, degree, es) -> bool:
+    """Whether the host plus `edge` holds a copy of the pattern
+    `pattern_edges` (a tuple of vertex tuples) that uses `edge`.  The
+    host is given as `_embed` reads it: its neighbour lists `adj`, its
+    `degree` lookup and its set `es` of sorted edges; `edge` is sorted,
+    on host vertices, and not in `es`.
+
+    Each pattern edge in turn is mapped onto `edge` in every order of
+    its vertices, which come first in the plan anchored on it, and
+    `_embed` extends the map.  The map is injective, so every other
+    pattern edge lands on another edge, one in `es`; only the anchor's
+    vertices gain a degree from `edge`.
+    """
+    used = set(edge)
+    m = len(edge)
+    for a in range(len(pattern_edges)):
+        rows, order, parent, pdeg, checks = _explicit_plan(pattern_edges, a)
+        anchor = order[:m]
+        for image in itertools.permutations(edge):
+            if all(degree(g) >= pdeg[pv] - 1 for pv, g in zip(anchor, image)) and _embed(
+                    adj, degree, es, order, parent, pdeg, checks, dict(zip(anchor, image)), used, m):
+                return True
+    return False
+
+
 @functools.lru_cache(maxsize=None)
-def _explicit_plan(edges: tuple) -> tuple:
+def _explicit_plan(edges: tuple, anchor=None) -> tuple:
     """The search plan of the explicit pattern `edges`, its vertex labels
     renumbered 0..k-1 in ascending order: its edges as sorted rows, the
-    match order, for each vertex in it a pattern neighbour one BFS level
-    up (None at a component's first vertex), each vertex's degree, and
-    the edges checkable once order[i] is placed.
+    match order, for each vertex in it a pattern neighbour earlier in
+    the order (None at a component's first vertex), each vertex's
+    degree, and the edges checkable once order[i] is placed.
 
     The pattern is a LabeledHypergraph, and the order is `_bfs` of its
     ``adj``, each component rooted at its highest-degree (then least)
-    vertex.  Memoised, so callers only read it.
+    vertex.  With `anchor`, the index of an edge, the search is rooted
+    at that edge's vertices instead, which are moved to the front of the
+    order; every other vertex keeps a parent one BFS level up, so before
+    it.  Memoised, so callers only read it.
     """
     labels = sorted({v for e in edges for v in e})
     P = LabeledHypergraph(len(edges[0]), labels, [[labels.index(v) for v in e] for e in edges])
     deg = tuple(map(P.degree, range(P.n)))
-    order, dist = _bfs(P.adj, sorted(range(P.n), key=lambda v: (-deg[v], v)))
+    rows = tuple(map(tuple, P.edge_array.tolist()))
+    roots = sorted(range(P.n), key=lambda v: (-deg[v], v))
+    head = () if anchor is None else rows[anchor]
+    order, dist = _bfs(P.adj, [*head, *roots])
+    order = [*head, *(v for v in order if v not in head)]
     rank = {v: i for i, v in enumerate(order)}
     parent = tuple(None if dist[v] == 0 else next(u for u in P.adj[v] if dist[u] < dist[v])
                    for v in order)
     # pattern edges become checkable once their last vertex is placed
-    rows = tuple(map(tuple, P.edge_array.tolist()))
     checks = tuple(tuple(e for e in rows if max(map(rank.get, e)) == i) for i in range(P.n))
     return rows, tuple(order), parent, deg, checks
 
 
-def _embed(G, es, order, parent, pdeg, checks, phi, used, i):
+def _embed(adj, degree, es, order, parent, pdeg, checks, phi, used, i):
     """Map pattern vertices order[i:] to unused host vertices, extending
     phi (whose images are `used`) so that each pattern edge lands in the
     host's edge set `es`; True once every vertex is placed.  order[i]
-    takes its candidates from the host neighbours of phi[parent[i]], a
-    placed pattern neighbour, or from every host vertex when parent[i]
-    is None."""
+    takes its candidates from ``adj`` of phi[parent[i]], the host
+    neighbours of a placed pattern neighbour, or from every host vertex
+    when parent[i] is None, and only those whose `degree` reaches its
+    pattern degree."""
     if i == len(order):
         return True
     pv = order[i]
-    for g in range(G.n) if parent[i] is None else G.adj[phi[parent[i]]]:
-        if g in used or G.degree(g) < pdeg[pv]:
+    for g in range(len(adj)) if parent[i] is None else adj[phi[parent[i]]]:
+        if g in used or degree(g) < pdeg[pv]:
             continue
         phi[pv] = g
         used.add(g)
         if all(
             tuple(sorted(phi[x] for x in e)) in es for e in checks[i]
-        ) and _embed(G, es, order, parent, pdeg, checks, phi, used, i + 1):
+        ) and _embed(adj, degree, es, order, parent, pdeg, checks, phi, used, i + 1):
             return True
         del phi[pv]
         used.remove(g)

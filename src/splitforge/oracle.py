@@ -10,10 +10,11 @@ equivalent to feasibility with a minimal assignment.
 The search grows one host per level, `_PatternState`, and asks it at
 each placement only whether the new edge closes a forbidden copy: the
 host before the edge is free and every pattern is monotone, so a new
-copy uses the new edge.  The state picks each pattern's rule once, when
-the level starts, and binds the rules into one `closes(edge)` callable
-that asks them in the query's order; no placement looks at a pattern's
-kind again.  The rule table holds four rules:
+copy uses the new edge, and every rule looks only for copies through
+it.  The state picks each pattern's rule once, when the level starts,
+and binds the rules into one `closes(edge)` callable that asks them in
+the query's order; no placement looks at a pattern's kind again.  The
+rule table holds four rules:
 
 * a cycle on a graph: the new edge uv and a u-v path of L - 1 edges,
   which `_reaches` looks for in the neighbour lists with a stack search
@@ -22,17 +23,22 @@ kind again.  The rule table holds four rules:
   that a placed edge already covers;
 * any other Berge cycle: the same path query on the vertex-edge
   incidence lists, between two of the new edge's vertices;
-* the named fallback, for any other pattern or one whose kind does not
-  fit m: a fresh host and the full decider (`check_pattern`), so its
-  errors and messages are the deciders' own.  A run of consecutive
-  fallback patterns shares one host.
+* every other pattern (K_{s,t}, theta and explicit patterns, through
+  `ForbiddenPattern.edge_list`): each pattern edge mapped onto the new
+  edge in every order of its vertices and the map extended by the
+  deciders' embedding search (`forbidden._holds_through`), over the
+  neighbour lists of a graph or, on a hypergraph, the shadow lists
+  built from the incidence lists once per call.
+
+A pattern that does not fit m is refused when the query is built, with
+the deciders' own message.
 
 The placements a part tuple offers depend only on how many vertices its
 parts have used and on k, so `_placements` is memoised on those and each
 list is formed once; each edge's vertex pairs, which the covered-pair
 counts and the Berge 2-cycle rule read, are memoised the same way
-(`_pairs`).  A found certificate is rechecked with `verify_rk` and the
-full deciders.
+(`_pairs`).  No placement builds a host or asks a full decider; a found
+certificate is rechecked with `verify_rk` and the full deciders.
 
 The feasibility envelope is deliberately small (r <= 6, k <= 3, m in
 {2, 3}); beyond it the node budget cuts the search off with an explicit
@@ -46,7 +52,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .forbidden import ForbiddenPattern, check_pattern
+from .forbidden import ForbiddenPattern, _holds_through, check_pattern
 from .structures import (
     BudgetExceededError,
     LabeledHypergraph,
@@ -71,7 +77,8 @@ class OracleQuery:
         Largest part size to try, 1 <= k_max <= 3.
     pattern : ForbiddenPattern or sequence of ForbiddenPattern
         Pattern(s) the witness must avoid.  Stored as a tuple even when a
-        single pattern is given.
+        single pattern is given; each must fit an m-uniform host
+        (`ForbiddenPattern.check_host`, asked in this order).
     budget : int, optional
         Node limit across all k levels; a node is one attempted edge
         placement.  Exceeding it raises BudgetExceededError.
@@ -104,6 +111,8 @@ class OracleQuery:
         object.__setattr__(self, "pattern", pats)
         if type(self.budget) is not int or self.budget < 1:
             raise ValueError(f"budget must be a positive integer, got {self.budget!r}")
+        for pat in pats:
+            pat.check_host(self.m)
 
 
 @dataclass(frozen=True)
@@ -116,8 +125,9 @@ class OracleResult:
     (so the true threshold exceeds k_max).  ``per_k_nodes`` records how
     many edge placements each level attempted; together with a budget
     that was never hit it is the exhaustion evidence.  ``paths`` maps
-    each pattern's spec string to the check its placements took,
-    "incremental" or "fallback".
+    each pattern's spec string to the check its placements took, always
+    "incremental": a rule that looks only for copies through the new
+    edge.
     """
 
     status: str
@@ -133,13 +143,6 @@ def _patterns_absent(G: LabeledHypergraph, patterns: Tuple[ForbiddenPattern, ...
     return all(check_pattern(G, pat) is None for pat in patterns)
 
 
-def _route(pattern: ForbiddenPattern, m: int) -> str:
-    """"incremental" when `_PatternState` decides the pattern on an
-    m-uniform host by itself, else "fallback" (a fresh host and the full
-    decider, whose errors and messages the search then raises)."""
-    return "incremental" if pattern.kind in ("cycle", "berge_cycle") and pattern.fits(m) else "fallback"
-
-
 class _PatternState:
     """The host of one level's search, grown and shrunk one edge at a
     time, with the level's rule table: `closes(edge)` tells whether the
@@ -151,30 +154,22 @@ class _PatternState:
     are popped in the reverse order of their adding, so every list grows
     and shrinks at its end.
 
-    The table is built here, once per level: ``routes`` pairs each
-    pattern with its `_route`; `_rule` turns each incremental pattern,
-    and `_fallback` each run of consecutive fallback patterns, into one
-    callable over the state's lists, with the pattern's kind and length
-    read once.  `closes` asks the rules in the query's order, so a
-    fallback raises exactly where the full deciders would.  It is exact
-    only while the host is free of every pattern, as it is at each node
-    of the search: patterns are monotone, so a new copy uses the new
-    edge, and each incremental rule looks for one through it.
+    The table is built here, once per level: `_rule` turns each of
+    `patterns` into one callable over the state's lists, with the
+    pattern's kind, length or edge list read once, and `closes` asks
+    the rules in the query's order.  It is exact only while the host is
+    free of every pattern, as it is at each node of the search: patterns
+    are monotone, so a new copy uses the new edge, and each rule looks
+    for one through it.
     """
 
-    def __init__(self, m: int, labels, routes: List[Tuple[ForbiddenPattern, str]]):
+    def __init__(self, m: int, labels, patterns):
         self.m = m
         self.labels = labels
         self.edges: List[tuple] = []
         self.nb: List[list] = [[] for _ in labels]
         self.covered: Dict[tuple, int] = {}  # placed edges over each vertex pair (m >= 3)
-        rules = []
-        for route, run in itertools.groupby(routes, key=lambda pr: pr[1]):
-            pats = [pat for pat, _ in run]
-            if route == "fallback":
-                rules.append(self._fallback(pats))
-            else:
-                rules.extend(self._rule(pat) for pat in pats)
+        rules = [self._rule(pat) for pat in patterns]
         if len(rules) == 1:  # one frame fewer per placement
             self.closes = rules[0]
         else:
@@ -185,20 +180,27 @@ class _PatternState:
                 return False
             self.closes = closes
 
-    def _fallback(self, pats: List[ForbiddenPattern]):
-        """The rule of a run of fallback patterns: one fresh host with
-        `edge` (sorted, not yet placed) and the full decider for each."""
-        m, labels, edges = self.m, self.labels, self.edges
-
-        def fallback(edge: tuple) -> bool:
-            host = LabeledHypergraph(m, labels, edges + [edge])
-            return any(check_pattern(host, pat) is not None for pat in pats)
-        return fallback
-
     def _rule(self, pat: ForbiddenPattern):
-        """The incremental rule of `pat`: whether the free host plus
-        `edge` (sorted, not yet placed) holds a copy through `edge`."""
+        """The rule of `pat`: whether the free host plus `edge` (sorted,
+        not yet placed) holds a copy through `edge`."""
         nb = self.nb
+        pattern_edges = pat.edge_list
+        if pattern_edges is not None:
+            # the host without `edge`, as `_embed` reads it: a vertex's
+            # degree is the length of its list (its neighbours, or on a
+            # hypergraph its placed edges), and a hypergraph's neighbour
+            # lists are its shadow's, built from the incidence lists; a
+            # vertex lies in its own, which the search reads only once
+            # that vertex is used
+            placed, graph, vertices = self.edges, self.m == 2, range(len(self.labels))
+
+            def degree(g: int) -> int:
+                return len(nb[g])
+
+            def anchored(edge: tuple) -> bool:
+                adj = nb if graph else [{x for e in nb[v] for x in nb[e]} for v in vertices]
+                return _holds_through(pattern_edges, edge, adj, degree, set(placed))
+            return anchored
         if pat.kind == "cycle":
             # a C_L through uv is uv plus a u-v path of L - 1 edges
             length = pat.params[0] - 1
@@ -322,14 +324,14 @@ def _placements(parts: tuple, used: tuple, k: int) -> list:
     ]
 
 
-def _search_k(query: OracleQuery, k: int, routes, counter: List[int]):
+def _search_k(query: OracleQuery, k: int, counter: List[int]):
     r, m = query.r, query.m
     flat = [f"p{i}v{j}" for i in range(r) for j in range(k)]
     part_tuples = list(itertools.combinations(range(r), m))
     # part p uses vertices 0..used[p]-1: vertices never used before are
     # interchangeable under relabeling within their part, so only the
     # least unused one is offered, and backtracking frees them in LIFO order
-    state = _PatternState(m, flat, routes)
+    state = _PatternState(m, flat, query.pattern)
     G = _assign(query, k, part_tuples, state, [0] * r, counter, 0)
     if G is None:
         return None
@@ -375,10 +377,9 @@ def exact_f(query: OracleQuery) -> OracleResult:
     edge per m-tuple of parts) are enumerated, with within-part vertex
     interchangeability pruning.  Every placement asks the level's
     `_PatternState` whether the edge closes a forbidden copy, through the
-    rule table the state built when the level started: an incremental
-    rule for the kinds it knows, the named fallback (a fresh host and
-    `check_pattern`) for the rest.  The found certificate is
-    rechecked with `verify_rk` and the full deciders.
+    rule table the state built when the level started: each pattern's
+    rule looks only for copies through the new edge.  The found
+    certificate is rechecked with `verify_rk` and the full deciders.
 
     Parameters
     ----------
@@ -399,11 +400,10 @@ def exact_f(query: OracleQuery) -> OracleResult:
     """
     counter = [0]
     per_k: Dict[int, int] = {}
-    routes = [(pat, _route(pat, query.m)) for pat in query.pattern]
-    paths = {pat.spec_string(): route for pat, route in routes}
+    paths = {pat.spec_string(): "incremental" for pat in query.pattern}
     for k in range(1, query.k_max + 1):
         before = counter[0]
-        outcome = _search_k(query, k, routes, counter)
+        outcome = _search_k(query, k, counter)
         per_k[k] = counter[0] - before
         if outcome is not None:
             G, P = outcome

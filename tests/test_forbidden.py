@@ -1217,21 +1217,21 @@ def test_explicit_matches_naive():
             assert (got is not None) == naive_embed(G, pat)
 
 
-def scan_embed(G, es, order, parent, pdeg, checks, phi, used, i):
+def scan_embed(adj, degree, es, order, parent, pdeg, checks, phi, used, i):
     """`forbidden._embed` with every host vertex, ascending, as the
     candidates of every pattern vertex, as it searched before candidates
     came from a placed neighbour's ``adj``.  The reference for that cut."""
     if i == len(order):
         return True
     pv = order[i]
-    for g in range(G.n):
-        if g in used or G.degree(g) < pdeg[pv]:
+    for g in range(len(adj)):
+        if g in used or degree(g) < pdeg[pv]:
             continue
         phi[pv] = g
         used.add(g)
         if all(
             tuple(sorted(phi[x] for x in e)) in es for e in checks[i]
-        ) and scan_embed(G, es, order, parent, pdeg, checks, phi, used, i + 1):
+        ) and scan_embed(adj, degree, es, order, parent, pdeg, checks, phi, used, i + 1):
             return True
         del phi[pv]
         used.remove(g)

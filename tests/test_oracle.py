@@ -16,7 +16,6 @@ from splitforge.oracle import (
     _PatternState,
     _placements,
     _reaches,
-    _route,
     exact_f,
 )
 from splitforge.structures import (
@@ -24,9 +23,27 @@ from splitforge.structures import (
     LabeledHypergraph,
     verify_rk,
 )
+from test_frozen_outputs import ORACLE_RECORD
 
 C3 = parse_pattern("C_3")
 C4 = parse_pattern("C_4")
+
+# explicit patterns by name, graphs and then 3-uniform ones
+EXPLICIT = {
+    "P_4": ((0, 1), (1, 2), (2, 3)),
+    "diamond": ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2)),
+    "2K_2": ((0, 1), (2, 3)),
+    "triangle+edge": ((0, 1), (1, 2), (2, 0), (3, 4)),
+    "loose path": ((0, 1, 2), (2, 3, 4)),
+    "triples sharing a pair": ((0, 1, 2), (0, 1, 3)),
+    "disjoint triples": ((0, 1, 2), (3, 4, 5)),
+}
+
+
+def pattern_named(name: str) -> ForbiddenPattern:
+    if name in EXPLICIT:
+        return ForbiddenPattern("explicit", (), EXPLICIT[name])
+    return parse_pattern(name)
 
 
 def complete_graph(n: int) -> LabeledHypergraph:
@@ -63,6 +80,13 @@ def test_query_validation():
         OracleQuery(4, 2, 2, "C_4")  # must be parsed patterns, not strings
     with pytest.raises(ValueError, match="^pattern must be a ForbiddenPattern or a sequence of them$"):
         OracleQuery(4, 2, 2, pattern=5)
+    # a pattern that does not fit m is refused here, with its decider's
+    # message, before any placement
+    berge2 = parse_pattern("bergeC_2")
+    with pytest.raises(ValueError, match="^Berge cycle detection expects a hypergraph with m >= 3$"):
+        OracleQuery(4, 2, 2, (C4, berge2))
+    with pytest.raises(ValueError, match=r"^this decider needs a 2-uniform graph, got m=3$"):
+        OracleQuery(4, 3, 2, C4)
 
     # bool is an int subclass, so True would pass as k_max = 1 or budget
     # = 1; floats are refused too, with the same messages
@@ -92,7 +116,7 @@ def test_f3_c4_is_one():
     assert res.status == "found"
     assert res.value == 1
     assert res.graph.n == 3
-    assert len(res.graph.edges) == 3
+    assert len(res.graph.edge_array) == 3
     assert res.partition.r == 3
     assert res.partition.declared_k == 1
     assert_certificate_ok(res, [C4])
@@ -106,7 +130,7 @@ def test_f4_c4_is_two():
     assert res.status == "found"
     assert res.value == 2
     assert res.graph.n == 8
-    assert len(res.graph.edges) == 6
+    assert len(res.graph.edge_array) == 6
     assert_certificate_ok(res, [C4])
     # the failed k=1 level was actually searched
     assert res.per_k_nodes[1] >= 1
@@ -172,7 +196,7 @@ def test_uniformity_three_search():
     res = exact_f(OracleQuery(3, 3, 2, berge2))
     assert res.status == "found"
     assert res.value == 1
-    assert len(res.graph.edges) == 1
+    assert len(res.graph.edge_array) == 1
     assert_certificate_ok(res, [berge2])
 
 
@@ -182,16 +206,15 @@ def test_deterministic_and_node_accounting():
     assert a.value == b.value
     assert a.per_k_nodes == b.per_k_nodes
     assert a.nodes_total == b.nodes_total
-    assert sorted(a.graph.edges) == sorted(b.graph.edges)
+    assert sorted(a.graph.edge_array.tolist()) == sorted(b.graph.edge_array.tolist())
     assert a.nodes_total == sum(a.per_k_nodes.values())
 
 
 def test_result_names_each_pattern_path():
     res = exact_f(OracleQuery(4, 2, 2, (C4, parse_pattern("theta_{3,2}"))))
-    assert res.paths == {"C_{4}": "incremental", "theta_{3,2}": "fallback"}
-    loose_path = ForbiddenPattern("explicit", (), ((0, 1, 2), (2, 3, 4)))
-    res = exact_f(OracleQuery(3, 3, 1, (parse_pattern("bergeC_3"), loose_path)))
-    assert res.paths == {"bergeC_3": "incremental", "explicit": "fallback"}
+    assert res.paths == {"C_{4}": "incremental", "theta_{3,2}": "incremental"}
+    res = exact_f(OracleQuery(3, 3, 1, (parse_pattern("bergeC_3"), pattern_named("loose path"))))
+    assert res.paths == {"bergeC_3": "incremental", "explicit": "incremental"}
 
 
 def test_a_pattern_with_a_repeated_edge_cannot_start_a_query():
@@ -213,14 +236,12 @@ def _count_full_decider_calls(monkeypatch):
 def _state_cross_check(monkeypatch, rng, m, patterns, n, steps):
     """Random add/pop sequences on n vertices: whenever the placed host
     is free, `closes` must agree with the full deciders on the host plus
-    the edge, and must hand the full decider (through
-    `oracle.check_pattern`, counted here) exactly the fallback patterns
-    that come before the first pattern the edge closes, in query order.
-    Returns the verdicts compared."""
+    the edge, and must never ask a full decider itself (through
+    `oracle.check_pattern`, counted here).  Returns the verdicts
+    compared."""
     labels = [f"v{i}" for i in range(n)]
-    routes = [(pat, _route(pat, m)) for pat in patterns]
     asked = _count_full_decider_calls(monkeypatch)
-    state = _PatternState(m, labels, routes)
+    state = _PatternState(m, labels, patterns)
     pool = list(itertools.combinations(range(n), m))
     free = [True]  # whether each prefix of the placed edges is free
     seen = []
@@ -234,17 +255,15 @@ def _state_cross_check(monkeypatch, rng, m, patterns, n, steps):
         hits = [check_pattern(host, pat) is not None for pat in patterns]
         full = any(hits)
         if free[-1]:
-            asked.clear()
             assert state.closes(edge) == full, (patterns, state.edges, edge)
-            first = hits.index(True) + 1 if full else len(patterns)
-            assert [pat for _, pat in asked] == [pat for pat, route in routes[:first] if route == "fallback"]
+            assert asked == []
             seen.append(full)
         if full and rng.random() < 0.8:
             continue
         state.add(edge)
         free.append(free[-1] and not full)
     # undoing in LIFO order leaves what adding the same edges afresh builds
-    fresh = _PatternState(m, labels, routes)
+    fresh = _PatternState(m, labels, patterns)
     for e in state.edges:
         fresh.add(e)
     assert fresh.nb == state.nb
@@ -256,12 +275,14 @@ def _state_cross_check(monkeypatch, rng, m, patterns, n, steps):
     (2, "C_3"), (2, "C_4"), (2, "C_5"), (2, "C_6"),
     (3, "bergeC_2"), (3, "bergeC_3"), (3, "bergeC_4"),
     (4, "bergeC_2"), (4, "bergeC_3"), (4, "bergeC_4"),
+    (2, "K_{1,3}"), (2, "K_{2,2}"), (2, "K_{2,3}"), (2, "theta_{2,3}"), (2, "theta_{3,2}"),
+    (2, "P_4"), (2, "diamond"), (2, "2K_2"), (2, "triangle+edge"),
+    (3, "loose path"), (3, "triples sharing a pair"), (3, "disjoint triples"),
 ])
 def test_incremental_state_agrees_with_the_full_deciders(monkeypatch, m, spec):
-    # the full deciders are the test oracle for every incremental rule
+    # the full deciders are the test oracle for every rule
     rng = random.Random(f"{m}:{spec}")
-    pattern = parse_pattern(spec)
-    assert _route(pattern, m) == "incremental"
+    pattern = pattern_named(spec)
     seen = []
     for _ in range(12):
         seen += _state_cross_check(monkeypatch, rng, m, (pattern,), rng.randrange(6, 13), 60)
@@ -270,53 +291,34 @@ def test_incremental_state_agrees_with_the_full_deciders(monkeypatch, m, spec):
 
 @pytest.mark.parametrize("m, specs", [
     (2, ("C_3", "C_5")),
-    (2, ("C_4", "theta_{3,2}")),  # the fallback second
-    (2, ("theta_{3,2}", "C_4")),  # the fallback first
+    (2, ("C_4", "theta_{3,2}")),  # the anchored rule second
+    (2, ("theta_{3,2}", "C_4")),  # the anchored rule first
     (3, ("bergeC_2", "bergeC_3")),
+    (3, ("bergeC_3", "loose path")),
 ])
 def test_rule_table_agrees_with_the_full_deciders_on_several_patterns(monkeypatch, m, specs):
     # the composed `closes` equals any(check_pattern(host + edge, p)) and
     # asks the rules in the query's order
     rng = random.Random(f"{m}:{specs}")
-    patterns = tuple(parse_pattern(spec) for spec in specs)
+    patterns = tuple(map(pattern_named, specs))
     seen = []
     for _ in range(12):
         seen += _state_cross_check(monkeypatch, rng, m, patterns, rng.randrange(6, 13), 60)
     assert set(seen) == {True, False}
 
 
-@pytest.mark.parametrize("r, m, k_max, spec, status", [
-    (5, 2, 3, "C_4", "found"),
-    (6, 3, 2, "bergeC_2", "exhausted"),
+@pytest.mark.parametrize("tag", [
+    "C4_r5", "bergeC2_r6", "C3_theta32_r5", "K23_r6", "diamond_r5", "loose3_r5",
 ])
-def test_incremental_search_never_calls_the_full_decider(monkeypatch, r, m, k_max, spec, status):
+def test_incremental_search_never_calls_the_full_decider(monkeypatch, tag):
+    (r, m, k_max, specs), expected = ORACLE_RECORD[tag]
+    patterns = tuple(map(parse_pattern, specs))
     calls = _count_full_decider_calls(monkeypatch)
-    pattern = parse_pattern(spec)
-    res = exact_f(OracleQuery(r, m, k_max, pattern))
-    assert res.status == status
-    # the certificate's recheck in `_patterns_absent` is the only call
-    assert calls == ([(res.graph, pattern)] if status == "found" else [])
-
-
-def test_fallback_is_asked_only_where_the_cycle_rule_did_not_close(monkeypatch):
-    theta = parse_pattern("theta_{3,2}")
-    calls = _count_full_decider_calls(monkeypatch)
-    reached = []
-
-    def counted_reaches(*args):
-        reached.append(_reaches(*args))
-        return reached[-1]
-    monkeypatch.setattr(oracle, "_reaches", counted_reaches)
-    res = exact_f(OracleQuery(5, 2, 3, (C3, theta)))
-    assert (res.status, res.value, res.nodes_total) == ("found", 2, 22)
-    # the recheck asks both patterns of the certificate last
-    search, recheck = calls[:-2], calls[-2:]
-    assert recheck == [(res.graph, C3), (res.graph, theta)]
-    # C_3's rule makes one path query per placement; the fallback comes
-    # second and runs exactly where that query found no triangle
-    assert len(reached) == res.nodes_total
-    assert len(search) == reached.count(False) > 0
-    assert all(pat is theta and contains_cycle(G, 3) is None for G, pat in search)
+    res = exact_f(OracleQuery(r, m, k_max, patterns))
+    assert (res.status, res.per_k_nodes) == (expected[0], expected[2])
+    # the certificate's recheck in `_patterns_absent`, one call per
+    # pattern in query order, is the only call
+    assert calls == ([(res.graph, pat) for pat in patterns] if res.status == "found" else [])
 
 
 def _random_neighbour_lists(rng, n, m, p):

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from pathlib import Path
 
 import numpy as np
@@ -552,16 +553,19 @@ def test_fits_agrees_with_every_host_check():
         for pat in patterns:
             fits = pat.fits(m)
             seen.add((pat.kind, m, fits))
+            # the oracle refuses a query on a misfit pattern with the
+            # decider's own message, and takes every pattern that fits
             try:
                 check_pattern(H, pat)
-            except ValueError:
+            except ValueError as exc:
                 assert not fits
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    oracle.OracleQuery(3, m, 1, pat)
             else:
                 assert fits
+                oracle.OracleQuery(3, m, 1, pat)
             proved = forbidden.rows_prove_absent(H, np.arange(H.n), pat)
             assert proved == (fits and pat.walk_test is not None)
-            incremental = oracle._route(pat, m) == "incremental"
-            assert incremental == (fits and pat.kind in ("cycle", "berge_cycle"))
     assert {(kind, fits) for kind, _, fits in seen} == {
         (kind, fits) for kind in ("complete_bipartite", "cycle", "theta", "berge_cycle", "explicit")
         for fits in (True, False)}
