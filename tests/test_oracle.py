@@ -34,8 +34,10 @@ EXPLICIT = {
     "diamond": ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2)),
     "2K_2": ((0, 1), (2, 3)),
     "triangle+edge": ((0, 1), (1, 2), (2, 0), (3, 4)),
+    "paw": ((0, 1), (1, 2), (2, 0), (2, 3)),
     "loose path": ((0, 1, 2), (2, 3, 4)),
     "triples sharing a pair": ((0, 1, 2), (0, 1, 3)),
+    "triples sharing a vertex": ((0, 1, 3), (0, 2, 4)),
     "disjoint triples": ((0, 1, 2), (3, 4, 5)),
 }
 
@@ -252,8 +254,7 @@ def _state_cross_check(monkeypatch, rng, m, patterns, n, steps):
             continue
         edge = rng.choice([e for e in pool if e not in state.edges])
         host = LabeledHypergraph(m, labels, state.edges + [edge])
-        hits = [check_pattern(host, pat) is not None for pat in patterns]
-        full = any(hits)
+        full = any(check_pattern(host, pat) is not None for pat in patterns)
         if free[-1]:
             assert state.closes(edge) == full, (patterns, state.edges, edge)
             assert asked == []
@@ -276,8 +277,9 @@ def _state_cross_check(monkeypatch, rng, m, patterns, n, steps):
     (3, "bergeC_2"), (3, "bergeC_3"), (3, "bergeC_4"),
     (4, "bergeC_2"), (4, "bergeC_3"), (4, "bergeC_4"),
     (2, "K_{1,3}"), (2, "K_{2,2}"), (2, "K_{2,3}"), (2, "theta_{2,3}"), (2, "theta_{3,2}"),
-    (2, "P_4"), (2, "diamond"), (2, "2K_2"), (2, "triangle+edge"),
+    (2, "P_4"), (2, "diamond"), (2, "2K_2"), (2, "triangle+edge"), (2, "paw"),
     (3, "loose path"), (3, "triples sharing a pair"), (3, "disjoint triples"),
+    (3, "triples sharing a vertex"),
 ])
 def test_incremental_state_agrees_with_the_full_deciders(monkeypatch, m, spec):
     # the full deciders are the test oracle for every rule
