@@ -149,6 +149,12 @@ GREEDY_DIGEST = "97c70c2c0fdcc317a0373cb4739c714be9b2f85750fb8f03097efaa7c0a1ec4
 # rest on no spectrum bit, so a change of eigensolver leaves this alone
 GREEDY_NO_RHO_DIGEST = "4dcbcbfb1864ef64b8ee7d6af915ddbaf303b5821e3129a7c43551d4cc8fd433"
 
+# the same JSON for the benchmark's two greedy splits, W_1(13) m=8 and
+# W_1(31) m=20, and for non-bipartite hosts, whose growth pool is every
+# vertex: Petersen, C_9, C_15 and a seeded 4-regular circulant on 29
+# vertices; a run that raises is recorded by its error class and message
+GREEDY_HOSTS_DIGEST = "11eaa6d666a9b672a7c97f096476e62cebf2397487cc1ba602a483c83fc9b75b"
+
 # sha256 of the iterative path's extremes triple, JSON-encoded, per Wenger host
 EXTREMES_DIGEST = {
     (4, 5): "b6fd50b894cc9888bbf82f5893cf1a163f4df509a66b198ad61a262b5a6f1605",
@@ -350,6 +356,46 @@ def test_greedy_splits_frozen_without_rho():
         assert abs(trace["advisories"].pop("rho") - math.sqrt(M * q)) <= 1e-12, (M, q)
     blob = json.dumps(ok, sort_keys=True).encode("utf-8")
     assert hashlib.sha256(blob).hexdigest() == GREEDY_NO_RHO_DIGEST
+
+
+def _circulant(n, steps):
+    edges = sorted({tuple(sorted((i, (i + s) % n))) for i in range(n) for s in steps})
+    return LabeledHypergraph(2, [f"v{i}" for i in range(n)], edges)
+
+
+def _greedy_hosts_record() -> list:
+    """[graph, partition, trace] JSON, or [error class, message], per run
+    whose sizes pass greedy_split's size check."""
+    runs = []
+    for q, m in ((13, 8), (31, 20)):
+        G = constructions.build_wenger(1, q)
+        runs += [(G, m, None, seed) for seed in (None, 0, 42)]
+    petersen = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+    petersen += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    steps = random.Random(20261022).sample(range(2, 15), 2)
+    hosts = [LabeledHypergraph(2, [f"v{i}" for i in range(10)], petersen),
+             _circulant(9, (1,)), _circulant(15, (1,)), _circulant(29, steps)]
+    for G in hosts:
+        assert G.colouring is None
+        for m in (2, 3, 4):
+            for seed_size in sorted({1, 2, math.ceil(math.sqrt(G.n / m))}):
+                if m * seed_size <= G.n // 2:
+                    runs += [(G, m, {"seed_size": seed_size}, seed) for seed in (None, 0, 42)]
+    record = []
+    for G, m, sizes, seed in runs:
+        try:
+            G2, P, trace = spectral.greedy_split(G, m, "K_{2,2}", sizes, seed)
+        except (ValueError, RuntimeError) as exc:
+            record.append([type(exc).__name__, str(exc)])
+            continue
+        record.append([G2.to_json_dict(), P.to_json_dict(), trace.to_json_dict()])
+    return record
+
+
+def test_greedy_hosts_frozen():
+    record = _greedy_hosts_record()
+    blob = json.dumps(record, sort_keys=True).encode("utf-8")
+    assert hashlib.sha256(blob).hexdigest() == GREEDY_HOSTS_DIGEST
 
 
 def test_greedy_seed_budget_frozen():
