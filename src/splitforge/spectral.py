@@ -260,6 +260,15 @@ def greedy_split(G: LabeledHypergraph, m: int, H, sizes=None, seed=None):
     H has no degree-one vertex).  On bipartite input, seeds come from
     the side of vertex 0 and growth vertices from the other side.
 
+    The phases work on arrays.  The distance-2 balls are gathered from
+    one (n, d) neighbour table, the rows of ``G.csr``, and held as
+    bitmasks, so each part's exclusion zone is one int.  The seed search
+    leaves a slot as soon as its candidates are fewer than the seeds its
+    part still needs, which cuts only subtrees without a solution and so
+    finds the same seeds.  The growth step keeps a bool (n, m) table of
+    the parts each vertex has a neighbour in and scores every candidate
+    at once by its row sum over the parts still lacking.
+
     ``sizes`` may override {"seed_size", "target_s", "max_iters"}; keys
     absent or None default to seed_size = ceil(sqrt(n/m)), target_s =
     seed_size, max_iters = 4*seed_size.  ``seed`` randomizes ties only.
@@ -267,7 +276,7 @@ def greedy_split(G: LabeledHypergraph, m: int, H, sizes=None, seed=None):
     Returns (augmented graph, partition, GreedySplitTrace).  Raises
     RuntimeError with diagnostics when seeding is infeasible, and
     BudgetExceededError when the seed search stops undecided after
-    100000 nodes.
+    100000 placements (of the cut search).
     """
     _pattern_for_split(H)
     d = _require_regular(G)
@@ -292,13 +301,13 @@ def greedy_split(G: LabeledHypergraph, m: int, H, sizes=None, seed=None):
 
     color = G.colouring
     if color is not None:
-        seed_pool = [v for v in range(n) if color[v] == color[0]]
-        grow_pool = [v for v in range(n) if color[v] != color[0]]
+        color = np.asarray(color)
+        in_seed_pool = color == color[0]
+        grow_pool = np.flatnonzero(~in_seed_pool)
     else:
-        seed_pool = list(range(n))
-        grow_pool = list(range(n))
+        in_seed_pool = np.ones(n, dtype=bool)
+        grow_pool = np.arange(n)
 
-    adj = G.adj
     trace = GreedySplitTrace()
 
     summary = None
@@ -318,18 +327,31 @@ def greedy_split(G: LabeledHypergraph, m: int, H, sizes=None, seed=None):
         ),
     }
 
-    placed = [None] * n
     parts: list = [[] for _ in range(m)]
+    # the host is d-regular and its canonical CSR rows are ascending, so
+    # row v of this table holds the neighbours of v
+    nbr = G.csr.indices.reshape(n, d)
+    nbytes = (n + 7) // 8
+
+    def bits(mask) -> int:
+        """The bitmask of a bool vertex mask."""
+        return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+
+    def unbits(z: int):
+        """The bool vertex mask of a bitmask."""
+        raw = np.frombuffer(z.to_bytes(nbytes, "little"), dtype=np.uint8)
+        return np.unpackbits(raw, count=n, bitorder="little").view(bool)
 
     balls: dict = {}
 
     def ball_of(v):
         """Bitmask of the vertices at distance < 3 from v."""
         if v not in balls:
-            ball = {v, *adj[v]}
-            for u in adj[v]:
-                ball.update(adj[u])
-            balls[v] = sum(1 << u for u in ball)
+            mask = np.zeros(n, dtype=bool)
+            mask[v] = True
+            mask[nbr[v]] = True
+            mask[nbr[nbr[v]]] = True
+            balls[v] = bits(mask)
         return balls[v]
 
     # ---- step 2: backtracking seed placement on bitmasks.  Slot s holds
@@ -337,9 +359,16 @@ def greedy_split(G: LabeledHypergraph, m: int, H, sizes=None, seed=None):
     # the pool vertices above the last one it tried, outside every placed
     # seed and outside its part's zone (the union of its seeds' distance-2
     # balls).  Lowest first, so the search visits the same nodes as a walk
-    # over the ascending seed pool.
+    # over the ascending seed pool.  A slot whose candidates are fewer than
+    # the seeds its part still needs, itself included, is a dead end: the
+    # part's later slots choose only among them, since `free` only shrinks
+    # and `zone[i]` only grows.  Candidates below the cursor need no case
+    # of their own: the seed constraints depend only on the set of seeds,
+    # so a completion that used one at a later slot reorders a subtree
+    # this slot has already exhausted.  The cut thus drops only subtrees
+    # without a solution, and the first seeding found stays the same.
     total = m * seed_size
-    free = sum(1 << v for v in seed_pool)  # pool vertices not yet placed
+    free = bits(in_seed_pool)  # pool vertices not yet placed
     zone = [0] * m  # per part, the union of its vertices' balls: its exclusion zone
     above = [-1] * (total + 1)  # per slot, the bits at or above its cursor
     chosen = [0] * total
@@ -349,7 +378,7 @@ def greedy_split(G: LabeledHypergraph, m: int, H, sizes=None, seed=None):
     while 0 <= slot < total:
         i = slot // seed_size
         cand = free & ~zone[i] & above[slot]
-        if cand:
+        if cand.bit_count() >= seed_size - slot % seed_size:
             budget -= 1
             if budget < 0:
                 raise BudgetExceededError(
@@ -374,20 +403,22 @@ def greedy_split(G: LabeledHypergraph, m: int, H, sizes=None, seed=None):
         raise RuntimeError(
             f"seeding infeasible: no placement of {seed_size} vertices per part "
             f"at pairwise distance >= 3 exists for m={m} "
-            f"(pool size {len(seed_pool)})"
+            f"(pool size {int(in_seed_pool.sum())})"
         )
 
     lacking = [set(range(m)) - {i} for i in range(m)]  # per part, the parts it has no edge to
+    near = np.zeros((n, m), dtype=bool)  # near[v, j]: v has a neighbour in part j
+    unplaced = np.ones(n, dtype=bool)
 
     def add_vertex(v: int, i: int) -> None:
-        placed[v] = i
+        unplaced[v] = False
         parts[i].append(v)
         zone[i] |= ball_of(v)
-        for w in adj[v]:
-            j = placed[w]
-            if j is not None and j != i:
+        for j in np.flatnonzero(near[v]).tolist():
+            if j != i:
                 lacking[i].discard(j)
                 lacking[j].discard(i)
+        near[nbr[v], i] = True
 
     # zone[i] already holds the seeds' balls; placing them flags the
     # part pairs their edges cover
@@ -411,19 +442,13 @@ def greedy_split(G: LabeledHypergraph, m: int, H, sizes=None, seed=None):
             lack = lacking[i]
             if len(lack) < target_s or not lack:
                 continue
-            best_hits = 0
-            best: list = []
-            for v in grow_pool:
-                if placed[v] is not None or zone[i] >> v & 1:
-                    continue
-                hits = len({placed[w] for w in adj[v] if placed[w] is not None} & lack)
-                if hits > best_hits:
-                    best_hits = hits
-                    best = [v]
-                elif hits == best_hits and hits > 0:
-                    best.append(v)
-            if not best:
+            # each unplaced pool vertex outside the zone, with the count of
+            # lacking parts it has a neighbour in
+            pool = grow_pool[unplaced[grow_pool] & ~unbits(zone[i])[grow_pool]]
+            hits = near[np.ix_(pool, sorted(lack))].sum(axis=1)
+            if not hits.any():
                 continue
+            best = pool[hits == hits.max()].tolist()
             v = best[0] if rng is None else rng.choice(best)
             add_vertex(v, i)
             record["added"].append({"part": i, "vertex": v})

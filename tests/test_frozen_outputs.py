@@ -402,7 +402,7 @@ def test_greedy_seed_budget_frozen():
     # the seed search spends its whole node budget here; the count of
     # seeds placed when it stops pins the order in which it tries vertices
     G = constructions.build_wenger(1, 5)
-    with pytest.raises(RuntimeError, match=r"placed 16 of 18 seeds \(m=6, seed_size=3\)"):
+    with pytest.raises(RuntimeError, match=r"placed 15 of 18 seeds \(m=6, seed_size=3\)"):
         spectral.greedy_split(G, 6, "K_{2,2}", seed=0)
 
 

@@ -12,7 +12,7 @@ import json
 import math
 import random
 import weakref
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -540,6 +540,81 @@ def test_greedy_split_determinism():
     assert a[0].to_json_dict() == b[0].to_json_dict()
     assert a[1].to_json_dict() == b[1].to_json_dict()
     assert a[2].to_json_dict() == b[2].to_json_dict()
+
+
+def uncut_seed_search(G, m, seed_size):
+    """greedy_split's seed search without the dead-end cut, the reference:
+    the seeds in slot order, or None when no seeding exists, and the
+    count of placements made."""
+    n, colour, adj = G.n, G.colouring, G.adj
+    pool = [v for v in range(n) if colour is None or colour[v] == colour[0]]
+
+    def ball(v):
+        near = {v, *adj[v]}
+        for u in adj[v]:
+            near.update(adj[u])
+        return sum(1 << u for u in near)
+
+    total = m * seed_size
+    free = sum(1 << v for v in pool)
+    zone = [0] * m
+    above = [-1] * (total + 1)
+    chosen = [0] * total
+    zone_before = [0] * total
+    slot = placements = 0
+    while 0 <= slot < total:
+        i = slot // seed_size
+        cand = free & ~zone[i] & above[slot]
+        if cand:
+            placements += 1
+            bit = cand & -cand
+            chosen[slot] = v = bit.bit_length() - 1
+            zone_before[slot] = zone[i]
+            zone[i] |= ball(v)
+            free ^= bit
+            above[slot] = -(bit << 1)
+            slot += 1
+            above[slot] = -1
+        else:
+            slot -= 1
+            if slot >= 0:
+                free |= 1 << chosen[slot]
+                zone[slot // seed_size] = zone_before[slot]
+    return (chosen if slot == total else None), placements
+
+
+def seed_cut_cases():
+    rng = random.Random(38)
+    hosts = {f"W_1({q})": build_wenger(1, q) for q in (3, 4, 5)}
+    hosts.update({f"C_{n}": cycle_graph(n) for n in (9, 12, 17, 20)})
+    hosts["Petersen"] = petersen()
+    for _ in range(12):
+        n = rng.randrange(12, 36)
+        steps = sorted(rng.sample(range(1, (n - 1) // 2 + 1), rng.choice((2, 3))))
+        hosts[f"circulant({n}, {steps})"] = circulant(n, steps)
+    return [(name, G, m, seed_size) for name, G in hosts.items()
+            for m in (2, 3, 4) for seed_size in (1, 2, 3, 4) if m * seed_size <= G.n // 2]
+
+
+def test_seed_cut_keeps_the_seeds_of_the_uncut_search(monkeypatch):
+    # the cut search finds the reference's seeds, or its infeasible
+    # verdict, and decides within the reference's placement count
+    kinds = Counter()
+    full = spectral._SEED_NODE_BUDGET
+    for name, G, m, seed_size in seed_cut_cases():
+        want, placements = uncut_seed_search(G, m, seed_size)
+        for budget in (full, placements):
+            monkeypatch.setattr(spectral, "_SEED_NODE_BUDGET", budget)
+            try:
+                _, _, trace = spectral.greedy_split(G, m, "K_{2,2}", sizes={"seed_size": seed_size})
+                got = [rec["vertex"] for rec in trace.seeds]
+            except RuntimeError as exc:
+                assert str(exc).startswith("seeding infeasible"), (name, m, seed_size, str(exc))
+                got = None
+            assert got == want, (name, m, seed_size, budget)
+        kinds[want is not None, placements > m * seed_size] += 1
+    # both verdicts, and seedings found only after backtracking
+    assert kinds[False, True] >= 10 and kinds[True, True] >= 10, kinds
 
 
 def test_greedy_split_advisories():
