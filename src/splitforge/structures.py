@@ -216,22 +216,31 @@ class SplitPartition:
     __slots__ = ("parts", "declared_k")
 
     def __init__(self, parts, declared_k: int) -> None:
-        norm = []
-        seen = set()
-        for part in parts:
-            part = tuple(sorted(part))
-            for v in part:
-                if v < 0:
-                    raise ValueError(f"negative vertex index {v}")
-                if v in seen:
-                    raise ValueError(f"vertex {v} appears in two parts")
-                seen.add(v)
-            if len(part) > declared_k:
-                raise ValueError(
-                    f"part of size {len(part)} exceeds declared k={declared_k}"
-                )
-            norm.append(part)
-        self.parts = tuple(norm)
+        norm = tuple(tuple(sorted(part)) for part in parts)
+        flat = list(chain.from_iterable(norm))
+        try:
+            V = np.array(flat, dtype=np.int64)
+        except OverflowError:  # an index of 2**63 or more
+            V = np.array(flat, dtype=object)
+        # the checks run part by part, each part ascending: a vertex is
+        # named where it is negative or where it occurs a second time,
+        # and a part's size after its vertices
+        bad = (V < 0).astype(bool)
+        S = np.sort(V)
+        if (S[1:] == S[:-1]).any():  # a repeat: flag each occurrence after the first
+            repeat = np.ones(len(V), dtype=bool)
+            repeat[np.unique(V, return_index=True)[1]] = False
+            bad |= repeat
+        sizes = [len(part) for part in norm]
+        over = next((j for j, size in enumerate(sizes) if size > declared_k), len(norm))
+        if bad[:sum(sizes[:over + 1])].any():
+            v = flat[int(np.argmax(bad))]
+            if v < 0:
+                raise ValueError(f"negative vertex index {v}")
+            raise ValueError(f"vertex {v} appears in two parts")
+        if over < len(norm):
+            raise ValueError(f"part of size {sizes[over]} exceeds declared k={declared_k}")
+        self.parts = norm
         self.declared_k = declared_k
 
     @property

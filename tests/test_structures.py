@@ -262,6 +262,47 @@ def test_partition_validation():
     assert P.r == 2
 
 
+def loop_partition(parts, declared_k):
+    """SplitPartition's validation as a loop over the vertices, the
+    reference: the normalised parts, or the message of the first fault."""
+    norm, seen = [], set()
+    for part in parts:
+        part = tuple(sorted(part))
+        for v in part:
+            if v < 0:
+                return f"negative vertex index {v}"
+            if v in seen:
+                return f"vertex {v} appears in two parts"
+            seen.add(v)
+        if len(part) > declared_k:
+            return f"part of size {len(part)} exceeds declared k={declared_k}"
+        norm.append(part)
+    return tuple(norm)
+
+
+def test_partition_validation_matches_the_vertex_loop():
+    # seeded part lists with negative, repeated (within and across parts)
+    # and huge indices, empty parts and oversize parts
+    rng = random.Random(20261022)
+    seen = set()
+    for _ in range(3000):
+        def vertex():
+            roll = rng.random()
+            if roll < 0.03:
+                return rng.choice((2 ** 63, 2 ** 63 + 1, 2 ** 70))
+            return rng.randrange(-2 if roll < 0.08 else 0, 40)
+        parts = [[vertex() for _ in range(rng.randrange(6))] for _ in range(rng.randrange(5))]
+        k = rng.randrange(6)
+        want = loop_partition(parts, k)
+        try:
+            got = SplitPartition(parts, k).parts
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want, (parts, k)
+        seen.add(want.split()[0] if isinstance(want, str) else "ok")
+    assert seen == {"ok", "negative", "vertex", "part"}
+
+
 def test_adjacency_and_degree():
     G = graph(4, [(0, 1), (0, 2), (0, 3)])
     assert G.n == 4
